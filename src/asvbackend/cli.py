@@ -4,8 +4,6 @@ route and evaluate — one subcommand per stage, composable through files.
 Every subcommand exits 0 on success with outputs written atomically, and
 nonzero with a single-line `asvbackend: <kind>: <message>` on stderr
 otherwise. Error kinds map to stable exit codes (see EXIT_CODES).
-The default thread count comes from ASVBACKEND_THREADS when --threads is
-not given.
 """
 
 from __future__ import annotations
@@ -64,13 +62,6 @@ _ERROR_KINDS = {
     MetricError: "metric",
     BackendError: "backend",
 }
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ASVBACKEND_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _require_files(*paths) -> None:
@@ -279,20 +270,25 @@ def _cmd_interpolate(args) -> int:
 
 
 def _prepare_eval_vectors(bundle_path, enroll_path, test_path):
+    """Load a two-sided bundle and bring eval vectors into model space.
+
+    Returns the model, both side preprocessors, the averaged enrollment
+    vectors and the preprocessed test vectors.
+    """
     model, pre1, pre2 = modelio.load_fourcov(bundle_path)
     enroll_rows = data.read_embeddings(enroll_path)
     test_rows = data.read_embeddings(test_path)
     enrolls = [plda.enroll_average(g, pre1) for g in data.group_by_id(enroll_rows)]
     tests = [data.Embedding(t.id, pre2.apply(t.vector)) for t in test_rows]
-    return model, enrolls, tests
+    return model, pre1, pre2, enrolls, tests
 
 
 def _cmd_score(args) -> int:
     _require_files(args.model, args.enroll, args.test, args.trials)
-    model, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
+    model, _, _, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
     trials = data.read_trials(args.trials)
     kernel = fourcov.build_kernel(model)
-    scores = fourcov.score_batch(kernel, enrolls, tests, trials, threads=args.threads)
+    scores = fourcov.score_batch(kernel, enrolls, tests, trials)
     data.write_scores(scores, args.out)
     print(f"wrote {len(scores)} scores to {args.out}")
     return 0
@@ -302,8 +298,7 @@ def _cmd_snorm(args) -> int:
     _require_files(
         args.model, args.scores, args.enroll, args.test, args.cohort_enroll, args.cohort_test
     )
-    model, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
-    _, pre1, pre2 = modelio.load_fourcov(args.model)
+    model, pre1, pre2, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
     scores = data.read_scores(args.scores)
     cohort_enroll_rows = data.read_embeddings(args.cohort_enroll)
     cohort_test_rows = data.read_embeddings(args.cohort_test)
@@ -339,7 +334,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_route_score(args) -> int:
     _require_files(args.config, args.enroll, args.test, args.trials)
-    config = routing.load_routing_config(args.config, threads=args.threads)
+    config = routing.load_routing_config(args.config)
     enrolls = data.read_embeddings(args.enroll)
     tests = data.read_embeddings(args.test)
     trials = data.read_trials(args.trials)
@@ -449,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--out", required=True, help="raw score file to write")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("snorm", help="adaptive symmetric score normalization")
@@ -461,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort-test", required=True)
     p.add_argument("--top-k", default=str(scorenorm.DEFAULT_TOP_K), help="integer or 'all'")
     p.add_argument("--out", required=True, help="normalized score file to write")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_snorm)
 
     p = sub.add_parser("calibrate", help="fit or apply an affine score calibration")
@@ -478,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--out", required=True, help="merged calibrated score file to write")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_route_score)
 
     p = sub.add_parser("evaluate", help="EER / minDCF (and optional DET points)")

@@ -112,7 +112,6 @@ class Trial:
     enroll_id: str
     test_id: str
     is_target: bool | None = None
-    condition: str | None = None
 
 
 @dataclass(frozen=True)
@@ -172,6 +171,21 @@ class ScoreSet:
         return {(e.enroll_id, e.test_id): e.score for e in self.entries}
 
 
+def _check_tokens(path, tokens: Iterable[str]) -> None:
+    """Reject ids a text reader would not read back as written.
+
+    Readers split lines on whitespace and skip lines starting with '#',
+    so an id must be one non-empty whitespace-free token not starting
+    with '#'.
+    """
+    for token in tokens:
+        if token.startswith("#") or token.split() != [token]:
+            raise ParameterError(
+                f"{path}: id {token!r} cannot be written as text "
+                "(empty, contains whitespace or starts with '#')"
+            )
+
+
 def _data_lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -216,6 +230,7 @@ def write_embeddings(path, embeddings: Sequence[Embedding], binary: bool = False
     if binary:
         _write_embeddings_binary(path, embeddings)
         return
+    _check_tokens(path, {emb.id for emb in embeddings})
     with atomic_write(path) as fh:
         for emb in embeddings:
             fh.write(emb.id + "  " + " ".join(repr(float(v)) for v in emb.vector) + "\n")
@@ -239,6 +254,8 @@ def _read_embeddings_binary(path) -> list[Embedding]:
             record += 1
             if len(lenbytes) != 4:
                 raise FileFormatError(f"{path}: truncated record {record}")
+            if dim == 0:
+                raise FileFormatError(f"{path}: record {record} under a header of dimension 0")
             (id_len,) = struct.unpack("<I", lenbytes)
             id_bytes = fh.read(id_len)
             vec_bytes = fh.read(4 * dim)
@@ -289,6 +306,7 @@ def read_trials(path) -> TrialList:
 
 
 def write_trials(path, trials: TrialList) -> None:
+    _check_tokens(path, {i for t in trials for i in (t.enroll_id, t.test_id)})
     with atomic_write(path) as fh:
         for t in trials:
             if t.is_target is None:
@@ -314,6 +332,7 @@ def read_scores(path) -> ScoreSet:
 
 
 def write_scores(scores: ScoreSet, path) -> None:
+    _check_tokens(path, {i for e in scores for i in (e.enroll_id, e.test_id)})
     with atomic_write(path) as fh:
         for e in scores:
             fh.write(f"{e.enroll_id} {e.test_id} {repr(float(e.score))}\n")
@@ -332,6 +351,7 @@ def read_id_map(path) -> dict[str, str]:
 
 
 def write_id_map(path, mapping: dict[str, str]) -> None:
+    _check_tokens(path, [*mapping.keys(), *mapping.values()])
     with atomic_write(path) as fh:
         for key, value in mapping.items():
             fh.write(f"{key} {value}\n")
@@ -370,16 +390,6 @@ def group_by_id(embeddings: Sequence[Embedding]) -> list[SpeakerGroup]:
     for emb in embeddings:
         ordered.setdefault(emb.id, []).append(emb)
     return [SpeakerGroup(eid, tuple(members)) for eid, members in ordered.items()]
-
-
-def by_id(embeddings: Iterable[Embedding]) -> dict[str, Embedding]:
-    """Index embeddings by id; duplicate ids are an error here."""
-    out: dict[str, Embedding] = {}
-    for emb in embeddings:
-        if emb.id in out:
-            raise ParameterError(f"duplicate embedding id '{emb.id}'")
-        out[emb.id] = emb
-    return out
 
 
 def stack_embeddings(embeddings: Sequence[Embedding]) -> np.ndarray:

@@ -15,7 +15,6 @@ through a precomputed quadratic kernel plus the log-determinant constant
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .exceptions import (
     ParameterError,
     UnknownIdError,
 )
-from .plda import PldaModel, speaker_factor
+from .plda import PldaModel, speaker_factors
 
 
 @dataclass(frozen=True)
@@ -177,25 +176,29 @@ def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> floa
     return float(-0.5 * quad + kernel.offset)
 
 
-def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
-    """Score every enrollment row against every test row, (n, m) output."""
+def _side_terms(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray):
+    """Per-vector parts of the quadratic form, each row centred once.
+
+    Returns the enrollment-side terms z_e' ee z_e, the enrollment
+    projections z_e' et, the test-side terms z_t' tt z_t and the centred
+    test rows; a pair's score is then
+    -0.5 * (quad_e + 2 * proj_e . z_t + quad_t) + offset.
+    """
     ee, et, tt = kernel.blocks()
     z_e = np.atleast_2d(enroll_rows) - kernel.enroll_mean
     z_t = np.atleast_2d(test_rows) - kernel.test_mean
-    quad_e = np.einsum("ij,jk,ik->i", z_e, ee, z_e)
-    quad_t = np.einsum("ij,jk,ik->i", z_t, tt, z_t)
-    cross = z_e @ et @ z_t.T
-    return -0.5 * (quad_e[:, None] + 2.0 * cross + quad_t[None, :]) + kernel.offset
+    quad_e = np.sum((z_e @ ee) * z_e, axis=1)
+    quad_t = np.sum((z_t @ tt) * z_t, axis=1)
+    return quad_e, z_e @ et, quad_t, z_t
 
 
-def _score_rows(kernel: ScoringKernel, z_e: np.ndarray, z_t: np.ndarray) -> np.ndarray:
-    ee, et, tt = kernel.blocks()
-    quad = (
-        np.einsum("ij,jk,ik->i", z_e, ee, z_e)
-        + 2.0 * np.einsum("ij,jk,ik->i", z_e, et, z_t)
-        + np.einsum("ij,jk,ik->i", z_t, tt, z_t)
-    )
-    return -0.5 * quad + kernel.offset
+def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
+    """Score every enrollment row against every test row, (n, m) output."""
+    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, enroll_rows, test_rows)
+    grid = proj_e @ z_t.T
+    np.subtract((kernel.offset - 0.5 * quad_e)[:, None], grid, out=grid)
+    grid -= 0.5 * quad_t
+    return grid
 
 
 def score_batch(
@@ -203,50 +206,53 @@ def score_batch(
     enrolls: list[Embedding],
     tests: list[Embedding],
     trials: TrialList,
-    threads: int = 1,
 ) -> ScoreSet:
     """Score a trial list; one aggregated enrollment vector per enroll_id.
 
-    Output order matches the trial list. With threads > 1 the trial rows
-    are chunked across a thread pool; chunking does not change the
-    numeric results.
+    Output order matches the trial list. Each vector that a trial
+    references is centred and projected once; a trial's score is then a
+    gather of its two rows and one row-wise dot product. Vectors that no
+    trial references are ignored. Where ids repeat, the last vector with
+    that id is used.
     """
-    enroll_map = {e.id: e.vector for e in enrolls}
-    test_map = {t.id: t.vector for t in tests}
-    d = kernel.dim
-    z_e = np.empty((len(trials), d))
-    z_t = np.empty((len(trials), d))
+    if not len(trials):
+        return ScoreSet(())
+    enroll_index = {e.id: i for i, e in enumerate(enrolls)}
+    test_index = {t.id: i for i, t in enumerate(tests)}
+    rows = np.empty((len(trials), 2), dtype=np.intp)
     for i, trial in enumerate(trials):
         try:
-            vec_e = enroll_map[trial.enroll_id]
+            rows[i, 0] = enroll_index[trial.enroll_id]
         except KeyError:
             raise UnknownIdError(f"trial references unknown enrollment id '{trial.enroll_id}'") from None
         try:
-            vec_t = test_map[trial.test_id]
+            rows[i, 1] = test_index[trial.test_id]
         except KeyError:
             raise UnknownIdError(f"trial references unknown test id '{trial.test_id}'") from None
-        if vec_e.shape != (d,) or vec_t.shape != (d,):
-            raise DimensionMismatchError(
-                f"trial {trial.enroll_id} {trial.test_id}: vector dimensions "
-                f"{vec_e.shape[0]}/{vec_t.shape[0]} do not match kernel dimension {d}"
-            )
-        z_e[i] = vec_e - kernel.enroll_mean
-        z_t[i] = vec_t - kernel.test_mean
 
-    if threads > 1 and len(trials) > 1:
-        chunks = np.array_split(np.arange(len(trials)), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda idx: _score_rows(kernel, z_e[idx], z_t[idx]), chunks)
-            )
-        values = np.concatenate(parts)
-    else:
-        values = _score_rows(kernel, z_e, z_t)
+    d = kernel.dim
+    used_e, at_e = np.unique(rows[:, 0], return_inverse=True)
+    used_t, at_t = np.unique(rows[:, 1], return_inverse=True)
+    for side, vectors, used in (("enrollment", enrolls, used_e), ("test", tests, used_t)):
+        for i in used:
+            if vectors[i].vector.shape != (d,):
+                raise DimensionMismatchError(
+                    f"{side} vector '{vectors[i].id}' has dimension {vectors[i].vector.shape[0]}, "
+                    f"kernel dimension is {d}"
+                )
 
-    entries = tuple(
-        ScoredTrial(t.enroll_id, t.test_id, float(v)) for t, v in zip(trials, values)
+    quad_e, proj_e, quad_t, z_t = _side_terms(
+        kernel,
+        np.stack([enrolls[i].vector for i in used_e]),
+        np.stack([tests[j].vector for j in used_t]),
     )
-    return ScoreSet(entries)
+    cross = np.einsum("ij,ij->i", proj_e[at_e], z_t[at_t])
+    values = (kernel.offset - 0.5 * quad_e[at_e]) - cross - 0.5 * quad_t[at_t]
+    return ScoreSet(
+        tuple(
+            ScoredTrial(t.enroll_id, t.test_id, v) for t, v in zip(trials, values.tolist())
+        )
+    )
 
 
 def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):
@@ -287,8 +293,10 @@ def fit_coupling(
     """Fit the factor coupling from speakers seen on both sides.
 
     Each pair holds one speaker's full enrollment-side and test-side
-    samples; point-estimate factors are extracted per side with the full
-    sample, then regressed against each other.
+    samples. Each side's posterior factor means come from one batched
+    `speaker_factors` call over all its samples (one residual Cholesky
+    per side, one precision Cholesky per distinct sample size); the two
+    sides' factors are then regressed against each other.
     """
     if len(paired_groups) < plda_enroll.rank + 1:
         raise ParameterError(
@@ -301,7 +309,7 @@ def fit_coupling(
                 f"paired groups at index {i} name different speakers: "
                 f"'{g1.speaker_id}' vs '{g2.speaker_id}'"
             )
-    y1 = np.stack([speaker_factor(plda_enroll, g1) for g1, _ in paired_groups])
-    y2 = np.stack([speaker_factor(plda_test, g2) for _, g2 in paired_groups])
+    y1 = speaker_factors(plda_enroll, [g1 for g1, _ in paired_groups])
+    y2 = speaker_factors(plda_test, [g2 for _, g2 in paired_groups])
     coupling, noise_cov = coupling_from_factors(y1, y2)
     return FourCovModel(plda_enroll, plda_test, coupling, noise_cov)

@@ -9,11 +9,9 @@ atomic.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
+from .data import atomic_write
 from .exceptions import FileFormatError
 from .fourcov import FourCovModel
 from .plda import PldaModel, Preprocessor
@@ -26,18 +24,8 @@ TRUTH_MAGIC = "asvbackend/ground-truth/1"
 
 
 def _save_npz(path, **arrays) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".npz")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _load_npz(path, magic: str):
@@ -136,20 +124,3 @@ def save_ground_truth(path, truth: GroundTruth) -> None:
         coupling=truth.coupling,
         coupling_noise_cov=truth.coupling_noise_cov,
     )
-
-
-def load_ground_truth(path) -> GroundTruth:
-    bundle = _load_npz(path, TRUTH_MAGIC)
-    try:
-        return GroundTruth(
-            bundle["enroll_mean"],
-            bundle["enroll_loadings"],
-            bundle["enroll_noise_cov"],
-            bundle["test_mean"],
-            bundle["test_loadings"],
-            bundle["test_noise_cov"],
-            bundle["coupling"],
-            bundle["coupling_noise_cov"],
-        )
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: bundle is missing entry {exc}") from None

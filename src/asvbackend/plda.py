@@ -240,17 +240,43 @@ def _floor_cov(cov: np.ndarray, context: str) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _group_stats(groups: Sequence[SpeakerGroup], mean: np.ndarray):
-    """First-order sums per speaker plus the total scatter about `mean`."""
-    sums = np.stack([g.matrix().sum(axis=0) for g in groups]) - np.array(
-        [len(g.members) for g in groups]
-    )[:, None] * mean
-    counts = np.array([len(g.members) for g in groups], dtype=np.int64)
-    scatter = np.zeros((mean.size, mean.size))
-    for g in groups:
-        centered = g.matrix() - mean
-        scatter += centered.T @ centered
-    return sums, counts, scatter
+def _first_order_stats(samples, mean: np.ndarray):
+    """Vector count and summed deviation from `mean` of each sample."""
+    mats = [_as_matrix(s) for s in samples]
+    for mat in mats:
+        if mat.shape[1] != mean.size:
+            raise DimensionMismatchError(
+                f"sample dimension {mat.shape[1]} does not match model dimension {mean.size}"
+            )
+    counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
+    sums = np.stack([m.sum(axis=0) for m in mats]) - counts[:, None] * mean
+    return sums, counts
+
+
+def _posterior(loadings, residual_cov, sums, counts):
+    """Posterior speaker-factor means from first-order statistics.
+
+    Row s of `sums` is the summed centred sample f_s of counts[s]
+    vectors; its posterior mean solves (I + n_s ΦᵀΓ⁻¹Φ) y = ΦᵀΓ⁻¹f_s.
+    One residual Cholesky serves every row and one precision Cholesky
+    every distinct count. Returns (factors, projected, residual_cho,
+    precision_chos) with projected rows ΦᵀΓ⁻¹f_s and precision_chos
+    mapping each count to (number of rows, Cholesky factor).
+    """
+    r = loadings.shape[1]
+    cho = scipy.linalg.cho_factor(residual_cov, lower=True)
+    solved_loadings = scipy.linalg.cho_solve(cho, loadings)      # Γ⁻¹Φ, (d, r)
+    base = loadings.T @ solved_loadings                          # ΦᵀΓ⁻¹Φ, (r, r)
+    projected = sums @ solved_loadings                           # rows: ΦᵀΓ⁻¹f_s
+
+    factors = np.empty((sums.shape[0], r))
+    precision_chos = {}
+    for count in np.unique(counts):
+        idx = np.flatnonzero(counts == count)
+        cho_p = scipy.linalg.cho_factor(np.eye(r) + count * base, lower=True)
+        factors[idx] = scipy.linalg.cho_solve(cho_p, projected[idx].T).T
+        precision_chos[int(count)] = (len(idx), cho_p)
+    return factors, projected, cho, precision_chos
 
 
 def _e_step(loadings, residual_cov, sums, counts, scatter, total):
@@ -263,23 +289,13 @@ def _e_step(loadings, residual_cov, sums, counts, scatter, total):
     """
     d = residual_cov.shape[0]
     r = loadings.shape[1]
-    n_speakers = sums.shape[0]
-    cho = scipy.linalg.cho_factor(residual_cov, lower=True)
-    solved_loadings = scipy.linalg.cho_solve(cho, loadings)      # Γ⁻¹Φ, (d, r)
-    base = loadings.T @ solved_loadings                          # ΦᵀΓ⁻¹Φ, (r, r)
-    projected = sums @ solved_loadings                           # rows: ΦᵀΓ⁻¹f_s
-
-    factors = np.empty((n_speakers, r))
+    factors, projected, cho, precision_chos = _posterior(loadings, residual_cov, sums, counts)
     second_moment = np.zeros((r, r))
     logdet_sum = 0.0
-    for count in np.unique(counts):
-        idx = np.flatnonzero(counts == count)
-        precision = np.eye(r) + count * base
-        cho_p = scipy.linalg.cho_factor(precision, lower=True)
-        factors[idx] = scipy.linalg.cho_solve(cho_p, projected[idx].T).T
+    for count, (n_rows, cho_p) in precision_chos.items():
         post_cov = scipy.linalg.cho_solve(cho_p, np.eye(r))
-        second_moment += count * len(idx) * post_cov
-        logdet_sum += 2.0 * len(idx) * float(np.sum(np.log(np.diag(cho_p[0]))))
+        second_moment += count * n_rows * post_cov
+        logdet_sum += 2.0 * n_rows * float(np.sum(np.log(np.diag(cho_p[0]))))
     second_moment += factors.T @ (factors * counts[:, None])
     cross_stat = factors.T @ sums                                # (r, d)
 
@@ -325,7 +341,11 @@ def train_plda(
         )
 
     mean = np.sum([g.matrix().sum(axis=0) for g in groups], axis=0) / total
-    sums, counts, scatter = _group_stats(groups, mean)
+    sums, counts = _first_order_stats(groups, mean)
+    scatter = np.zeros((d, d))
+    for g in groups:
+        centered = g.matrix() - mean
+        scatter += centered.T @ centered
 
     # Between-speaker scatter seeds the loadings; within-speaker scatter
     # seeds the residual covariance.
@@ -361,33 +381,21 @@ def train_plda(
     return model
 
 
-def plda_log_likelihood(model: PldaModel, groups: Sequence[SpeakerGroup]) -> float:
-    """Marginal log-likelihood of speaker-labeled vectors under the model."""
-    sums, counts, scatter = _group_stats(list(groups), model.mean)
-    total = int(counts.sum())
-    _, _, _, loglik = _e_step(
-        model.speaker_loadings, model.residual_cov, sums, counts, scatter, total
-    )
-    return loglik
+def speaker_factors(model: PldaModel, samples) -> np.ndarray:
+    """Posterior means of the speaker factor, one row per sample.
+
+    Each sample (a speaker group, embedding list or matrix of vectors)
+    is treated as one speaker's vectors. The mean is the ridge-regularized
+    projection of the summed centered sample onto the speaker subspace;
+    more vectors sharpen the posterior.
+    """
+    sums, counts = _first_order_stats(samples, model.mean)
+    return _posterior(model.speaker_loadings, model.residual_cov, sums, counts)[0]
 
 
 def speaker_factor(model: PldaModel, sample) -> np.ndarray:
-    """Posterior mean of the speaker factor given a sample of vectors.
-
-    This is the ridge-regularized projection of the summed centered
-    sample onto the speaker subspace; more vectors sharpen the posterior.
-    """
-    mat = _as_matrix(sample)
-    if mat.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"sample dimension {mat.shape[1]} does not match model dimension {model.dim}"
-        )
-    count = mat.shape[0]
-    summed = (mat - model.mean).sum(axis=0)
-    cho = scipy.linalg.cho_factor(model.residual_cov, lower=True)
-    solved_loadings = scipy.linalg.cho_solve(cho, model.speaker_loadings)
-    precision = np.eye(model.rank) + count * model.speaker_loadings.T @ solved_loadings
-    return np.linalg.solve(precision, solved_loadings.T @ summed)
+    """Posterior mean of the speaker factor given one sample of vectors."""
+    return speaker_factors(model, [sample])[0]
 
 
 def plda_llr(model: PldaModel, w1: np.ndarray, w2: np.ndarray) -> float:

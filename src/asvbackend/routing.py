@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import (
@@ -91,7 +91,6 @@ class RoutingConfig:
     enroll_segments: dict[str, int]
     test_language: dict[str, str]
     enroll_seg_threshold: int = DEFAULT_SEG_THRESHOLD
-    threads: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.enroll_seg_threshold < 1:
@@ -130,7 +129,6 @@ def condition_pipeline_scores(
     enrolls: list[Embedding],
     tests: list[Embedding],
     trials: TrialList,
-    threads: int = 1,
 ) -> ScoreSet:
     """Score raw embeddings through one condition's full stack.
 
@@ -144,7 +142,7 @@ def condition_pipeline_scores(
     test_vectors = [
         Embedding(t.id, pipeline.pre_test.apply(t.vector)) for t in tests
     ]
-    raw = score_batch(kernel, enroll_vectors, test_vectors, trials, threads=threads)
+    raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)
 
@@ -176,9 +174,7 @@ def route_and_score(
         needed_test = list(dict.fromkeys(t.test_id for t in subset))
         sub_enrolls = [e for e in enrolls if e.id in needed_enroll]
         sub_tests = [test_by_id[tid] for tid in needed_test if tid in test_by_id]
-        scored = condition_pipeline_scores(
-            config.pipelines[key], sub_enrolls, sub_tests, subset, threads=config.threads
-        )
+        scored = condition_pipeline_scores(config.pipelines[key], sub_enrolls, sub_tests, subset)
         for i, entry in zip(indices, scored):
             merged[i] = entry
     return ScoreSet(tuple(merged))
@@ -210,7 +206,7 @@ def read_language_map(path) -> dict[str, str]:
     return raw
 
 
-def load_routing_config(path, threads: int = 1) -> RoutingConfig:
+def load_routing_config(path) -> RoutingConfig:
     """Load the declarative routing file (JSON).
 
     Schema:
@@ -233,7 +229,8 @@ def load_routing_config(path, threads: int = 1) -> RoutingConfig:
     Relative paths resolve against the config file's directory. Every
     referenced path is checked before anything heavy is loaded. `alpha`
     records the interpolation weight used when the condition's test-side
-    model was built; it is provenance, not a scoring-time input.
+    model was built; it is provenance, not a scoring-time input, and is
+    None for a condition that gives none.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -279,12 +276,11 @@ def load_routing_config(path, threads: int = 1) -> RoutingConfig:
             spec.get("top_k", DEFAULT_TOP_K),
         )
         pipelines[key] = ConditionPipeline(
-            model, pre_enroll, pre_test, cohorts, cal_model, spec.get("alpha", 0.5)
+            model, pre_enroll, pre_test, cohorts, cal_model, spec.get("alpha")
         )
     return RoutingConfig(
         pipelines=pipelines,
         enroll_segments=read_segment_counts(resolve(doc["enroll_segments"])),
         test_language=read_language_map(resolve(doc["test_language"])),
         enroll_seg_threshold=int(doc.get("enroll_seg_threshold", DEFAULT_SEG_THRESHOLD)),
-        threads=threads,
     )

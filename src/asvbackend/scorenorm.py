@@ -114,7 +114,6 @@ def snorm_batch(
     enrolls: list[Embedding],
     tests: list[Embedding],
     scores: ScoreSet,
-    threads: int = 1,
 ) -> ScoreSet:
     """Normalize a score set, computing each side's cohort statistics once.
 
@@ -122,7 +121,6 @@ def snorm_batch(
     every trial that uses it, so the batch matches per-trial `snorm`
     while scoring each vector against each cohort exactly once.
     """
-    del threads  # cohort matrices are scored in one vectorized pass
     enroll_map = {e.id: e.vector for e in enrolls}
     test_map = {t.id: t.vector for t in tests}
 

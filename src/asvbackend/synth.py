@@ -17,7 +17,7 @@ normalization exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -246,10 +246,6 @@ def sample_dataset(config: GenConfig):
             )
         )
     return enroll_groups, test_groups, truth
-
-
-def with_seed(config: GenConfig, seed: int) -> GenConfig:
-    return replace(config, seed=seed)
 
 
 def _joint_covariances(truth: GroundTruth):

@@ -118,16 +118,6 @@ class TestEvaluate:
         assert lines[-1].split() == ["1.0", "0.0"]
 
 
-class TestDefaults:
-    def test_thread_default_from_environment(self, monkeypatch):
-        monkeypatch.setenv("ASVBACKEND_THREADS", "3")
-        assert cli._default_threads() == 3
-        monkeypatch.setenv("ASVBACKEND_THREADS", "junk")
-        assert cli._default_threads() == 1
-        monkeypatch.delenv("ASVBACKEND_THREADS")
-        assert cli._default_threads() == 1
-
-
 class TestErrorPaths:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:

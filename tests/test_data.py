@@ -1,14 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
 
 from asvbackend.data import (
+    BINARY_MAGIC,
     Embedding,
     ScoredTrial,
     ScoreSet,
     SpeakerGroup,
     Trial,
     TrialList,
-    by_id,
     group_by_id,
     group_by_speaker,
     read_embeddings,
@@ -97,6 +99,18 @@ class TestEmbeddingFiles:
         with pytest.raises(FileFormatError, match="truncated"):
             read_embeddings(path)
 
+    def test_binary_record_under_dimension_zero_rejected(self, tmp_path):
+        path = tmp_path / "z.bembs"
+        path.write_bytes(BINARY_MAGIC + struct.pack("<I", 0) + struct.pack("<I", 1) + b"a")
+        with pytest.raises(FileFormatError, match="dimension 0"):
+            read_embeddings(path)
+
+    def test_binary_empty_file_of_dimension_zero_reads_empty(self, tmp_path):
+        path = tmp_path / "e.bembs"
+        write_embeddings(path, [], binary=True)
+        assert path.read_bytes() == BINARY_MAGIC + struct.pack("<I", 0)
+        assert read_embeddings(path) == []
+
 
 class TestTrialAndScoreFiles:
     def test_labels_parsed(self, tmp_path):
@@ -162,6 +176,28 @@ class TestTrialAndScoreFiles:
             read_id_map(path)
 
 
+class TestUnwritableIds:
+    """Text writers reject ids that would not read back as written."""
+
+    def test_empty_id_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_trials(tmp_path / "t.trials", TrialList((Trial("", "t1", True),)))
+
+    def test_id_with_whitespace_rejected(self, tmp_path, rng):
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_embeddings(tmp_path / "x.embs", [Embedding("a b", rng.standard_normal(2))])
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_scores(ScoreSet((ScoredTrial("e1", "t\t1", 0.5),)), tmp_path / "s.scores")
+
+    def test_id_starting_with_hash_rejected(self, tmp_path):
+        path = tmp_path / "t.trials"
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_trials(path, TrialList((Trial("#e", "t1", True),)))
+        assert not path.exists()
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_id_map(tmp_path / "m.txt", {"#a": "spk1"})
+
+
 class TestGrouping:
     def test_prefix_grouping_preserves_multiset(self, rng):
         embs = [Embedding(f"spk{i % 3}-u{i}", rng.standard_normal(4)) for i in range(12)]
@@ -186,11 +222,6 @@ class TestGrouping:
         groups = group_by_id(embs)
         assert [g.speaker_id for g in groups] == ["m1", "m2"]
         assert len(groups[0].members) == 2
-
-    def test_by_id_rejects_duplicates(self, rng):
-        embs = [Embedding("m1", rng.standard_normal(3))] * 2
-        with pytest.raises(ParameterError, match="duplicate"):
-            by_id(embs)
 
 
 class TestInvariants:

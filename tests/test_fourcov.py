@@ -24,7 +24,7 @@ from asvbackend.fourcov import (
 )
 from asvbackend.plda import PldaModel
 
-from conftest import random_plda, random_truth, trial_list
+from conftest import make_group, random_plda, random_truth, trial_list
 
 
 def density_llr(model, w_e, w_t):
@@ -100,6 +100,32 @@ class TestFitCoupling:
         model = fit_coupling(eye_plda, eye_plda, pairs)
         assert np.abs(model.coupling - 2.0 * np.eye(dim)).max() < 5e-2
         assert np.abs(model.coupling_noise_cov - 0.01 * np.eye(dim)).max() < 5e-3
+
+    def test_mixed_segment_counts_match_dense_per_speaker_loop(self, rng):
+        plda1, plda2 = random_plda(rng, 5, 2), random_plda(rng, 5, 3)
+        pairs = []
+        for i in range(12):
+            n1, n2 = 1 + i % 3, 1 + i % 4
+            pairs.append(
+                (
+                    make_group(f"s{i}", plda1.mean + rng.standard_normal((n1, 5))),
+                    make_group(f"s{i}", plda2.mean + rng.standard_normal((n2, 5))),
+                )
+            )
+
+        def dense_factor(model, group):
+            gamma_inv = np.linalg.inv(model.residual_cov)
+            phi = model.speaker_loadings
+            precision = np.eye(model.rank) + len(group.members) * phi.T @ gamma_inv @ phi
+            summed = (group.matrix() - model.mean).sum(axis=0)
+            return np.linalg.inv(precision) @ phi.T @ gamma_inv @ summed
+
+        y1 = np.stack([dense_factor(plda1, g1) for g1, _ in pairs])
+        y2 = np.stack([dense_factor(plda2, g2) for _, g2 in pairs])
+        coupling, noise = coupling_from_factors(y1, y2)
+        model = fit_coupling(plda1, plda2, pairs)
+        np.testing.assert_allclose(model.coupling, coupling, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(model.coupling_noise_cov, noise, rtol=0.0, atol=1e-10)
 
     def test_mismatched_speakers_rejected(self, rng):
         plda = random_plda(rng, 3, 2)
@@ -259,12 +285,19 @@ class TestScoreBatch:
             expected = score_trial(kernel, e_map[entry.enroll_id], t_map[entry.test_id])
             assert abs(entry.score - expected) < 1e-12
 
-    def test_threads_do_not_change_results(self, rng):
-        kernel, enrolls, tests = self._setup(rng, n_enroll=10, n_test=10)
-        pairs = [(f"e{i}", f"t{j}", None) for i in range(10) for j in range(10)]
-        one = score_batch(kernel, enrolls, tests, trial_list(pairs), threads=1)
-        four = score_batch(kernel, enrolls, tests, trial_list(pairs), threads=4)
-        np.testing.assert_array_equal(one.values(), four.values())
+    def test_empty_trial_list(self, rng):
+        kernel, enrolls, tests = self._setup(rng)
+        assert len(score_batch(kernel, enrolls, tests, trial_list([]))) == 0
+
+    def test_unreferenced_wrong_dimension_vector_ignored(self, rng):
+        kernel, enrolls, tests = self._setup(rng)
+        odd = Embedding("odd", rng.standard_normal(3))
+        trials = trial_list([("e0", "t0", None), ("e1", "t2", None)])
+        out = score_batch(kernel, enrolls + [odd], [odd] + tests, trials)
+        expected = score_batch(kernel, enrolls, tests, trials)
+        np.testing.assert_array_equal(out.values(), expected.values())
+        with pytest.raises(DimensionMismatchError, match="test vector 'odd'"):
+            score_batch(kernel, enrolls, [odd] + tests, trial_list([("e0", "odd", None)]))
 
     def test_unknown_id_named(self, rng):
         kernel, enrolls, tests = self._setup(rng)

@@ -228,3 +228,29 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="do not exist"):
             load_routing_config(path)
+
+    def test_alpha_recorded_only_when_given(self, rng, tmp_path):
+        from asvbackend.calibration import write_calibration
+        from asvbackend.data import write_embeddings, write_id_map
+        from asvbackend.modelio import save_fourcov
+        from asvbackend.routing import load_routing_config
+
+        pipe = tiny_pipeline(rng)
+        save_fourcov(tmp_path / "m.npz", pipe.model, pipe.pre_enroll, pipe.pre_test)
+        write_calibration(tmp_path / "c.cal", pipe.calibration)
+        write_embeddings(tmp_path / "ce.embs", [Embedding(f"ce{i}", rng.standard_normal(5)) for i in range(3)])
+        write_embeddings(tmp_path / "ct.embs", [Embedding(f"ct{i}", rng.standard_normal(5)) for i in range(3)])
+        write_id_map(tmp_path / "segs.txt", {"e1": "3"})
+        write_id_map(tmp_path / "lang.txt", {"t1": "primary"})
+        stack = {"model": "m.npz", "cohort_enroll": "ce.embs", "cohort_test": "ct.embs",
+                 "calibration": "c.cal", "top_k": 2}
+        doc = {
+            "enroll_segments": "segs.txt",
+            "test_language": "lang.txt",
+            "conditions": {"few-primary": {**stack, "alpha": 0.25}, "many-primary": stack},
+        }
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(doc))
+        config = load_routing_config(path)
+        assert config.pipelines[ConditionKey("few", "primary")].alpha == 0.25
+        assert config.pipelines[ConditionKey("many", "primary")].alpha is None
