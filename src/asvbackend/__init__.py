@@ -44,7 +44,7 @@ from .plda import (
     speaker_factor,
     train_plda,
 )
-from .routing import ConditionKey, RoutingConfig, classify_trial, route_and_score
+from .routing import ConditionKey, RoutingConfig, classify_trials, route_and_score
 from .scorenorm import CohortSet, snorm, snorm_batch
 from .synth import GenConfig, GroundTruth, make_ground_truth, sample_dataset, true_llr
 
@@ -71,7 +71,7 @@ __all__ = [
     "apply_calibration",
     "build_kernel",
     "chunked_enroll_averages",
-    "classify_trial",
+    "classify_trials",
     "compute_eer",
     "compute_min_dcf",
     "coupling_from_factors",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import ScoredTrial, ScoreSet, TrialList, atomic_write, read_id_map
+from .data import ScoreSet, TrialList, _check_tokens, atomic_write, join, read_id_map
 from .exceptions import CalibrationFitError, FileFormatError, NumericalError, UnknownIdError
 
 SCALE_PENALTY = 1e-4
@@ -55,16 +55,15 @@ class CalibrationModel:
 
 
 def _split_by_label(scores: ScoreSet, trials: TrialList):
-    score_map = scores.by_trial()
-    tar, non = [], []
-    for t in trials:
-        if t.is_target is None:
-            continue
-        key = (t.enroll_id, t.test_id)
-        if key not in score_map:
-            raise UnknownIdError(f"no score for labeled trial {key[0]} {key[1]}")
-        (tar if t.is_target else non).append(score_map[key])
-    return np.asarray(tar, dtype=np.float64), np.asarray(non, dtype=np.float64)
+    """Target and nontarget scores of the labeled trials, in trial order."""
+    rows = join(trials, scores)
+    labels = trials.labels
+    missing = (labels >= 0) & (rows < 0)
+    if missing.any():
+        t = trials[int(np.argmax(missing))]
+        raise UnknownIdError(f"no score for labeled trial {t.enroll_id} {t.test_id}")
+    values = scores.values()
+    return values[rows[labels == 1]], values[rows[labels == 0]]
 
 
 def _objective_terms(theta: np.ndarray, tar: np.ndarray, non: np.ndarray):
@@ -146,16 +145,13 @@ def fit_calibration(
 
 def apply_calibration(model: CalibrationModel, scores: ScoreSet) -> ScoreSet:
     """Map every score through the affine calibration, preserving order."""
-    return ScoreSet(
-        tuple(
-            ScoredTrial(e.enroll_id, e.test_id, float(model.scale * e.score + model.offset))
-            for e in scores
-        )
-    )
+    return scores.with_scores(model.transform(scores.values()))
 
 
 def write_calibration(path, model: CalibrationModel, condition: str | None = None) -> None:
     """Two-number text file: scale, offset, plus an optional condition tag."""
+    if condition is not None:
+        _check_tokens(path, [condition])
     with atomic_write(path) as fh:
         fh.write("# asvbackend calibration v1\n")
         fh.write(f"scale {repr(model.scale)}\n")

@@ -162,17 +162,19 @@ def _cmd_synth(args) -> int:
     data.write_id_map(path("test_meta.txt"), {t.id: args.language for t in test_rows})
 
     rng = np.random.default_rng(int(trial_seed))
-    trials = []
+    trial_enroll, trial_test, trial_labels = [], [], []
     test_ids = [t.id for t in test_rows]
     for group in eval_enroll:
-        model_id = f"{group.speaker_id}-model"
-        for member in (m for g in eval_test if g.speaker_id == group.speaker_id for m in g.members):
-            trials.append(data.Trial(model_id, member.id, True))
+        targets = [m.id for g in eval_test if g.speaker_id == group.speaker_id for m in g.members]
         impostors = [tid for tid in test_ids if data.speaker_of(tid) != group.speaker_id]
         picked = rng.choice(len(impostors), size=min(args.nontargets, len(impostors)), replace=False)
-        for idx in sorted(picked):
-            trials.append(data.Trial(model_id, impostors[idx], False))
-    data.write_trials(path("eval.trials"), data.TrialList(tuple(trials)))
+        nontargets = [impostors[idx] for idx in sorted(picked)]
+        trial_enroll += [f"{group.speaker_id}-model"] * (len(targets) + len(nontargets))
+        trial_test += targets + nontargets
+        trial_labels += [True] * len(targets) + [False] * len(nontargets)
+    data.write_trials(
+        path("eval.trials"), data.TrialList.from_columns(trial_enroll, trial_test, trial_labels)
+    )
 
     if args.cohort_speakers > 0:
         cohort_cfg = synth.GenConfig(
@@ -200,6 +202,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    if args.transformed_out is not None and args.transform is None:
+        raise ParameterError("--transformed-out needs --transform")
     _require_files(args.embeddings, args.transform)
     rows = data.read_embeddings(args.embeddings)
     pre = plda.fit_preprocessor(rows)
@@ -295,6 +299,10 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_snorm(args) -> int:
+    try:
+        top_k = None if args.top_k == "all" else int(args.top_k)
+    except ValueError:
+        raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
     _require_files(
         args.model, args.scores, args.enroll, args.test, args.cohort_enroll, args.cohort_test
     )
@@ -302,7 +310,6 @@ def _cmd_snorm(args) -> int:
     scores = data.read_scores(args.scores)
     cohort_enroll_rows = data.read_embeddings(args.cohort_enroll)
     cohort_test_rows = data.read_embeddings(args.cohort_test)
-    top_k = None if args.top_k == "all" else int(args.top_k)
     cohorts = scorenorm.CohortSet(
         tuple(plda.enroll_average(g, pre1) for g in data.group_by_id(cohort_enroll_rows)),
         tuple(data.Embedding(e.id, pre2.apply(e.vector)) for e in cohort_test_rows),
@@ -318,6 +325,8 @@ def _cmd_snorm(args) -> int:
 def _cmd_calibrate(args) -> int:
     if (args.trials is None) == (args.model is None):
         raise ParameterError("pass exactly one of --trials (fit) or --model (apply)")
+    if args.model is not None and args.condition is not None:
+        raise ParameterError("--condition applies only when fitting (--trials)")
     _require_files(args.scores, args.trials, args.model)
     scores = data.read_scores(args.scores)
     if args.trials:

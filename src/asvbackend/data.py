@@ -115,60 +115,171 @@ class Trial:
 
 
 @dataclass(frozen=True)
-class TrialList:
-    entries: tuple[Trial, ...]
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        seen = set()
-        for t in entries:
-            key = (t.enroll_id, t.test_id)
-            if key in seen:
-                raise ParameterError(f"duplicate trial {t.enroll_id} {t.test_id}")
-            seen.add(key)
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-@dataclass(frozen=True)
 class ScoredTrial:
     enroll_id: str
     test_id: str
     score: float
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    entries: tuple[ScoredTrial, ...]
+def _encode(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Unique ids in order of first appearance, and each row's code into them."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(i, len(index)) for i in ids), dtype=np.intp, count=len(ids))
+    return tuple(index), codes
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        seen = set()
-        for e in entries:
-            key = (e.enroll_id, e.test_id)
-            if key in seen:
-                raise ParameterError(f"duplicate score for trial {e.enroll_id} {e.test_id}")
-            seen.add(key)
-            if not np.isfinite(e.score):
-                raise DomainError(f"non-finite score for trial {e.enroll_id} {e.test_id}")
-        object.__setattr__(self, "entries", entries)
+
+class _PairTable:
+    """Rows of (enrollment id, test id, value), stored as columns.
+
+    Each side keeps its unique ids once, in order of first appearance,
+    and each row holds an integer code into both id tables. No id pair
+    repeats, and the columns are read-only. Subclasses name the row view
+    and the value column.
+    """
+
+    _row: type  # row view: (enroll_id, test_id, value)
+    _field: str  # name of the value in the row view
+    _duplicate: str  # how errors name a repeated pair
+
+    def __init__(self, entries=()):
+        rows = tuple(entries)
+        values = [getattr(r, self._field) for r in rows]
+        self._fill(
+            _encode([r.enroll_id for r in rows]), _encode([r.test_id for r in rows]), self._column(values)
+        )
+
+    @classmethod
+    def from_columns(cls, enroll_ids: Sequence[str], test_ids: Sequence[str], values: Sequence):
+        """A table from three parallel per-row columns."""
+        return cls._make(_encode(enroll_ids), _encode(test_ids), cls._column(values))
+
+    @classmethod
+    def _make(cls, enroll, test, column):
+        table = cls.__new__(cls)
+        table._fill(enroll, test, column)
+        return table
+
+    def _fill(self, enroll, test, column: np.ndarray) -> None:
+        """Set (id table, codes) per side and the value column, then check them."""
+        (self.enroll_ids, self.enroll_codes), (self.test_ids, self.test_codes) = enroll, test
+        self._values = column
+        if not self.enroll_codes.shape == self.test_codes.shape == column.shape:
+            raise ParameterError("columns must hold one entry per row")
+        for array in (self.enroll_codes, self.test_codes, column):
+            array.setflags(write=False)
+        _, first = np.unique(self.enroll_codes * len(self.test_ids) + self.test_codes, return_index=True)
+        if first.size < len(self):
+            repeats = np.ones(len(self), dtype=bool)
+            repeats[first] = False
+            row = self[int(np.argmax(repeats))]
+            raise ParameterError(f"{self._duplicate} {row.enroll_id} {row.test_id}")
+        self._check_values()
+
+    def _check_values(self) -> None:
+        pass
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.enroll_codes.size
+
+    def __getitem__(self, i: int):
+        return self._row(
+            self.enroll_ids[self.enroll_codes[i]],
+            self.test_ids[self.test_codes[i]],
+            self._view(self._values[i].item()),
+        )
+
+    def _rows(self):
+        """(enrollment id, test id, stored value) per row."""
+        return zip(
+            map(self.enroll_ids.__getitem__, self.enroll_codes.tolist()),
+            map(self.test_ids.__getitem__, self.test_codes.tolist()),
+            self._values.tolist(),
+        )
 
     def __iter__(self):
-        return iter(self.entries)
+        return (self._row(e, t, self._view(v)) for e, t, v in self._rows())
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return list(self._rows()) == list(other._rows())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+    def take(self, rows) -> _PairTable:
+        """The rows at these positions, in this order, as a new table."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return self._make(
+            _encode([self.enroll_ids[c] for c in self.enroll_codes[rows].tolist()]),
+            _encode([self.test_ids[c] for c in self.test_codes[rows].tolist()]),
+            self._values[rows],
+        )
+
+    def with_scores(self, scores) -> ScoreSet:
+        """These rows with a new score column."""
+        ids = (self.enroll_ids, self.enroll_codes), (self.test_ids, self.test_codes)
+        return ScoreSet._make(*ids, ScoreSet._column(scores))
+
+
+class TrialList(_PairTable):
+    """Trials, each labeled target (True), nontarget (False) or not (None)."""
+
+    _row, _field, _duplicate = Trial, "is_target", "duplicate trial"
+    # stored label codes 0, 1, -1 read back as False, True, None
+    _view = staticmethod((False, True, None).__getitem__)
+
+    @staticmethod
+    def _column(values) -> np.ndarray:
+        return np.array([-1 if v is None else 1 if v else 0 for v in values], dtype=np.int8)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Per-row label codes: 1 target, 0 nontarget, -1 unlabeled."""
+        return self._values
+
+
+class ScoreSet(_PairTable):
+    """Trials with one finite float64 score each."""
+
+    _row, _field, _duplicate = ScoredTrial, "score", "duplicate score for trial"
+    _view = float
+
+    @staticmethod
+    def _column(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)
+
+    def _check_values(self) -> None:
+        bad = ~np.isfinite(self._values)
+        if bad.any():
+            row = self[int(np.argmax(bad))]
+            raise DomainError(f"non-finite score for trial {row.enroll_id} {row.test_id}")
 
     def values(self) -> np.ndarray:
-        return np.array([e.score for e in self.entries], dtype=np.float64)
+        """The score column (read-only)."""
+        return self._values
 
-    def by_trial(self) -> dict[tuple[str, str], float]:
-        return {(e.enroll_id, e.test_id): e.score for e in self.entries}
+
+def join(left: _PairTable, right: _PairTable) -> np.ndarray:
+    """For each row of `left`, the row of `right` with the same id pair, or -1."""
+
+    def codes_in_right(ids, right_ids):
+        index = dict(zip(right_ids, range(len(right_ids))))
+        return np.array([index.get(i, -1) for i in ids], dtype=np.intp)
+
+    n_test = len(right.test_ids)
+    enroll = codes_in_right(left.enroll_ids, right.enroll_ids)[left.enroll_codes]
+    test = codes_in_right(left.test_ids, right.test_ids)[left.test_codes]
+    keys = np.where((enroll < 0) | (test < 0), -1, enroll * n_test + test)
+    right_keys = right.enroll_codes * n_test + right.test_codes
+    _, inverse = np.unique(np.concatenate([right_keys, keys]), return_inverse=True)
+    row = np.full(inverse.size, -1, dtype=np.intp)
+    row[inverse[: len(right)]] = np.arange(len(right))
+    return row[inverse[len(right):]]
 
 
 def _check_tokens(path, tokens: Iterable[str]) -> None:
@@ -287,55 +398,50 @@ _LABELS = {"tgt": True, "non": False}
 
 
 def read_trials(path) -> TrialList:
-    entries: list[Trial] = []
-    seen: dict[tuple[str, str], int] = {}
-    for lineno, parts in _data_lines(path):
+    rows = list(_data_lines(path))
+    labels = []
+    for lineno, parts in rows:
         if len(parts) not in (2, 3):
             raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id [tgt|non]'")
-        label = None
-        if len(parts) == 3:
-            if parts[2] not in _LABELS:
-                raise FileFormatError(f"{path}:{lineno}: unknown label '{parts[2]}' (want tgt or non)")
-            label = _LABELS[parts[2]]
-        key = (parts[0], parts[1])
-        if key in seen:
-            raise FileFormatError(f"{path}:{lineno}: duplicate trial (first at line {seen[key]})")
-        seen[key] = lineno
-        entries.append(Trial(parts[0], parts[1], label))
-    return TrialList(tuple(entries))
+        if len(parts) == 3 and parts[2] not in _LABELS:
+            raise FileFormatError(f"{path}:{lineno}: unknown label '{parts[2]}' (want tgt or non)")
+        labels.append(_LABELS[parts[2]] if len(parts) == 3 else None)
+    try:
+        return TrialList.from_columns([p[0] for _, p in rows], [p[1] for _, p in rows], labels)
+    except ParameterError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _write_table(path, table: TrialList | ScoreSet, suffix) -> None:
+    """One 'enroll_id test_id<suffix(value)>' line per row."""
+    _check_tokens(path, table.enroll_ids + table.test_ids)
+    with atomic_write(path) as fh:
+        fh.writelines(f"{e} {t}{suffix(v)}\n" for e, t, v in table._rows())
 
 
 def write_trials(path, trials: TrialList) -> None:
-    _check_tokens(path, {i for t in trials for i in (t.enroll_id, t.test_id)})
-    with atomic_write(path) as fh:
-        for t in trials:
-            if t.is_target is None:
-                fh.write(f"{t.enroll_id} {t.test_id}\n")
-            else:
-                fh.write(f"{t.enroll_id} {t.test_id} {'tgt' if t.is_target else 'non'}\n")
+    # label codes 0, 1, -1 are written as non, tgt and nothing
+    _write_table(path, trials, (" non", " tgt", "").__getitem__)
 
 
 def read_scores(path) -> ScoreSet:
-    entries: list[ScoredTrial] = []
-    for lineno, parts in _data_lines(path):
+    rows = list(_data_lines(path))
+    values = []
+    for lineno, parts in rows:
         if len(parts) != 3:
             raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id score'")
         try:
-            value = float(parts[2])
+            values.append(float(parts[2]))
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: non-numeric score '{parts[2]}'") from None
-        entries.append(ScoredTrial(parts[0], parts[1], value))
     try:
-        return ScoreSet(tuple(entries))
+        return ScoreSet.from_columns([p[0] for _, p in rows], [p[1] for _, p in rows], values)
     except (ParameterError, DomainError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_scores(scores: ScoreSet, path) -> None:
-    _check_tokens(path, {i for e in scores for i in (e.enroll_id, e.test_id)})
-    with atomic_write(path) as fh:
-        for e in scores:
-            fh.write(f"{e.enroll_id} {e.test_id} {repr(float(e.score))}\n")
+    _write_table(path, scores, lambda v: f" {v!r}")
 
 
 def read_id_map(path) -> dict[str, str]:

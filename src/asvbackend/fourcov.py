@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Embedding, ScoredTrial, ScoreSet, SpeakerGroup, TrialList
+from .data import Embedding, ScoreSet, SpeakerGroup, TrialList
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
@@ -201,6 +201,15 @@ def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows:
     return grid
 
 
+def _positions(ids, vectors: list[Embedding], side: str) -> np.ndarray:
+    """Index in `vectors` of each id, taking the last vector with that id."""
+    index = {v.id: i for i, v in enumerate(vectors)}
+    try:
+        return np.array([index[i] for i in ids], dtype=np.intp)
+    except KeyError as exc:
+        raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
+
+
 def score_batch(
     kernel: ScoringKernel,
     enrolls: list[Embedding],
@@ -210,29 +219,19 @@ def score_batch(
     """Score a trial list; one aggregated enrollment vector per enroll_id.
 
     Output order matches the trial list. Each vector that a trial
-    references is centred and projected once; a trial's score is then a
-    gather of its two rows and one row-wise dot product. Vectors that no
-    trial references are ignored. Where ids repeat, the last vector with
-    that id is used.
+    references is centred and projected once, in the order of the vector
+    lists; a trial's score is then a gather of its two rows by id code
+    and one row-wise dot product. Vectors that no trial references are
+    ignored. Where ids repeat, the last vector with that id is used.
     """
     if not len(trials):
-        return ScoreSet(())
-    enroll_index = {e.id: i for i, e in enumerate(enrolls)}
-    test_index = {t.id: i for i, t in enumerate(tests)}
-    rows = np.empty((len(trials), 2), dtype=np.intp)
-    for i, trial in enumerate(trials):
-        try:
-            rows[i, 0] = enroll_index[trial.enroll_id]
-        except KeyError:
-            raise UnknownIdError(f"trial references unknown enrollment id '{trial.enroll_id}'") from None
-        try:
-            rows[i, 1] = test_index[trial.test_id]
-        except KeyError:
-            raise UnknownIdError(f"trial references unknown test id '{trial.test_id}'") from None
+        return trials.with_scores(())
+    used_e, at_e = np.unique(_positions(trials.enroll_ids, enrolls, "enrollment"), return_inverse=True)
+    used_t, at_t = np.unique(_positions(trials.test_ids, tests, "test"), return_inverse=True)
+    at_e = at_e[trials.enroll_codes]
+    at_t = at_t[trials.test_codes]
 
     d = kernel.dim
-    used_e, at_e = np.unique(rows[:, 0], return_inverse=True)
-    used_t, at_t = np.unique(rows[:, 1], return_inverse=True)
     for side, vectors, used in (("enrollment", enrolls, used_e), ("test", tests, used_t)):
         for i in used:
             if vectors[i].vector.shape != (d,):
@@ -248,11 +247,7 @@ def score_batch(
     )
     cross = np.einsum("ij,ij->i", proj_e[at_e], z_t[at_t])
     values = (kernel.offset - 0.5 * quad_e[at_e]) - cross - 0.5 * quad_t[at_t]
-    return ScoreSet(
-        tuple(
-            ScoredTrial(t.enroll_id, t.test_id, v) for t, v in zip(trials, values.tolist())
-        )
-    )
+    return trials.with_scores(values)
 
 
 def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):

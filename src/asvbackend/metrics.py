@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreSet, TrialList
+from .data import ScoreSet, TrialList, join
 from .exceptions import MetricError, ParameterError
 
 
@@ -41,19 +41,15 @@ def _scores_and_labels(scores, labels):
     if isinstance(scores, ScoreSet):
         if not isinstance(labels, TrialList):
             raise ParameterError("a ScoreSet must be paired with a labeled TrialList")
-        label_map = {}
-        for t in labels:
-            if t.is_target is None:
-                raise MetricError(f"trial {t.enroll_id} {t.test_id} carries no label")
-            label_map[(t.enroll_id, t.test_id)] = t.is_target
-        values, flags = [], []
-        for e in scores:
-            key = (e.enroll_id, e.test_id)
-            if key not in label_map:
-                raise MetricError(f"no label for scored trial {key[0]} {key[1]}")
-            values.append(e.score)
-            flags.append(label_map[key])
-        return np.asarray(values, dtype=np.float64), np.asarray(flags, dtype=bool)
+        unlabeled = labels.labels < 0
+        if unlabeled.any():
+            t = labels[int(np.argmax(unlabeled))]
+            raise MetricError(f"trial {t.enroll_id} {t.test_id} carries no label")
+        rows = join(scores, labels)
+        if (rows < 0).any():
+            e = scores[int(np.argmax(rows < 0))]
+            raise MetricError(f"no label for scored trial {e.enroll_id} {e.test_id}")
+        return scores.values(), labels.labels[rows] == 1
     values = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(labels, dtype=bool)
     if values.shape != flags.shape or values.ndim != 1:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import multivariate_normal
 
 from .data import Embedding, SpeakerGroup, stack_embeddings
 from .exceptions import (
@@ -398,6 +397,17 @@ def speaker_factor(model: PldaModel, sample) -> np.ndarray:
     return speaker_factors(model, [sample])[0]
 
 
+def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """log N(x; mean, cov), through one Cholesky factor of cov."""
+    try:
+        factor = scipy.linalg.cholesky(cov, lower=True)
+    except scipy.linalg.LinAlgError:
+        raise NumericalError("covariance is not positive definite") from None
+    white = scipy.linalg.solve_triangular(factor, x - mean, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return float(-0.5 * (white @ white + logdet + x.size * np.log(2.0 * np.pi)))
+
+
 def plda_llr(model: PldaModel, w1: np.ndarray, w2: np.ndarray) -> float:
     """Symmetric PLDA log-likelihood ratio for a pair of vectors.
 
@@ -418,10 +428,7 @@ def plda_llr(model: PldaModel, w1: np.ndarray, w2: np.ndarray) -> float:
     mean = np.concatenate([model.mean, model.mean])
     same_cov = np.block([[marginal, between], [between, marginal]])
     indep_cov = scipy.linalg.block_diag(marginal, marginal)
-    return float(
-        multivariate_normal.logpdf(stacked, mean=mean, cov=same_cov)
-        - multivariate_normal.logpdf(stacked, mean=mean, cov=indep_cov)
-    )
+    return gaussian_logpdf(stacked, mean, same_cov) - gaussian_logpdf(stacked, mean, indep_cov)
 
 
 def interpolate_plda(in_domain: PldaModel, out_domain: PldaModel, alpha: float) -> PldaModel:

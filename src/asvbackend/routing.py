@@ -15,17 +15,10 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .calibration import CalibrationModel, apply_calibration, read_calibration
-from .data import (
-    Embedding,
-    ScoredTrial,
-    ScoreSet,
-    Trial,
-    TrialList,
-    group_by_id,
-    read_embeddings,
-    read_id_map,
-)
+from .data import Embedding, ScoreSet, TrialList, group_by_id, read_embeddings, read_id_map
 from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
 from .fourcov import FourCovModel, build_kernel, score_batch
 from .modelio import load_fourcov
@@ -110,18 +103,29 @@ class RoutingConfig:
                 )
 
 
-def classify_trial(config: RoutingConfig, enroll_id: str, test_id: str) -> ConditionKey:
-    """Bucket by enrollment segment count, copy the test language label."""
+def classify_trials(config: RoutingConfig, trials: TrialList) -> np.ndarray:
+    """Each trial's index into ALL_CONDITIONS.
+
+    The enrollment bucket comes from the segment count (few below the
+    threshold, many from it up), the language from the test id's label;
+    each unique id is looked up once.
+    """
     try:
-        count = config.enroll_segments[enroll_id]
-    except KeyError:
-        raise RoutingError(f"no segment count for enrollment id '{enroll_id}'") from None
+        buckets = [
+            int(config.enroll_segments[i] >= config.enroll_seg_threshold)
+            for i in trials.enroll_ids
+        ]
+    except KeyError as exc:
+        raise RoutingError(f"no segment count for enrollment id '{exc.args[0]}'") from None
     try:
-        language = config.test_language[test_id]
-    except KeyError:
-        raise RoutingError(f"no language label for test id '{test_id}'") from None
-    bucket = "few" if count < config.enroll_seg_threshold else "many"
-    return ConditionKey(bucket, language)
+        languages = [TEST_LANGUAGES.index(config.test_language[i]) for i in trials.test_ids]
+    except KeyError as exc:
+        raise RoutingError(f"no language label for test id '{exc.args[0]}'") from None
+    # ALL_CONDITIONS runs over languages within each bucket
+    return (
+        len(TEST_LANGUAGES) * np.array(buckets, dtype=np.intp)[trials.enroll_codes]
+        + np.array(languages, dtype=np.intp)[trials.test_codes]
+    )
 
 
 def condition_pipeline_scores(
@@ -154,30 +158,25 @@ def route_and_score(
     trials: TrialList,
 ) -> ScoreSet:
     """Partition trials by condition, score each partition, merge in order."""
-    assignments = [classify_trial(config, t.enroll_id, t.test_id) for t in trials]
-    needed = []
-    for key in assignments:
-        if key not in needed:
-            needed.append(key)
-    missing = [key.tag for key in needed if key not in config.pipelines]
+    conditions = classify_trials(config, trials)
+    needed = np.unique(conditions).tolist()
+    missing = [ALL_CONDITIONS[c].tag for c in needed if ALL_CONDITIONS[c] not in config.pipelines]
     if missing:
         raise ConfigError(f"no pipeline configured for condition(s): {', '.join(sorted(missing))}")
 
-    merged: list[ScoredTrial | None] = [None] * len(trials)
+    merged = np.empty(len(trials))
     test_by_id = {}
     for t in tests:
         test_by_id.setdefault(t.id, t)
-    for key in needed:
-        indices = [i for i, k in enumerate(assignments) if k == key]
-        subset = TrialList(tuple(trials.entries[i] for i in indices))
-        needed_enroll = {t.enroll_id for t in subset}
-        needed_test = list(dict.fromkeys(t.test_id for t in subset))
+    for c in needed:
+        rows = np.flatnonzero(conditions == c)
+        subset = trials.take(rows)
+        needed_enroll = set(subset.enroll_ids)
         sub_enrolls = [e for e in enrolls if e.id in needed_enroll]
-        sub_tests = [test_by_id[tid] for tid in needed_test if tid in test_by_id]
-        scored = condition_pipeline_scores(config.pipelines[key], sub_enrolls, sub_tests, subset)
-        for i, entry in zip(indices, scored):
-            merged[i] = entry
-    return ScoreSet(tuple(merged))
+        sub_tests = [test_by_id[tid] for tid in subset.test_ids if tid in test_by_id]
+        pipeline = config.pipelines[ALL_CONDITIONS[c]]
+        merged[rows] = condition_pipeline_scores(pipeline, sub_enrolls, sub_tests, subset).values()
+    return trials.with_scores(merged)
 
 
 def read_segment_counts(path) -> dict[str, int]:

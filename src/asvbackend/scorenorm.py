@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, ScoredTrial, ScoreSet, stack_embeddings
+from .data import Embedding, ScoreSet, stack_embeddings
 from .exceptions import NormalizationError, ParameterError, UnknownIdError
 from .fourcov import ScoringKernel, score_pair_matrix
 
@@ -81,8 +81,8 @@ def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
     return mean, std
 
 
-def combine_normalized(raw: float, stats_vs_test_cohort, stats_vs_enroll_cohort) -> float:
-    """Average of the two one-sided z-normalizations of a raw score."""
+def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
+    """Average of the two one-sided z-normalizations of a raw score (or array)."""
     mu1, sd1 = stats_vs_test_cohort
     mu2, sd2 = stats_vs_enroll_cohort
     return 0.5 * (raw - mu1) / sd1 + 0.5 * (raw - mu2) / sd2
@@ -123,49 +123,34 @@ def snorm_batch(
     """
     enroll_map = {e.id: e.vector for e in enrolls}
     test_map = {t.id: t.vector for t in tests}
-
-    enroll_ids = []
-    test_ids = []
-    seen_e: set[str] = set()
-    seen_t: set[str] = set()
-    for entry in scores:
-        if entry.enroll_id not in seen_e:
-            seen_e.add(entry.enroll_id)
-            enroll_ids.append(entry.enroll_id)
-        if entry.test_id not in seen_t:
-            seen_t.add(entry.test_id)
-            test_ids.append(entry.test_id)
-
-    missing = [i for i in enroll_ids if i not in enroll_map]
-    missing += [i for i in test_ids if i not in test_map]
-    if missing:
-        raise UnknownIdError(f"scores reference unknown embedding id '{missing[0]}'")
-
-    enroll_rows = np.stack([enroll_map[i] for i in enroll_ids]) if enroll_ids else np.empty((0, kernel.dim))
-    test_rows = np.stack([test_map[i] for i in test_ids]) if test_ids else np.empty((0, kernel.dim))
+    try:
+        enroll_rows = [enroll_map[i] for i in scores.enroll_ids]
+        test_rows = [test_map[i] for i in scores.test_ids]
+    except KeyError as exc:
+        raise UnknownIdError(f"scores reference unknown embedding id '{exc.args[0]}'") from None
+    enroll_rows = np.stack(enroll_rows) if enroll_rows else np.empty((0, kernel.dim))
+    test_rows = np.stack(test_rows) if test_rows else np.empty((0, kernel.dim))
 
     vs_test_cohort = score_pair_matrix(kernel, enroll_rows, cohorts.test_matrix())
     vs_enroll_cohort = score_pair_matrix(kernel, cohorts.enroll_matrix(), test_rows)
 
-    enroll_stats = {}
-    for i, eid in enumerate(enroll_ids):
+    # (mean, std) per unique id, in id-table order
+    enroll_stats = np.empty((len(scores.enroll_ids), 2))
+    for i, eid in enumerate(scores.enroll_ids):
         try:
-            enroll_stats[eid] = top_score_stats(vs_test_cohort[i], cohorts.top_k, "test-side")
+            enroll_stats[i] = top_score_stats(vs_test_cohort[i], cohorts.top_k, "test-side")
         except NormalizationError as exc:
             raise NormalizationError(f"{exc} (enrollment '{eid}')") from None
-    test_stats = {}
-    for j, tid in enumerate(test_ids):
+    test_stats = np.empty((len(scores.test_ids), 2))
+    for j, tid in enumerate(scores.test_ids):
         try:
-            test_stats[tid] = top_score_stats(vs_enroll_cohort[:, j], cohorts.top_k, "enroll-side")
+            test_stats[j] = top_score_stats(vs_enroll_cohort[:, j], cohorts.top_k, "enroll-side")
         except NormalizationError as exc:
             raise NormalizationError(f"{exc} (test '{tid}')") from None
 
-    entries = tuple(
-        ScoredTrial(
-            e.enroll_id,
-            e.test_id,
-            combine_normalized(e.score, enroll_stats[e.enroll_id], test_stats[e.test_id]),
-        )
-        for e in scores
+    normalized = combine_normalized(
+        scores.values(),
+        enroll_stats[scores.enroll_codes].T,
+        test_stats[scores.test_codes].T,
     )
-    return ScoreSet(entries)
+    return scores.with_scores(normalized)

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import multivariate_normal
 
 from .data import Embedding, SpeakerGroup
 from .exceptions import DimensionMismatchError, ParameterError
 from .fourcov import FourCovModel
-from .plda import PldaModel
+from .plda import PldaModel, gaussian_logpdf
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,4 @@ def true_llr(truth: GroundTruth, w1: np.ndarray, w2: np.ndarray) -> float:
     same, indep = _joint_covariances(truth)
     stacked = np.concatenate([w1, w2])
     mean = np.concatenate([truth.enroll_mean, truth.test_mean])
-    return float(
-        multivariate_normal.logpdf(stacked, mean=mean, cov=same)
-        - multivariate_normal.logpdf(stacked, mean=mean, cov=indep)
-    )
+    return gaussian_logpdf(stacked, mean, same) - gaussian_logpdf(stacked, mean, indep)

@@ -9,7 +9,7 @@ from asvbackend.calibration import (
     write_calibration,
 )
 from asvbackend.data import ScoredTrial, ScoreSet, Trial, TrialList
-from asvbackend.exceptions import CalibrationFitError
+from asvbackend.exceptions import CalibrationFitError, ParameterError
 from asvbackend.metrics import DcfParams, compute_eer, compute_min_dcf
 from asvbackend import synth
 
@@ -125,3 +125,10 @@ class TestFiles:
         model, condition = read_calibration(path)
         assert model == CalibrationModel(0.75, 2.0)
         assert condition is None
+
+    @pytest.mark.parametrize("condition", ["few primary", ""])
+    def test_unwritable_condition_rejected_before_writing(self, tmp_path, condition):
+        path = tmp_path / "c.cal"
+        with pytest.raises(ParameterError, match="cannot be written"):
+            write_calibration(path, CalibrationModel(1.0, 0.0), condition=condition)
+        assert not any(tmp_path.iterdir())

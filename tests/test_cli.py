@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import asvbackend
 from asvbackend import cli
-from asvbackend.data import read_scores
+from asvbackend.data import join, read_scores
 
 
 def invoke(*argv):
@@ -118,6 +121,15 @@ class TestEvaluate:
         assert lines[-1].split() == ["1.0", "0.0"]
 
 
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats roughly doubles start-up time and no stage needs it
+    src = os.path.dirname(os.path.dirname(asvbackend.__file__))
+    probe = "import sys, asvbackend.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestErrorPaths:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -147,6 +159,26 @@ class TestErrorPaths:
         code = invoke("calibrate", "--scores", tmp_path / "s.scores", "--out", tmp_path / "c.txt")
         assert code == 6
         assert "parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snorm", "--model", "m.npz", "--scores", "s.scores", "--enroll", "e.embs",
+             "--test", "t.embs", "--cohort-enroll", "ce.embs", "--cohort-test", "ct.embs",
+             "--top-k", "abc", "--out", "o.scores"],
+            ["calibrate", "--scores", "s.scores", "--model", "c.cal", "--condition", "few-primary",
+             "--out", "o.scores"],
+            ["preprocess", "--embeddings", "e.embs", "--out", "p.npz", "--transformed-out", "x.embs"],
+        ],
+        ids=["snorm-top-k-not-integer", "calibrate-apply-with-condition", "preprocess-output-without-input"],
+    )
+    def test_bad_flag_combination_exits_6_before_reading(self, tmp_path, monkeypatch, capsys, argv):
+        # none of the input files exist, so reading any of them would exit 3
+        monkeypatch.chdir(tmp_path)
+        code = invoke(*argv)
+        assert code == 6
+        assert "parameter" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestPipeline:
@@ -260,10 +292,12 @@ class TestRouteScore:
             "--trials", trials, "--out", routed_path,
         ) == 0
 
-        routed = read_scores(routed_path).by_trial()
+        routed = read_scores(routed_path)
         for manual_file in (final_a, final_b):
-            for entry in read_scores(manual_file):
-                assert routed[(entry.enroll_id, entry.test_id)] == entry.score
+            manual = read_scores(manual_file)
+            rows = join(manual, routed)
+            assert (rows >= 0).all()
+            np.testing.assert_array_equal(routed.values()[rows], manual.values())
 
     def test_route_missing_condition_exits_8(self, tmp_path, capsys):
         paths = build_bundle(tmp_path, seed=25)

@@ -13,6 +13,7 @@ from asvbackend.data import (
     TrialList,
     group_by_id,
     group_by_speaker,
+    join,
     read_embeddings,
     read_id_map,
     read_scores,
@@ -222,6 +223,45 @@ class TestGrouping:
         groups = group_by_id(embs)
         assert [g.speaker_id for g in groups] == ["m1", "m2"]
         assert len(groups[0].members) == 2
+
+
+class TestTables:
+    def test_columns_and_rows_build_the_same_table(self):
+        rows = (Trial("e1", "t1", True), Trial("e2", "t1", None), Trial("e1", "t2", False))
+        trials = TrialList.from_columns(["e1", "e2", "e1"], ["t1", "t1", "t2"], [True, None, False])
+        assert trials == TrialList(rows)
+        assert trials.entries == rows
+        assert trials.enroll_ids == ("e1", "e2") and trials.test_ids == ("t1", "t2")
+        assert trials.labels.tolist() == [1, -1, 0]
+
+    def test_take_renumbers_ids_by_first_appearance(self):
+        trials = TrialList.from_columns(["a", "b", "c"], ["x", "y", "x"], [None] * 3)
+        subset = trials.take([2, 1])
+        assert subset == TrialList((Trial("c", "x"), Trial("b", "y")))
+        assert subset.enroll_ids == ("c", "b") and subset.enroll_codes.tolist() == [0, 1]
+        with pytest.raises(ParameterError, match="duplicate"):
+            trials.take([0, 0])
+
+    def test_join_finds_rows_by_id_pair(self):
+        trials = TrialList.from_columns(["a", "a", "b"], ["x", "y", "x"], [True, False, True])
+        scores = ScoreSet.from_columns(["b", "a", "c", "a"], ["x", "y", "x", "z"], [1.0, 2.0, 3.0, 4.0])
+        assert join(scores, trials).tolist() == [2, 1, -1, -1]
+        assert join(trials, scores).tolist() == [-1, 1, 0]
+
+    def test_with_scores_checks_the_column(self):
+        trials = TrialList.from_columns(["a", "b"], ["x", "x"], [None, None])
+        assert trials.with_scores([0.5, -1.0]) == ScoreSet(
+            (ScoredTrial("a", "x", 0.5), ScoredTrial("b", "x", -1.0))
+        )
+        with pytest.raises(ParameterError, match="one entry per row"):
+            trials.with_scores([0.5])
+        with pytest.raises(DomainError, match="non-finite score for trial b x"):
+            trials.with_scores([0.5, float("nan")])
+
+    def test_columns_are_read_only(self):
+        scores = ScoreSet.from_columns(["a"], ["x"], [1.0])
+        with pytest.raises(ValueError):
+            scores.values()[0] = 2.0
 
 
 class TestInvariants:

@@ -9,6 +9,7 @@ from asvbackend.plda import (
     chunked_enroll_averages,
     enroll_average,
     fit_preprocessor,
+    gaussian_logpdf,
     identity_preprocessor,
     interpolate_plda,
     length_normalize,
@@ -232,6 +233,23 @@ class TestSpeakerFactor:
         for n in range(1, 5):
             step = (np.eye(2) + (n + 1) * base) - (np.eye(2) + n * base)
             assert np.linalg.eigvalsh(step).min() >= -1e-12
+
+
+class TestGaussianLogpdf:
+    def test_matches_scipy(self, rng):
+        from scipy.stats import multivariate_normal
+
+        for dim in (1, 4, 9):
+            draws = rng.standard_normal((dim, dim + 3))
+            cov = draws @ draws.T / (dim + 3)
+            mean = rng.standard_normal(dim)
+            x = mean + rng.standard_normal(dim)
+            expected = multivariate_normal.logpdf(x, mean=mean, cov=cov)
+            np.testing.assert_allclose(gaussian_logpdf(x, mean, cov), expected, rtol=1e-10, atol=1e-10)
+
+    def test_singular_covariance_rejected(self):
+        with pytest.raises(NumericalError, match="positive definite"):
+            gaussian_logpdf(np.zeros(2), np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestPldaLlr:

@@ -1,0 +1,125 @@
+"""Property tests for the trial and score tables and the stages built on them."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asvbackend import fourcov
+from asvbackend.data import (
+    Embedding,
+    ScoreSet,
+    TrialList,
+    read_scores,
+    read_trials,
+    write_scores,
+    write_trials,
+)
+from asvbackend.metrics import compute_eer, compute_min_dcf, det_points
+from asvbackend.routing import ALL_CONDITIONS, route_and_score
+
+from conftest import random_truth
+from test_routing import metadata_config, tiny_pipeline
+
+# any id a text file can hold: one non-empty whitespace-free token not starting with '#'
+ids = st.text(
+    alphabet=st.characters(exclude_categories=("Cs", "Cc")), min_size=1, max_size=6
+).filter(lambda s: s.split() == [s] and not s.startswith("#"))
+
+
+def pair_rows(value):
+    return st.lists(st.tuples(ids, ids, value), unique_by=lambda r: (r[0], r[1]), max_size=25)
+
+
+def columns(rows):
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+class TestTextRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(pair_rows(st.sampled_from([True, False, None])))
+    def test_trials(self, rows):
+        trials = TrialList.from_columns(*columns(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.trials")
+            write_trials(path, trials)
+            back = read_trials(path)
+        assert back == trials
+        assert [(t.enroll_id, t.test_id, t.is_target) for t in back] == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_rows(st.floats(allow_nan=False, allow_infinity=False)))
+    def test_scores(self, rows):
+        scores = ScoreSet.from_columns(*columns(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.scores")
+            write_scores(scores, path)
+            back = read_scores(path)
+        assert back == scores
+        # bit-exact, so -0.0 stays -0.0
+        assert back.values().tobytes() == scores.values().tobytes()
+
+
+@st.composite
+def labeled_scores(draw):
+    n = draw(st.integers(2, 40))
+    # few distinct values, so ties are common
+    values = draw(st.lists(st.integers(-4, 4).map(float), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    flags[0], flags[1] = True, False
+    order = draw(st.permutations(range(n)))
+    return np.array(values), np.array(flags), order
+
+
+class TestMetricsJoin:
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_scores())
+    def test_score_rows_permuted_against_trial_rows(self, case):
+        values, flags, order = case
+        enroll = [f"e{i % 3}" for i in range(values.size)]
+        test = [f"t{i}" for i in range(values.size)]
+        trials = TrialList.from_columns(enroll, test, flags.tolist())
+        scores = ScoreSet.from_columns(
+            [enroll[i] for i in order], [test[i] for i in order], values[order]
+        )
+        assert compute_eer(scores, trials) == compute_eer(values, flags)
+        assert compute_min_dcf(scores, trials) == compute_min_dcf(values, flags)
+        assert det_points(scores, trials) == det_points(values, flags)
+
+
+GRID = [(f"e{i}", f"t{j}") for i in range(6) for j in range(7)]
+_rng = np.random.default_rng(31)
+KERNEL = fourcov.build_kernel(random_truth(_rng, 5, 2, 2).as_fourcov())
+ENROLLS = [Embedding(f"e{i}", _rng.standard_normal(5)) for i in range(6)]
+TESTS = [Embedding(f"t{j}", _rng.standard_normal(5)) for j in range(7)]
+ROUTING = metadata_config(
+    {key: tiny_pipeline(_rng, offset=float(k)) for k, key in enumerate(ALL_CONDITIONS)},
+    {f"e{i}": 1 + 2 * i for i in range(6)},
+    {f"t{j}": ("primary", "secondary")[j % 2] for j in range(7)},
+)
+
+
+def unlabeled(pairs):
+    return TrialList.from_columns([e for e, _ in pairs], [t for _, t in pairs], [None] * len(pairs))
+
+
+class TestScoresFollowTrialOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(GRID))
+    def test_score_batch(self, pairs):
+        expected = fourcov.score_batch(KERNEL, ENROLLS, TESTS, unlabeled(GRID)).values()
+        got = fourcov.score_batch(KERNEL, ENROLLS, TESTS, unlabeled(pairs)).values()
+        np.testing.assert_array_equal(got, expected[[GRID.index(p) for p in pairs]])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(GRID))
+    def test_route_and_score(self, pairs):
+        expected = route_and_score(ROUTING, ENROLLS, TESTS, unlabeled(GRID)).values()
+        got = route_and_score(ROUTING, ENROLLS, TESTS, unlabeled(pairs)).values()
+        # each condition scores its ids against the cohorts in order of first
+        # appearance, so a permutation may reorder the rows of a BLAS product
+        np.testing.assert_allclose(
+            got, expected[[GRID.index(p) for p in pairs]], rtol=1e-12, atol=1e-12
+        )

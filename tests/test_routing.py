@@ -12,7 +12,7 @@ from asvbackend.routing import (
     ConditionKey,
     ConditionPipeline,
     RoutingConfig,
-    classify_trial,
+    classify_trials,
     condition_pipeline_scores,
     parse_condition_tag,
     read_language_map,
@@ -60,6 +60,11 @@ class TestConditionKey:
             ConditionKey("some", "primary")
         with pytest.raises(ParameterError):
             parse_condition_tag("few-tertiary")
+
+
+def classify_trial(config, enroll_id, test_id):
+    """The condition of a single trial."""
+    return ALL_CONDITIONS[classify_trials(config, TrialList((Trial(enroll_id, test_id),)))[0]]
 
 
 class TestClassify:
