@@ -373,25 +373,34 @@ def _read_embeddings_binary(path) -> list[Embedding]:
             if len(id_bytes) != id_len or len(vec_bytes) != 4 * dim:
                 raise FileFormatError(f"{path}: truncated record {record}")
             vector = np.frombuffer(vec_bytes, dtype="<f4").astype(np.float64)
-            out.append(Embedding(id_bytes.decode("utf-8"), vector))
+            try:
+                out.append(Embedding(id_bytes.decode("utf-8"), vector))
+            except DomainError as exc:
+                raise FileFormatError(f"{path}: record {record}: {exc}") from None
     return out
 
 
 def _write_embeddings_binary(path, embeddings: Sequence[Embedding]) -> None:
     embeddings = list(embeddings)
     dim = embeddings[0].dim if embeddings else 0
+    records = []
+    for emb in embeddings:
+        if emb.dim != dim:
+            raise DimensionMismatchError(
+                f"embedding '{emb.id}' has dimension {emb.dim}, file has {dim}"
+            )
+        with np.errstate(over="ignore"):
+            values = emb.vector.astype("<f4")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError(
+                f"{path}: embedding '{emb.id}' has a value beyond the float32 range"
+            )
+        id_bytes = emb.id.encode("utf-8")
+        records.append(struct.pack("<I", len(id_bytes)) + id_bytes + values.tobytes())
     with atomic_write(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<I", dim))
-        for emb in embeddings:
-            if emb.dim != dim:
-                raise DimensionMismatchError(
-                    f"embedding '{emb.id}' has dimension {emb.dim}, file has {dim}"
-                )
-            id_bytes = emb.id.encode("utf-8")
-            fh.write(struct.pack("<I", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(emb.vector.astype("<f4").tobytes())
+        fh.writelines(records)
 
 
 _LABELS = {"tgt": True, "non": False}

@@ -192,22 +192,55 @@ def _side_terms(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.nd
     return quad_e, z_e @ et, quad_t, z_t
 
 
-def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
-    """Score every enrollment row against every test row, (n, m) output."""
-    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, enroll_rows, test_rows)
-    grid = proj_e @ z_t.T
-    np.subtract((kernel.offset - 0.5 * quad_e)[:, None], grid, out=grid)
-    grid -= 0.5 * quad_t
+def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarray:
+    """Scores of every row against every column from `_side_terms` output.
+
+    Either side can be the rows: enrollment rows take (quad_e, proj_e)
+    with test columns (quad_t, z_t), and test rows take (quad_t, z_t)
+    with enrollment columns (quad_e, proj_e). Each row's scores are one
+    contiguous row of the (n, m) output.
+    """
+    n = len(quad_rows)
+    if n == 1:
+        # numpy hands a one-row product to gemv, which rounds differently
+        # from gemm; score the row twice so every grid row comes from gemm
+        proj_rows = np.repeat(proj_rows, 2, axis=0)
+    grid = (proj_rows @ proj_cols.T)[:n]
+    np.subtract((offset - 0.5 * quad_rows)[:, None], grid, out=grid)
+    grid -= 0.5 * quad_cols
     return grid
 
 
-def _positions(ids, vectors: list[Embedding], side: str) -> np.ndarray:
-    """Index in `vectors` of each id, taking the last vector with that id."""
+def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
+    """Score every enrollment row against every test row, (n, m) output."""
+    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, enroll_rows, test_rows)
+    return _grid(kernel.offset, quad_e, proj_e, quad_t, z_t)
+
+
+def _check_dims(vectors, what: str, dim: int) -> None:
+    for v in vectors:
+        if v.vector.shape != (dim,):
+            raise DimensionMismatchError(
+                f"{what} vector '{v.id}' has dimension {v.vector.shape[0]}, kernel dimension is {dim}"
+            )
+
+
+def _referenced(ids, vectors: list[Embedding], side: str, dim: int):
+    """The vectors that `ids` reference, each once, in the order of `vectors`.
+
+    Returns those vectors and, for each id, its index among them. Where
+    ids repeat in `vectors`, the last vector with that id is used. A
+    referenced vector of the wrong dimension raises, naming side and id.
+    """
     index = {v.id: i for i, v in enumerate(vectors)}
     try:
-        return np.array([index[i] for i in ids], dtype=np.intp)
+        positions = np.array([index[i] for i in ids], dtype=np.intp)
     except KeyError as exc:
         raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
+    used, at = np.unique(positions, return_inverse=True)
+    used = [vectors[i] for i in used]
+    _check_dims(used, side, dim)
+    return used, at
 
 
 def score_batch(
@@ -226,24 +259,13 @@ def score_batch(
     """
     if not len(trials):
         return trials.with_scores(())
-    used_e, at_e = np.unique(_positions(trials.enroll_ids, enrolls, "enrollment"), return_inverse=True)
-    used_t, at_t = np.unique(_positions(trials.test_ids, tests, "test"), return_inverse=True)
+    used_e, at_e = _referenced(trials.enroll_ids, enrolls, "enrollment", kernel.dim)
+    used_t, at_t = _referenced(trials.test_ids, tests, "test", kernel.dim)
     at_e = at_e[trials.enroll_codes]
     at_t = at_t[trials.test_codes]
 
-    d = kernel.dim
-    for side, vectors, used in (("enrollment", enrolls, used_e), ("test", tests, used_t)):
-        for i in used:
-            if vectors[i].vector.shape != (d,):
-                raise DimensionMismatchError(
-                    f"{side} vector '{vectors[i].id}' has dimension {vectors[i].vector.shape[0]}, "
-                    f"kernel dimension is {d}"
-                )
-
     quad_e, proj_e, quad_t, z_t = _side_terms(
-        kernel,
-        np.stack([enrolls[i].vector for i in used_e]),
-        np.stack([tests[j].vector for j in used_t]),
+        kernel, np.stack([e.vector for e in used_e]), np.stack([t.vector for t in used_t])
     )
     cross = np.einsum("ij,ij->i", proj_e[at_e], z_t[at_t])
     values = (kernel.offset - 0.5 * quad_e[at_e]) - cross - 0.5 * quad_t[at_t]

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Embedding, ScoreSet, stack_embeddings
-from .exceptions import NormalizationError, ParameterError, UnknownIdError
-from .fourcov import ScoringKernel, score_pair_matrix
+from .exceptions import NormalizationError, ParameterError
+from .fourcov import ScoringKernel, _check_dims, _grid, _referenced, _side_terms, score_pair_matrix
 
 DEFAULT_TOP_K = 400
+
+# Trial vectors scored against a cohort at a time: 256 x 5000 scores is 10 MB.
+_BLOCK_ROWS = 256
 
 # Cohort-score spreads this small cannot define a meaningful z-scale.
 MIN_COHORT_STD = 1e-12
@@ -108,6 +111,25 @@ def snorm(
     return combine_normalized(float(raw), stats_vs_test, stats_vs_enroll)
 
 
+def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, vectors, label):
+    """(mean, std) of each row's selected cohort scores, one block of rows at a time.
+
+    The row and cohort terms come from `_side_terms`; `vectors` names
+    the rows in a `NormalizationError`.
+    """
+    stats = np.empty((len(quad), 2))
+    for start in range(0, len(quad), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        grid = _grid(offset, quad[block], proj[block], cohort_quad, cohort_proj)
+        for i in range(len(grid)):
+            try:
+                stats[start + i] = top_score_stats(grid[i], top_k, side)
+            except NormalizationError as exc:
+                raise NormalizationError(f"{exc} ({label} '{vectors[start + i].id}')") from None
+        del grid  # so the next block's grid does not coexist with this one
+    return stats
+
+
 def snorm_batch(
     kernel: ScoringKernel,
     cohorts: CohortSet,
@@ -119,38 +141,39 @@ def snorm_batch(
 
     Statistics for a given enrollment (or test) vector are shared by
     every trial that uses it, so the batch matches per-trial `snorm`
-    while scoring each vector against each cohort exactly once.
+    while scoring each vector against each cohort exactly once. The
+    per-side terms of the trial vectors and of both cohorts are computed
+    once; the referenced trial vectors, in the order of the vector
+    lists, are then scored against the opposite cohort `_BLOCK_ROWS` at
+    a time and each block is reduced to statistics before the next one
+    is formed, so memory is O(block x cohort) per side whatever the
+    number of trials or ids.
     """
-    enroll_map = {e.id: e.vector for e in enrolls}
-    test_map = {t.id: t.vector for t in tests}
-    try:
-        enroll_rows = [enroll_map[i] for i in scores.enroll_ids]
-        test_rows = [test_map[i] for i in scores.test_ids]
-    except KeyError as exc:
-        raise UnknownIdError(f"scores reference unknown embedding id '{exc.args[0]}'") from None
-    enroll_rows = np.stack(enroll_rows) if enroll_rows else np.empty((0, kernel.dim))
-    test_rows = np.stack(test_rows) if test_rows else np.empty((0, kernel.dim))
+    if not len(scores):
+        return scores.with_scores(())
+    d = kernel.dim
+    used_e, at_e = _referenced(scores.enroll_ids, enrolls, "enrollment", d)
+    used_t, at_t = _referenced(scores.test_ids, tests, "test", d)
+    _check_dims(cohorts.enroll_cohort, "enrollment-side cohort", d)
+    _check_dims(cohorts.test_cohort, "test-side cohort", d)
 
-    vs_test_cohort = score_pair_matrix(kernel, enroll_rows, cohorts.test_matrix())
-    vs_enroll_cohort = score_pair_matrix(kernel, cohorts.enroll_matrix(), test_rows)
-
-    # (mean, std) per unique id, in id-table order
-    enroll_stats = np.empty((len(scores.enroll_ids), 2))
-    for i, eid in enumerate(scores.enroll_ids):
-        try:
-            enroll_stats[i] = top_score_stats(vs_test_cohort[i], cohorts.top_k, "test-side")
-        except NormalizationError as exc:
-            raise NormalizationError(f"{exc} (enrollment '{eid}')") from None
-    test_stats = np.empty((len(scores.test_ids), 2))
-    for j, tid in enumerate(scores.test_ids):
-        try:
-            test_stats[j] = top_score_stats(vs_enroll_cohort[:, j], cohorts.top_k, "enroll-side")
-        except NormalizationError as exc:
-            raise NormalizationError(f"{exc} (test '{tid}')") from None
-
+    quad_e, proj_e, quad_t, z_t = _side_terms(
+        kernel, np.stack([e.vector for e in used_e]), np.stack([t.vector for t in used_t])
+    )
+    cohort_quad_e, cohort_proj_e, cohort_quad_t, cohort_z_t = _side_terms(
+        kernel, cohorts.enroll_matrix(), cohorts.test_matrix()
+    )
+    enroll_stats = _cohort_stats(
+        kernel.offset, quad_e, proj_e, cohort_quad_t, cohort_z_t,
+        cohorts.top_k, "test-side", used_e, "enrollment",
+    )
+    test_stats = _cohort_stats(
+        kernel.offset, quad_t, z_t, cohort_quad_e, cohort_proj_e,
+        cohorts.top_k, "enroll-side", used_t, "test",
+    )
     normalized = combine_normalized(
         scores.values(),
-        enroll_stats[scores.enroll_codes].T,
-        test_stats[scores.test_codes].T,
+        enroll_stats[at_e[scores.enroll_codes]].T,
+        test_stats[at_t[scores.test_codes]].T,
     )
     return scores.with_scores(normalized)

@@ -112,6 +112,27 @@ class TestEmbeddingFiles:
         assert path.read_bytes() == BINARY_MAGIC + struct.pack("<I", 0)
         assert read_embeddings(path) == []
 
+    def test_binary_value_beyond_float32_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "big.bembs"
+        embs = [Embedding("a", [1.0, 2.0]), Embedding("b", [1e39, 0.0])]
+        with pytest.raises(ParameterError, match="'b'.*float32"):
+            write_embeddings(path, embs, binary=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_binary_float32_max_accepted(self, tmp_path):
+        path = tmp_path / "max.bembs"
+        top = float(np.finfo(np.float32).max)
+        write_embeddings(path, [Embedding("a", [top, -top])], binary=True)
+        np.testing.assert_array_equal(read_embeddings(path)[0].vector, [top, -top])
+
+    def test_binary_non_finite_record_names_record(self, tmp_path):
+        path = tmp_path / "nan.bembs"
+        record = struct.pack("<I", 1) + b"a" + np.array([1.0, 2.0], "<f4").tobytes()
+        bad = struct.pack("<I", 1) + b"b" + np.array([np.inf, 2.0], "<f4").tobytes()
+        path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2) + record + bad)
+        with pytest.raises(FileFormatError, match="record 2: .*'b'.*non-finite"):
+            read_embeddings(path)
+
 
 class TestTrialAndScoreFiles:
     def test_labels_parsed(self, tmp_path):

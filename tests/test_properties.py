@@ -4,10 +4,11 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asvbackend import fourcov
+from asvbackend import fourcov, scorenorm
 from asvbackend.data import (
     Embedding,
     ScoreSet,
@@ -123,3 +124,39 @@ class TestScoresFollowTrialOrder:
         np.testing.assert_allclose(
             got, expected[[GRID.index(p) for p in pairs]], rtol=1e-12, atol=1e-12
         )
+
+
+COHORTS = scorenorm.CohortSet(
+    tuple(Embedding(f"ce{i}", _rng.standard_normal(5)) for i in range(40)),
+    tuple(Embedding(f"ct{i}", _rng.standard_normal(5)) for i in range(40)),
+    10,
+)
+RAW = {pair: float(k) for k, pair in enumerate(GRID)}
+
+
+def raw_scores(pairs):
+    return ScoreSet.from_columns(
+        [e for e, _ in pairs], [t for _, t in pairs], [RAW[p] for p in pairs]
+    )
+
+
+class TestSnormBatch:
+    """`snorm_batch` scores the trial vectors against each cohort in row blocks."""
+
+    # Bit-identity needs the BLAS to round each product row the same
+    # whatever the number of rows. OpenBLAS 0.3.31 on an AVX-512 Xeon does
+    # at these shapes, but not at every shape: with a 257-entry cohort at
+    # d=16, normalized scores moved by up to 5e-14 between block sizes.
+    @pytest.mark.parametrize("block", [1, 3, 8])  # 8 exceeds both sides' 6 and 7 rows
+    def test_block_size_does_not_change_scores(self, monkeypatch, block):
+        expected = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(GRID)).values()
+        monkeypatch.setattr(scorenorm, "_BLOCK_ROWS", block)
+        got = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(GRID)).values()
+        np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(GRID))
+    def test_follows_score_row_order(self, pairs):
+        expected = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(GRID)).values()
+        got = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(pairs)).values()
+        np.testing.assert_array_equal(got, expected[[GRID.index(p) for p in pairs]])

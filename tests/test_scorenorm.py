@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from asvbackend.data import Embedding, ScoredTrial, ScoreSet
-from asvbackend.exceptions import NormalizationError, ParameterError
+from asvbackend.exceptions import DimensionMismatchError, NormalizationError, ParameterError
 from asvbackend.fourcov import ScoringKernel, build_kernel, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
     CohortSet,
@@ -197,3 +199,53 @@ class TestSnormBatch:
         raw = ScoreSet((ScoredTrial("e0", "t0", 1.0),))
         with pytest.raises(NormalizationError, match="test-side.*e0"):
             snorm_batch(kernel, cohorts, enrolls, tests, raw)
+
+    @pytest.mark.parametrize(
+        "wrong, message",
+        [
+            ("enroll", "enrollment vector 'e1' has dimension 6"),
+            ("test", "test vector 't1' has dimension 6"),
+            ("enroll_cohort", "enrollment-side cohort vector 'ce0' has dimension 6"),
+            ("test_cohort", "test-side cohort vector 'ct0' has dimension 6"),
+        ],
+    )
+    def test_wrong_dimension_names_side_and_id(self, kernel_and_cohorts, rng, wrong, message):
+        kernel, cohorts = kernel_and_cohorts
+        enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 2, 2)
+
+        def wide(prefix):
+            return tuple(Embedding(f"{prefix}{i}", rng.standard_normal(6)) for i in range(40))
+
+        if wrong == "enroll":
+            enrolls[1] = Embedding("e1", rng.standard_normal(6))
+        elif wrong == "test":
+            tests[1] = Embedding("t1", rng.standard_normal(6))
+        elif wrong == "enroll_cohort":
+            cohorts = CohortSet(wide("ce"), cohorts.test_cohort, cohorts.top_k)
+        else:
+            cohorts = CohortSet(cohorts.enroll_cohort, wide("ct"), cohorts.top_k)
+        with pytest.raises(DimensionMismatchError, match=message):
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+
+    def test_memory_is_one_block_not_one_grid(self, rng):
+        # 3000 vectors per side against 2000-entry cohorts: one full
+        # (vectors x cohort) grid is 48 MB, one 256-row block 4 MB
+        n, m, d = 3000, 2000, 16
+        kernel = build_kernel(random_truth(rng, d, 4, 4).as_fourcov())
+        enrolls = [Embedding(f"e{i}", v) for i, v in enumerate(rng.standard_normal((n, d)))]
+        tests = [Embedding(f"t{i}", v) for i, v in enumerate(rng.standard_normal((n, d)))]
+        cohorts = CohortSet(
+            tuple(Embedding(f"ce{i}", v) for i, v in enumerate(rng.standard_normal((m, d)))),
+            tuple(Embedding(f"ct{i}", v) for i, v in enumerate(rng.standard_normal((m, d)))),
+        )
+        raw = ScoreSet.from_columns(
+            [e.id for e in enrolls], [t.id for t in tests], rng.standard_normal(n)
+        )
+        tracemalloc.start()
+        try:
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full_grid = n * m * 8
+        assert peak < full_grid / 4, f"peak {peak / 1e6:.1f} MB"
