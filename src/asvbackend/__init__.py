@@ -10,6 +10,7 @@ generative sampler provides ground truth for end-to-end verification.
 from .calibration import CalibrationModel, apply_calibration, fit_calibration
 from .data import (
     Embedding,
+    EmbeddingTable,
     ScoredTrial,
     ScoreSet,
     SpeakerGroup,
@@ -42,6 +43,7 @@ from .plda import (
     length_normalize,
     plda_llr,
     speaker_factor,
+    to_model_space,
     train_plda,
 )
 from .routing import ConditionKey, RoutingConfig, classify_trials, route_and_score
@@ -56,6 +58,7 @@ __all__ = [
     "ConditionKey",
     "DcfParams",
     "Embedding",
+    "EmbeddingTable",
     "FourCovModel",
     "GenConfig",
     "GroundTruth",
@@ -94,6 +97,7 @@ __all__ = [
     "snorm",
     "snorm_batch",
     "speaker_factor",
+    "to_model_space",
     "train_plda",
     "true_llr",
     "write_embeddings",

@@ -209,8 +209,7 @@ def _cmd_preprocess(args) -> int:
     pre = plda.fit_preprocessor(rows)
     modelio.save_preprocessor(args.out, pre)
     if args.transform:
-        source = data.read_embeddings(args.transform)
-        transformed = [data.Embedding(e.id, pre.apply(e.vector)) for e in source]
+        transformed = plda.to_model_space(data.read_embeddings(args.transform), pre)
         data.write_embeddings(args.transformed_out or args.transform + ".pre", transformed)
     print(f"wrote preprocessor to {args.out}")
     return 0
@@ -280,10 +279,8 @@ def _prepare_eval_vectors(bundle_path, enroll_path, test_path):
     vectors and the preprocessed test vectors.
     """
     model, pre1, pre2 = modelio.load_fourcov(bundle_path)
-    enroll_rows = data.read_embeddings(enroll_path)
-    test_rows = data.read_embeddings(test_path)
-    enrolls = [plda.enroll_average(g, pre1) for g in data.group_by_id(enroll_rows)]
-    tests = [data.Embedding(t.id, pre2.apply(t.vector)) for t in test_rows]
+    enrolls = plda.to_model_space(data.read_embeddings(enroll_path), pre1, average=True)
+    tests = plda.to_model_space(data.read_embeddings(test_path), pre2)
     return model, pre1, pre2, enrolls, tests
 
 
@@ -308,11 +305,9 @@ def _cmd_snorm(args) -> int:
     )
     model, pre1, pre2, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
     scores = data.read_scores(args.scores)
-    cohort_enroll_rows = data.read_embeddings(args.cohort_enroll)
-    cohort_test_rows = data.read_embeddings(args.cohort_test)
     cohorts = scorenorm.CohortSet(
-        tuple(plda.enroll_average(g, pre1) for g in data.group_by_id(cohort_enroll_rows)),
-        tuple(data.Embedding(e.id, pre2.apply(e.vector)) for e in cohort_test_rows),
+        plda.to_model_space(data.read_embeddings(args.cohort_enroll), pre1, average=True),
+        plda.to_model_space(data.read_embeddings(args.cohort_test), pre2),
         top_k,
     )
     kernel = fourcov.build_kernel(model)

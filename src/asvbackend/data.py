@@ -1,5 +1,13 @@
 """Data model and file I/O for embeddings, trials and scores.
 
+Embeddings, trials and scores are column tables. An `EmbeddingTable`
+holds each row's id, in file order (ids may repeat: the rows of one
+multi-segment enrollment model share its id), and one read-only (n, d)
+float64 matrix of the vectors. `Embedding` is its row view, and a
+sequence of `Embedding` rows converts to a table once, with
+`embedding_table`, wherever a table is expected. `TrialList` and
+`ScoreSet` hold each side's unique ids and one integer code per row.
+
 Text formats are whitespace-separated UTF-8 with LF line endings; lines
 starting with ``#`` are comments and blank lines are skipped:
 
@@ -11,7 +19,9 @@ starting with ``#`` are comments and blank lines are skipped:
 For large cohorts a binary embedding format is available: an 8-byte magic
 string, the dimension as a little-endian u32, then one record per vector
 (u32 id byte length, UTF-8 id bytes, d little-endian float32 values).
-``read_embeddings`` sniffs the magic and handles both formats.
+``read_embeddings`` sniffs the magic and handles both formats. Both
+readers fill the matrix `_BLOCK_ROWS` rows at a time and check each
+block for finiteness as a whole.
 
 All writers are atomic (temp file in the target directory, then rename).
 Score values are written with ``repr`` so text round-trips are exact for
@@ -40,6 +50,10 @@ from .exceptions import (
 
 BINARY_MAGIC = b"XVECBIN1"
 
+# Embedding rows read, converted and checked (and preprocessed, in
+# `plda.to_model_space`) at a time: 256 x 200 float64 values is 400 kB.
+_BLOCK_ROWS = 256
+
 
 @contextmanager
 def atomic_write(path, mode="w"):
@@ -60,7 +74,7 @@ def atomic_write(path, mode="w"):
 
 @dataclass(frozen=True)
 class Embedding:
-    """A fixed-dimension embedding with an identity label."""
+    """A fixed-dimension embedding with an identity label (an `EmbeddingTable` row)."""
 
     id: str
     vector: np.ndarray
@@ -79,6 +93,106 @@ class Embedding:
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+
+class EmbeddingTable:
+    """Embeddings as columns: each row's id and one matrix of all vectors.
+
+    `ids` holds one id per row, in row order; ids may repeat. `matrix`
+    is the read-only (n, d) float64 matrix of the vectors, finite
+    throughout. Indexing and iteration give `Embedding` row views, whose
+    vectors are read-only views of the matrix rows, not copies.
+    Build a table from rows, `EmbeddingTable([Embedding(...), ...])`,
+    or from columns, `EmbeddingTable.from_columns(ids, matrix)`.
+    """
+
+    def __init__(self, rows=()):
+        rows = list(rows)
+        dim = rows[0].dim if rows else 0
+        for row in rows:
+            if row.dim != dim:
+                raise DimensionMismatchError(
+                    f"embedding '{row.id}' has dimension {row.dim}, "
+                    f"embedding '{rows[0].id}' has dimension {dim}"
+                )
+        matrix = np.stack([row.vector for row in rows]) if rows else np.empty((0, 0))
+        self._fill(tuple(row.id for row in rows), matrix)
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], matrix) -> EmbeddingTable:
+        """A table of per-row ids and a copy of an (n, d) matrix of finite values."""
+        ids = tuple(ids)
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids) or (ids and not matrix.shape[1]):
+            raise DimensionMismatchError(
+                f"expected a non-empty ({len(ids)}, d) matrix for {len(ids)} ids, got shape {matrix.shape}"
+            )
+        bad = ~np.isfinite(matrix).all(axis=1)
+        if bad.any():
+            raise DomainError(f"embedding '{ids[int(np.argmax(bad))]}' contains non-finite values")
+        return cls._make(ids, matrix)
+
+    @classmethod
+    def _make(cls, ids: tuple[str, ...], matrix: np.ndarray) -> EmbeddingTable:
+        """A table over `matrix` itself, for callers that have checked it."""
+        table = cls.__new__(cls)
+        table._fill(ids, matrix)
+        return table
+
+    def _fill(self, ids, matrix) -> None:
+        matrix.setflags(write=False)
+        self.ids, self.matrix = ids, matrix
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Embedding:
+        return _row_view(self.ids[i], self.matrix[i])
+
+    def __iter__(self):
+        return map(_row_view, self.ids, self.matrix)
+
+    def __eq__(self, other):
+        """Row by row, against a table or a sequence of `Embedding` rows."""
+        if not isinstance(other, (EmbeddingTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a.id == b.id and np.array_equal(a.vector, b.vector) for a, b in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"EmbeddingTable({len(self)} rows, dimension {self.dim})"
+
+    def take(self, rows) -> EmbeddingTable:
+        """The rows at these positions, in this order, as a new table."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return self._make(tuple(self.ids[i] for i in rows.tolist()), self.matrix[rows])
+
+    def id_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The unique ids in order of first appearance, and each row's code into them."""
+        return _encode(self.ids)
+
+
+def _row_view(embedding_id: str, vector: np.ndarray) -> Embedding:
+    """An `Embedding` over a row of a table's matrix, which is checked and read-only already."""
+    row = object.__new__(Embedding)
+    object.__setattr__(row, "id", embedding_id)
+    object.__setattr__(row, "vector", vector)
+    return row
+
+
+def row_blocks(n: int):
+    """Slices covering rows 0..n, `_BLOCK_ROWS` rows at a time."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
+def embedding_table(embeddings) -> EmbeddingTable:
+    """`embeddings` as a table: a table as it is, `Embedding` rows converted once."""
+    return embeddings if isinstance(embeddings, EmbeddingTable) else EmbeddingTable(embeddings)
 
 
 @dataclass(frozen=True)
@@ -306,49 +420,97 @@ def _data_lines(path):
             yield lineno, line.split()
 
 
-def read_embeddings(path) -> list[Embedding]:
-    """Read an embedding file (text or binary, detected by magic bytes)."""
+class _Rows:
+    """An embedding table filled by a reader, `_BLOCK_ROWS` rows at a time.
+
+    The reader writes a row's values into `block[filled]`, a buffer of
+    the dtype it parses to, then calls `add(id)`. Each full block is
+    checked for finiteness as a whole, converted to float64 and copied
+    into the matrix. The matrix starts with room for `capacity` rows,
+    grows if needed and is cut to the rows read at the end. `locate(i)`
+    names row i of the file in an error.
+    """
+
+    def __init__(self, dim: int, capacity: int, dtype, locate):
+        self.block = np.empty((_BLOCK_ROWS, dim), dtype=dtype)
+        self.matrix = np.empty((capacity, dim))
+        self.ids: list[str] = []
+        self.filled = 0
+        self.locate = locate
+
+    def add(self, embedding_id: str) -> None:
+        self.ids.append(embedding_id)
+        self.filled += 1
+        if self.filled == _BLOCK_ROWS:
+            self._store()
+
+    def _store(self) -> None:
+        block = self.block[: self.filled]
+        start = len(self.ids) - self.filled
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            row = start + int(np.argmax(bad))
+            raise FileFormatError(
+                f"{self.locate(row)}: embedding '{self.ids[row]}' contains non-finite values"
+            )
+        if len(self.ids) > len(self.matrix):
+            self._resize(max(len(self.ids), 2 * len(self.matrix)))
+        self.matrix[start : len(self.ids)] = block
+        self.filled = 0
+
+    def _resize(self, rows: int) -> None:
+        # in place (realloc): no view of the matrix exists while it is filled
+        self.matrix.resize((rows, self.matrix.shape[1]), refcheck=False)
+
+    def table(self) -> EmbeddingTable:
+        self._store()
+        self._resize(len(self.ids))
+        return EmbeddingTable._make(tuple(self.ids), self.matrix)
+
+
+def read_embeddings(path) -> EmbeddingTable:
+    """Read an embedding file (text or binary, detected by magic bytes) as one table in file order."""
     with open(path, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
     if head == BINARY_MAGIC:
         return _read_embeddings_binary(path)
 
-    out: list[Embedding] = []
-    dim = None
-    first_line = None
+    rows = None
+    lines: list[int] = []
     for lineno, parts in _data_lines(path):
         if len(parts) < 2:
             raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got {len(parts)} fields")
         try:
-            values = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+            values = [float(p) for p in parts[1:]]
         except ValueError:
             raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
-        if dim is None:
-            dim, first_line = values.size, lineno
-        elif values.size != dim:
+        if rows is None:
+            dim, first_line = len(values), lineno
+            rows = _Rows(dim, _BLOCK_ROWS, np.float64, lambda row: f"{path}:{lines[row]}")
+        elif len(values) != dim:
             raise DimensionMismatchError(
-                f"{path}:{lineno}: dimension {values.size} does not match "
+                f"{path}:{lineno}: dimension {len(values)} does not match "
                 f"dimension {dim} established at line {first_line}"
             )
-        try:
-            out.append(Embedding(parts[0], values))
-        except DomainError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    return out
+        rows.block[rows.filled] = values
+        lines.append(lineno)
+        rows.add(parts[0])
+    return rows.table() if rows is not None else EmbeddingTable()
 
 
-def write_embeddings(path, embeddings: Sequence[Embedding], binary: bool = False) -> None:
+def write_embeddings(path, embeddings, binary: bool = False) -> None:
+    """Write a table, or a sequence of `Embedding` rows, in row order."""
+    table = embedding_table(embeddings)
     if binary:
-        _write_embeddings_binary(path, embeddings)
+        _write_embeddings_binary(path, table)
         return
-    _check_tokens(path, {emb.id for emb in embeddings})
+    _check_tokens(path, set(table.ids))
     with atomic_write(path) as fh:
-        for emb in embeddings:
-            fh.write(emb.id + "  " + " ".join(repr(float(v)) for v in emb.vector) + "\n")
+        for embedding_id, vector in zip(table.ids, table.matrix):
+            fh.write(embedding_id + "  " + " ".join(map(repr, vector.tolist())) + "\n")
 
 
-def _read_embeddings_binary(path) -> list[Embedding]:
-    out: list[Embedding] = []
+def _read_embeddings_binary(path) -> EmbeddingTable:
     with open(path, "rb") as fh:
         magic = fh.read(len(BINARY_MAGIC))
         if magic != BINARY_MAGIC:
@@ -357,50 +519,45 @@ def _read_embeddings_binary(path) -> list[Embedding]:
         if len(header) != 4:
             raise FileFormatError(f"{path}: truncated header")
         (dim,) = struct.unpack("<I", header)
-        record = 0
+        width = 4 * dim
+        # every record holds a 4-byte id length and its vector, so the
+        # file size bounds the number of records
+        capacity = (os.fstat(fh.fileno()).st_size - fh.tell()) // (4 + width) if dim else 0
+        rows = _Rows(dim, capacity, "<f4", lambda row: f"{path}: record {row + 1}")
+        # each record's vector bytes are read straight into its row of the block
+        slots = memoryview(rows.block).cast("B") if dim else None
         while True:
             lenbytes = fh.read(4)
             if not lenbytes:
                 break
-            record += 1
+            record = len(rows.ids) + 1
             if len(lenbytes) != 4:
                 raise FileFormatError(f"{path}: truncated record {record}")
             if dim == 0:
                 raise FileFormatError(f"{path}: record {record} under a header of dimension 0")
             (id_len,) = struct.unpack("<I", lenbytes)
             id_bytes = fh.read(id_len)
-            vec_bytes = fh.read(4 * dim)
-            if len(id_bytes) != id_len or len(vec_bytes) != 4 * dim:
+            slot = slots[rows.filled * width : (rows.filled + 1) * width]
+            if len(id_bytes) != id_len or fh.readinto(slot) != width:
                 raise FileFormatError(f"{path}: truncated record {record}")
-            vector = np.frombuffer(vec_bytes, dtype="<f4").astype(np.float64)
-            try:
-                out.append(Embedding(id_bytes.decode("utf-8"), vector))
-            except DomainError as exc:
-                raise FileFormatError(f"{path}: record {record}: {exc}") from None
-    return out
+            rows.add(id_bytes.decode("utf-8"))
+    return rows.table()
 
 
-def _write_embeddings_binary(path, embeddings: Sequence[Embedding]) -> None:
-    embeddings = list(embeddings)
-    dim = embeddings[0].dim if embeddings else 0
-    records = []
-    for emb in embeddings:
-        if emb.dim != dim:
-            raise DimensionMismatchError(
-                f"embedding '{emb.id}' has dimension {emb.dim}, file has {dim}"
-            )
-        with np.errstate(over="ignore"):
-            values = emb.vector.astype("<f4")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError(
-                f"{path}: embedding '{emb.id}' has a value beyond the float32 range"
-            )
-        id_bytes = emb.id.encode("utf-8")
-        records.append(struct.pack("<I", len(id_bytes)) + id_bytes + values.tobytes())
+def _write_embeddings_binary(path, table: EmbeddingTable) -> None:
+    with np.errstate(over="ignore"):
+        values = table.matrix.astype("<f4")
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ParameterError(
+            f"{path}: embedding '{table.ids[int(np.argmax(bad))]}' has a value beyond the float32 range"
+        )
     with atomic_write(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<I", dim))
-        fh.writelines(records)
+        fh.write(struct.pack("<I", table.dim))
+        for embedding_id, vector in zip(table.ids, values):
+            id_bytes = embedding_id.encode("utf-8")
+            fh.write(struct.pack("<I", len(id_bytes)) + id_bytes + vector.tobytes())
 
 
 _LABELS = {"tgt": True, "non": False}
@@ -506,11 +663,3 @@ def group_by_id(embeddings: Sequence[Embedding]) -> list[SpeakerGroup]:
         ordered.setdefault(emb.id, []).append(emb)
     return [SpeakerGroup(eid, tuple(members)) for eid, members in ordered.items()]
 
-
-def stack_embeddings(embeddings: Sequence[Embedding]) -> np.ndarray:
-    if not embeddings:
-        raise ParameterError("no embeddings to stack")
-    dims = {e.dim for e in embeddings}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"embeddings mix dimensions {sorted(dims)}")
-    return np.stack([e.vector for e in embeddings])

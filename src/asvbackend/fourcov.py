@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Embedding, ScoreSet, SpeakerGroup, TrialList
+from .data import EmbeddingTable, ScoreSet, SpeakerGroup, TrialList, embedding_table
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
@@ -176,6 +176,16 @@ def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> floa
     return float(-0.5 * quad + kernel.offset)
 
 
+def _rows(rows, side: str, dim: int) -> np.ndarray:
+    """`rows` (one vector or a matrix of them) as a matrix of `dim` columns."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"{side} vectors have dimension {rows.shape[-1]}, kernel dimension is {dim}"
+        )
+    return rows
+
+
 def _side_terms(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray):
     """Per-vector parts of the quadratic form, each row centred once.
 
@@ -185,8 +195,8 @@ def _side_terms(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.nd
     -0.5 * (quad_e + 2 * proj_e . z_t + quad_t) + offset.
     """
     ee, et, tt = kernel.blocks()
-    z_e = np.atleast_2d(enroll_rows) - kernel.enroll_mean
-    z_t = np.atleast_2d(test_rows) - kernel.test_mean
+    z_e = _rows(enroll_rows, "enrollment", kernel.dim) - kernel.enroll_mean
+    z_t = _rows(test_rows, "test", kernel.dim) - kernel.test_mean
     quad_e = np.sum((z_e @ ee) * z_e, axis=1)
     quad_t = np.sum((z_t @ tt) * z_t, axis=1)
     return quad_e, z_e @ et, quad_t, z_t
@@ -218,44 +228,64 @@ def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows:
 
 
 def _check_dims(vectors, what: str, dim: int) -> None:
-    for v in vectors:
-        if v.vector.shape != (dim,):
+    """Raise for the first vector whose dimension is not `dim`, naming `what` and its id.
+
+    `vectors` is a table, which has one dimension, or a sequence of
+    `Embedding` rows.
+    """
+    if isinstance(vectors, EmbeddingTable):
+        found = [(vectors.ids[0], vectors.dim)] if len(vectors) else []
+    else:
+        found = ((v.id, v.dim) for v in vectors)
+    for vector_id, vector_dim in found:
+        if vector_dim != dim:
             raise DimensionMismatchError(
-                f"{what} vector '{v.id}' has dimension {v.vector.shape[0]}, kernel dimension is {dim}"
+                f"{what} vector '{vector_id}' has dimension {vector_dim}, kernel dimension is {dim}"
             )
 
 
-def _referenced(ids, vectors: list[Embedding], side: str, dim: int):
+def _referenced(ids, vectors, side: str, dim: int):
     """The vectors that `ids` reference, each once, in the order of `vectors`.
 
-    Returns those vectors and, for each id, its index among them. Where
-    ids repeat in `vectors`, the last vector with that id is used. A
-    referenced vector of the wrong dimension raises, naming side and id.
+    `vectors` is a table or a sequence of `Embedding` rows; of a
+    sequence only the referenced rows are converted, so a row no id
+    references may have any dimension. Returns the referenced vectors
+    as a table and, for each id, its row in that table. Where ids
+    repeat in `vectors`, the last row with that id is used. A referenced
+    vector of the wrong dimension raises, naming side and id.
     """
-    index = {v.id: i for i, v in enumerate(vectors)}
+    is_table = isinstance(vectors, EmbeddingTable)
+    names = vectors.ids if is_table else [v.id for v in vectors]
+    index = dict(zip(names, range(len(names))))
     try:
         positions = np.array([index[i] for i in ids], dtype=np.intp)
     except KeyError as exc:
         raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
     used, at = np.unique(positions, return_inverse=True)
-    used = [vectors[i] for i in used]
-    _check_dims(used, side, dim)
-    return used, at
+    if is_table:
+        # `used` is sorted, so a table whose every row is used is kept as it is
+        rows = vectors if len(used) == len(vectors) else vectors.take(used)
+    else:
+        rows = [vectors[i] for i in used]
+    _check_dims(rows, side, dim)
+    return embedding_table(rows), at
 
 
 def score_batch(
     kernel: ScoringKernel,
-    enrolls: list[Embedding],
-    tests: list[Embedding],
+    enrolls,
+    tests,
     trials: TrialList,
 ) -> ScoreSet:
     """Score a trial list; one aggregated enrollment vector per enroll_id.
 
-    Output order matches the trial list. Each vector that a trial
-    references is centred and projected once, in the order of the vector
-    lists; a trial's score is then a gather of its two rows by id code
-    and one row-wise dot product. Vectors that no trial references are
-    ignored. Where ids repeat, the last vector with that id is used.
+    `enrolls` and `tests` are tables of model-space vectors, or
+    sequences of `Embedding` rows. Output order matches the trial list.
+    Each vector that a trial references is centred and projected once,
+    in table order; a trial's score is then a gather of its two rows by
+    id code and one row-wise dot product. Vectors that no trial
+    references are ignored. Where ids repeat, the last vector with that
+    id is used.
     """
     if not len(trials):
         return trials.with_scores(())
@@ -264,9 +294,7 @@ def score_batch(
     at_e = at_e[trials.enroll_codes]
     at_t = at_t[trials.test_codes]
 
-    quad_e, proj_e, quad_t, z_t = _side_terms(
-        kernel, np.stack([e.vector for e in used_e]), np.stack([t.vector for t in used_t])
-    )
+    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, used_e.matrix, used_t.matrix)
     cross = np.einsum("ij,ij->i", proj_e[at_e], z_t[at_t])
     values = (kernel.offset - 0.5 * quad_e[at_e]) - cross - 0.5 * quad_t[at_t]
     return trials.with_scores(values)

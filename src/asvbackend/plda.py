@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Embedding, SpeakerGroup, stack_embeddings
+from .data import Embedding, EmbeddingTable, SpeakerGroup, embedding_table, row_blocks
 from .exceptions import (
     DimensionMismatchError,
     DomainError,
@@ -49,7 +49,10 @@ def _as_matrix(data) -> np.ndarray:
         return mat
     if isinstance(data, SpeakerGroup):
         return data.matrix()
-    return stack_embeddings(list(data))
+    table = embedding_table(data)
+    if not len(table):
+        raise ParameterError("no embeddings to stack")
+    return table.matrix
 
 
 def length_normalize(w: np.ndarray) -> np.ndarray:
@@ -142,34 +145,66 @@ def fit_preprocessor(data, within_groups: Sequence[SpeakerGroup] | None = None) 
     return Preprocessor(mean, whitener)
 
 
+def to_model_space(
+    embeddings, pre: Preprocessor, average: bool = False, normalize_members: bool = True
+) -> EmbeddingTable:
+    """Bring a table of embeddings into model space, one block of rows at a time.
+
+    Rows go through `pre.apply` (or, with `normalize_members` False,
+    through `pre.whiten` alone) one `data.row_blocks` block at a time.
+    Without `average` the result keeps every row and id in table order.
+    With `average`, rows sharing an id (the segments of a multi-segment
+    enrollment model) are summed by id code as each block passes; each
+    sum is divided by its row count and length-normalized again, giving
+    one unit-norm vector per id in order of first appearance.
+    `embeddings` may also be a sequence of `Embedding` rows. Blocks bound
+    the memory used beyond the input and output tables.
+    """
+    table = embedding_table(embeddings)
+    transform = pre.apply if normalize_members else pre.whiten
+    if average:
+        ids, codes = table.id_codes()
+        out = np.zeros((len(ids), pre.dim))
+    else:
+        ids, codes = table.ids, None
+        out = np.empty((len(ids), pre.dim))
+    for block in row_blocks(len(table)):
+        rows = transform(table.matrix[block])
+        if codes is None:
+            out[block] = rows
+        else:
+            np.add.at(out, codes[block], rows)
+    if codes is not None:
+        counts = np.bincount(codes)[:, None]
+        for block in row_blocks(len(out)):
+            out[block] = length_normalize(out[block] / counts[block])
+    return EmbeddingTable._make(ids, out)
+
+
 def enroll_average(sample: SpeakerGroup, pre: Preprocessor, normalize_members: bool = True) -> Embedding:
     """Reduce a multi-segment enrollment sample to one unit-norm vector.
 
     Members are preprocessed (including per-member length normalization
     unless `normalize_members` is False), averaged, and the average is
-    length-normalized again.
+    length-normalized again: the one-sample case of `to_model_space`.
     """
-    mat = sample.matrix()
-    transformed = pre.apply(mat) if normalize_members else pre.whiten(mat)
-    return Embedding(sample.speaker_id, length_normalize(transformed.mean(axis=0)))
+    members = EmbeddingTable.from_columns([sample.speaker_id] * len(sample.members), sample.matrix())
+    return to_model_space(members, pre, average=True, normalize_members=normalize_members)[0]
 
 
 def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) -> SpeakerGroup:
     """Turn a speaker's segments into enrollment-style averaged vectors.
 
     Consecutive chunks of `chunk` segments each become one unit-norm
-    average; a shorter remainder forms a final sample. Used to build
-    enrollment-side PLDA training sets that mirror multi-segment
-    enrollment models.
+    average, with id `<speaker>-agg<first segment index>`; a shorter
+    remainder forms a final sample. Used to build enrollment-side PLDA
+    training sets that mirror multi-segment enrollment models.
     """
     if chunk < 1:
         raise ParameterError(f"chunk size must be positive, got {chunk}")
-    members = []
-    for start in range(0, len(group.members), chunk):
-        sample = SpeakerGroup(group.speaker_id, group.members[start : start + chunk])
-        avg = enroll_average(sample, pre)
-        members.append(Embedding(f"{group.speaker_id}-agg{start}", avg.vector))
-    return SpeakerGroup(group.speaker_id, tuple(members))
+    ids = [f"{group.speaker_id}-agg{i - i % chunk}" for i in range(len(group.members))]
+    averages = to_model_space(EmbeddingTable.from_columns(ids, group.matrix()), pre, average=True)
+    return SpeakerGroup(group.speaker_id, tuple(averages))
 
 
 @dataclass(frozen=True)

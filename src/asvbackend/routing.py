@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
-from .data import Embedding, ScoreSet, TrialList, group_by_id, read_embeddings, read_id_map
+from .data import ScoreSet, TrialList, embedding_table, read_embeddings, read_id_map
 from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
 from .fourcov import FourCovModel, build_kernel, score_batch
 from .modelio import load_fourcov
-from .plda import Preprocessor, enroll_average
+from .plda import Preprocessor, to_model_space
 from .scorenorm import DEFAULT_TOP_K, CohortSet, snorm_batch
 
 ENROLL_BUCKETS = ("few", "many")
@@ -130,22 +130,19 @@ def classify_trials(config: RoutingConfig, trials: TrialList) -> np.ndarray:
 
 def condition_pipeline_scores(
     pipeline: ConditionPipeline,
-    enrolls: list[Embedding],
-    tests: list[Embedding],
+    enrolls,
+    tests,
     trials: TrialList,
 ) -> ScoreSet:
     """Score raw embeddings through one condition's full stack.
 
+    `enrolls` and `tests` are tables, or sequences of `Embedding` rows.
     Enrollment rows sharing an id are aggregated into one unit-norm
     average; test rows pass through the test-side preprocessor alone.
     """
     kernel = build_kernel(pipeline.model)
-    enroll_vectors = [
-        enroll_average(group, pipeline.pre_enroll) for group in group_by_id(enrolls)
-    ]
-    test_vectors = [
-        Embedding(t.id, pipeline.pre_test.apply(t.vector)) for t in tests
-    ]
+    enroll_vectors = to_model_space(enrolls, pipeline.pre_enroll, average=True)
+    test_vectors = to_model_space(tests, pipeline.pre_test)
     raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)
@@ -153,27 +150,34 @@ def condition_pipeline_scores(
 
 def route_and_score(
     config: RoutingConfig,
-    enrolls: list[Embedding],
-    tests: list[Embedding],
+    enrolls,
+    tests,
     trials: TrialList,
 ) -> ScoreSet:
-    """Partition trials by condition, score each partition, merge in order."""
+    """Partition trials by condition, score each partition, merge in order.
+
+    `enrolls` and `tests` are tables of raw embeddings, or sequences of
+    `Embedding` rows. Each condition gets the enrollment rows of its
+    enrollment ids and, for each of its test ids, the first row with
+    that id.
+    """
     conditions = classify_trials(config, trials)
     needed = np.unique(conditions).tolist()
     missing = [ALL_CONDITIONS[c].tag for c in needed if ALL_CONDITIONS[c] not in config.pipelines]
     if missing:
         raise ConfigError(f"no pipeline configured for condition(s): {', '.join(sorted(missing))}")
 
+    enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     merged = np.empty(len(trials))
-    test_by_id = {}
-    for t in tests:
-        test_by_id.setdefault(t.id, t)
+    test_row = {}
+    for row, tid in enumerate(tests.ids):
+        test_row.setdefault(tid, row)
     for c in needed:
         rows = np.flatnonzero(conditions == c)
         subset = trials.take(rows)
         needed_enroll = set(subset.enroll_ids)
-        sub_enrolls = [e for e in enrolls if e.id in needed_enroll]
-        sub_tests = [test_by_id[tid] for tid in subset.test_ids if tid in test_by_id]
+        sub_enrolls = enrolls.take([row for row, e in enumerate(enrolls.ids) if e in needed_enroll])
+        sub_tests = tests.take([test_row[tid] for tid in subset.test_ids if tid in test_row])
         pipeline = config.pipelines[ALL_CONDITIONS[c]]
         merged[rows] = condition_pipeline_scores(pipeline, sub_enrolls, sub_tests, subset).values()
     return trials.with_scores(merged)
@@ -267,11 +271,9 @@ def load_routing_config(path) -> RoutingConfig:
     for key, spec in condition_docs.items():
         model, pre_enroll, pre_test = load_fourcov(resolve(spec["model"]))
         cal_model, _ = read_calibration(resolve(spec["calibration"]))
-        cohort_enroll_rows = read_embeddings(resolve(spec["cohort_enroll"]))
-        cohort_test_rows = read_embeddings(resolve(spec["cohort_test"]))
         cohorts = CohortSet(
-            tuple(enroll_average(g, pre_enroll) for g in group_by_id(cohort_enroll_rows)),
-            tuple(Embedding(e.id, pre_test.apply(e.vector)) for e in cohort_test_rows),
+            to_model_space(read_embeddings(resolve(spec["cohort_enroll"])), pre_enroll, average=True),
+            to_model_space(read_embeddings(resolve(spec["cohort_test"])), pre_test),
             spec.get("top_k", DEFAULT_TOP_K),
         )
         pipelines[key] = ConditionPipeline(

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, ScoreSet, stack_embeddings
-from .exceptions import NormalizationError, ParameterError
+from .data import EmbeddingTable, ScoreSet, embedding_table
+from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
 from .fourcov import ScoringKernel, _check_dims, _grid, _referenced, _side_terms, score_pair_matrix
 
 DEFAULT_TOP_K = 400
@@ -33,16 +33,20 @@ MIN_COHORT_STD = 1e-12
 
 @dataclass(frozen=True)
 class CohortSet:
-    """Impostor cohorts for the two trial sides, plus the top-k setting."""
+    """Impostor cohorts for the two trial sides, plus the top-k setting.
 
-    enroll_cohort: tuple[Embedding, ...]
-    test_cohort: tuple[Embedding, ...]
+    Each cohort is a table of model-space vectors; a sequence of
+    `Embedding` rows is converted once, here.
+    """
+
+    enroll_cohort: EmbeddingTable
+    test_cohort: EmbeddingTable
     top_k: int | None = DEFAULT_TOP_K
 
     def __post_init__(self):
-        enroll = tuple(self.enroll_cohort)
-        test = tuple(self.test_cohort)
-        if not enroll or not test:
+        enroll = _cohort_table(self.enroll_cohort, "enrollment-side")
+        test = _cohort_table(self.test_cohort, "test-side")
+        if not len(enroll) or not len(test):
             raise ParameterError("both cohorts must be non-empty")
         if self.top_k is not None:
             if self.top_k < 1:
@@ -55,11 +59,17 @@ class CohortSet:
         object.__setattr__(self, "enroll_cohort", enroll)
         object.__setattr__(self, "test_cohort", test)
 
-    def enroll_matrix(self) -> np.ndarray:
-        return stack_embeddings(list(self.enroll_cohort))
 
-    def test_matrix(self) -> np.ndarray:
-        return stack_embeddings(list(self.test_cohort))
+def _cohort_table(cohort, side: str) -> EmbeddingTable:
+    try:
+        return embedding_table(cohort)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(f"{side} cohort: {exc}") from None
+
+
+def _check_cohort_dims(cohorts: CohortSet, dim: int) -> None:
+    _check_dims(cohorts.enroll_cohort, "enrollment-side cohort", dim)
+    _check_dims(cohorts.test_cohort, "test-side cohort", dim)
 
 
 def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
@@ -104,18 +114,19 @@ def snorm(
     entries always occupy the enrollment slot and test-side entries the
     test slot, which matters because the kernel is asymmetric.
     """
-    vs_test_cohort = score_pair_matrix(kernel, w_e, cohorts.test_matrix())[0]
-    vs_enroll_cohort = score_pair_matrix(kernel, cohorts.enroll_matrix(), w_t)[:, 0]
+    _check_cohort_dims(cohorts, kernel.dim)
+    vs_test_cohort = score_pair_matrix(kernel, w_e, cohorts.test_cohort.matrix)[0]
+    vs_enroll_cohort = score_pair_matrix(kernel, cohorts.enroll_cohort.matrix, w_t)[:, 0]
     stats_vs_test = top_score_stats(vs_test_cohort, cohorts.top_k, "test-side")
     stats_vs_enroll = top_score_stats(vs_enroll_cohort, cohorts.top_k, "enroll-side")
     return combine_normalized(float(raw), stats_vs_test, stats_vs_enroll)
 
 
-def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, vectors, label):
+def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, ids, label):
     """(mean, std) of each row's selected cohort scores, one block of rows at a time.
 
-    The row and cohort terms come from `_side_terms`; `vectors` names
-    the rows in a `NormalizationError`.
+    The row and cohort terms come from `_side_terms`; `ids` names the
+    rows in a `NormalizationError`.
     """
     stats = np.empty((len(quad), 2))
     for start in range(0, len(quad), _BLOCK_ROWS):
@@ -125,7 +136,7 @@ def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, vec
             try:
                 stats[start + i] = top_score_stats(grid[i], top_k, side)
             except NormalizationError as exc:
-                raise NormalizationError(f"{exc} ({label} '{vectors[start + i].id}')") from None
+                raise NormalizationError(f"{exc} ({label} '{ids[start + i]}')") from None
         del grid  # so the next block's grid does not coexist with this one
     return stats
 
@@ -133,43 +144,42 @@ def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, vec
 def snorm_batch(
     kernel: ScoringKernel,
     cohorts: CohortSet,
-    enrolls: list[Embedding],
-    tests: list[Embedding],
+    enrolls,
+    tests,
     scores: ScoreSet,
 ) -> ScoreSet:
     """Normalize a score set, computing each side's cohort statistics once.
+
+    `enrolls` and `tests` are tables of model-space vectors, or
+    sequences of `Embedding` rows.
 
     Statistics for a given enrollment (or test) vector are shared by
     every trial that uses it, so the batch matches per-trial `snorm`
     while scoring each vector against each cohort exactly once. The
     per-side terms of the trial vectors and of both cohorts are computed
-    once; the referenced trial vectors, in the order of the vector
-    lists, are then scored against the opposite cohort `_BLOCK_ROWS` at
-    a time and each block is reduced to statistics before the next one
-    is formed, so memory is O(block x cohort) per side whatever the
-    number of trials or ids.
+    once; the referenced trial vectors, in table order, are then scored
+    against the opposite cohort `_BLOCK_ROWS` at a time and each block
+    is reduced to statistics before the next one is formed, so memory
+    is O(block x cohort) per side whatever the number of trials or ids.
     """
     if not len(scores):
         return scores.with_scores(())
     d = kernel.dim
     used_e, at_e = _referenced(scores.enroll_ids, enrolls, "enrollment", d)
     used_t, at_t = _referenced(scores.test_ids, tests, "test", d)
-    _check_dims(cohorts.enroll_cohort, "enrollment-side cohort", d)
-    _check_dims(cohorts.test_cohort, "test-side cohort", d)
+    _check_cohort_dims(cohorts, d)
 
-    quad_e, proj_e, quad_t, z_t = _side_terms(
-        kernel, np.stack([e.vector for e in used_e]), np.stack([t.vector for t in used_t])
-    )
+    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, used_e.matrix, used_t.matrix)
     cohort_quad_e, cohort_proj_e, cohort_quad_t, cohort_z_t = _side_terms(
-        kernel, cohorts.enroll_matrix(), cohorts.test_matrix()
+        kernel, cohorts.enroll_cohort.matrix, cohorts.test_cohort.matrix
     )
     enroll_stats = _cohort_stats(
         kernel.offset, quad_e, proj_e, cohort_quad_t, cohort_z_t,
-        cohorts.top_k, "test-side", used_e, "enrollment",
+        cohorts.top_k, "test-side", used_e.ids, "enrollment",
     )
     test_stats = _cohort_stats(
         kernel.offset, quad_t, z_t, cohort_quad_e, cohort_proj_e,
-        cohorts.top_k, "enroll-side", used_t, "test",
+        cohorts.top_k, "enroll-side", used_t.ids, "test",
     )
     normalized = combine_normalized(
         scores.values(),

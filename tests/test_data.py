@@ -1,11 +1,14 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from asvbackend import data
 from asvbackend.data import (
     BINARY_MAGIC,
     Embedding,
+    EmbeddingTable,
     ScoredTrial,
     ScoreSet,
     SpeakerGroup,
@@ -30,6 +33,8 @@ from asvbackend.exceptions import (
     ParameterError,
     UnknownIdError,
 )
+from asvbackend.plda import fit_preprocessor, to_model_space
+from asvbackend.scorenorm import CohortSet
 
 
 class TestEmbeddingFiles:
@@ -132,6 +137,93 @@ class TestEmbeddingFiles:
         path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2) + record + bad)
         with pytest.raises(FileFormatError, match="record 2: .*'b'.*non-finite"):
             read_embeddings(path)
+
+
+def binary_records(rows):
+    """Binary embedding file bytes for (id, values) rows of one dimension."""
+    out = BINARY_MAGIC + struct.pack("<I", len(rows[0][1]))
+    for embedding_id, values in rows:
+        out += struct.pack("<I", len(embedding_id)) + embedding_id.encode() + np.array(values, "<f4").tobytes()
+    return out
+
+
+class TestBlockBoundaries:
+    """Errors past the first block of rows still name their record or line."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+
+    def test_binary_truncated_record(self, tmp_path):
+        path = tmp_path / "t.bembs"
+        raw = binary_records([(f"r{i}", [float(i), 1.0]) for i in range(1, 8)])
+        record = 4 + 2 + 8
+        path.write_bytes(raw[: 12 + 4 * record + 5])  # cut inside record 5 of 7
+        with pytest.raises(FileFormatError, match="truncated record 5$"):
+            read_embeddings(path)
+
+    def test_binary_non_finite_record(self, tmp_path):
+        path = tmp_path / "n.bembs"
+        rows = [(f"r{i}", [float(i), 1.0]) for i in range(1, 8)]
+        rows[4] = ("r5", [1.0, np.inf])
+        path.write_bytes(binary_records(rows))
+        with pytest.raises(FileFormatError, match="record 5: embedding 'r5' contains non-finite"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("e6 1.0 oops", FileFormatError, ":8: non-numeric vector component"),
+            ("e6 1.0 2.0 3.0", DimensionMismatchError, ":8: dimension 3 does not match dimension 2 established at line 2"),
+            ("e6 1.0 nan", FileFormatError, ":8: embedding 'e6' contains non-finite values"),
+        ],
+    )
+    def test_text_bad_line_after_first_blocks(self, tmp_path, line, error, message):
+        path = tmp_path / "x.embs"
+        good = [f"e{i} {i}.0 1.0" for i in range(1, 6)]
+        path.write_text("# header\n" + "\n".join(good[:3]) + "\n\n" + "\n".join(good[3:]) + f"\n{line}\ne7 1.0 2.0\n")
+        with pytest.raises(error, match=message):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("side", ["enrollment-side", "test-side"])
+    def test_wrong_dimension_cohort_entry(self, rng, side):
+        rows = [Embedding(f"c{i}", rng.standard_normal(5)) for i in range(7)]
+        rows[4] = Embedding("c4", rng.standard_normal(6))
+        good = [Embedding(f"g{i}", rng.standard_normal(5)) for i in range(7)]
+        cohorts = (rows, good) if side == "enrollment-side" else (good, rows)
+        with pytest.raises(DimensionMismatchError, match=f"{side} cohort: embedding 'c4' has dimension 6"):
+            CohortSet(*cohorts, None)
+
+
+class TestBlockMemory:
+    def test_reading_and_preparing_holds_blocks_not_file_copies(self, tmp_path, rng):
+        # 6000 records of dimension 64: one float64 copy of the file's
+        # vectors is 3.1 MB, one 256-row block 131 kB
+        n, d = 6000, 64
+        path = tmp_path / "big.bembs"
+        ids = [f"m{i // 3}" for i in range(n)]
+        write_embeddings(path, EmbeddingTable.from_columns(ids, rng.standard_normal((n, d))), binary=True)
+        pre = fit_preprocessor(rng.standard_normal((500, d)))
+
+        def transient(step):
+            """The result of `step` and its peak memory beyond what is held after it."""
+            tracemalloc.reset_peak()
+            result = step()
+            held, peak = tracemalloc.get_traced_memory()
+            return result, peak - held
+
+        tracemalloc.start()
+        try:
+            table, reading = transient(lambda: read_embeddings(path))
+            averages, averaging = transient(lambda: to_model_space(table, pre, average=True))
+            rows, preprocessing = transient(lambda: to_model_space(table, pre))
+        finally:
+            tracemalloc.stop()
+        assert (len(table), len(averages), len(rows)) == (n, n // 3, n)
+        whole = n * d * 8
+        # beyond the tables each step returns, only blocks were allocated
+        for step, extra in [("read", reading), ("average", averaging), ("preprocess", preprocessing)]:
+            assert extra < whole / 4, f"{step}: transient peak {extra / 1e6:.2f} MB"
 
 
 class TestTrialAndScoreFiles:

@@ -304,6 +304,14 @@ class TestScoreBatch:
         with pytest.raises(UnknownIdError, match="'missing'"):
             score_batch(kernel, enrolls, tests, trial_list([("missing", "t0", None)]))
 
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_pair_matrix_wrong_dimension_names_side(self, rng, side):
+        kernel = build_kernel(random_fourcov(rng, 3, 2, 2))
+        rows = {"enrollment": rng.standard_normal((2, 3)), "test": rng.standard_normal((5, 3))}
+        rows[side] = rng.standard_normal((2, 4))
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 4, kernel dimension is 3"):
+            score_pair_matrix(kernel, rows["enrollment"], rows["test"])
+
     def test_pair_matrix_matches_trials(self, rng):
         kernel, enrolls, tests = self._setup(rng, n_enroll=3, n_test=4)
         matrix = score_pair_matrix(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from asvbackend import fourcov, synth
-from asvbackend.data import Embedding, SpeakerGroup
+from asvbackend import data, fourcov, synth
+from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup
 from asvbackend.exceptions import DomainError, NumericalError, ParameterError
 from asvbackend.plda import (
     PldaModel,
@@ -15,6 +15,7 @@ from asvbackend.plda import (
     length_normalize,
     plda_llr,
     speaker_factor,
+    to_model_space,
     train_plda,
 )
 
@@ -123,6 +124,34 @@ class TestEnrollAverage:
         assert len(agg.members) == 3  # 3 + 3 + remainder of 1
         first = enroll_average(SpeakerGroup("s", group.members[:3]), pre)
         np.testing.assert_allclose(agg.members[0].vector, first.vector)
+
+
+class TestToModelSpace:
+    IDS = ["m2", "m1", "m2", "m3", "m1", "m2", "m3", "m4"]
+
+    @pytest.mark.parametrize("block", [1, 3, 100])  # 100 exceeds the 8 rows
+    def test_block_size_keeps_ids_and_values(self, monkeypatch, rng, block):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        matrix = rng.standard_normal((len(self.IDS), 5))
+        pre = fit_preprocessor(rng.standard_normal((40, 5)))
+        table = EmbeddingTable.from_columns(self.IDS, matrix)
+
+        rows = to_model_space(table, pre)
+        assert rows.ids == tuple(self.IDS)
+        expected_rows = [pre.apply(v) for v in matrix]
+        np.testing.assert_allclose(rows.matrix, expected_rows, rtol=0, atol=1e-12)
+
+        averages = to_model_space(table, pre, average=True)
+        assert averages.ids == ("m2", "m1", "m3", "m4")
+        for model_id, vector in zip(averages.ids, averages.matrix):
+            members = [pre.apply(v) for v, i in zip(matrix, self.IDS) if i == model_id]
+            expected = length_normalize(np.mean(members, axis=0))
+            np.testing.assert_allclose(vector, expected, rtol=0, atol=1e-12)
+
+    def test_rows_and_tables_give_the_same_result(self, rng):
+        pre = fit_preprocessor(rng.standard_normal((40, 4)))
+        rows = [Embedding(i, rng.standard_normal(4)) for i in self.IDS]
+        assert to_model_space(rows, pre, average=True) == to_model_space(EmbeddingTable(rows), pre, average=True)
 
 
 class TestTrainPlda:

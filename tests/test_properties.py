@@ -1,4 +1,4 @@
-"""Property tests for the trial and score tables and the stages built on them."""
+"""Property tests for the embedding, trial and score tables and the stages built on them."""
 
 import os
 import tempfile
@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from asvbackend import fourcov, scorenorm
 from asvbackend.data import (
     Embedding,
+    EmbeddingTable,
     ScoreSet,
     TrialList,
+    read_embeddings,
     read_scores,
     read_trials,
+    write_embeddings,
     write_scores,
     write_trials,
 )
@@ -61,6 +64,49 @@ class TestTextRoundTrip:
         assert back == scores
         # bit-exact, so -0.0 stays -0.0
         assert back.values().tobytes() == scores.values().tobytes()
+
+
+@st.composite
+def embedding_tables(draw, id_strategy, values):
+    """A table of up to 12 rows over a few ids, so ids repeat."""
+    pool = draw(st.lists(id_strategy, min_size=1, max_size=4))
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 5))
+    row_ids = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    matrix = draw(st.lists(values, min_size=n * d, max_size=n * d))
+    return EmbeddingTable.from_columns(row_ids, np.array(matrix, dtype=np.float64).reshape(n, d))
+
+
+def read_back(table, binary):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.embs")
+        write_embeddings(path, table, binary=binary)
+        return read_embeddings(path)
+
+
+def assert_same_rows(back, table):
+    assert back == table
+    assert back.ids == table.ids
+    # bit-exact, so -0.0 stays -0.0
+    assert back.matrix.tobytes() == table.matrix.tobytes()
+
+
+class TestEmbeddingRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_tables(ids, st.floats(allow_nan=False, allow_infinity=False)))
+    def test_text(self, table):
+        assert_same_rows(read_back(table, binary=False), table)
+
+    # the binary format takes any UTF-8 id and stores float32
+    @settings(max_examples=60, deadline=None)
+    @given(
+        embedding_tables(
+            st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=6),
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_binary(self, table):
+        assert_same_rows(read_back(table, binary=True), table)
 
 
 @st.composite

@@ -133,6 +133,14 @@ class TestSnorm:
                 < 1e-10
             )
 
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_wrong_dimension_names_side(self, kernel_and_cohorts, rng, side):
+        kernel, cohorts = kernel_and_cohorts
+        vectors = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5)}
+        vectors[side] = rng.standard_normal(4)
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 4, kernel dimension is 5"):
+            snorm(kernel, cohorts, vectors["enrollment"], vectors["test"], 0.0)
+
     def test_order_preserved_for_shared_enrollment(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         w_e = rng.standard_normal(5)
