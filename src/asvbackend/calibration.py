@@ -16,7 +16,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import ScoreSet, TrialList, _check_tokens, atomic_write, join, read_id_map
 from .exceptions import CalibrationFitError, FileFormatError, NumericalError, UnknownIdError
@@ -66,6 +65,11 @@ def _split_by_label(scores: ScoreSet, trials: TrialList):
     return values[rows[labels == 1]], values[rows[labels == 0]]
 
 
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-u)), without overflow for any finite u."""
+    return np.exp(-np.logaddexp(0.0, -u))
+
+
 def _objective_terms(theta: np.ndarray, tar: np.ndarray, non: np.ndarray):
     """Value, gradient and Hessian of the regularized weighted cross-entropy."""
     a, b = theta
@@ -77,8 +81,8 @@ def _objective_terms(theta: np.ndarray, tar: np.ndarray, non: np.ndarray):
     )
     value += 0.5 * SCALE_PENALTY * a * a
 
-    sig_tar = expit(u_tar)
-    sig_non = expit(u_non)
+    sig_tar = _sigmoid(u_tar)
+    sig_non = _sigmoid(u_non)
     g_tar = sig_tar - 1.0
     grad_a = 0.5 * np.mean(g_tar * tar) + 0.5 * np.mean(sig_non * non) + SCALE_PENALTY * a
     grad_b = 0.5 * np.mean(g_tar) + 0.5 * np.mean(sig_non)

@@ -654,12 +654,3 @@ def group_by_speaker(
             spk = speaker_of(emb.id)
         ordered.setdefault(spk, []).append(emb)
     return [SpeakerGroup(spk, tuple(members)) for spk, members in ordered.items()]
-
-
-def group_by_id(embeddings: Sequence[Embedding]) -> list[SpeakerGroup]:
-    """Group rows sharing an id (multi-segment enrollment samples)."""
-    ordered: dict[str, list[Embedding]] = {}
-    for emb in embeddings:
-        ordered.setdefault(emb.id, []).append(emb)
-    return [SpeakerGroup(eid, tuple(members)) for eid, members in ordered.items()]
-

@@ -18,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .data import EmbeddingTable, ScoreSet, SpeakerGroup, TrialList, embedding_table
+from .data import EmbeddingTable, ScoreSet, SpeakerGroup, TrialList, embedding_table, row_blocks
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
     ParameterError,
     UnknownIdError,
 )
-from .plda import PldaModel, speaker_factors
+from .plda import PldaModel, _cholesky, _logdet, speaker_factors
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,9 @@ class ScoringKernel:
 
 
 def _pd_inverse(matrix: np.ndarray, what: str):
-    try:
-        cho = scipy.linalg.cho_factor(matrix, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise NumericalError(f"{what} is not positive definite") from None
-    inverse = scipy.linalg.cho_solve(cho, np.eye(matrix.shape[0]))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return inverse, logdet
+    """Inverse and log-determinant of a symmetric positive definite matrix."""
+    factor = _cholesky(matrix, f"{what} is not positive definite")
+    return np.linalg.inv(matrix), _logdet(factor)
 
 
 def joint_covariances(model: FourCovModel):
@@ -133,9 +128,12 @@ def joint_covariances(model: FourCovModel):
             [cross.T, loadings2 @ test_factor_cov @ loadings2.T + model.test_plda.residual_cov],
         ]
     )
-    indep = scipy.linalg.block_diag(
-        between1 + model.enroll_plda.residual_cov,
-        between2 + model.test_plda.residual_cov,
+    zeros = np.zeros_like(cross)
+    indep = np.block(
+        [
+            [between1 + model.enroll_plda.residual_cov, zeros],
+            [zeros.T, between2 + model.test_plda.residual_cov],
+        ]
     )
     return same, indep
 
@@ -283,7 +281,8 @@ def score_batch(
     sequences of `Embedding` rows. Output order matches the trial list.
     Each vector that a trial references is centred and projected once,
     in table order; a trial's score is then a gather of its two rows by
-    id code and one row-wise dot product. Vectors that no trial
+    id code and one row-wise dot product, taken `data.row_blocks` trials
+    at a time so the gathers never exceed one block. Vectors that no trial
     references are ignored. Where ids repeat, the last vector with that
     id is used.
     """
@@ -295,8 +294,11 @@ def score_batch(
     at_t = at_t[trials.test_codes]
 
     quad_e, proj_e, quad_t, z_t = _side_terms(kernel, used_e.matrix, used_t.matrix)
-    cross = np.einsum("ij,ij->i", proj_e[at_e], z_t[at_t])
-    values = (kernel.offset - 0.5 * quad_e[at_e]) - cross - 0.5 * quad_t[at_t]
+    values = np.empty(len(trials))
+    for block in row_blocks(len(trials)):
+        e, t = at_e[block], at_t[block]
+        cross = np.einsum("ij,ij->i", proj_e[e], z_t[t])
+        values[block] = (kernel.offset - 0.5 * quad_e[e]) - cross - 0.5 * quad_t[t]
     return trials.with_scores(values)
 
 
@@ -316,14 +318,11 @@ def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):
     n = y1.shape[0]
     if n < 2:
         raise ParameterError(f"coupling regression needs at least 2 speakers, got {n}")
+    if not np.isfinite(y2).all():
+        raise NumericalError("test factors have non-finite values")
     gram = y1.T @ y1
-    try:
-        cho = scipy.linalg.cho_factor(gram, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise NumericalError(
-            "enrollment factor Gram matrix is singular; add speakers or lower the PLDA rank"
-        ) from None
-    coupling = scipy.linalg.cho_solve(cho, y1.T @ y2).T
+    _cholesky(gram, "enrollment factor Gram matrix is singular; add speakers or lower the PLDA rank")
+    coupling = np.linalg.solve(gram, y1.T @ y2).T
     residuals = y2 - y1 @ coupling.T
     centered = residuals - residuals.mean(axis=0)
     noise_cov = centered.T @ centered / (n - 1)

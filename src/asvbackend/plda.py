@@ -21,7 +21,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Embedding, EmbeddingTable, SpeakerGroup, embedding_table, row_blocks
 from .exceptions import (
@@ -229,10 +228,7 @@ class PldaModel:
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise ParameterError("residual covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NumericalError("residual covariance is not positive definite") from None
+        _cholesky(cov, "residual covariance is not positive definite")
         if np.linalg.matrix_rank(loadings) < loadings.shape[1]:
             warnings.warn(
                 "speaker loadings are rank deficient; the model carries no "
@@ -287,30 +283,52 @@ def _first_order_stats(samples, mean: np.ndarray):
     return sums, counts
 
 
+def _cholesky(matrix: np.ndarray, error: str) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix.
+
+    A matrix that is not positive definite, or has a non-finite entry,
+    raises `NumericalError(error)`. The finiteness check matters: numpy
+    returns a NaN factor for a NaN diagonal instead of raising.
+    """
+    if not np.isfinite(matrix).all():
+        raise NumericalError(error)
+    try:
+        return np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise NumericalError(error) from None
+
+
+def _logdet(factor: np.ndarray) -> float:
+    """log det of the matrix whose Cholesky factor is `factor`."""
+    return 2.0 * float(np.sum(np.log(np.diag(factor))))
+
+
 def _posterior(loadings, residual_cov, sums, counts):
     """Posterior speaker-factor means from first-order statistics.
 
     Row s of `sums` is the summed centred sample f_s of counts[s]
     vectors; its posterior mean solves (I + n_s ΦᵀΓ⁻¹Φ) y = ΦᵀΓ⁻¹f_s.
-    One residual Cholesky serves every row and one precision Cholesky
-    every distinct count. Returns (factors, projected, residual_cho,
-    precision_chos) with projected rows ΦᵀΓ⁻¹f_s and precision_chos
-    mapping each count to (number of rows, Cholesky factor).
+    One solve against Γ serves every row and one solve against the
+    precision every distinct count. Returns (factors, projected,
+    residual_logdet, precisions) with projected rows ΦᵀΓ⁻¹f_s and
+    precisions mapping each count to (number of rows, precision matrix,
+    its log-determinant).
     """
     r = loadings.shape[1]
-    cho = scipy.linalg.cho_factor(residual_cov, lower=True)
-    solved_loadings = scipy.linalg.cho_solve(cho, loadings)      # Γ⁻¹Φ, (d, r)
+    residual_logdet = _logdet(_cholesky(residual_cov, "residual covariance is not positive definite"))
+    solved_loadings = np.linalg.solve(residual_cov, loadings)    # Γ⁻¹Φ, (d, r)
     base = loadings.T @ solved_loadings                          # ΦᵀΓ⁻¹Φ, (r, r)
     projected = sums @ solved_loadings                           # rows: ΦᵀΓ⁻¹f_s
 
     factors = np.empty((sums.shape[0], r))
-    precision_chos = {}
+    precisions = {}
     for count in np.unique(counts):
         idx = np.flatnonzero(counts == count)
-        cho_p = scipy.linalg.cho_factor(np.eye(r) + count * base, lower=True)
-        factors[idx] = scipy.linalg.cho_solve(cho_p, projected[idx].T).T
-        precision_chos[int(count)] = (len(idx), cho_p)
-    return factors, projected, cho, precision_chos
+        precision = np.eye(r) + count * base
+        logdet = _logdet(_cholesky(precision, "posterior precision is not positive definite"))
+        factors[idx] = np.linalg.solve(precision, projected[idx].T).T
+        precisions[int(count)] = (len(idx), precision, logdet)
+    return factors, projected, residual_logdet, precisions
 
 
 def _e_step(loadings, residual_cov, sums, counts, scatter, total):
@@ -323,18 +341,16 @@ def _e_step(loadings, residual_cov, sums, counts, scatter, total):
     """
     d = residual_cov.shape[0]
     r = loadings.shape[1]
-    factors, projected, cho, precision_chos = _posterior(loadings, residual_cov, sums, counts)
+    factors, projected, logdet_res, precisions = _posterior(loadings, residual_cov, sums, counts)
     second_moment = np.zeros((r, r))
     logdet_sum = 0.0
-    for count, (n_rows, cho_p) in precision_chos.items():
-        post_cov = scipy.linalg.cho_solve(cho_p, np.eye(r))
-        second_moment += count * n_rows * post_cov
-        logdet_sum += 2.0 * n_rows * float(np.sum(np.log(np.diag(cho_p[0]))))
+    for count, (n_rows, precision, logdet) in precisions.items():
+        second_moment += count * n_rows * np.linalg.inv(precision)
+        logdet_sum += n_rows * logdet
     second_moment += factors.T @ (factors * counts[:, None])
     cross_stat = factors.T @ sums                                # (r, d)
 
-    logdet_res = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    trace_term = float(np.trace(scipy.linalg.cho_solve(cho, scatter)))
+    trace_term = float(np.trace(np.linalg.solve(residual_cov, scatter)))
     quad_term = float(np.sum(factors * projected))
     loglik = -0.5 * (total * d * np.log(2.0 * np.pi) + total * logdet_res + trace_term)
     loglik += -0.5 * logdet_sum + 0.5 * quad_term
@@ -433,14 +449,14 @@ def speaker_factor(model: PldaModel, sample) -> np.ndarray:
 
 
 def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    """log N(x; mean, cov), through one Cholesky factor of cov."""
-    try:
-        factor = scipy.linalg.cholesky(cov, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise NumericalError("covariance is not positive definite") from None
-    white = scipy.linalg.solve_triangular(factor, x - mean, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return float(-0.5 * (white @ white + logdet + x.size * np.log(2.0 * np.pi)))
+    """log N(x; mean, cov): the log-determinant from a Cholesky factor of
+    cov, the quadratic term from one solve against cov."""
+    factor = _cholesky(cov, "covariance is not positive definite")
+    diff = np.asarray(x, dtype=np.float64) - mean
+    if not np.isfinite(diff).all():
+        raise NumericalError("log-density of a non-finite vector")
+    quad = float(diff @ np.linalg.solve(cov, diff))
+    return float(-0.5 * (quad + _logdet(factor) + diff.size * np.log(2.0 * np.pi)))
 
 
 def plda_llr(model: PldaModel, w1: np.ndarray, w2: np.ndarray) -> float:
@@ -462,7 +478,8 @@ def plda_llr(model: PldaModel, w1: np.ndarray, w2: np.ndarray) -> float:
     stacked = np.concatenate([w1, w2])
     mean = np.concatenate([model.mean, model.mean])
     same_cov = np.block([[marginal, between], [between, marginal]])
-    indep_cov = scipy.linalg.block_diag(marginal, marginal)
+    zeros = np.zeros_like(marginal)
+    indep_cov = np.block([[marginal, zeros], [zeros, marginal]])
     return gaussian_logpdf(stacked, mean, same_cov) - gaussian_logpdf(stacked, mean, indep_cov)
 
 

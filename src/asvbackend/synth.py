@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Embedding, SpeakerGroup
 from .exceptions import DimensionMismatchError, ParameterError
@@ -143,6 +142,10 @@ def _rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndarray:
     draws = rng.standard_normal((dim, dim))
     skew = (draws - draws.T) / 2.0
     skew /= np.linalg.norm(skew, 2)
+    # the one use of scipy, imported here so that loading the package
+    # (and every CLI stage but `synth`) brings in numpy's BLAS alone
+    import scipy.linalg
+
     return scipy.linalg.expm(angle * skew)
 
 
@@ -263,8 +266,12 @@ def _joint_covariances(truth: GroundTruth):
             ],
         ]
     )
-    indep = scipy.linalg.block_diag(
-        between1 + truth.enroll_noise_cov, between2 + truth.test_noise_cov
+    zeros = np.zeros_like(cross)
+    indep = np.block(
+        [
+            [between1 + truth.enroll_noise_cov, zeros],
+            [zeros.T, between2 + truth.test_noise_cov],
+        ]
     )
     return same, indep
 

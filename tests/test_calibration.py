@@ -3,6 +3,7 @@ import pytest
 
 from asvbackend.calibration import (
     CalibrationModel,
+    _sigmoid,
     apply_calibration,
     fit_calibration,
     read_calibration,
@@ -23,6 +24,25 @@ def labeled_scores(tar, non):
         entries.append(ScoredTrial("e", f"non{i}", float(s)))
         trials.append(Trial("e", f"non{i}", False))
     return ScoreSet(tuple(entries)), TrialList(tuple(trials))
+
+
+class TestSigmoid:
+    POINTS = np.array([-1000.0, -745.0, -40.0, -1e-300, 0.0, 1e-300, 40.0, 745.0, 1000.0])
+
+    def test_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        # at -745 the true value is 2.8e-324, nearer the smallest subnormal
+        # (4.9e-324) than 0: the numpy form rounds to that subnormal where
+        # expit returns 0, hence an atol of one subnormal
+        tiny = np.finfo(np.float64).smallest_subnormal
+        np.testing.assert_allclose(_sigmoid(self.POINTS), expit(self.POINTS), rtol=1e-15, atol=tiny)
+
+    def test_finite_and_monotone(self):
+        values = _sigmoid(self.POINTS)
+        assert np.isfinite(values).all()
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[0] == 0.0 and values[-1] == 1.0 and values[4] == 0.5
 
 
 class TestFit:

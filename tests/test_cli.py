@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -121,13 +122,53 @@ class TestEvaluate:
         assert lines[-1].split() == ["1.0", "0.0"]
 
 
-def test_import_leaves_out_scipy_stats():
-    # scipy.stats roughly doubles start-up time and no stage needs it
+def _probe(code):
+    """stdout of `code` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(asvbackend.__file__))
-    probe = "import sys, asvbackend.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["asvbackend", "asvbackend.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy brings its own OpenBLAS thread pool, which competes with
+    # numpy's, and a quarter-second import; only `synth` may load it
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _probe(probe) == "[]"
+
+
+def test_synth_stage_loads_scipy_when_it_runs(tmp_path):
+    probe = (
+        "import sys; from asvbackend import cli; "
+        f"code = cli.main({[str(a) for a in synth_args(tmp_path / 'd')]!r}); "
+        "print(code, 'scipy.linalg' in sys.modules)"
+    )
+    assert _probe(probe).splitlines()[-1] == "0 True"
+    assert (tmp_path / "d" / "train_enroll.embs").exists()
+
+
+def test_scipy_imported_only_inside_synth_functions():
+    # a module-level scipy import anywhere would start scipy's BLAS pool
+    # in every stage; synth imports it inside the one function that needs it
+    package = os.path.dirname(asvbackend.__file__)
+    found = []
+
+    def visit(node, path, in_function):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((os.path.basename(path), node.lineno, in_function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                visit(ast.parse(fh.read(), path), path, False)
+    assert found  # synth's own import proves the walk sees nested imports
+    assert all(file == "synth.py" and in_function for file, _, in_function in found), found
 
 
 class TestErrorPaths:

@@ -14,7 +14,6 @@ from asvbackend.data import (
     SpeakerGroup,
     Trial,
     TrialList,
-    group_by_id,
     group_by_speaker,
     join,
     read_embeddings,
@@ -326,16 +325,6 @@ class TestGrouping:
         assert len(groups) == 1 and len(groups[0].members) == 2
         with pytest.raises(UnknownIdError, match="'y'"):
             group_by_speaker(embs, {"x": "s1"})
-
-    def test_group_by_id(self, rng):
-        embs = [
-            Embedding("m1", rng.standard_normal(3)),
-            Embedding("m1", rng.standard_normal(3)),
-            Embedding("m2", rng.standard_normal(3)),
-        ]
-        groups = group_by_id(embs)
-        assert [g.speaker_id for g in groups] == ["m1", "m2"]
-        assert len(groups[0].members) == 2
 
 
 class TestTables:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from asvbackend import synth
-from asvbackend.data import Embedding, SpeakerGroup
+from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup, TrialList
 from asvbackend.exceptions import (
     DimensionMismatchError,
     NumericalError,
@@ -13,6 +15,7 @@ from asvbackend.exceptions import (
 )
 from asvbackend.fourcov import (
     FourCovModel,
+    _pd_inverse,
     build_kernel,
     coupling_from_factors,
     fit_coupling,
@@ -78,6 +81,20 @@ class TestCouplingRegression:
         with pytest.raises(NumericalError, match="more speakers|lower"):
             coupling_from_factors(y1, y2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_enrollment_factors_reported(self, rng, bad):
+        y1 = rng.standard_normal((20, 2))
+        y1[3, 1] = bad
+        with pytest.raises(NumericalError, match="Gram matrix"):
+            coupling_from_factors(y1, rng.standard_normal((20, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_test_factors_reported(self, rng, bad):
+        y2 = rng.standard_normal((20, 2))
+        y2[3, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            coupling_from_factors(rng.standard_normal((20, 2)), y2)
+
 
 class TestFitCoupling:
     def test_near_noiseless_embeddings_recover_coupling(self, rng):
@@ -139,6 +156,23 @@ class TestFitCoupling:
         g = SpeakerGroup("a", (Embedding("a-e0", rng.standard_normal(3)),))
         with pytest.raises(ParameterError, match="rank\\+1"):
             fit_coupling(plda, plda, [(g, g)])
+
+
+class TestPdInverse:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, 0.0], [0.0, np.nan]]),
+            np.array([[1.0, 0.0], [0.0, np.inf]]),
+            np.array([[np.nan, 0.0], [0.0, 1.0]]),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),   # indefinite
+            np.array([[1.0, 1.0], [1.0, 1.0]]),   # singular
+        ],
+        ids=["nan", "inf", "nan-first", "indefinite", "singular"],
+    )
+    def test_bad_matrix_rejected(self, matrix):
+        with pytest.raises(NumericalError, match="^joint covariance is not positive definite$"):
+            _pd_inverse(matrix, "joint covariance")
 
 
 class TestKernel:
@@ -323,6 +357,31 @@ class TestScoreBatch:
             for j in range(4):
                 expected = score_trial(kernel, enrolls[i].vector, tests[j].vector)
                 assert abs(matrix[i, j] - expected) < 1e-12
+
+
+class TestScoreBatchMemory:
+    def test_gathers_hold_one_block_not_every_trial(self, rng):
+        # 20,000 trials at dimension 64: one (trials x d) float64 gather is
+        # 10.2 MB, one 256-row block of it 131 kB
+        n_e, n_t, d = 100, 200, 64
+        kernel = build_kernel(random_fourcov(rng, d, 8, 8))
+        enrolls = EmbeddingTable.from_columns([f"e{i}" for i in range(n_e)], rng.standard_normal((n_e, d)))
+        tests = EmbeddingTable.from_columns([f"t{j}" for j in range(n_t)], rng.standard_normal((n_t, d)))
+        trials = TrialList.from_columns(
+            [f"e{i}" for i in range(n_e) for _ in range(n_t)],
+            [f"t{j}" for _ in range(n_e) for j in range(n_t)],
+            [None] * (n_e * n_t),
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            scores = score_batch(kernel, enrolls, tests, trials)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == n_e * n_t
+        whole = n_e * n_t * d * 8
+        assert peak - held < whole / 4, f"transient peak {(peak - held) / 1e6:.2f} MB"
 
 
 class TestSerialization:

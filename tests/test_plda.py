@@ -280,6 +280,19 @@ class TestGaussianLogpdf:
         with pytest.raises(NumericalError, match="positive definite"):
             gaussian_logpdf(np.zeros(2), np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        # numpy's cholesky returns a NaN factor for a NaN diagonal without raising
+        cov = np.eye(2)
+        cov[1, 1] = bad
+        with pytest.raises(NumericalError, match="positive definite"):
+            gaussian_logpdf(np.zeros(2), np.zeros(2), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(NumericalError, match="non-finite"):
+            gaussian_logpdf(np.array([0.0, bad]), np.zeros(2), np.eye(2))
+
 
 class TestPldaLlr:
     def test_centered_pair_scores_constant(self, rng):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asvbackend import fourcov, scorenorm
+from asvbackend import data, fourcov, scorenorm
 from asvbackend.data import (
     Embedding,
     EmbeddingTable,
@@ -170,6 +170,20 @@ class TestScoresFollowTrialOrder:
         np.testing.assert_allclose(
             got, expected[[GRID.index(p) for p in pairs]], rtol=1e-12, atol=1e-12
         )
+
+
+class TestScoreBatchBlocks:
+    """`score_batch` gathers and scores the trials in `data.row_blocks` blocks."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from(GRID), min_size=1, unique=True), st.sampled_from([1, 3, None]))
+    def test_block_size_does_not_change_scores(self, pairs, block):
+        expected = fourcov.score_batch(KERNEL, ENROLLS, TESTS, unlabeled(pairs)).values()
+        with pytest.MonkeyPatch.context() as patch:
+            # None: one block larger than the trial list
+            patch.setattr(data, "_BLOCK_ROWS", block or len(pairs) + 1)
+            got = fourcov.score_batch(KERNEL, ENROLLS, TESTS, unlabeled(pairs)).values()
+        np.testing.assert_array_equal(got, expected)
 
 
 COHORTS = scorenorm.CohortSet(
