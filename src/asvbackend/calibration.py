@@ -11,6 +11,7 @@ whenever a > 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ScoreSet, TrialList, _check_tokens, atomic_write, join, read_id_map
-from .exceptions import CalibrationFitError, FileFormatError, NumericalError, UnknownIdError
+from .exceptions import CalibrationFitError, FileFormatError, NumericalError, ParameterError, UnknownIdError
 
 SCALE_PENALTY = 1e-4
 GRADIENT_TOL = 1e-8
@@ -41,7 +42,7 @@ class CalibrationModel:
     def __post_init__(self):
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "offset", float(self.offset))
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             warnings.warn(
                 f"calibration scale {self.scale:.3g} is not positive; "
                 "applying it will not preserve score order",
@@ -153,7 +154,9 @@ def apply_calibration(model: CalibrationModel, scores: ScoreSet) -> ScoreSet:
 
 
 def write_calibration(path, model: CalibrationModel, condition: str | None = None) -> None:
-    """Two-number text file: scale, offset, plus an optional condition tag."""
+    """Two-number text file: scale, offset, plus an optional condition tag; both numbers finite."""
+    if not (math.isfinite(model.scale) and math.isfinite(model.offset)):
+        raise ParameterError(f"{path}: calibration scale {model.scale} and offset {model.offset} must be finite")
     if condition is not None:
         _check_tokens(path, [condition])
     with atomic_write(path) as fh:
@@ -167,7 +170,9 @@ def write_calibration(path, model: CalibrationModel, condition: str | None = Non
 def read_calibration(path) -> tuple[CalibrationModel, str | None]:
     fields = read_id_map(path)
     try:
-        model = CalibrationModel(float(fields["scale"]), float(fields["offset"]))
+        scale, offset = float(fields["scale"]), float(fields["offset"])
     except (KeyError, ValueError):
         raise FileFormatError(f"{path}: expected 'scale <a>' and 'offset <b>' lines") from None
-    return model, fields.get("condition")
+    if not (math.isfinite(scale) and math.isfinite(offset)):
+        raise FileFormatError(f"{path}: calibration scale {scale} and offset {offset} must be finite")
+    return CalibrationModel(scale, offset), fields.get("condition")

@@ -70,33 +70,28 @@ def _require_files(*paths) -> None:
             raise FileNotFoundError(p)
 
 
-def _speaker_map(path):
-    return data.read_id_map(path) if path else None
+def _training_rows(rows, speaker_map_path, pre, aggregate):
+    """Training vectors in model space, each row's speaker code and the speaker ids.
 
-
-def _aggregated_training_groups(rows, speaker_map, pre, aggregate):
-    """Per-speaker groups of preprocessed vectors, optionally chunk-averaged.
-
-    With `aggregate` = N, consecutive chunks of N segments per speaker
-    each become one unit-norm average (a pseudo enrollment model).
+    Rows pass through `pre`. With `aggregate` = N, consecutive chunks of
+    N segments per speaker each become one unit-norm average (a pseudo
+    enrollment model).
     """
-    groups = data.group_by_speaker(rows, speaker_map)
-    out = []
-    for group in groups:
-        if aggregate:
-            out.append(plda.chunked_enroll_averages(group, pre, aggregate))
-        else:
-            transformed = pre.apply(group.matrix())
-            out.append(
-                data.SpeakerGroup(
-                    group.speaker_id,
-                    tuple(
-                        data.Embedding(m.id, row)
-                        for m, row in zip(group.members, transformed)
-                    ),
-                )
-            )
-    return out
+    speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
+    speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
+    if aggregate:
+        table, codes = plda.chunk_averages(rows, speaker_ids, codes, pre, aggregate)
+    else:
+        table = plda.to_model_space(rows, pre)
+    return table, speaker_ids, codes
+
+
+def _shared_speaker_stats(side, shared):
+    """Statistics of one side's rows of the `shared` speakers, coded in `shared` order."""
+    table, speaker_ids, codes = side
+    position = {s: i for i, s in enumerate(shared)}
+    codes = np.array([position.get(s, -1) for s in speaker_ids], dtype=np.intp)[codes]
+    return plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0])
 
 
 def _cmd_synth(args) -> int:
@@ -219,8 +214,9 @@ def _cmd_train_plda(args) -> int:
     _require_files(args.embeddings, args.speaker_map, args.pre)
     rows = data.read_embeddings(args.embeddings)
     pre = modelio.load_preprocessor(args.pre) if args.pre else plda.fit_preprocessor(rows)
-    groups = _aggregated_training_groups(rows, _speaker_map(args.speaker_map), pre, args.aggregate)
-    model = plda.train_plda(groups, rank=args.rank, iterations=args.iters)
+    table, speaker_ids, codes = _training_rows(rows, args.speaker_map, pre, args.aggregate)
+    stats = plda.speaker_stats(table.matrix, speaker_ids, codes)
+    model = plda.train_plda(stats, rank=args.rank, iterations=args.iters)
     modelio.save_plda_side(args.out, model, pre)
     print(f"wrote PLDA side model to {args.out} (dim {model.dim}, rank {model.rank})")
     return 0
@@ -239,23 +235,13 @@ def _cmd_fit_fourcov(args) -> int:
     model2, pre2 = modelio.load_plda_side(args.test_model)
     rows1 = data.read_embeddings(args.enroll_embeddings)
     rows2 = data.read_embeddings(args.test_embeddings)
-    groups1 = {
-        g.speaker_id: g
-        for g in _aggregated_training_groups(
-            rows1, _speaker_map(args.speaker_map_enroll), pre1, args.enroll_aggregate
-        )
-    }
-    groups2 = {
-        g.speaker_id: g
-        for g in _aggregated_training_groups(
-            rows2, _speaker_map(args.speaker_map_test), pre2, 0
-        )
-    }
-    shared = sorted(set(groups1) & set(groups2))
+    side1 = _training_rows(rows1, args.speaker_map_enroll, pre1, args.enroll_aggregate)
+    side2 = _training_rows(rows2, args.speaker_map_test, pre2, 0)
+    shared = sorted(set(side1[1]) & set(side2[1]))
     if not shared:
         raise ParameterError("no speakers shared between the two training sets")
-    pairs = [(groups1[s], groups2[s]) for s in shared]
-    model = fourcov.fit_coupling(model1, model2, pairs)
+    paired = (_shared_speaker_stats(side1, shared), _shared_speaker_stats(side2, shared))
+    model = fourcov.fit_coupling(model1, model2, paired)
     modelio.save_fourcov(args.out, model, pre1, pre2)
     print(f"wrote two-sided model to {args.out} ({len(shared)} shared speakers)")
     return 0

@@ -7,6 +7,10 @@ float64 matrix of the vectors. `Embedding` is its row view, and a
 sequence of `Embedding` rows converts to a table once, with
 `embedding_table`, wherever a table is expected. `TrialList` and
 `ScoreSet` hold each side's unique ids and one integer code per row.
+Training labels are id-coded the same way: `speaker_codes` gives a
+table's speaker ids and one speaker code per row. `SpeakerGroup` is
+only an input adapter for the training entries, which convert a
+sequence of groups once.
 
 Text formats are whitespace-separated UTF-8 with LF line endings; lines
 starting with ``#`` are comments and blank lines are skipped:
@@ -197,7 +201,8 @@ def embedding_table(embeddings) -> EmbeddingTable:
 
 @dataclass(frozen=True)
 class SpeakerGroup:
-    """All embeddings belonging to one speaker (or one enrollment sample)."""
+    """All embeddings of one speaker (or one enrollment sample): an input
+    adapter that the training entries convert to statistics once."""
 
     speaker_id: str
     members: tuple[Embedding, ...]
@@ -212,10 +217,6 @@ class SpeakerGroup:
                 f"speaker group '{self.speaker_id}' mixes dimensions {sorted(dims)}"
             )
         object.__setattr__(self, "members", members)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
 
     def matrix(self) -> np.ndarray:
         return np.stack([m.vector for m in self.members])
@@ -634,23 +635,24 @@ def speaker_of(embedding_id: str) -> str:
     return embedding_id.split("-", 1)[0]
 
 
-def group_by_speaker(
-    embeddings: Sequence[Embedding], speaker_map: dict[str, str] | None = None
-) -> list[SpeakerGroup]:
-    """Partition embeddings into speaker groups, preserving input order.
+def speaker_codes(
+    ids: Sequence[str], speaker_map: dict[str, str] | None = None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Each row's speaker: the speaker ids in order of first appearance, and each row's code into them.
 
     Without an explicit map, the speaker is the id prefix before the first
     '-'. Real datasets should always pass a map; the prefix convention is
-    for synthetic/test data only.
+    for synthetic/test data only. Each distinct id is looked up once; an
+    id missing from the map raises `UnknownIdError`, naming the first
+    such id in row order.
     """
-    ordered: dict[str, list[Embedding]] = {}
-    for emb in embeddings:
-        if speaker_map is not None:
-            try:
-                spk = speaker_map[emb.id]
-            except KeyError:
-                raise UnknownIdError(f"embedding id '{emb.id}' missing from speaker map") from None
-        else:
-            spk = speaker_of(emb.id)
-        ordered.setdefault(spk, []).append(emb)
-    return [SpeakerGroup(spk, tuple(members)) for spk, members in ordered.items()]
+    unique, codes = _encode(ids)
+    if speaker_map is None:
+        speakers = [speaker_of(i) for i in unique]
+    else:
+        try:
+            speakers = [speaker_map[i] for i in unique]
+        except KeyError as exc:
+            raise UnknownIdError(f"embedding id '{exc.args[0]}' missing from speaker map") from None
+    speaker_ids, speaker_of_id = _encode(speakers)
+    return speaker_ids, speaker_of_id[codes]

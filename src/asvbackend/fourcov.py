@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, SpeakerGroup, TrialList, embedding_table, row_blocks
+from .data import EmbeddingTable, ScoreSet, TrialList, embedding_table, row_blocks
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
     ParameterError,
     UnknownIdError,
 )
-from .plda import PldaModel, _cholesky, _logdet, speaker_factors
+from .plda import PldaModel, SpeakerStats, _as_stats, _cholesky, _logdet, speaker_factors
 
 
 @dataclass(frozen=True)
@@ -329,31 +329,30 @@ def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):
     return coupling, noise_cov
 
 
-def fit_coupling(
-    plda_enroll: PldaModel,
-    plda_test: PldaModel,
-    paired_groups: list[tuple[SpeakerGroup, SpeakerGroup]],
-) -> FourCovModel:
+def fit_coupling(plda_enroll: PldaModel, plda_test: PldaModel, paired) -> FourCovModel:
     """Fit the factor coupling from speakers seen on both sides.
 
-    Each pair holds one speaker's full enrollment-side and test-side
-    samples. Each side's posterior factor means come from one batched
-    `speaker_factors` call over all its samples (one residual Cholesky
-    per side, one precision Cholesky per distinct sample size); the two
+    `paired` is a pair of `SpeakerStats` (enrollment side first) over the
+    same speakers in the same order, or a sequence of (enrollment group,
+    test group) pairs, each pair one speaker. Each side's posterior
+    factor means come from one batched `speaker_factors` call; the two
     sides' factors are then regressed against each other.
     """
-    if len(paired_groups) < plda_enroll.rank + 1:
+    if not (isinstance(paired, tuple) and all(isinstance(s, SpeakerStats) for s in paired)):
+        pairs = list(paired)
+        paired = tuple(_as_stats([pair[side] for pair in pairs]) for side in (0, 1))
+    enroll, test = paired
+    if len(enroll.counts) < plda_enroll.rank + 1:
         raise ParameterError(
             f"coupling fit needs at least rank+1 = {plda_enroll.rank + 1} speakers, "
-            f"got {len(paired_groups)}"
+            f"got {len(enroll.counts)}"
         )
-    for i, (g1, g2) in enumerate(paired_groups):
-        if g1.speaker_id != g2.speaker_id:
+    for i, (id1, id2) in enumerate(zip(enroll.speaker_ids, test.speaker_ids)):
+        if id1 != id2:
             raise ParameterError(
-                f"paired groups at index {i} name different speakers: "
-                f"'{g1.speaker_id}' vs '{g2.speaker_id}'"
+                f"pair at index {i} names different speakers: '{id1}' vs '{id2}'"
             )
-    y1 = speaker_factors(plda_enroll, [g1 for g1, _ in paired_groups])
-    y2 = speaker_factors(plda_test, [g2 for _, g2 in paired_groups])
+    y1 = speaker_factors(plda_enroll, enroll)
+    y2 = speaker_factors(plda_test, test)
     coupling, noise_cov = coupling_from_factors(y1, y2)
     return FourCovModel(plda_enroll, plda_test, coupling, noise_cov)

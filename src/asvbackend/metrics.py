@@ -9,6 +9,7 @@ under strictly increasing score transforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class DcfParams:
     def __post_init__(self):
         if not 0.0 < self.p_target < 1.0:
             raise ParameterError(f"p_target must be in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0.0 or self.c_fa <= 0.0:
-            raise ParameterError("c_miss and c_fa must be positive")
+        if not all(math.isfinite(c) and c > 0.0 for c in (self.c_miss, self.c_fa)):
+            raise ParameterError(f"c_miss and c_fa must be positive and finite, got {self.c_miss} and {self.c_fa}")
 
     @property
     def normalizer(self) -> float:

@@ -11,6 +11,13 @@ The generative model for a vector w of this type is
     residual ~ N(0, residual_cov),
 
 with y shared by all vectors of one speaker.
+
+Training works from sufficient statistics: `speaker_stats` reduces a
+table's matrix and one speaker code per row, block by block, to
+per-speaker counts and sums, the data mean and the scatter about it.
+EM, the posterior factors behind the coupling fit and the preprocessor
+fit all work from these. A sequence of `SpeakerGroup`s, one speaker per
+group, is converted to them once on entry.
 """
 
 from __future__ import annotations
@@ -46,8 +53,6 @@ def _as_matrix(data) -> np.ndarray:
         if mat.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D data matrix, got shape {mat.shape}")
         return mat
-    if isinstance(data, SpeakerGroup):
-        return data.matrix()
     table = embedding_table(data)
     if not len(table):
         raise ParameterError("no embeddings to stack")
@@ -105,43 +110,26 @@ def identity_preprocessor(dim: int) -> Preprocessor:
     return Preprocessor(np.zeros(dim), np.eye(dim))
 
 
-def fit_preprocessor(data, within_groups: Sequence[SpeakerGroup] | None = None) -> Preprocessor:
+def fit_preprocessor(data) -> Preprocessor:
     """Fit centering and whitening on training vectors.
 
-    The whitener is the inverse symmetric square root of the total sample
-    covariance, so the whitened training data has identity covariance.
-    Passing speaker groups via `within_groups` switches to within-class
-    covariance whitening instead (the mean stays the global data mean).
+    The mean and the scatter about it come from `speaker_stats` with
+    every row one speaker. The whitener is the inverse symmetric square
+    root of the total sample covariance, so the whitened training data
+    has identity covariance.
     """
     mat = _as_matrix(data)
     n, d = mat.shape
     if n < d + 1:
         raise NumericalError(f"whitening needs at least {d + 1} vectors for dimension {d}, got {n}")
-    mean = mat.mean(axis=0)
-    if within_groups is None:
-        centered = mat - mean
-        cov = centered.T @ centered / (n - 1)
-    else:
-        within_groups = list(within_groups)
-        cov = np.zeros((d, d))
-        count = 0
-        for group in within_groups:
-            rows = group.matrix()
-            centered = rows - rows.mean(axis=0)
-            cov += centered.T @ centered
-            count += rows.shape[0]
-        if count < d + 1:
-            raise NumericalError(
-                f"within-class whitening needs at least {d + 1} vectors, got {count}"
-            )
-        cov /= max(count - len(within_groups), 1)
-    evals, evecs = np.linalg.eigh(cov)
+    stats = speaker_stats(mat, ("",), np.zeros(n, dtype=np.intp))
+    evals, evecs = np.linalg.eigh(stats.scatter / (n - 1))
     tol = max(evals[-1], 0.0) * d * np.finfo(np.float64).eps
     if evals[0] <= tol:
         rank = int(np.sum(evals > tol))
         raise NumericalError(f"training covariance is singular: rank {rank} < dimension {d}")
     whitener = (evecs / np.sqrt(evals)) @ evecs.T
-    return Preprocessor(mean, whitener)
+    return Preprocessor(stats.mean, whitener)
 
 
 def to_model_space(
@@ -191,18 +179,36 @@ def enroll_average(sample: SpeakerGroup, pre: Preprocessor, normalize_members: b
     return to_model_space(members, pre, average=True, normalize_members=normalize_members)[0]
 
 
-def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) -> SpeakerGroup:
-    """Turn a speaker's segments into enrollment-style averaged vectors.
+def chunk_averages(
+    table: EmbeddingTable, speaker_ids: Sequence[str], codes: np.ndarray, pre: Preprocessor, chunk: int
+) -> tuple[EmbeddingTable, np.ndarray]:
+    """Pseudo enrollment models: each speaker's rows averaged in consecutive chunks.
 
-    Consecutive chunks of `chunk` segments each become one unit-norm
-    average, with id `<speaker>-agg<first segment index>`; a shorter
-    remainder forms a final sample. Used to build enrollment-side PLDA
-    training sets that mirror multi-segment enrollment models.
+    Row i belongs to speaker `speaker_ids[codes[i]]`. A speaker's j-th
+    row, in table order, joins chunk `<speaker>-agg<j - j % chunk>`, and
+    one `to_model_space(average=True)` call over these ids averages every
+    chunk. Returns the averages, in order of first appearance, and each
+    chunk's speaker code.
     """
     if chunk < 1:
         raise ParameterError(f"chunk size must be positive, got {chunk}")
-    ids = [f"{group.speaker_id}-agg{i - i % chunk}" for i in range(len(group.members))]
-    averages = to_model_space(EmbeddingTable.from_columns(ids, group.matrix()), pre, average=True)
+    counts = np.bincount(codes, minlength=len(speaker_ids))
+    order = np.argsort(codes, kind="stable")
+    segment = np.empty(len(codes), dtype=np.intp)
+    segment[order] = np.arange(len(codes)) - np.repeat(np.cumsum(counts) - counts, counts)
+    chunk_ids = tuple(
+        f"{speaker_ids[c]}-agg{j}" for c, j in zip(codes.tolist(), (segment - segment % chunk).tolist())
+    )
+    rows = EmbeddingTable._make(chunk_ids, table.matrix)
+    # chunk codes run 0, 1, ... in order of first appearance, as the averages do
+    first_rows = np.unique(rows.id_codes()[1], return_index=True)[1]
+    return to_model_space(rows, pre, average=True), codes[first_rows]
+
+
+def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) -> SpeakerGroup:
+    """A speaker's segments averaged in consecutive chunks: the one-speaker case of `chunk_averages`."""
+    codes = np.zeros(len(group.members), dtype=np.intp)
+    averages, _ = chunk_averages(EmbeddingTable(group.members), (group.speaker_id,), codes, pre, chunk)
     return SpeakerGroup(group.speaker_id, tuple(averages))
 
 
@@ -255,6 +261,55 @@ class PldaModel:
         return self.between_cov() + self.residual_cov
 
 
+@dataclass(frozen=True)
+class SpeakerStats:
+    """Sufficient statistics of speaker-labelled vectors, the shape of Kaldi's `PldaStats`.
+
+    Per speaker, in code order: its id (ids repeat where speakers are
+    counted by position), its vector count and its raw vector sum. Over
+    all vectors: the mean and the scatter, the summed outer products of
+    the deviations from that mean.
+    """
+
+    speaker_ids: tuple[str, ...]
+    counts: np.ndarray   # (speakers,)
+    sums: np.ndarray     # (speakers, d)
+    mean: np.ndarray     # (d,)
+    scatter: np.ndarray  # (d, d)
+
+
+def speaker_stats(matrix: np.ndarray, speaker_ids: Sequence[str], codes: np.ndarray) -> SpeakerStats:
+    """Statistics of the rows of `matrix`, one `data.row_blocks` block at a time.
+
+    Row i (of an `EmbeddingTable`'s matrix, say) belongs to speaker
+    `speaker_ids[codes[i]]`. A first pass counts and sums each speaker's
+    rows in row order, which gives the mean; a second pass adds up the
+    scatter about that mean, one GEMM per block. Centring first avoids
+    the cancellation of XᵀX − n·μμᵀ. Memory beyond the result is a block.
+    """
+    n, d = matrix.shape
+    sums = np.zeros((len(speaker_ids), d))
+    for block in row_blocks(n):
+        np.add.at(sums, codes[block], matrix[block])
+    mean = sums.sum(axis=0) / max(n, 1)  # no rows: zero mean, no 0/0 warning
+    scatter = np.zeros((d, d))
+    for block in row_blocks(n):
+        centred = matrix[block] - mean
+        scatter += centred.T @ centred
+    counts = np.bincount(codes, minlength=len(speaker_ids))
+    return SpeakerStats(tuple(speaker_ids), counts, sums, mean, scatter)
+
+
+def _as_stats(samples) -> SpeakerStats:
+    """Statistics as they are, or a sequence of speaker groups converted once, one speaker per group."""
+    if isinstance(samples, SpeakerStats):
+        return samples
+    groups = list(samples)
+    table = EmbeddingTable([m for g in groups for m in g.members])
+    codes = np.repeat(np.arange(len(groups)), [len(g.members) for g in groups])
+    return speaker_stats(table.matrix, tuple(g.speaker_id for g in groups), codes)
+
+
 def _floor_cov(cov: np.ndarray, context: str) -> np.ndarray:
     evals, evecs = np.linalg.eigh((cov + cov.T) / 2.0)
     floor = RESIDUAL_EIG_FLOOR * float(np.trace(cov)) / cov.shape[0]
@@ -268,19 +323,6 @@ def _floor_cov(cov: np.ndarray, context: str) -> np.ndarray:
         evals = np.maximum(evals, floor)
         return (evecs * evals) @ evecs.T
     return (cov + cov.T) / 2.0
-
-
-def _first_order_stats(samples, mean: np.ndarray):
-    """Vector count and summed deviation from `mean` of each sample."""
-    mats = [_as_matrix(s) for s in samples]
-    for mat in mats:
-        if mat.shape[1] != mean.size:
-            raise DimensionMismatchError(
-                f"sample dimension {mat.shape[1]} does not match model dimension {mean.size}"
-            )
-    counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
-    sums = np.stack([m.sum(axis=0) for m in mats]) - counts[:, None] * mean
-    return sums, counts
 
 
 def _cholesky(matrix: np.ndarray, error: str) -> np.ndarray:
@@ -358,44 +400,38 @@ def _e_step(loadings, residual_cov, sums, counts, scatter, total):
 
 
 def train_plda(
-    groups: Sequence[SpeakerGroup],
+    stats,
     rank: int | None = None,
     iterations: int = 10,
     callback: Callable[[int, float], None] | None = None,
 ) -> PldaModel:
-    """Estimate PLDA parameters by EM over speaker-labeled vectors.
+    """Estimate PLDA parameters by EM from speaker statistics.
 
-    The global mean is the data mean and stays fixed; loadings and the
-    residual covariance are updated from accumulated posterior factor
-    statistics each iteration. `callback(iteration, loglik)` receives the
-    marginal log-likelihood of the parameters entering each iteration;
-    the sequence is non-decreasing.
+    `stats` is a `SpeakerStats`, or a sequence of `SpeakerGroup`s
+    converted once, each group one speaker by position. The global mean
+    is the data mean and stays fixed; loadings and the residual
+    covariance are updated from accumulated posterior factor statistics
+    each iteration. `callback(iteration, loglik)` receives the marginal
+    log-likelihood of the parameters entering each iteration; the
+    sequence is non-decreasing.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    groups = list(groups)
-    if len(groups) < 2:
-        raise ParameterError(f"PLDA training needs at least 2 speakers, got {len(groups)}")
-    dims = {g.dim for g in groups}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"speaker groups mix dimensions {sorted(dims)}")
-    d = dims.pop()
+    stats = _as_stats(stats)
+    mean, counts, scatter = stats.mean, stats.counts, stats.scatter
+    if len(counts) < 2:
+        raise ParameterError(f"PLDA training needs at least 2 speakers, got {len(counts)}")
+    d = mean.size
     if rank is None:
         rank = min(d, DEFAULT_MAX_RANK)
     if not 1 <= rank <= d:
         raise ParameterError(f"rank must be in [1, {d}], got {rank}")
-    total = sum(len(g.members) for g in groups)
+    total = int(counts.sum())
     if total < d + rank:
         raise ParameterError(
             f"PLDA training needs at least d + r = {d + rank} vectors, got {total}"
         )
-
-    mean = np.sum([g.matrix().sum(axis=0) for g in groups], axis=0) / total
-    sums, counts = _first_order_stats(groups, mean)
-    scatter = np.zeros((d, d))
-    for g in groups:
-        centered = g.matrix() - mean
-        scatter += centered.T @ centered
+    sums = stats.sums - counts[:, None] * mean
 
     # Between-speaker scatter seeds the loadings; within-speaker scatter
     # seeds the residual covariance.
@@ -432,19 +468,24 @@ def train_plda(
 
 
 def speaker_factors(model: PldaModel, samples) -> np.ndarray:
-    """Posterior means of the speaker factor, one row per sample.
+    """Posterior means of the speaker factor, one row per speaker.
 
-    Each sample (a speaker group, embedding list or matrix of vectors)
-    is treated as one speaker's vectors. The mean is the ridge-regularized
-    projection of the summed centered sample onto the speaker subspace;
-    more vectors sharpen the posterior.
+    `samples` is a `SpeakerStats`, or a sequence of `SpeakerGroup`s
+    converted once, each group one speaker by position. The mean is the
+    ridge-regularized projection of the speaker's summed centered vectors
+    onto the speaker subspace; more vectors sharpen the posterior.
     """
-    sums, counts = _first_order_stats(samples, model.mean)
-    return _posterior(model.speaker_loadings, model.residual_cov, sums, counts)[0]
+    stats = _as_stats(samples)
+    if stats.mean.size != model.dim:
+        raise DimensionMismatchError(
+            f"sample dimension {stats.mean.size} does not match model dimension {model.dim}"
+        )
+    sums = stats.sums - stats.counts[:, None] * model.mean
+    return _posterior(model.speaker_loadings, model.residual_cov, sums, stats.counts)[0]
 
 
-def speaker_factor(model: PldaModel, sample) -> np.ndarray:
-    """Posterior mean of the speaker factor given one sample of vectors."""
+def speaker_factor(model: PldaModel, sample: SpeakerGroup) -> np.ndarray:
+    """Posterior mean of the speaker factor given one speaker group."""
     return speaker_factors(model, [sample])[0]
 
 

@@ -28,6 +28,9 @@ from .scorenorm import DEFAULT_TOP_K, CohortSet, snorm_batch
 ENROLL_BUCKETS = ("few", "many")
 TEST_LANGUAGES = ("primary", "secondary")
 DEFAULT_SEG_THRESHOLD = 5
+# the files each condition of a routing config names
+CONDITION_FILES = ("model", "cohort_enroll", "cohort_test", "calibration")
+_JSON_TYPES = {dict: "a JSON object", int: "an integer", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class RoutingConfig:
                     f"(want one of {TEST_LANGUAGES})"
                 )
         for cal in (p.calibration for p in self.pipelines.values()):
-            if cal.scale <= 0.0:
+            if not cal.scale > 0.0:
                 raise ConfigError(
                     f"calibration scale must be positive for routing, got {cal.scale}"
                 )
@@ -229,11 +232,14 @@ def load_routing_config(path) -> RoutingConfig:
           }
         }
 
-    Relative paths resolve against the config file's directory. Every
-    referenced path is checked before anything heavy is loaded. `alpha`
-    records the interpolation weight used when the condition's test-side
-    model was built; it is provenance, not a scoring-time input, and is
-    None for a condition that gives none.
+    The document, `conditions` and each condition are JSON objects, paths
+    are strings, and `enroll_seg_threshold` and `top_k` are integers
+    (`top_k` may be null, for the whole cohort); anything else raises
+    `ConfigError`. Relative paths resolve against the config file's
+    directory. Every referenced path is checked before anything heavy is
+    loaded. `alpha` records the interpolation weight used when the
+    condition's test-side model was built; it is provenance, not a
+    scoring-time input, and is None for a condition that gives none.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -242,27 +248,35 @@ def load_routing_config(path) -> RoutingConfig:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     base = os.path.dirname(os.path.abspath(path))
 
+    def require(value, kind, what):
+        # JSON true and false parse to bool, which Python counts as an int
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{path}: {what} must be {_JSON_TYPES[kind]}, got {value!r:.40}")
+        return value
+
     def resolve(p):
+        p = require(p, str, "a file path")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    require(doc, dict, "the routing config")
     for field_name in ("enroll_segments", "test_language", "conditions"):
         if field_name not in doc:
             raise ConfigError(f"{path}: missing required field '{field_name}'")
+    require(doc["conditions"], dict, "'conditions'")
+    threshold = require(doc.get("enroll_seg_threshold", DEFAULT_SEG_THRESHOLD), int, "'enroll_seg_threshold'")
 
     referenced = [resolve(doc["enroll_segments"]), resolve(doc["test_language"])]
     condition_docs = {}
     for tag, spec in doc["conditions"].items():
         key = parse_condition_tag(tag)
-        for required in ("model", "cohort_enroll", "cohort_test", "calibration"):
+        require(spec, dict, f"condition '{tag}'")
+        for required in CONDITION_FILES:
             if required not in spec:
                 raise ConfigError(f"{path}: condition '{tag}' is missing '{required}'")
+        if spec.get("top_k") is not None:
+            require(spec["top_k"], int, f"condition '{tag}' top_k")
         condition_docs[key] = spec
-        referenced += [
-            resolve(spec["model"]),
-            resolve(spec["cohort_enroll"]),
-            resolve(spec["cohort_test"]),
-            resolve(spec["calibration"]),
-        ]
+        referenced += [resolve(spec[field_name]) for field_name in CONDITION_FILES]
     missing = [p for p in referenced if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"{path}: referenced file(s) do not exist: {', '.join(missing)}")
@@ -283,5 +297,5 @@ def load_routing_config(path) -> RoutingConfig:
         pipelines=pipelines,
         enroll_segments=read_segment_counts(resolve(doc["enroll_segments"])),
         test_language=read_language_map(resolve(doc["test_language"])),
-        enroll_seg_threshold=int(doc.get("enroll_seg_threshold", DEFAULT_SEG_THRESHOLD)),
+        enroll_seg_threshold=threshold,
     )

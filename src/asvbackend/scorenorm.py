@@ -14,6 +14,7 @@ multi-segment pseudo-models.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class CohortSet:
         if not len(enroll) or not len(test):
             raise ParameterError("both cohorts must be non-empty")
         if self.top_k is not None:
+            if isinstance(self.top_k, bool) or not isinstance(self.top_k, numbers.Integral):
+                raise ParameterError(f"top_k must be an integer or None, got {self.top_k!r}")
             if self.top_k < 1:
                 raise ParameterError(f"top_k must be positive, got {self.top_k}")
             limit = min(len(enroll), len(test))

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from asvbackend.calibration import (
     write_calibration,
 )
 from asvbackend.data import ScoredTrial, ScoreSet, Trial, TrialList
-from asvbackend.exceptions import CalibrationFitError, ParameterError
+from asvbackend.exceptions import CalibrationFitError, FileFormatError, ParameterError
 from asvbackend.metrics import DcfParams, compute_eer, compute_min_dcf
 from asvbackend import synth
 
@@ -151,4 +153,22 @@ class TestFiles:
         path = tmp_path / "c.cal"
         with pytest.raises(ParameterError, match="cannot be written"):
             write_calibration(path, CalibrationModel(1.0, 0.0), condition=condition)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", ["scale nan", "scale inf", "scale -inf"])
+    def test_non_finite_values_rejected_on_read(self, tmp_path, line):
+        path = tmp_path / "bad.cal"
+        path.write_text(f"{line}\noffset 0.5\n")
+        with pytest.raises(FileFormatError, match="bad.cal.*finite"):
+            read_calibration(path)
+        path.write_text(f"scale 1.0\noffset {line.split()[1]}\n")
+        with pytest.raises(FileFormatError, match="bad.cal.*finite"):
+            read_calibration(path)
+
+    @pytest.mark.parametrize("scale, offset", [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("-inf"))])
+    def test_non_finite_values_rejected_before_writing(self, tmp_path, scale, offset):
+        with pytest.warns(RuntimeWarning) if not scale > 0.0 else nullcontext():
+            model = CalibrationModel(scale, offset)
+        with pytest.raises(ParameterError, match="finite"):
+            write_calibration(tmp_path / "c.cal", model)
         assert not any(tmp_path.iterdir())

@@ -189,6 +189,24 @@ class TestErrorPaths:
         assert code == 4
         assert "file-format" in capsys.readouterr().err
 
+    def test_non_finite_calibration_file_exits_4(self, tmp_path, capsys):
+        (tmp_path / "s.scores").write_text("e0 t0 1.0\n")
+        (tmp_path / "bad.cal").write_text("scale nan\noffset 0.0\n")
+        code = invoke("calibrate", "--scores", tmp_path / "s.scores", "--model", tmp_path / "bad.cal",
+                      "--out", tmp_path / "o.scores")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("asvbackend: file-format:") and "bad.cal" in err
+
+    @pytest.mark.parametrize("flag, value", [("--c-miss", "nan"), ("--c-fa", "inf")])
+    def test_non_finite_dcf_cost_exits_6(self, tmp_path, capsys, flag, value):
+        (tmp_path / "s.scores").write_text("e t1 1.0\ne t2 0.0\n")
+        (tmp_path / "t.trials").write_text("e t1 tgt\ne t2 non\n")
+        code = invoke("evaluate", "--scores", tmp_path / "s.scores", "--trials", tmp_path / "t.trials",
+                      flag, value)
+        assert code == 6
+        assert capsys.readouterr().err.startswith("asvbackend: parameter:")
+
     def test_dimension_mismatch_exits_5(self, tmp_path, capsys):
         (tmp_path / "e.embs").write_text("a-1 1.0 2.0\nb-1 1.0 2.0 3.0\n")
         code = invoke("preprocess", "--embeddings", tmp_path / "e.embs", "--out", tmp_path / "p.npz")
@@ -265,6 +283,87 @@ class TestPipeline:
         original, _ = load_plda_side(paths["side2"])
         combined, _ = load_plda_side(mixed)
         np.testing.assert_allclose(combined.between_cov(), original.between_cov(), atol=1e-10)
+
+
+def test_training_stages_build_no_row_or_group_objects(tmp_path, monkeypatch):
+    """train-plda and fit-fourcov work on tables: no `Embedding` or `SpeakerGroup` is constructed.
+
+    Table row views bypass `__post_init__`, so any call to it means a
+    stage built per-row or per-speaker objects.
+    """
+    out = tmp_path / "d"
+    assert invoke(*synth_args(out, **{"--train-speakers": 30})) == 0
+
+    def forbidden(self):
+        raise AssertionError(f"{type(self).__name__} constructed during training")
+
+    monkeypatch.setattr(asvbackend.data.Embedding, "__post_init__", forbidden)
+    monkeypatch.setattr(asvbackend.data.SpeakerGroup, "__post_init__", forbidden)
+    assert invoke(
+        "train-plda", "--embeddings", out / "train_enroll.embs",
+        "--rank", 2, "--iters", 3, "--aggregate", 3, "--out", out / "side1.npz",
+    ) == 0
+    assert invoke(
+        "train-plda", "--embeddings", out / "train_test.embs",
+        "--rank", 2, "--iters", 3, "--out", out / "side2.npz",
+    ) == 0
+    assert invoke(
+        "fit-fourcov", "--enroll-model", out / "side1.npz", "--test-model", out / "side2.npz",
+        "--enroll-embeddings", out / "train_enroll.embs", "--test-embeddings", out / "train_test.embs",
+        "--enroll-aggregate", 3, "--out", out / "fourcov.npz",
+    ) == 0
+
+
+def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
+    """The coupling is fitted on the speakers both files share, sorted, however the rows are ordered."""
+    from asvbackend import data, fourcov, modelio, plda
+
+    out = tmp_path / "d"
+    assert invoke(*synth_args(out, **{"--train-speakers": 30})) == 0
+    for side, extra in (("1", ["--aggregate", 3]), ("2", [])):
+        embeddings = out / ("train_enroll.embs" if side == "1" else "train_test.embs")
+        assert invoke("train-plda", "--embeddings", embeddings, "--rank", 2, "--iters", 3,
+                      *extra, "--out", out / f"side{side}.npz") == 0
+    # the test side keeps 20 of the 30 speakers, its rows in reverse order
+    test_rows = data.read_embeddings(out / "train_test.embs")
+    kept = [i for i, row_id in reversed(list(enumerate(test_rows.ids))) if int(row_id.split("-")[0][2:]) % 3]
+    data.write_embeddings(out / "subset.embs", test_rows.take(kept))
+
+    def fit(test_embeddings):
+        return invoke("fit-fourcov", "--enroll-model", out / "side1.npz", "--test-model", out / "side2.npz",
+                      "--enroll-embeddings", out / "train_enroll.embs", "--test-embeddings", test_embeddings,
+                      "--enroll-aggregate", 3, "--out", out / "fourcov.npz")
+
+    assert fit(out / "subset.embs") == 0
+    got, _, _ = modelio.load_fourcov(out / "fourcov.npz")
+
+    model1, pre1 = modelio.load_plda_side(out / "side1.npz")
+    model2, pre2 = modelio.load_plda_side(out / "side2.npz")
+
+    def groups(path):
+        rows = data.read_embeddings(path)
+        by_speaker = {}
+        for row in rows:
+            by_speaker.setdefault(data.speaker_of(row.id), []).append(row)
+        return {s: data.SpeakerGroup(s, tuple(members)) for s, members in by_speaker.items()}
+
+    enroll, test = groups(out / "train_enroll.embs"), groups(out / "subset.embs")
+    shared = sorted(set(enroll) & set(test))
+    assert len(shared) == 20
+    pairs = [
+        (plda.chunked_enroll_averages(enroll[s], pre1, 3),
+         data.SpeakerGroup(s, tuple(data.Embedding(m.id, pre2.apply(m.vector)) for m in test[s].members)))
+        for s in shared
+    ]
+    want = fourcov.fit_coupling(model1, model2, pairs)
+    np.testing.assert_allclose(got.coupling, want.coupling, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.coupling_noise_cov, want.coupling_noise_cov, rtol=0, atol=1e-10)
+
+    renamed = data.EmbeddingTable.from_columns(["x" + i for i in test_rows.ids], test_rows.matrix)
+    data.write_embeddings(out / "disjoint.embs", renamed)
+    capsys.readouterr()
+    assert fit(out / "disjoint.embs") == 6
+    assert "no speakers shared" in capsys.readouterr().err
 
 
 class TestRouteScore:

@@ -14,12 +14,12 @@ from asvbackend.data import (
     SpeakerGroup,
     Trial,
     TrialList,
-    group_by_speaker,
     join,
     read_embeddings,
     read_id_map,
     read_scores,
     read_trials,
+    speaker_codes,
     write_embeddings,
     write_id_map,
     write_scores,
@@ -311,20 +311,39 @@ class TestUnwritableIds:
             write_id_map(tmp_path / "m.txt", {"#a": "spk1"})
 
 
+def grouped_by_loop(ids, speaker_map=None):
+    """Reference: each speaker's row positions, speakers in order of first appearance."""
+    groups = {}
+    for row, embedding_id in enumerate(ids):
+        speaker = speaker_map[embedding_id] if speaker_map is not None else embedding_id.split("-", 1)[0]
+        groups.setdefault(speaker, []).append(row)
+    return groups
+
+
+def grouped_by_codes(speakers, codes):
+    return {s: np.flatnonzero(codes == c).tolist() for c, s in enumerate(speakers)}
+
+
 class TestGrouping:
     def test_prefix_grouping_preserves_multiset(self, rng):
-        embs = [Embedding(f"spk{i % 3}-u{i}", rng.standard_normal(4)) for i in range(12)]
-        groups = group_by_speaker(embs)
-        assert sorted(g.speaker_id for g in groups) == ["spk0", "spk1", "spk2"]
-        regrouped = sorted(m.id for g in groups for m in g.members)
-        assert regrouped == sorted(e.id for e in embs)
+        ids = [f"spk{i % 3}-u{i}" for i in range(12)]
+        speakers, codes = speaker_codes(ids)
+        assert speakers == ("spk0", "spk1", "spk2")
+        assert grouped_by_codes(speakers, codes) == grouped_by_loop(ids)
+        # repeated ids and interleaved speakers keep first-appearance order
+        ids = ["b-2", "a-1", "b-2", "c-9", "a-3", "b-1"]
+        speakers, codes = speaker_codes(ids)
+        assert speakers == ("b", "a", "c") and codes.tolist() == [0, 1, 0, 2, 1, 0]
+        assert grouped_by_codes(speakers, codes) == grouped_by_loop(ids)
 
     def test_explicit_map_grouping(self, rng):
-        embs = [Embedding("x", rng.standard_normal(3)), Embedding("y", rng.standard_normal(3))]
-        groups = group_by_speaker(embs, {"x": "s1", "y": "s1"})
-        assert len(groups) == 1 and len(groups[0].members) == 2
+        ids = ["x", "y", "z", "x"]
+        speaker_map = {"x": "s1", "y": "s2", "z": "s1"}
+        speakers, codes = speaker_codes(ids, speaker_map)
+        assert speakers == ("s1", "s2") and codes.tolist() == [0, 1, 0, 0]
+        assert grouped_by_codes(speakers, codes) == grouped_by_loop(ids, speaker_map)
         with pytest.raises(UnknownIdError, match="'y'"):
-            group_by_speaker(embs, {"x": "s1"})
+            speaker_codes(["x", "y", "z"], {"x": "s1"})
 
 
 class TestTables:

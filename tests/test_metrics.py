@@ -114,6 +114,10 @@ class TestMinDcf:
             DcfParams(p_target=0.0)
         with pytest.raises(ParameterError):
             DcfParams(c_miss=-1.0)
+        for bad in (float("nan"), float("inf")):
+            for field in ("p_target", "c_miss", "c_fa"):
+                with pytest.raises(ParameterError):
+                    DcfParams(**{field: bad})
 
 
 class TestDetPoints:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup
 from asvbackend.exceptions import DomainError, NumericalError, ParameterError
 from asvbackend.plda import (
     PldaModel,
+    _as_stats,
+    chunk_averages,
     chunked_enroll_averages,
     enroll_average,
     fit_preprocessor,
@@ -15,6 +20,8 @@ from asvbackend.plda import (
     length_normalize,
     plda_llr,
     speaker_factor,
+    speaker_factors,
+    speaker_stats,
     to_model_space,
     train_plda,
 )
@@ -70,27 +77,6 @@ class TestPreprocessor:
         flat = rng.standard_normal((50, 1)) @ rng.standard_normal((1, 4))
         with pytest.raises(NumericalError, match="rank 1 < dimension 4"):
             fit_preprocessor(flat)
-
-    def test_within_class_whitening_option(self, rng):
-        # speaker means spread widely along axis 0; within-class noise is
-        # isotropic, so within-class whitening must ignore the spread
-        groups = []
-        for i in range(40):
-            center = np.array([10.0 * i, 0.0, 0.0])
-            groups.append(make_group(f"s{i}", center + rng.standard_normal((50, 3))))
-        stacked = np.vstack([g.matrix() for g in groups])
-        pre = fit_preprocessor(stacked, within_groups=groups)
-        whitened = [pre.whiten(g.matrix()) for g in groups]
-        pooled_within = np.zeros((3, 3))
-        count = 0
-        for rows in whitened:
-            centered = rows - rows.mean(axis=0)
-            pooled_within += centered.T @ centered
-            count += len(rows)
-        pooled_within /= count - len(groups)
-        np.testing.assert_allclose(pooled_within, np.eye(3), atol=1e-10)
-        total = fit_preprocessor(stacked)
-        assert not np.allclose(total.whitener, pre.whitener, atol=1e-3)
 
 
 class TestEnrollAverage:
@@ -152,6 +138,117 @@ class TestToModelSpace:
         pre = fit_preprocessor(rng.standard_normal((40, 4)))
         rows = [Embedding(i, rng.standard_normal(4)) for i in self.IDS]
         assert to_model_space(rows, pre, average=True) == to_model_space(EmbeddingTable(rows), pre, average=True)
+
+
+def interleaved_speakers(rng, dim=5, speakers=12):
+    """Speaker groups with 1-6 rows each, and the same rows as one table in shuffled order.
+
+    The groups are listed in order of each speaker's first row in the table,
+    which is the order `data.speaker_codes` gives.
+    """
+    ids = [f"s{i}-u{j}" for i in range(speakers) for j in range(1 + i % 6)]
+    order = rng.permutation(len(ids))
+    ids = [ids[i] for i in order]
+    table = EmbeddingTable.from_columns(ids, rng.standard_normal((len(ids), dim)) + 100.0)
+    speaker_ids, codes = data.speaker_codes(table.ids)
+    groups = [
+        SpeakerGroup(s, tuple(table[i] for i in np.flatnonzero(codes == c)))
+        for c, s in enumerate(speaker_ids)
+    ]
+    return table, speaker_ids, codes, groups
+
+
+class TestSpeakerStats:
+    def test_table_and_groups_agree(self, rng):
+        table, speaker_ids, codes, groups = interleaved_speakers(rng)
+        stats = speaker_stats(table.matrix, speaker_ids, codes)
+        adapted = _as_stats(groups)
+        assert stats.speaker_ids == adapted.speaker_ids == speaker_ids
+        np.testing.assert_array_equal(stats.counts, [len(g.members) for g in groups])
+        np.testing.assert_array_equal(stats.counts, adapted.counts)
+        np.testing.assert_array_equal(stats.sums, adapted.sums)
+        np.testing.assert_array_equal(stats.mean, adapted.mean)
+        np.testing.assert_allclose(stats.scatter, adapted.scatter, rtol=0, atol=1e-12)
+        centred = table.matrix - table.matrix.mean(axis=0)
+        np.testing.assert_allclose(stats.scatter, centred.T @ centred, rtol=0, atol=1e-12)
+        model = PldaModel(stats.mean, rng.standard_normal((5, 2)), np.eye(5))
+        np.testing.assert_allclose(
+            speaker_factors(model, stats), speaker_factors(model, groups), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("block", [1, 3, 1000])  # 1000 exceeds the rows
+    def test_block_size_independence(self, monkeypatch, rng, block):
+        table, speaker_ids, codes, groups = interleaved_speakers(rng, speakers=40)
+        reference = train_plda(groups, rank=2, iterations=5)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        stats = speaker_stats(table.matrix, speaker_ids, codes)
+        for c, group in enumerate(groups):
+            assert np.array_equal(stats.sums[c], group.matrix().sum(axis=0))
+        centred = table.matrix - stats.mean
+        np.testing.assert_allclose(stats.scatter, centred.T @ centred, rtol=0, atol=1e-12)
+        model = train_plda(stats, rank=2, iterations=5)
+        for got, want in [
+            (model.mean, reference.mean),
+            (model.speaker_loadings, reference.speaker_loadings),
+            (model.residual_cov, reference.residual_cov),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_is_bounded_by_a_block(self, rng):
+        n, d, speakers = 20000, 32, 50
+        matrix = rng.standard_normal((n, d))
+        codes = rng.integers(speakers, size=n)
+        speaker_ids = tuple(f"s{i}" for i in range(speakers))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            stats = speaker_stats(matrix, speaker_ids, codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.counts.sum() == n
+        assert peak - before < matrix.nbytes / 4, f"peak {(peak - before) / 1e6:.2f} MB"
+
+    def test_no_rows_give_no_speakers(self):
+        # an empty training file reaches train_plda's speaker-count check without a 0/0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = speaker_stats(np.empty((0, 3)), (), np.empty(0, dtype=np.intp))
+        assert stats.counts.size == 0 and stats.sums.shape == (0, 3)
+        with pytest.raises(ParameterError, match="at least 2 speakers, got 0"):
+            train_plda(stats)
+
+    def test_repeated_speaker_id_trains_as_separate_speakers(self, rng):
+        groups = [make_group("s", rng.standard_normal((3, 4)) + i) for i in range(10)]
+        renamed = [SpeakerGroup(f"s{i}", g.members) for i, g in enumerate(groups)]
+        stats = _as_stats(groups)
+        assert stats.speaker_ids == ("s",) * 10 and stats.counts.tolist() == [3] * 10
+        repeated = train_plda(groups, rank=2, iterations=3)
+        distinct = train_plda(renamed, rank=2, iterations=3)
+        np.testing.assert_array_equal(repeated.speaker_loadings, distinct.speaker_loadings)
+        np.testing.assert_array_equal(repeated.residual_cov, distinct.residual_cov)
+
+    def test_chunk_averages_match_per_speaker_averaging(self, rng):
+        table, speaker_ids, codes, groups = interleaved_speakers(rng)
+        pre = fit_preprocessor(rng.standard_normal((40, 5)))
+        averages, chunk_speakers = chunk_averages(table, speaker_ids, codes, pre, 2)
+        expected = {}
+        for group in groups:
+            for row in chunked_enroll_averages(group, pre, 2).members:
+                expected[row.id] = (group.speaker_id, row.vector)
+        seen, row_chunks = {}, []
+        for row_id in table.ids:
+            speaker = row_id.split("-")[0]
+            j = seen[speaker] = seen.get(speaker, -1) + 1
+            row_chunks.append(f"{speaker}-agg{j - j % 2}")
+        # one average per chunk, in order of first appearance in the table
+        assert averages.ids == tuple(dict.fromkeys(row_chunks))
+        assert sorted(averages.ids) == sorted(expected)
+        for chunk_id, vector, c in zip(averages.ids, averages.matrix, chunk_speakers):
+            speaker, want = expected[chunk_id]
+            assert speaker_ids[c] == speaker
+            np.testing.assert_allclose(vector, want, rtol=0, atol=1e-12)
 
 
 class TestTrainPlda:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from asvbackend import plda
+from asvbackend import cli, plda
 from asvbackend.calibration import CalibrationModel
 from asvbackend.data import Embedding, Trial, TrialList
 from asvbackend.exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
@@ -220,6 +220,11 @@ class TestConfigValidation:
         bad = ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, flipped)
         with pytest.raises(ConfigError, match="positive"):
             metadata_config({ConditionKey("few", "primary"): bad}, {}, {})
+        with pytest.warns(RuntimeWarning, match="not positive"):
+            undefined = CalibrationModel(float("nan"), 0.0)
+        bad = ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, undefined)
+        with pytest.raises(ConfigError, match="positive"):
+            metadata_config({ConditionKey("few", "primary"): bad}, {}, {})
 
     def test_missing_referenced_file_reported(self, tmp_path):
         from asvbackend.routing import load_routing_config
@@ -233,6 +238,40 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="do not exist"):
             load_routing_config(path)
+
+    STACK = {"model": "m.npz", "cohort_enroll": "ce.embs", "cohort_test": "ct.embs", "calibration": "c.cal"}
+    DOC = {"enroll_segments": "segs.txt", "test_language": "lang.txt", "conditions": {"few-primary": STACK}}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({**DOC, "enroll_seg_threshold": "abc"}, "'enroll_seg_threshold' must be an integer"),
+            ({**DOC, "enroll_seg_threshold": 5.0}, "'enroll_seg_threshold' must be an integer"),
+            ({**DOC, "enroll_seg_threshold": True}, "'enroll_seg_threshold' must be an integer"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": "abc"}}}, "top_k must be an integer"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 1.5}}}, "top_k must be an integer"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": True}}}, "top_k must be an integer"),
+            ({**DOC, "conditions": {"few-primary": 5}}, "condition 'few-primary' must be a JSON object"),
+            ({**DOC, "conditions": []}, "'conditions' must be a JSON object"),
+            ({**DOC, "enroll_segments": 5}, "a file path must be a string, got 5"),
+            ([DOC], "must be a JSON object"),
+            ("routing", "must be a JSON object"),
+            (7, "must be a JSON object"),
+        ],
+    )
+    def test_wrongly_typed_fields_exit_8(self, tmp_path, capsys, doc, message):
+        for name in ("e.embs", "t.embs", "x.trials"):
+            (tmp_path / name).write_text("")
+        config = tmp_path / "routing.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main([
+            "route-score", "--config", str(config), "--enroll", str(tmp_path / "e.embs"),
+            "--test", str(tmp_path / "t.embs"), "--trials", str(tmp_path / "x.trials"),
+            "--out", str(tmp_path / "o.scores"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 8, err
+        assert err.startswith("asvbackend: config:") and message in err
 
     def test_alpha_recorded_only_when_given(self, rng, tmp_path):
         from asvbackend.calibration import write_calibration

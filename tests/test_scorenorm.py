@@ -82,6 +82,13 @@ class TestCohortSet:
         with pytest.raises(ParameterError, match="exceeds"):
             CohortSet(members, members, 6)
 
+    @pytest.mark.parametrize("top_k", [1.5, 2.0, True, "2"])
+    def test_non_integer_top_k_rejected(self, rng, top_k):
+        members = tuple(Embedding(f"c{i}", rng.standard_normal(3)) for i in range(5))
+        with pytest.raises(ParameterError, match="integer"):
+            CohortSet(members, members, top_k)
+        assert CohortSet(members, members, np.int64(2)).top_k == 2
+
 
 class TestSnorm:
     def test_raw_at_cohort_mean_normalizes_to_zero(self, rng):
