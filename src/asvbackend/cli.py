@@ -3,7 +3,8 @@ route and evaluate — one subcommand per stage, composable through files.
 
 Every subcommand exits 0 on success with outputs written atomically, and
 nonzero with a single-line `asvbackend: <kind>: <message>` on stderr
-otherwise. Error kinds map to stable exit codes (see EXIT_CODES).
+otherwise. Each error class carries its kind and stable exit code
+(see `exceptions`); a missing input file is kind `missing-file`, code 3.
 """
 
 from __future__ import annotations
@@ -16,52 +17,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import data, fourcov, metrics, modelio, plda, routing, scorenorm, synth
-from .exceptions import (
-    BackendError,
-    CalibrationFitError,
-    ConfigError,
-    DimensionMismatchError,
-    DomainError,
-    FileFormatError,
-    MetricError,
-    NormalizationError,
-    NumericalError,
-    ParameterError,
-    RoutingError,
-    UnknownIdError,
-)
-
-EXIT_CODES = {
-    FileNotFoundError: 3,
-    FileFormatError: 4,
-    DimensionMismatchError: 5,
-    ParameterError: 6,
-    DomainError: 6,
-    NumericalError: 7,
-    UnknownIdError: 8,
-    RoutingError: 8,
-    ConfigError: 8,
-    NormalizationError: 9,
-    CalibrationFitError: 9,
-    MetricError: 9,
-    BackendError: 10,
-}
-
-_ERROR_KINDS = {
-    FileNotFoundError: "missing-file",
-    FileFormatError: "file-format",
-    DimensionMismatchError: "dimension",
-    ParameterError: "parameter",
-    DomainError: "domain",
-    NumericalError: "numerical",
-    UnknownIdError: "unknown-id",
-    RoutingError: "routing",
-    ConfigError: "config",
-    NormalizationError: "normalization",
-    CalibrationFitError: "calibration",
-    MetricError: "metric",
-    BackendError: "backend",
-}
+from .exceptions import BackendError, ParameterError
 
 
 def _require_files(*paths) -> None:
@@ -258,21 +214,13 @@ def _cmd_interpolate(args) -> int:
     return 0
 
 
-def _prepare_eval_vectors(bundle_path, enroll_path, test_path):
-    """Load a two-sided bundle and bring eval vectors into model space.
-
-    Returns the model, both side preprocessors, the averaged enrollment
-    vectors and the preprocessed test vectors.
-    """
-    model, pre1, pre2 = modelio.load_fourcov(bundle_path)
-    enrolls = plda.to_model_space(data.read_embeddings(enroll_path), pre1, average=True)
-    tests = plda.to_model_space(data.read_embeddings(test_path), pre2)
-    return model, pre1, pre2, enrolls, tests
-
-
 def _cmd_score(args) -> int:
     _require_files(args.model, args.enroll, args.test, args.trials)
-    model, _, _, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
+    model, pre1, pre2 = modelio.load_fourcov(args.model)
+    enrolls, tests = fourcov.model_space_pair(
+        pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
+        (f"enrollment ({args.enroll})", f"test ({args.test})"),
+    )
     trials = data.read_trials(args.trials)
     kernel = fourcov.build_kernel(model)
     scores = fourcov.score_batch(kernel, enrolls, tests, trials)
@@ -289,13 +237,18 @@ def _cmd_snorm(args) -> int:
     _require_files(
         args.model, args.scores, args.enroll, args.test, args.cohort_enroll, args.cohort_test
     )
-    model, pre1, pre2, enrolls, tests = _prepare_eval_vectors(args.model, args.enroll, args.test)
-    scores = data.read_scores(args.scores)
-    cohorts = scorenorm.CohortSet(
-        plda.to_model_space(data.read_embeddings(args.cohort_enroll), pre1, average=True),
-        plda.to_model_space(data.read_embeddings(args.cohort_test), pre2),
-        top_k,
+    model, pre1, pre2 = modelio.load_fourcov(args.model)
+    enrolls, tests = fourcov.model_space_pair(
+        pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
+        (f"enrollment ({args.enroll})", f"test ({args.test})"),
     )
+    scores = data.read_scores(args.scores)
+    cohort_pair = fourcov.model_space_pair(
+        pre1, pre2,
+        data.read_embeddings(args.cohort_enroll), data.read_embeddings(args.cohort_test),
+        (f"enrollment-side cohort ({args.cohort_enroll})", f"test-side cohort ({args.cohort_test})"),
+    )
+    cohorts = scorenorm.CohortSet(*cohort_pair, top_k)
     kernel = fourcov.build_kernel(model)
     normalized = scorenorm.snorm_batch(kernel, cohorts, enrolls, tests, scores)
     data.write_scores(normalized, args.out)
@@ -482,14 +435,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"asvbackend: missing-file: {exc}", file=sys.stderr)
-        return EXIT_CODES[FileNotFoundError]
+        return 3
     except BackendError as exc:
-        for klass in type(exc).__mro__:
-            if klass in EXIT_CODES:
-                kind = _ERROR_KINDS[klass]
-                print(f"asvbackend: {kind}: {exc}", file=sys.stderr)
-                return EXIT_CODES[klass]
-        raise AssertionError("unreachable")
+        print(f"asvbackend: {exc.kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

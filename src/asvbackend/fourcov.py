@@ -26,7 +26,9 @@ from .exceptions import (
     ParameterError,
     UnknownIdError,
 )
-from .plda import PldaModel, SpeakerStats, _as_stats, _cholesky, _logdet, speaker_factors
+from .plda import (
+    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, speaker_factors, to_model_space
+)
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,28 @@ def build_kernel(model: FourCovModel) -> ScoringKernel:
     weights = inv_same - inv_indep
     offset = -0.5 * (logdet_same - logdet_indep)
     return ScoringKernel(model.enroll_plda.mean, model.test_plda.mean, weights, offset)
+
+
+def model_space_pair(
+    pre_enroll: Preprocessor, pre_test: Preprocessor, enrolls, tests, labels=("enrollment", "test")
+) -> tuple[EmbeddingTable, EmbeddingTable]:
+    """Raw enrollment and test vectors in the two-sided model space.
+
+    Enrollment rows sharing an id are averaged through `pre_enroll` into
+    one unit-norm vector per id; test rows pass through `pre_test` one
+    by one. `enrolls` and `tests` are tables or sequences of `Embedding`
+    rows. Each side's width is checked against its preprocessor first,
+    and a mismatch raises naming that side's entry of `labels`.
+    """
+    def side(rows, pre: Preprocessor, label: str, average: bool) -> EmbeddingTable:
+        table = embedding_table(rows)
+        if len(table) and table.dim != pre.dim:
+            raise DimensionMismatchError(
+                f"{label} vectors have dimension {table.dim}, the model expects {pre.dim}"
+            )
+        return to_model_space(table, pre, average=average)
+
+    return side(enrolls, pre_enroll, labels[0], True), side(tests, pre_test, labels[1], False)
 
 
 def symmetric_kernel(model: PldaModel) -> ScoringKernel:

@@ -20,16 +20,19 @@ import numpy as np
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import ScoreSet, TrialList, embedding_table, read_embeddings, read_id_map
 from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
-from .fourcov import FourCovModel, build_kernel, score_batch
+from .fourcov import FourCovModel, build_kernel, model_space_pair, score_batch
 from .modelio import load_fourcov
-from .plda import Preprocessor, to_model_space
+from .plda import Preprocessor
 from .scorenorm import DEFAULT_TOP_K, CohortSet, snorm_batch
 
 ENROLL_BUCKETS = ("few", "many")
 TEST_LANGUAGES = ("primary", "secondary")
 DEFAULT_SEG_THRESHOLD = 5
-# the files each condition of a routing config names
+# the files each condition of a routing config names, and every key the
+# document and a condition may hold
 CONDITION_FILES = ("model", "cohort_enroll", "cohort_test", "calibration")
+DOCUMENT_KEYS = ("enroll_seg_threshold", "enroll_segments", "test_language", "conditions")
+CONDITION_KEYS = CONDITION_FILES + ("top_k", "alpha")
 _JSON_TYPES = {dict: "a JSON object", int: "an integer", str: "a string"}
 
 
@@ -139,13 +142,13 @@ def condition_pipeline_scores(
 ) -> ScoreSet:
     """Score raw embeddings through one condition's full stack.
 
-    `enrolls` and `tests` are tables, or sequences of `Embedding` rows.
-    Enrollment rows sharing an id are aggregated into one unit-norm
-    average; test rows pass through the test-side preprocessor alone.
+    `enrolls` and `tests` are tables, or sequences of `Embedding` rows,
+    brought into the condition's model space by `model_space_pair`.
+    Vectors that no trial references are ignored; where ids repeat, the
+    last vector with that id is used, as in `score_batch`.
     """
     kernel = build_kernel(pipeline.model)
-    enroll_vectors = to_model_space(enrolls, pipeline.pre_enroll, average=True)
-    test_vectors = to_model_space(tests, pipeline.pre_test)
+    enroll_vectors, test_vectors = model_space_pair(pipeline.pre_enroll, pipeline.pre_test, enrolls, tests)
     raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)
@@ -160,9 +163,10 @@ def route_and_score(
     """Partition trials by condition, score each partition, merge in order.
 
     `enrolls` and `tests` are tables of raw embeddings, or sequences of
-    `Embedding` rows. Each condition gets the enrollment rows of its
-    enrollment ids and, for each of its test ids, the first row with
-    that id.
+    `Embedding` rows, converted to tables once. Each condition's trials
+    are scored by `condition_pipeline_scores` against the whole tables,
+    so a routed trial gets the score that `score`, `snorm` and
+    `calibrate` give it with the same stack, repeated ids included.
     """
     conditions = classify_trials(config, trials)
     needed = np.unique(conditions).tolist()
@@ -172,17 +176,10 @@ def route_and_score(
 
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     merged = np.empty(len(trials))
-    test_row = {}
-    for row, tid in enumerate(tests.ids):
-        test_row.setdefault(tid, row)
     for c in needed:
         rows = np.flatnonzero(conditions == c)
-        subset = trials.take(rows)
-        needed_enroll = set(subset.enroll_ids)
-        sub_enrolls = enrolls.take([row for row, e in enumerate(enrolls.ids) if e in needed_enroll])
-        sub_tests = tests.take([test_row[tid] for tid in subset.test_ids if tid in test_row])
         pipeline = config.pipelines[ALL_CONDITIONS[c]]
-        merged[rows] = condition_pipeline_scores(pipeline, sub_enrolls, sub_tests, subset).values()
+        merged[rows] = condition_pipeline_scores(pipeline, enrolls, tests, trials.take(rows)).values()
     return trials.with_scores(merged)
 
 
@@ -232,10 +229,13 @@ def load_routing_config(path) -> RoutingConfig:
           }
         }
 
-    The document, `conditions` and each condition are JSON objects, paths
-    are strings, and `enroll_seg_threshold` and `top_k` are integers
-    (`top_k` may be null, for the whole cohort); anything else raises
-    `ConfigError`. Relative paths resolve against the config file's
+    The document, `conditions` and each condition are JSON objects that
+    hold no keys but those above, paths are strings, and
+    `enroll_seg_threshold` and `top_k` are integers (`top_k` may be
+    null, for the whole cohort); anything else raises `ConfigError`
+    before any referenced file is read. A calibration file tagged with a
+    condition (`calibrate --condition`) must be configured under that
+    condition. Relative paths resolve against the config file's
     directory. Every referenced path is checked before anything heavy is
     loaded. `alpha` records the interpolation weight used when the
     condition's test-side model was built; it is provenance, not a
@@ -258,7 +258,13 @@ def load_routing_config(path) -> RoutingConfig:
         p = require(p, str, "a file path")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    def known(spec, keys, what):
+        unknown = sorted(set(spec) - set(keys))
+        if unknown:
+            raise ConfigError(f"{path}: {what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
     require(doc, dict, "the routing config")
+    known(doc, DOCUMENT_KEYS, "the routing config")
     for field_name in ("enroll_segments", "test_language", "conditions"):
         if field_name not in doc:
             raise ConfigError(f"{path}: missing required field '{field_name}'")
@@ -270,6 +276,7 @@ def load_routing_config(path) -> RoutingConfig:
     for tag, spec in doc["conditions"].items():
         key = parse_condition_tag(tag)
         require(spec, dict, f"condition '{tag}'")
+        known(spec, CONDITION_KEYS, f"condition '{tag}'")
         for required in CONDITION_FILES:
             if required not in spec:
                 raise ConfigError(f"{path}: condition '{tag}' is missing '{required}'")
@@ -283,13 +290,19 @@ def load_routing_config(path) -> RoutingConfig:
 
     pipelines = {}
     for key, spec in condition_docs.items():
+        cal_model, cal_tag = read_calibration(resolve(spec["calibration"]))
+        if cal_tag not in (None, key.tag):
+            raise ConfigError(
+                f"{path}: condition '{key.tag}' names calibration {spec['calibration']!r}, "
+                f"which is tagged '{cal_tag}'"
+            )
         model, pre_enroll, pre_test = load_fourcov(resolve(spec["model"]))
-        cal_model, _ = read_calibration(resolve(spec["calibration"]))
-        cohorts = CohortSet(
-            to_model_space(read_embeddings(resolve(spec["cohort_enroll"])), pre_enroll, average=True),
-            to_model_space(read_embeddings(resolve(spec["cohort_test"])), pre_test),
-            spec.get("top_k", DEFAULT_TOP_K),
+        cohort_enroll, cohort_test = resolve(spec["cohort_enroll"]), resolve(spec["cohort_test"])
+        cohort_pair = model_space_pair(
+            pre_enroll, pre_test, read_embeddings(cohort_enroll), read_embeddings(cohort_test),
+            (f"enrollment-side cohort ({cohort_enroll})", f"test-side cohort ({cohort_test})"),
         )
+        cohorts = CohortSet(*cohort_pair, spec.get("top_k", DEFAULT_TOP_K))
         pipelines[key] = ConditionPipeline(
             model, pre_enroll, pre_test, cohorts, cal_model, spec.get("alpha")
         )

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, embedding_table
+from .data import EmbeddingTable, ScoreSet, embedding_table, row_blocks
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
 from .fourcov import ScoringKernel, _check_dims, _grid, _referenced, _side_terms, score_pair_matrix
 
 DEFAULT_TOP_K = 400
-
-# Trial vectors scored against a cohort at a time: 256 x 5000 scores is 10 MB.
-_BLOCK_ROWS = 256
 
 # Cohort-score spreads this small cannot define a meaningful z-scale.
 MIN_COHORT_STD = 1e-12
@@ -126,20 +123,20 @@ def snorm(
 
 
 def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, ids, label):
-    """(mean, std) of each row's selected cohort scores, one block of rows at a time.
+    """(mean, std) of each row's selected cohort scores, one row block at a time.
 
     The row and cohort terms come from `_side_terms`; `ids` names the
-    rows in a `NormalizationError`.
+    rows in a `NormalizationError`. A block of 256 rows against a
+    5000-entry cohort is 10 MB of scores.
     """
     stats = np.empty((len(quad), 2))
-    for start in range(0, len(quad), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
+    for block in row_blocks(len(quad)):
         grid = _grid(offset, quad[block], proj[block], cohort_quad, cohort_proj)
-        for i in range(len(grid)):
+        for row, scores in enumerate(grid, block.start):
             try:
-                stats[start + i] = top_score_stats(grid[i], top_k, side)
+                stats[row] = top_score_stats(scores, top_k, side)
             except NormalizationError as exc:
-                raise NormalizationError(f"{exc} ({label} '{ids[start + i]}')") from None
+                raise NormalizationError(f"{exc} ({label} '{ids[row]}')") from None
         del grid  # so the next block's grid does not coexist with this one
     return stats
 
@@ -161,9 +158,10 @@ def snorm_batch(
     while scoring each vector against each cohort exactly once. The
     per-side terms of the trial vectors and of both cohorts are computed
     once; the referenced trial vectors, in table order, are then scored
-    against the opposite cohort `_BLOCK_ROWS` at a time and each block
-    is reduced to statistics before the next one is formed, so memory
-    is O(block x cohort) per side whatever the number of trials or ids.
+    against the opposite cohort one `data.row_blocks` block at a time,
+    and each block is reduced to statistics before the next one is
+    formed, so memory is O(block x cohort) per side whatever the number
+    of trials or ids.
     """
     if not len(scores):
         return scores.with_scores(())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import cli
+from asvbackend import cli, exceptions
 from asvbackend.data import join, read_scores
 
 
@@ -171,6 +171,24 @@ def test_scipy_imported_only_inside_synth_functions():
     assert all(file == "synth.py" and in_function for file, _, in_function in found), found
 
 
+# the exit codes and kinds that README documents
+DOCUMENTED_ERRORS = [
+    (FileNotFoundError, 3, "missing-file"),
+    (exceptions.FileFormatError, 4, "file-format"),
+    (exceptions.DimensionMismatchError, 5, "dimension"),
+    (exceptions.ParameterError, 6, "parameter"),
+    (exceptions.DomainError, 6, "domain"),
+    (exceptions.NumericalError, 7, "numerical"),
+    (exceptions.UnknownIdError, 8, "unknown-id"),
+    (exceptions.RoutingError, 8, "routing"),
+    (exceptions.ConfigError, 8, "config"),
+    (exceptions.NormalizationError, 9, "normalization"),
+    (exceptions.CalibrationFitError, 9, "calibration"),
+    (exceptions.MetricError, 9, "metric"),
+    (exceptions.BackendError, 10, "backend"),
+]
+
+
 class TestErrorPaths:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -206,6 +224,23 @@ class TestErrorPaths:
                       flag, value)
         assert code == 6
         assert capsys.readouterr().err.startswith("asvbackend: parameter:")
+
+    @pytest.mark.parametrize("error, code, kind", DOCUMENTED_ERRORS)
+    def test_error_class_sets_exit_code_and_kind(self, monkeypatch, capsys, error, code, kind):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_evaluate", fail)
+        assert invoke("evaluate", "--scores", "s", "--trials", "t") == code
+        assert capsys.readouterr().err == f"asvbackend: {kind}: boom\n"
+
+    def test_every_error_class_is_pinned(self):
+        pinned = {error for error, _, _ in DOCUMENTED_ERRORS}
+        defined = {
+            obj for obj in vars(exceptions).values()
+            if isinstance(obj, type) and issubclass(obj, exceptions.BackendError)
+        }
+        assert defined <= pinned
 
     def test_dimension_mismatch_exits_5(self, tmp_path, capsys):
         (tmp_path / "e.embs").write_text("a-1 1.0 2.0\nb-1 1.0 2.0 3.0\n")
@@ -366,6 +401,31 @@ def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
     assert "no speakers shared" in capsys.readouterr().err
 
 
+def one_condition_config(paths, calfile, base, tag="few-primary"):
+    """A routing config at `base`/routing.json with one condition: the bundle's stack."""
+    def rel(path):
+        return os.path.relpath(path, base)
+
+    config = {
+        "enroll_seg_threshold": 5,
+        "enroll_segments": rel(paths["enroll_meta.txt"]),
+        "test_language": rel(paths["test_meta.txt"]),
+        "conditions": {
+            tag: {
+                "model": rel(paths["fourcov"]),
+                "cohort_enroll": rel(paths["cohort_enroll.embs"]),
+                "cohort_test": rel(paths["cohort_test.embs"]),
+                "calibration": rel(calfile),
+                "top_k": 20,
+            }
+        },
+    }
+    path = os.path.join(base, "routing.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
 class TestRouteScore:
     def test_route_matches_manual_splice(self, tmp_path):
         base_a = tmp_path / "condA"
@@ -439,29 +499,75 @@ class TestRouteScore:
             assert (rows >= 0).all()
             np.testing.assert_array_equal(routed.values()[rows], manual.values())
 
+    def test_route_matches_chain_with_repeated_test_id(self, tmp_path):
+        paths = build_bundle(tmp_path, seed=23)
+        # a second row for the first test id, carrying the second row's vector
+        lines = open(paths["eval_test.embs"]).read().splitlines()
+        first_id = lines[0].split()[0]
+        repeated = tmp_path / "repeated_test.embs"
+        repeated.write_text("\n".join(lines + [first_id + "  " + lines[1].split(maxsplit=1)[1]]) + "\n")
+        paths = {**paths, "eval_test.embs": repeated}
+        _, _, calfile, final = score_pipeline(paths, tmp_path)
+        # every eval enrollment has 3 segments and every test segment is primary
+        config = one_condition_config(paths, calfile, tmp_path)
+
+        routed_path = tmp_path / "routed.scores"
+        assert invoke(
+            "route-score", "--config", config, "--enroll", paths["eval_enroll.embs"],
+            "--test", repeated, "--trials", paths["eval.trials"], "--out", routed_path,
+        ) == 0
+        routed, manual = read_scores(routed_path), read_scores(final)
+        assert first_id in routed.test_ids
+        np.testing.assert_array_equal(routed.values(), manual.values())
+
     def test_route_missing_condition_exits_8(self, tmp_path, capsys):
         paths = build_bundle(tmp_path, seed=25)
         _, _, calfile, _ = score_pipeline(paths, tmp_path)
-        config = {
-            "enroll_seg_threshold": 5,
-            "enroll_segments": os.path.relpath(paths["enroll_meta.txt"], tmp_path),
-            "test_language": os.path.relpath(paths["test_meta.txt"], tmp_path),
-            "conditions": {
-                "many-primary": {
-                    "model": os.path.relpath(paths["fourcov"], tmp_path),
-                    "cohort_enroll": os.path.relpath(paths["cohort_enroll.embs"], tmp_path),
-                    "cohort_test": os.path.relpath(paths["cohort_test.embs"], tmp_path),
-                    "calibration": os.path.relpath(calfile, tmp_path),
-                    "top_k": 20,
-                }
-            },
-        }
-        (tmp_path / "routing.json").write_text(json.dumps(config))
+        config = one_condition_config(paths, calfile, tmp_path, tag="many-primary")
         code = invoke(
-            "route-score", "--config", tmp_path / "routing.json",
+            "route-score", "--config", config,
             "--enroll", paths["eval_enroll.embs"], "--test", paths["eval_test.embs"],
             "--trials", paths["eval.trials"], "--out", tmp_path / "r.scores",
         )
         # all eval enrollments have 3 segments -> few-primary, which is absent
         assert code == 8
         assert "few-primary" in capsys.readouterr().err
+
+
+class TestSideWidth:
+    """A raw vector file of the wrong width is reported with its side."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("width")
+        paths = build_bundle(base, seed=26)
+        raw, _, calfile, _ = score_pipeline(paths, base)
+        config = one_condition_config(paths, calfile, base)
+        narrow = {}
+        for side, name in (("enrollment", "eval_enroll.embs"), ("test", "eval_test.embs")):
+            # each vector loses its last value
+            narrow[side] = base / f"narrow_{name}"
+            narrow[side].write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in open(paths[name])))
+        return paths, raw, config, narrow
+
+    @pytest.mark.parametrize("stage", ["score", "snorm", "route-score"])
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_wrong_width_exits_5_naming_the_side(self, stack, tmp_path, capsys, stage, side):
+        paths, raw, config, narrow = stack
+        files = {"enrollment": paths["eval_enroll.embs"], "test": paths["eval_test.embs"], side: narrow[side]}
+        vectors = ["--enroll", files["enrollment"], "--test", files["test"]]
+        argv = {
+            "score": ["--model", paths["fourcov"], *vectors, "--trials", paths["eval.trials"]],
+            "snorm": ["--model", paths["fourcov"], "--scores", raw, *vectors,
+                      "--cohort-enroll", paths["cohort_enroll.embs"],
+                      "--cohort-test", paths["cohort_test.embs"], "--top-k", 20],
+            "route-score": ["--config", config, *vectors, "--trials", paths["eval.trials"]],
+        }[stage]
+        out = tmp_path / "out.scores"
+        assert invoke(stage, *argv, "--out", out) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"asvbackend: dimension: {side} "), err
+        assert "vectors have dimension 5, the model expects 6" in err
+        if stage != "route-score":
+            assert str(narrow[side]) in err
+        assert not out.exists()

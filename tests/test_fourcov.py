@@ -20,12 +20,13 @@ from asvbackend.fourcov import (
     coupling_from_factors,
     fit_coupling,
     joint_covariances,
+    model_space_pair,
     score_batch,
     score_pair_matrix,
     score_trial,
     symmetric_kernel,
 )
-from asvbackend.plda import PldaModel
+from asvbackend.plda import PldaModel, fit_preprocessor, to_model_space
 
 from conftest import make_group, random_plda, random_truth, trial_list
 
@@ -357,6 +358,30 @@ class TestScoreBatch:
             for j in range(4):
                 expected = score_trial(kernel, enrolls[i].vector, tests[j].vector)
                 assert abs(matrix[i, j] - expected) < 1e-12
+
+
+class TestModelSpacePair:
+    def _sides(self, rng, dim=4):
+        pre_enroll = fit_preprocessor(rng.standard_normal((30, dim)))
+        pre_test = fit_preprocessor(2.0 + rng.standard_normal((30, dim)))
+        enrolls = EmbeddingTable.from_columns(["a", "b", "a", "c"], rng.standard_normal((4, dim)))
+        tests = EmbeddingTable.from_columns(["t1", "t2", "t1"], rng.standard_normal((3, dim)))
+        return pre_enroll, pre_test, enrolls, tests
+
+    def test_enrollment_averaged_test_rows_kept(self, rng):
+        pre_enroll, pre_test, enrolls, tests = self._sides(rng)
+        got_e, got_t = model_space_pair(pre_enroll, pre_test, enrolls, tests)
+        assert got_e == to_model_space(enrolls, pre_enroll, average=True)
+        assert got_e.ids == ("a", "b", "c")
+        assert got_t == to_model_space(tests, pre_test)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_wrong_width_names_the_side(self, rng, side):
+        args = list(self._sides(rng))
+        args[2 + side] = EmbeddingTable.from_columns(["x"], rng.standard_normal((1, 5)))
+        with pytest.raises(DimensionMismatchError, match=f"^{['left', 'right'][side]} vectors have dimension 5, "
+                                                         "the model expects 4$"):
+            model_space_pair(*args, labels=("left", "right"))
 
 
 class TestScoreBatchMemory:

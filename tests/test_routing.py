@@ -182,6 +182,22 @@ class TestRouteAndScore:
         merged = route_and_score(config, enrolls, tests, trials)
         assert [(s.enroll_id, s.test_id) for s in merged] == [("eB", "tS"), ("eA", "tP")]
 
+    def test_repeated_test_id_scored_as_condition_pipeline(self, rng):
+        # route_and_score resolves ids as score_batch and snorm_batch do:
+        # the last row of a repeated id is used
+        config, enrolls, tests = self._setup(rng)
+        tests = tests + [Embedding("tP", rng.standard_normal(5))]
+        trials = TrialList((Trial("eA", "tP"), Trial("eB", "tS")))
+        routed = route_and_score(config, enrolls, tests, trials).values()
+        for row, key in enumerate((ConditionKey("few", "primary"), ConditionKey("many", "secondary"))):
+            subset = trials.take([row])
+            direct = condition_pipeline_scores(config.pipelines[key], enrolls, tests, subset)
+            assert routed[row] == direct.values()[0]
+        last_only = condition_pipeline_scores(
+            config.pipelines[ConditionKey("few", "primary")], enrolls, tests[1:], trials.take([0])
+        )
+        assert routed[0] == last_only.values()[0]
+
     def test_four_condition_partition(self, rng):
         pipelines = {key: tiny_pipeline(rng, offset=i) for i, key in enumerate(ALL_CONDITIONS)}
         enrolls = [Embedding("few_e", rng.standard_normal(5)), Embedding("many_e", rng.standard_normal(5))]
@@ -257,6 +273,9 @@ class TestConfigValidation:
             ([DOC], "must be a JSON object"),
             ("routing", "must be a JSON object"),
             (7, "must be a JSON object"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "topk": 7}}},
+             "condition 'few-primary' has unknown key(s) 'topk'"),
+            ({**DOC, "enroll_seg_treshold": 99}, "the routing config has unknown key(s) 'enroll_seg_treshold'"),
         ],
     )
     def test_wrongly_typed_fields_exit_8(self, tmp_path, capsys, doc, message):
@@ -273,11 +292,12 @@ class TestConfigValidation:
         assert code == 8, err
         assert err.startswith("asvbackend: config:") and message in err
 
-    def test_alpha_recorded_only_when_given(self, rng, tmp_path):
+    @staticmethod
+    def _stack_files(rng, tmp_path):
+        """One condition's model, cohort and untagged calibration files, and the metadata files."""
         from asvbackend.calibration import write_calibration
         from asvbackend.data import write_embeddings, write_id_map
         from asvbackend.modelio import save_fourcov
-        from asvbackend.routing import load_routing_config
 
         pipe = tiny_pipeline(rng)
         save_fourcov(tmp_path / "m.npz", pipe.model, pipe.pre_enroll, pipe.pre_test)
@@ -286,15 +306,30 @@ class TestConfigValidation:
         write_embeddings(tmp_path / "ct.embs", [Embedding(f"ct{i}", rng.standard_normal(5)) for i in range(3)])
         write_id_map(tmp_path / "segs.txt", {"e1": "3"})
         write_id_map(tmp_path / "lang.txt", {"t1": "primary"})
-        stack = {"model": "m.npz", "cohort_enroll": "ce.embs", "cohort_test": "ct.embs",
-                 "calibration": "c.cal", "top_k": 2}
-        doc = {
-            "enroll_segments": "segs.txt",
-            "test_language": "lang.txt",
-            "conditions": {"few-primary": {**stack, "alpha": 0.25}, "many-primary": stack},
-        }
+        return pipe
+
+    def test_alpha_recorded_only_when_given(self, rng, tmp_path):
+        from asvbackend.routing import load_routing_config
+
+        self._stack_files(rng, tmp_path)
+        stack = {**self.STACK, "top_k": 2}
+        doc = {**self.DOC, "conditions": {"few-primary": {**stack, "alpha": 0.25}, "many-primary": stack}}
         path = tmp_path / "routing.json"
         path.write_text(json.dumps(doc))
         config = load_routing_config(path)
         assert config.pipelines[ConditionKey("few", "primary")].alpha == 0.25
         assert config.pipelines[ConditionKey("many", "primary")].alpha is None
+
+    def test_calibration_tag_must_name_its_condition(self, rng, tmp_path):
+        from asvbackend.calibration import write_calibration
+        from asvbackend.routing import load_routing_config
+
+        pipe = self._stack_files(rng, tmp_path)
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": {**self.STACK, "top_k": 2}}}))
+        write_calibration(tmp_path / "c.cal", pipe.calibration, "few-primary")
+        assert ConditionKey("few", "primary") in load_routing_config(path).pipelines
+        write_calibration(tmp_path / "c.cal", pipe.calibration, "many-secondary")
+        with pytest.raises(ConfigError, match="condition 'few-primary' names calibration 'c.cal', "
+                                              "which is tagged 'many-secondary'"):
+            load_routing_config(path)
