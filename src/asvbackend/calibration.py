@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreSet, TrialList, _check_tokens, atomic_write, join, read_id_map
-from .exceptions import CalibrationFitError, FileFormatError, NumericalError, ParameterError, UnknownIdError
+from .data import ScoreSet, TrialList, _check_tokens, atomic_write, read_id_map, score_rows
+from .exceptions import CalibrationFitError, FileFormatError, NumericalError, ParameterError
 
 SCALE_PENALTY = 1e-4
 GRADIENT_TOL = 1e-8
@@ -52,18 +52,6 @@ class CalibrationModel:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return self.scale * np.asarray(values, dtype=np.float64) + self.offset
-
-
-def _split_by_label(scores: ScoreSet, trials: TrialList):
-    """Target and nontarget scores of the labeled trials, in trial order."""
-    rows = join(trials, scores)
-    labels = trials.labels
-    missing = (labels >= 0) & (rows < 0)
-    if missing.any():
-        t = trials[int(np.argmax(missing))]
-        raise UnknownIdError(f"no score for labeled trial {t.enroll_id} {t.test_id}")
-    values = scores.values()
-    return values[rows[labels == 1]], values[rows[labels == 0]]
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -106,9 +94,11 @@ def fit_calibration(
     """Fit the affine calibration on labeled development trials.
 
     `callback(iteration, objective)` sees the objective after each Newton
-    update; the sequence decreases monotonically.
+    update; the sequence decreases monotonically. Every labeled trial
+    needs a score; the target and nontarget scores are taken in trial order.
     """
-    tar, non = _split_by_label(scores, trials)
+    rows, values = score_rows(trials, scores), scores.values()
+    tar, non = values[rows[trials.labels == 1]], values[rows[trials.labels == 0]]
     if tar.size == 0 or non.size == 0:
         raise CalibrationFitError(
             f"calibration needs both classes, got {tar.size} targets / {non.size} nontargets"

@@ -51,6 +51,9 @@ def _shared_speaker_stats(side, shared):
 
 
 def _cmd_synth(args) -> int:
+    for flag, count in (("--nontargets", args.nontargets), ("--cohort-speakers", args.cohort_speakers)):
+        if count < 0:
+            raise ParameterError(f"{flag} must be non-negative, got {count}")
     master = np.random.SeedSequence(args.seed)
     train_seed, eval_seed, cohort_seed, trial_seed = (
         s.generate_state(1)[0] for s in master.spawn(4)
@@ -59,7 +62,7 @@ def _cmd_synth(args) -> int:
     common = dict(
         dim=args.dim,
         enroll_rank=args.rank,
-        test_rank=args.test_rank or args.rank,
+        test_rank=args.rank if args.test_rank is None else args.test_rank,
         snr=args.snr,
         coupling_strength=args.coupling,
         test_noise_inflation=args.kappa,

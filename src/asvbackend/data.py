@@ -397,6 +397,16 @@ def join(left: _PairTable, right: _PairTable) -> np.ndarray:
     return row[inverse[len(right):]]
 
 
+def score_rows(trials: TrialList, scores: ScoreSet) -> np.ndarray:
+    """For each trial, its row in `scores` (-1 if none); an unscored labeled trial raises."""
+    rows = join(trials, scores)
+    missing = (trials.labels >= 0) & (rows < 0)
+    if missing.any():
+        t = trials[int(np.argmax(missing))]
+        raise UnknownIdError(f"no score for labeled trial {t.enroll_id} {t.test_id}")
+    return rows
+
+
 def _check_tokens(path, tokens: Iterable[str]) -> None:
     """Reject ids a text reader would not read back as written.
 

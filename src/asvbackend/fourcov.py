@@ -249,48 +249,32 @@ def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows:
     return _grid(kernel.offset, quad_e, proj_e, quad_t, z_t)
 
 
-def _check_dims(vectors, what: str, dim: int) -> None:
-    """Raise for the first vector whose dimension is not `dim`, naming `what` and its id.
+def _check_width(table: EmbeddingTable, side: str, dim: int) -> None:
+    """Raise unless a non-empty table's vectors are `dim` wide, naming `side` and its first id."""
+    if len(table) and table.dim != dim:
+        raise DimensionMismatchError(
+            f"{side} vector '{table.ids[0]}' has dimension {table.dim}, kernel dimension is {dim}"
+        )
 
-    `vectors` is a table, which has one dimension, or a sequence of
-    `Embedding` rows.
+
+def _referenced(ids, vectors: EmbeddingTable, side: str, dim: int):
+    """The rows of `vectors` that `ids` reference, each once, in table order.
+
+    Returns them as a table and, for each id, its row in that table.
+    Where ids repeat in `vectors`, the last row with that id is used. A
+    table whose vectors are not `dim` wide raises, naming side and the
+    first referenced id.
     """
-    if isinstance(vectors, EmbeddingTable):
-        found = [(vectors.ids[0], vectors.dim)] if len(vectors) else []
-    else:
-        found = ((v.id, v.dim) for v in vectors)
-    for vector_id, vector_dim in found:
-        if vector_dim != dim:
-            raise DimensionMismatchError(
-                f"{what} vector '{vector_id}' has dimension {vector_dim}, kernel dimension is {dim}"
-            )
-
-
-def _referenced(ids, vectors, side: str, dim: int):
-    """The vectors that `ids` reference, each once, in the order of `vectors`.
-
-    `vectors` is a table or a sequence of `Embedding` rows; of a
-    sequence only the referenced rows are converted, so a row no id
-    references may have any dimension. Returns the referenced vectors
-    as a table and, for each id, its row in that table. Where ids
-    repeat in `vectors`, the last row with that id is used. A referenced
-    vector of the wrong dimension raises, naming side and id.
-    """
-    is_table = isinstance(vectors, EmbeddingTable)
-    names = vectors.ids if is_table else [v.id for v in vectors]
-    index = dict(zip(names, range(len(names))))
+    index = dict(zip(vectors.ids, range(len(vectors))))
     try:
         positions = np.array([index[i] for i in ids], dtype=np.intp)
     except KeyError as exc:
         raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
     used, at = np.unique(positions, return_inverse=True)
-    if is_table:
-        # `used` is sorted, so a table whose every row is used is kept as it is
-        rows = vectors if len(used) == len(vectors) else vectors.take(used)
-    else:
-        rows = [vectors[i] for i in used]
-    _check_dims(rows, side, dim)
-    return embedding_table(rows), at
+    # `used` is sorted, so a table whose every row is used is kept as it is
+    rows = vectors if len(used) == len(vectors) else vectors.take(used)
+    _check_width(rows, side, dim)
+    return rows, at
 
 
 def score_batch(
@@ -301,8 +285,9 @@ def score_batch(
 ) -> ScoreSet:
     """Score a trial list; one aggregated enrollment vector per enroll_id.
 
-    `enrolls` and `tests` are tables of model-space vectors, or
-    sequences of `Embedding` rows. Output order matches the trial list.
+    `enrolls` and `tests` are tables of model-space vectors; a sequence
+    of `Embedding` rows is converted once, on entry, and must have one
+    width. Output order matches the trial list.
     Each vector that a trial references is centred and projected once,
     in table order; a trial's score is then a gather of its two rows by
     id code and one row-wise dot product, taken `data.row_blocks` trials
@@ -310,6 +295,7 @@ def score_batch(
     references are ignored. Where ids repeat, the last vector with that
     id is used.
     """
+    enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(trials):
         return trials.with_scores(())
     used_e, at_e = _referenced(trials.enroll_ids, enrolls, "enrollment", kernel.dim)

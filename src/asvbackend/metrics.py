@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreSet, TrialList, join
+from .data import ScoreSet, TrialList, join, score_rows
 from .exceptions import MetricError, ParameterError
 
 
@@ -38,7 +38,7 @@ class DcfParams:
 
 
 def _scores_and_labels(scores, labels):
-    """Accept (ScoreSet, TrialList) or two parallel arrays."""
+    """Accept two parallel arrays, or a ScoreSet and a TrialList that match one to one."""
     if isinstance(scores, ScoreSet):
         if not isinstance(labels, TrialList):
             raise ParameterError("a ScoreSet must be paired with a labeled TrialList")
@@ -50,6 +50,9 @@ def _scores_and_labels(scores, labels):
         if (rows < 0).any():
             e = scores[int(np.argmax(rows < 0))]
             raise MetricError(f"no label for scored trial {e.enroll_id} {e.test_id}")
+        if len(scores) != len(labels):
+            # each score matched a distinct trial, so some trial is unscored
+            score_rows(labels, scores)
         return scores.values(), labels.labels[rows] == 1
     values = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(labels, dtype=bool)

@@ -28,7 +28,8 @@ def _save_npz(path, **arrays) -> None:
         np.savez(fh, **arrays)
 
 
-def _load_npz(path, magic: str):
+def _load_npz(path, magic: str, *names: str) -> list[np.ndarray]:
+    """Entries `names` of a `magic` bundle; a bad file, kind or entry is a `FileFormatError`."""
     try:
         bundle = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
@@ -36,7 +37,10 @@ def _load_npz(path, magic: str):
     stored = str(bundle["magic"]) if "magic" in bundle else "<missing>"
     if stored != magic:
         raise FileFormatError(f"{path}: expected bundle '{magic}', found '{stored}'")
-    return bundle
+    for name in names:
+        if name not in bundle:
+            raise FileFormatError(f"{path}: bundle is missing entry '{name}'")
+    return [bundle[name] for name in names]
 
 
 def save_preprocessor(path, pre: Preprocessor) -> None:
@@ -44,8 +48,7 @@ def save_preprocessor(path, pre: Preprocessor) -> None:
 
 
 def load_preprocessor(path) -> Preprocessor:
-    bundle = _load_npz(path, PREPROCESSOR_MAGIC)
-    return Preprocessor(bundle["mean"], bundle["whitener"])
+    return Preprocessor(*_load_npz(path, PREPROCESSOR_MAGIC, "mean", "whitener"))
 
 
 def save_plda_side(path, model: PldaModel, pre: Preprocessor) -> None:
@@ -63,13 +66,10 @@ def save_plda_side(path, model: PldaModel, pre: Preprocessor) -> None:
 
 
 def load_plda_side(path) -> tuple[PldaModel, Preprocessor]:
-    bundle = _load_npz(path, SIDE_MAGIC)
-    try:
-        model = PldaModel(bundle["mean"], bundle["speaker_loadings"], bundle["residual_cov"])
-        pre = Preprocessor(bundle["pre_mean"], bundle["pre_whitener"])
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: bundle is missing entry {exc}") from None
-    return model, pre
+    mean, loadings, residual, pre_mean, pre_whitener = _load_npz(
+        path, SIDE_MAGIC, "mean", "speaker_loadings", "residual_cov", "pre_mean", "pre_whitener"
+    )
+    return PldaModel(mean, loadings, residual), Preprocessor(pre_mean, pre_whitener)
 
 
 def save_fourcov(path, model: FourCovModel, pre_enroll: Preprocessor, pre_test: Preprocessor) -> None:
@@ -95,19 +95,15 @@ def save_fourcov(path, model: FourCovModel, pre_enroll: Preprocessor, pre_test: 
 
 
 def load_fourcov(path) -> tuple[FourCovModel, Preprocessor, Preprocessor]:
-    bundle = _load_npz(path, FOURCOV_MAGIC)
-    try:
-        model = FourCovModel(
-            PldaModel(bundle["enroll_mean"], bundle["enroll_loadings"], bundle["enroll_residual_cov"]),
-            PldaModel(bundle["test_mean"], bundle["test_loadings"], bundle["test_residual_cov"]),
-            bundle["coupling"],
-            bundle["coupling_noise_cov"],
-        )
-        pre_enroll = Preprocessor(bundle["pre_enroll_mean"], bundle["pre_enroll_whitener"])
-        pre_test = Preprocessor(bundle["pre_test_mean"], bundle["pre_test_whitener"])
-    except KeyError as exc:
-        raise FileFormatError(f"{path}: bundle is missing entry {exc}") from None
-    return model, pre_enroll, pre_test
+    entries = _load_npz(
+        path, FOURCOV_MAGIC,
+        "enroll_mean", "enroll_loadings", "enroll_residual_cov",
+        "test_mean", "test_loadings", "test_residual_cov",
+        "coupling", "coupling_noise_cov",
+        "pre_enroll_mean", "pre_enroll_whitener", "pre_test_mean", "pre_test_whitener",
+    )
+    model = FourCovModel(PldaModel(*entries[0:3]), PldaModel(*entries[3:6]), *entries[6:8])
+    return model, Preprocessor(*entries[8:10]), Preprocessor(*entries[10:12])
 
 
 def save_ground_truth(path, truth: GroundTruth) -> None:

@@ -132,13 +132,11 @@ def fit_preprocessor(data) -> Preprocessor:
     return Preprocessor(stats.mean, whitener)
 
 
-def to_model_space(
-    embeddings, pre: Preprocessor, average: bool = False, normalize_members: bool = True
-) -> EmbeddingTable:
+def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> EmbeddingTable:
     """Bring a table of embeddings into model space, one block of rows at a time.
 
-    Rows go through `pre.apply` (or, with `normalize_members` False,
-    through `pre.whiten` alone) one `data.row_blocks` block at a time.
+    Every row goes through `pre.apply` (centering, whitening and length
+    normalization) one `data.row_blocks` block at a time.
     Without `average` the result keeps every row and id in table order.
     With `average`, rows sharing an id (the segments of a multi-segment
     enrollment model) are summed by id code as each block passes; each
@@ -148,7 +146,6 @@ def to_model_space(
     the memory used beyond the input and output tables.
     """
     table = embedding_table(embeddings)
-    transform = pre.apply if normalize_members else pre.whiten
     if average:
         ids, codes = table.id_codes()
         out = np.zeros((len(ids), pre.dim))
@@ -156,7 +153,7 @@ def to_model_space(
         ids, codes = table.ids, None
         out = np.empty((len(ids), pre.dim))
     for block in row_blocks(len(table)):
-        rows = transform(table.matrix[block])
+        rows = pre.apply(table.matrix[block])
         if codes is None:
             out[block] = rows
         else:
@@ -168,15 +165,15 @@ def to_model_space(
     return EmbeddingTable._make(ids, out)
 
 
-def enroll_average(sample: SpeakerGroup, pre: Preprocessor, normalize_members: bool = True) -> Embedding:
+def enroll_average(sample: SpeakerGroup, pre: Preprocessor) -> Embedding:
     """Reduce a multi-segment enrollment sample to one unit-norm vector.
 
-    Members are preprocessed (including per-member length normalization
-    unless `normalize_members` is False), averaged, and the average is
-    length-normalized again: the one-sample case of `to_model_space`.
+    Members are preprocessed, each length-normalized, averaged, and the
+    average is length-normalized again: the one-sample case of
+    `to_model_space`.
     """
     members = EmbeddingTable.from_columns([sample.speaker_id] * len(sample.members), sample.matrix())
-    return to_model_space(members, pre, average=True, normalize_members=normalize_members)[0]
+    return to_model_space(members, pre, average=True)[0]
 
 
 def chunk_averages(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import EmbeddingTable, ScoreSet, embedding_table, row_blocks
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
-from .fourcov import ScoringKernel, _check_dims, _grid, _referenced, _side_terms, score_pair_matrix
+from .fourcov import ScoringKernel, _check_width, _grid, _referenced, _side_terms, score_pair_matrix
 
 DEFAULT_TOP_K = 400
 
@@ -68,8 +68,8 @@ def _cohort_table(cohort, side: str) -> EmbeddingTable:
 
 
 def _check_cohort_dims(cohorts: CohortSet, dim: int) -> None:
-    _check_dims(cohorts.enroll_cohort, "enrollment-side cohort", dim)
-    _check_dims(cohorts.test_cohort, "test-side cohort", dim)
+    _check_width(cohorts.enroll_cohort, "enrollment-side cohort", dim)
+    _check_width(cohorts.test_cohort, "test-side cohort", dim)
 
 
 def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
@@ -150,8 +150,9 @@ def snorm_batch(
 ) -> ScoreSet:
     """Normalize a score set, computing each side's cohort statistics once.
 
-    `enrolls` and `tests` are tables of model-space vectors, or
-    sequences of `Embedding` rows.
+    `enrolls` and `tests` are tables of model-space vectors; a sequence
+    of `Embedding` rows is converted once, on entry, and must have one
+    width.
 
     Statistics for a given enrollment (or test) vector are shared by
     every trial that uses it, so the batch matches per-trial `snorm`
@@ -163,6 +164,7 @@ def snorm_batch(
     formed, so memory is O(block x cohort) per side whatever the number
     of trials or ids.
     """
+    enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(scores):
         return scores.with_scores(())
     d = kernel.dim

@@ -17,7 +17,8 @@ normalization exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,6 +110,10 @@ class GenConfig:
     truth: GroundTruth | None = None
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ParameterError(f"{field.name} must be finite, got {value}")
         if self.dim < 1 or self.n_speakers < 1:
             raise ParameterError("dim and n_speakers must be positive")
         if not 1 <= self.enroll_rank <= self.dim or not 1 <= self.test_rank <= self.dim:

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import cli, exceptions
+from asvbackend import cli, exceptions, fourcov, modelio, plda
 from asvbackend.data import join, read_scores
 
 
@@ -121,6 +122,18 @@ class TestEvaluate:
         assert lines[0].split() == ["0.0", "1.0"]
         assert lines[-1].split() == ["1.0", "0.0"]
 
+    def test_unscored_trial_exits_8_as_calibrate_does(self, tmp_path, capsys):
+        (tmp_path / "s.scores").write_text("e t1 5.0\ne t2 -5.0\n")
+        (tmp_path / "t.trials").write_text("e t1 tgt\ne t2 non\ne t3 non\ne t4 tgt\n")
+        assert invoke("evaluate", "--scores", tmp_path / "s.scores", "--trials", tmp_path / "t.trials") == 8
+        evaluate_err = capsys.readouterr().err
+        assert invoke(
+            "calibrate", "--scores", tmp_path / "s.scores", "--trials", tmp_path / "t.trials",
+            "--out", tmp_path / "cal.txt",
+        ) == 8
+        message = "asvbackend: unknown-id: no score for labeled trial e t3\n"
+        assert evaluate_err == capsys.readouterr().err == message
+
 
 def _probe(code):
     """stdout of `code` run in a fresh interpreter that imports this package."""
@@ -169,6 +182,82 @@ def test_scipy_imported_only_inside_synth_functions():
                 visit(ast.parse(fh.read(), path), path, False)
     assert found  # synth's own import proves the walk sees nested imports
     assert all(file == "synth.py" and in_function for file, _, in_function in found), found
+
+
+def test_only_data_checks_for_embedding_tables():
+    # a sequence of `Embedding` rows becomes a table in `data.embedding_table`
+    # alone; any other module that tests for a table keeps a second path
+    package = os.path.dirname(asvbackend.__file__)
+    found = []
+
+    def names_table(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id == "EmbeddingTable")
+            or (isinstance(n, ast.Attribute) and n.attr == "EmbeddingTable")
+            for n in ast.walk(node)
+        )
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            found += [
+                (name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2 and names_table(node.args[1])
+            ]
+    assert found  # data's own check proves the walk sees the calls
+    assert all(file == "data.py" for file, _ in found), found
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--nontargets", -1), ("--cohort-speakers", -3), ("--test-rank", 0),
+        ("--kappa", "inf"), ("--kappa", "nan"), ("--snr", "inf"), ("--rotation", "inf"),
+        ("--mean-shift", "inf"), ("--jitter", "nan"), ("--eval-jitter", "inf"),
+    ],
+)
+def test_bad_synth_value_exits_6_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert invoke(*synth_args(out, **{flag: value})) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("asvbackend: parameter:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _bundles(tmp_path):
+    """One valid bundle of each kind, with the stage argv that loads it (`{}` is the bundle)."""
+    pre = plda.Preprocessor(np.zeros(2), np.eye(2))
+    side = plda.PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2))
+    (tmp_path / "e.embs").write_text("a-1 1.0 2.0\n")
+    (tmp_path / "empty").write_text("")
+    modelio.save_preprocessor(tmp_path / "preprocessor.npz", pre)
+    modelio.save_plda_side(tmp_path / "side.npz", side, pre)
+    coupled = fourcov.FourCovModel(side, side, np.eye(1), np.zeros((1, 1)))
+    modelio.save_fourcov(tmp_path / "fourcov.npz", coupled, pre, pre)
+    empty, out = tmp_path / "empty", tmp_path / "out"
+    return {
+        "preprocessor": ["train-plda", "--embeddings", tmp_path / "e.embs", "--pre", "{}", "--out", out],
+        "side": ["interpolate", "--in-domain", "{}", "--out-domain", "{}", "--alpha", 0.5, "--out", out],
+        "fourcov": ["score", "--model", "{}", "--enroll", empty, "--test", empty, "--trials", empty, "--out", out],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, entry", [("preprocessor", "whitener"), ("side", "residual_cov"), ("fourcov", "pre_test_mean")]
+)
+def test_bundle_missing_entry_exits_4(tmp_path, capsys, kind, entry):
+    argv = _bundles(tmp_path)[kind]
+    with np.load(tmp_path / f"{kind}.npz") as full:
+        kept = {name: full[name] for name in full.files if name != entry}
+    bundle = tmp_path / "partial.npz"
+    np.savez(bundle, **kept)
+    assert invoke(*(bundle if a == "{}" else a for a in argv)) == 4
+    assert capsys.readouterr().err == f"asvbackend: file-format: {bundle}: bundle is missing entry '{entry}'\n"
 
 
 # the exit codes and kinds that README documents

@@ -324,15 +324,25 @@ class TestScoreBatch:
         kernel, enrolls, tests = self._setup(rng)
         assert len(score_batch(kernel, enrolls, tests, trial_list([]))) == 0
 
-    def test_unreferenced_wrong_dimension_vector_ignored(self, rng):
+    def test_unreferenced_vectors_ignored(self, rng):
         kernel, enrolls, tests = self._setup(rng)
-        odd = Embedding("odd", rng.standard_normal(3))
+        extra = Embedding("extra", rng.standard_normal(4))
         trials = trial_list([("e0", "t0", None), ("e1", "t2", None)])
-        out = score_batch(kernel, enrolls + [odd], [odd] + tests, trials)
+        out = score_batch(kernel, enrolls + [extra], [extra] + tests, trials)
         expected = score_batch(kernel, enrolls, tests, trials)
         np.testing.assert_array_equal(out.values(), expected.values())
-        with pytest.raises(DimensionMismatchError, match="test vector 'odd'"):
-            score_batch(kernel, enrolls, [odd] + tests, trial_list([("e0", "odd", None)]))
+
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_mixed_width_sequence_rejected(self, rng, side):
+        # a sequence is converted whole on entry, so even an unreferenced
+        # row of another width is an error
+        kernel, enrolls, tests = self._setup(rng)
+        odd = Embedding("odd", rng.standard_normal(3))
+        sides = {"enrollment": enrolls, "test": tests}
+        sides[side] = sides[side] + [odd]
+        trials = trial_list([("e0", "t0", None)])
+        with pytest.raises(DimensionMismatchError, match="'odd' has dimension 3"):
+            score_batch(kernel, sides["enrollment"], sides["test"], trials)
 
     def test_unknown_id_named(self, rng):
         kernel, enrolls, tests = self._setup(rng)

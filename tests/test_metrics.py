@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asvbackend.data import ScoredTrial, ScoreSet, Trial, TrialList
-from asvbackend.exceptions import MetricError, ParameterError
+from asvbackend.exceptions import MetricError, ParameterError, UnknownIdError
 from asvbackend.metrics import DcfParams, compute_eer, compute_min_dcf, det_points
 
 
@@ -87,6 +87,23 @@ class TestEer:
         trials = TrialList((Trial("e", "t1", None),))
         with pytest.raises(MetricError, match="no label|carries no label"):
             compute_eer(scores, trials)
+
+
+class TestTrialKey:
+    KEY = TrialList.from_columns(["e"] * 4, ["t1", "t2", "t3", "t4"], [True, False, False, True])
+
+    @pytest.mark.parametrize("metric", [compute_eer, compute_min_dcf, det_points])
+    def test_unscored_trial_named(self, metric):
+        # the scores cover both classes, so only the key check can object
+        scores = ScoreSet((ScoredTrial("e", "t2", -1.0), ScoredTrial("e", "t1", 2.0)))
+        with pytest.raises(UnknownIdError, match="^no score for labeled trial e t3$"):
+            metric(scores, self.KEY)
+
+    @pytest.mark.parametrize("metric", [compute_eer, compute_min_dcf, det_points])
+    def test_score_outside_key_named(self, metric):
+        scores = ScoreSet.from_columns(["e"] * 4 + ["x"], ["t1", "t2", "t3", "t4", "t1"], [1.0] * 5)
+        with pytest.raises(MetricError, match="^no label for scored trial x t1$"):
+            metric(scores, self.KEY)
 
 
 class TestMinDcf:

@@ -97,12 +97,6 @@ class TestEnrollAverage:
         out = enroll_average(make_group("s", [np.array([1.0, 0.0]), np.array([0.0, 1.0])]), pre)
         np.testing.assert_allclose(out.vector, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
-    def test_average_then_normalize_variant(self, rng):
-        pre = identity_preprocessor(3)
-        rows = [rng.standard_normal(3) * 5.0, rng.standard_normal(3)]
-        out = enroll_average(make_group("s", rows), pre, normalize_members=False)
-        np.testing.assert_allclose(out.vector, length_normalize(np.mean(rows, axis=0)), atol=1e-12)
-
     def test_chunked_averages(self, rng):
         pre = identity_preprocessor(3)
         group = make_group("s", [rng.standard_normal(3) for _ in range(7)])

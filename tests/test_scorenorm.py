@@ -218,8 +218,8 @@ class TestSnormBatch:
     @pytest.mark.parametrize(
         "wrong, message",
         [
-            ("enroll", "enrollment vector 'e1' has dimension 6"),
-            ("test", "test vector 't1' has dimension 6"),
+            ("enroll", "enrollment vector 'e0' has dimension 6"),
+            ("test", "test vector 't0' has dimension 6"),
             ("enroll_cohort", "enrollment-side cohort vector 'ce0' has dimension 6"),
             ("test_cohort", "test-side cohort vector 'ct0' has dimension 6"),
         ],
@@ -232,14 +232,28 @@ class TestSnormBatch:
             return tuple(Embedding(f"{prefix}{i}", rng.standard_normal(6)) for i in range(40))
 
         if wrong == "enroll":
-            enrolls[1] = Embedding("e1", rng.standard_normal(6))
+            enrolls = list(wide("e")[:2])
         elif wrong == "test":
-            tests[1] = Embedding("t1", rng.standard_normal(6))
+            tests = list(wide("t")[:2])
         elif wrong == "enroll_cohort":
             cohorts = CohortSet(wide("ce"), cohorts.test_cohort, cohorts.top_k)
         else:
             cohorts = CohortSet(cohorts.enroll_cohort, wide("ct"), cohorts.top_k)
         with pytest.raises(DimensionMismatchError, match=message):
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+
+    @pytest.mark.parametrize("side", ["enroll", "test"])
+    def test_mixed_width_sequence_rejected(self, kernel_and_cohorts, rng, side):
+        # a sequence is converted whole on entry, so even an unreferenced
+        # row of another width is an error
+        kernel, cohorts = kernel_and_cohorts
+        enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 2, 2)
+        odd = Embedding("odd", rng.standard_normal(6))
+        if side == "enroll":
+            enrolls.append(odd)
+        else:
+            tests.append(odd)
+        with pytest.raises(DimensionMismatchError, match="'odd' has dimension 6"):
             snorm_batch(kernel, cohorts, enrolls, tests, raw)
 
     def test_memory_is_one_block_not_one_grid(self, rng):

@@ -154,6 +154,16 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             base_config(speaker_prefix="has-dash")
 
+    @pytest.mark.parametrize(
+        "field",
+        ["snr", "coupling_strength", "test_noise_inflation", "test_rotation",
+         "test_mean_shift", "test_noise_jitter", "augment_noise"],
+    )
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            base_config(**{field: value})
+
     def test_augmented_copies_share_speaker(self):
         cfg = base_config(augment_copies=2, enroll_segments=2, n_speakers=3)
         enroll_groups, _, _ = synth.sample_dataset(cfg)
