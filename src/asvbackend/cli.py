@@ -26,13 +26,14 @@ def _require_files(*paths) -> None:
             raise FileNotFoundError(p)
 
 
-def _training_rows(rows, speaker_map_path, pre, aggregate):
+def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     """Training vectors in model space, each row's speaker code and the speaker ids.
 
-    Rows pass through `pre`. With `aggregate` = N, consecutive chunks of
-    N segments per speaker each become one unit-norm average (a pseudo
-    enrollment model).
+    Rows, which `label` names in a width error, pass through `pre`. With
+    `aggregate` = N, consecutive chunks of N segments per speaker each
+    become one unit-norm average (a pseudo enrollment model).
     """
+    plda.check_raw_width(rows, pre, label)
     speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
     speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
     if aggregate:
@@ -159,12 +160,13 @@ def _cmd_preprocess(args) -> int:
     if args.transformed_out is not None and args.transform is None:
         raise ParameterError("--transformed-out needs --transform")
     _require_files(args.embeddings, args.transform)
-    rows = data.read_embeddings(args.embeddings)
-    pre = plda.fit_preprocessor(rows)
-    modelio.save_preprocessor(args.out, pre)
+    pre = plda.fit_preprocessor(data.read_embeddings(args.embeddings))
     if args.transform:
-        transformed = plda.to_model_space(data.read_embeddings(args.transform), pre)
+        raw = data.read_embeddings(args.transform)
+        plda.check_raw_width(raw, pre, f"transform ({args.transform})")
+        transformed = plda.to_model_space(raw, pre)
         data.write_embeddings(args.transformed_out or args.transform + ".pre", transformed)
+    modelio.save_preprocessor(args.out, pre)
     print(f"wrote preprocessor to {args.out}")
     return 0
 
@@ -173,7 +175,8 @@ def _cmd_train_plda(args) -> int:
     _require_files(args.embeddings, args.speaker_map, args.pre)
     rows = data.read_embeddings(args.embeddings)
     pre = modelio.load_preprocessor(args.pre) if args.pre else plda.fit_preprocessor(rows)
-    table, speaker_ids, codes = _training_rows(rows, args.speaker_map, pre, args.aggregate)
+    label = f"training ({args.embeddings})"
+    table, speaker_ids, codes = _training_rows(rows, label, args.speaker_map, pre, args.aggregate)
     stats = plda.speaker_stats(table.matrix, speaker_ids, codes)
     model = plda.train_plda(stats, rank=args.rank, iterations=args.iters)
     modelio.save_plda_side(args.out, model, pre)
@@ -194,8 +197,9 @@ def _cmd_fit_fourcov(args) -> int:
     model2, pre2 = modelio.load_plda_side(args.test_model)
     rows1 = data.read_embeddings(args.enroll_embeddings)
     rows2 = data.read_embeddings(args.test_embeddings)
-    side1 = _training_rows(rows1, args.speaker_map_enroll, pre1, args.enroll_aggregate)
-    side2 = _training_rows(rows2, args.speaker_map_test, pre2, 0)
+    side1 = _training_rows(rows1, f"enrollment ({args.enroll_embeddings})", args.speaker_map_enroll, pre1,
+                           args.enroll_aggregate)
+    side2 = _training_rows(rows2, f"test ({args.test_embeddings})", args.speaker_map_test, pre2, 0)
     shared = sorted(set(side1[1]) & set(side2[1]))
     if not shared:
         raise ParameterError("no speakers shared between the two training sets")

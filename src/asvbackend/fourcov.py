@@ -27,7 +27,8 @@ from .exceptions import (
     UnknownIdError,
 )
 from .plda import (
-    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, speaker_factors, to_model_space
+    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, speaker_factors,
+    to_model_space,
 )
 
 
@@ -105,10 +106,6 @@ class ScoringKernel:
     def dim(self) -> int:
         return self.enroll_mean.size
 
-    def blocks(self):
-        d = self.dim
-        return self.weights[:d, :d], self.weights[:d, d:], self.weights[d:, d:]
-
 
 def _pd_inverse(matrix: np.ndarray, what: str):
     """Inverse and log-determinant of a symmetric positive definite matrix."""
@@ -163,10 +160,7 @@ def model_space_pair(
     """
     def side(rows, pre: Preprocessor, label: str, average: bool) -> EmbeddingTable:
         table = embedding_table(rows)
-        if len(table) and table.dim != pre.dim:
-            raise DimensionMismatchError(
-                f"{label} vectors have dimension {table.dim}, the model expects {pre.dim}"
-            )
+        check_raw_width(table, pre, label)
         return to_model_space(table, pre, average=average)
 
     return side(enrolls, pre_enroll, labels[0], True), side(tests, pre_test, labels[1], False)
@@ -178,50 +172,47 @@ def symmetric_kernel(model: PldaModel) -> ScoringKernel:
     return build_kernel(collapsed)
 
 
-def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
-    """LLR score of one (enrollment, test) pair of preprocessed vectors.
-
-    The two slots are not interchangeable: enrollment-side vectors must go
-    first. With distinct side models, score(a, b) != score(b, a).
-    """
-    w_e = np.asarray(w_e, dtype=np.float64)
-    w_t = np.asarray(w_t, dtype=np.float64)
-    d = kernel.dim
-    if w_e.shape != (d,) or w_t.shape != (d,):
+def _check_width(matrix: np.ndarray, side: str, dim: int, ids=()) -> None:
+    """Raise unless a non-empty matrix's rows are `dim` wide, naming `side` and the first of `ids`."""
+    if len(matrix) and matrix.shape[1] != dim:
+        vector = f"vector '{ids[0]}'" if len(ids) else "vector"
         raise DimensionMismatchError(
-            f"expected two vectors of dimension {d}, got {w_e.shape} and {w_t.shape}"
+            f"{side} {vector} has dimension {matrix.shape[1]}, kernel dimension is {dim}"
         )
-    ee, et, tt = kernel.blocks()
-    z_e = w_e - kernel.enroll_mean
-    z_t = w_t - kernel.test_mean
-    quad = z_e @ ee @ z_e + 2.0 * (z_e @ et @ z_t) + z_t @ tt @ z_t
-    return float(-0.5 * quad + kernel.offset)
 
 
-def _rows(rows, side: str, dim: int) -> np.ndarray:
-    """`rows` (one vector or a matrix of them) as a matrix of `dim` columns."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"{side} vectors have dimension {rows.shape[-1]}, kernel dimension is {dim}"
-        )
-    return rows
+def _side_terms(kernel: ScoringKernel, rows: np.ndarray, side: str):
+    """Per-vector parts of the quadratic form on one side, each row centred once.
 
-
-def _side_terms(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray):
-    """Per-vector parts of the quadratic form, each row centred once.
-
-    Returns the enrollment-side terms z_e' ee z_e, the enrollment
-    projections z_e' et, the test-side terms z_t' tt z_t and the centred
-    test rows; a pair's score is then
-    -0.5 * (quad_e + 2 * proj_e . z_t + quad_t) + offset.
+    With W's blocks ee, et, tt, enrollment rows give (z_e' ee z_e,
+    z_e' et) and test rows (z_t' tt z_t, z_t); a pair's score is then
+    -0.5 * (quad_e + 2 * proj_e . z_t + quad_t) + offset. Nothing else
+    reads the kernel's weights.
     """
-    ee, et, tt = kernel.blocks()
-    z_e = _rows(enroll_rows, "enrollment", kernel.dim) - kernel.enroll_mean
-    z_t = _rows(test_rows, "test", kernel.dim) - kernel.test_mean
-    quad_e = np.sum((z_e @ ee) * z_e, axis=1)
-    quad_t = np.sum((z_t @ tt) * z_t, axis=1)
-    return quad_e, z_e @ et, quad_t, z_t
+    _check_width(rows, side, kernel.dim)
+    d, weights = kernel.dim, kernel.weights
+    if side == "enrollment":
+        z = rows - kernel.enroll_mean
+        return np.sum((z @ weights[:d, :d]) * z, axis=1), z @ weights[:d, d:]
+    z = rows - kernel.test_mean
+    return np.sum((z @ weights[d:, d:]) * z, axis=1), z
+
+
+def _gathered_scores(kernel: ScoringKernel, enroll_rows, test_rows, at_e, at_t) -> np.ndarray:
+    """Score of each pair (enroll_rows[at_e[i]], test_rows[at_t[i]]).
+
+    A pair's score is a gather of its rows' side terms and one row-wise
+    dot product, taken `data.row_blocks` pairs at a time so the gathers
+    never exceed one block.
+    """
+    quad_e, proj_e = _side_terms(kernel, enroll_rows, "enrollment")
+    quad_t, z_t = _side_terms(kernel, test_rows, "test")
+    values = np.empty(len(at_e))
+    for block in row_blocks(len(at_e)):
+        e, t = at_e[block], at_t[block]
+        cross = np.einsum("ij,ij->i", proj_e[e], z_t[t])
+        values[block] = (kernel.offset - 0.5 * quad_e[e]) - cross - 0.5 * quad_t[t]
+    return values
 
 
 def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarray:
@@ -243,27 +234,26 @@ def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarr
     return grid
 
 
-def score_pair_matrix(kernel: ScoringKernel, enroll_rows: np.ndarray, test_rows: np.ndarray) -> np.ndarray:
-    """Score every enrollment row against every test row, (n, m) output."""
-    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, enroll_rows, test_rows)
-    return _grid(kernel.offset, quad_e, proj_e, quad_t, z_t)
+def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
+    """LLR score of one (enrollment, test) pair of preprocessed vectors.
+
+    The one-trial case of `score_batch`'s arithmetic, so the two agree
+    exactly. The two slots are not interchangeable: enrollment-side
+    vectors must go first. With distinct side models, score(a, b) !=
+    score(b, a).
+    """
+    w_e, w_t = (np.asarray(w, dtype=np.float64).reshape(1, -1) for w in (w_e, w_t))
+    first = np.zeros(1, dtype=np.intp)
+    return float(_gathered_scores(kernel, w_e, w_t, first, first)[0])
 
 
-def _check_width(table: EmbeddingTable, side: str, dim: int) -> None:
-    """Raise unless a non-empty table's vectors are `dim` wide, naming `side` and its first id."""
-    if len(table) and table.dim != dim:
-        raise DimensionMismatchError(
-            f"{side} vector '{table.ids[0]}' has dimension {table.dim}, kernel dimension is {dim}"
-        )
-
-
-def _referenced(ids, vectors: EmbeddingTable, side: str, dim: int):
+def referenced_rows(kernel: ScoringKernel, ids, vectors: EmbeddingTable, side: str):
     """The rows of `vectors` that `ids` reference, each once, in table order.
 
     Returns them as a table and, for each id, its row in that table.
     Where ids repeat in `vectors`, the last row with that id is used. A
-    table whose vectors are not `dim` wide raises, naming side and the
-    first referenced id.
+    table whose vectors are not as wide as the kernel raises, naming
+    side and the first referenced id.
     """
     index = dict(zip(vectors.ids, range(len(vectors))))
     try:
@@ -273,7 +263,7 @@ def _referenced(ids, vectors: EmbeddingTable, side: str, dim: int):
     used, at = np.unique(positions, return_inverse=True)
     # `used` is sorted, so a table whose every row is used is kept as it is
     rows = vectors if len(used) == len(vectors) else vectors.take(used)
-    _check_width(rows, side, dim)
+    _check_width(rows.matrix, side, kernel.dim, rows.ids)
     return rows, at
 
 
@@ -288,28 +278,36 @@ def score_batch(
     `enrolls` and `tests` are tables of model-space vectors; a sequence
     of `Embedding` rows is converted once, on entry, and must have one
     width. Output order matches the trial list.
-    Each vector that a trial references is centred and projected once,
-    in table order; a trial's score is then a gather of its two rows by
-    id code and one row-wise dot product, taken `data.row_blocks` trials
-    at a time so the gathers never exceed one block. Vectors that no trial
-    references are ignored. Where ids repeat, the last vector with that
-    id is used.
+    Each vector that a trial references gets its side terms once, in
+    table order, and trials gather them by id code. Vectors that no
+    trial references are ignored. Where ids repeat, the last vector
+    with that id is used.
     """
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(trials):
         return trials.with_scores(())
-    used_e, at_e = _referenced(trials.enroll_ids, enrolls, "enrollment", kernel.dim)
-    used_t, at_t = _referenced(trials.test_ids, tests, "test", kernel.dim)
-    at_e = at_e[trials.enroll_codes]
-    at_t = at_t[trials.test_codes]
-
-    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, used_e.matrix, used_t.matrix)
-    values = np.empty(len(trials))
-    for block in row_blocks(len(trials)):
-        e, t = at_e[block], at_t[block]
-        cross = np.einsum("ij,ij->i", proj_e[e], z_t[t])
-        values[block] = (kernel.offset - 0.5 * quad_e[e]) - cross - 0.5 * quad_t[t]
+    used_e, at_e = referenced_rows(kernel, trials.enroll_ids, enrolls, "enrollment")
+    used_t, at_t = referenced_rows(kernel, trials.test_ids, tests, "test")
+    values = _gathered_scores(
+        kernel, used_e.matrix, used_t.matrix, at_e[trials.enroll_codes], at_t[trials.test_codes]
+    )
     return trials.with_scores(values)
+
+
+def cohort_grids(kernel: ScoringKernel, rows: np.ndarray, side: str, cohort: EmbeddingTable):
+    """Scores of `side` rows against a cohort of the other side, one row block at a time.
+
+    Each side keeps its slot, so every score is the one `score_trial`
+    gives that pair. Widths are checked and side terms formed at the
+    call; the iterator then yields one (rows, cohort) grid per
+    `data.row_blocks` block of rows, in row order. Dropping each grid
+    before the next bounds memory to one.
+    """
+    other = "test" if side == "enrollment" else "enrollment"
+    _check_width(cohort.matrix, f"{other}-side cohort", kernel.dim, cohort.ids)
+    quad, proj = _side_terms(kernel, rows, side)
+    cohort_quad, cohort_proj = _side_terms(kernel, cohort.matrix, other)
+    return (_grid(kernel.offset, quad[b], proj[b], cohort_quad, cohort_proj) for b in row_blocks(len(rows)))
 
 
 def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):

@@ -132,6 +132,14 @@ def fit_preprocessor(data) -> Preprocessor:
     return Preprocessor(stats.mean, whitener)
 
 
+def check_raw_width(table: EmbeddingTable, pre: Preprocessor, label: str) -> None:
+    """The one width check of raw vectors bound for model space; `label` names side and file."""
+    if len(table) and table.dim != pre.dim:
+        raise DimensionMismatchError(
+            f"{label} vectors have dimension {table.dim}, the model expects {pre.dim}"
+        )
+
+
 def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> EmbeddingTable:
     """Bring a table of embeddings into model space, one block of rows at a time.
 

@@ -32,7 +32,7 @@ DEFAULT_SEG_THRESHOLD = 5
 # document and a condition may hold
 CONDITION_FILES = ("model", "cohort_enroll", "cohort_test", "calibration")
 DOCUMENT_KEYS = ("enroll_seg_threshold", "enroll_segments", "test_language", "conditions")
-CONDITION_KEYS = CONDITION_FILES + ("top_k", "alpha")
+CONDITION_KEYS = CONDITION_FILES + ("top_k",)
 _JSON_TYPES = {dict: "a JSON object", int: "an integer", str: "a string"}
 
 
@@ -79,7 +79,6 @@ class ConditionPipeline:
     pre_test: Preprocessor
     cohorts: CohortSet          # already in preprocessed (model) space
     calibration: CalibrationModel
-    alpha: float | None = None  # interpolation weight recorded at build time
 
 
 @dataclass
@@ -223,23 +222,21 @@ def load_routing_config(path) -> RoutingConfig:
               "cohort_enroll": "cohort_enroll.embs",
               "cohort_test": "cohort_test.embs",
               "calibration": "few_primary.cal",
-              "top_k": 400,
-              "alpha": 0.5
+              "top_k": 400
             }, ...
           }
         }
 
     The document, `conditions` and each condition are JSON objects that
-    hold no keys but those above, paths are strings, and
-    `enroll_seg_threshold` and `top_k` are integers (`top_k` may be
-    null, for the whole cohort); anything else raises `ConfigError`
-    before any referenced file is read. A calibration file tagged with a
-    condition (`calibrate --condition`) must be configured under that
-    condition. Relative paths resolve against the config file's
-    directory. Every referenced path is checked before anything heavy is
-    loaded. `alpha` records the interpolation weight used when the
-    condition's test-side model was built; it is provenance, not a
-    scoring-time input, and is None for a condition that gives none.
+    hold no keys but those above, each condition is named by the tag of
+    one cell of the grid (`few-primary`, ..., `many-secondary`), paths
+    are strings, and `enroll_seg_threshold` and `top_k` are integers
+    (`top_k` may be null, for the whole cohort); anything else raises
+    `ConfigError` before any referenced file is read. A calibration
+    file tagged with a condition (`calibrate --condition`) must be
+    configured under that condition. Relative paths resolve against the
+    config file's directory. Every referenced path is checked before
+    anything heavy is loaded.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -274,7 +271,10 @@ def load_routing_config(path) -> RoutingConfig:
     referenced = [resolve(doc["enroll_segments"]), resolve(doc["test_language"])]
     condition_docs = {}
     for tag, spec in doc["conditions"].items():
-        key = parse_condition_tag(tag)
+        try:
+            key = parse_condition_tag(tag)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: unknown condition '{tag}' ({exc})") from None
         require(spec, dict, f"condition '{tag}'")
         known(spec, CONDITION_KEYS, f"condition '{tag}'")
         for required in CONDITION_FILES:
@@ -303,9 +303,7 @@ def load_routing_config(path) -> RoutingConfig:
             (f"enrollment-side cohort ({cohort_enroll})", f"test-side cohort ({cohort_test})"),
         )
         cohorts = CohortSet(*cohort_pair, spec.get("top_k", DEFAULT_TOP_K))
-        pipelines[key] = ConditionPipeline(
-            model, pre_enroll, pre_test, cohorts, cal_model, spec.get("alpha")
-        )
+        pipelines[key] = ConditionPipeline(model, pre_enroll, pre_test, cohorts, cal_model)
     return RoutingConfig(
         pipelines=pipelines,
         enroll_segments=read_segment_counts(resolve(doc["enroll_segments"])),

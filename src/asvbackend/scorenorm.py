@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, embedding_table, row_blocks
+from .data import EmbeddingTable, ScoreSet, embedding_table
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
-from .fourcov import ScoringKernel, _check_width, _grid, _referenced, _side_terms, score_pair_matrix
+from .fourcov import ScoringKernel, cohort_grids, referenced_rows
 
 DEFAULT_TOP_K = 400
 
@@ -67,11 +67,6 @@ def _cohort_table(cohort, side: str) -> EmbeddingTable:
         raise DimensionMismatchError(f"{side} cohort: {exc}") from None
 
 
-def _check_cohort_dims(cohorts: CohortSet, dim: int) -> None:
-    _check_width(cohorts.enroll_cohort, "enrollment-side cohort", dim)
-    _check_width(cohorts.test_cohort, "test-side cohort", dim)
-
-
 def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
     """Mean and population std of the selected cohort scores.
 
@@ -101,6 +96,35 @@ def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
     return 0.5 * (raw - mu1) / sd1 + 0.5 * (raw - mu2) / sd2
 
 
+def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enroll_rows, test_rows, ids=(None, None)):
+    """(mean, std) of each row's selected scores against the opposite cohort.
+
+    Both sides' `cohort_grids` are set up, checking every width, before
+    any score is formed. Each row block's grid is reduced to statistics
+    before the next is formed: 256 rows against a 5000-entry cohort is
+    10 MB of scores. Where `ids` names a side's rows, a
+    `NormalizationError` names the row.
+    """
+    sides = (
+        ("enrollment", cohort_grids(kernel, enroll_rows, "enrollment", cohorts.test_cohort), "test-side"),
+        ("test", cohort_grids(kernel, test_rows, "test", cohorts.enroll_cohort), "enroll-side"),
+    )
+    out = []
+    for (side, grids, cohort_side), row_ids in zip(sides, ids):
+        stats = []
+        for grid in grids:
+            for scores in grid:
+                try:
+                    stats.append(top_score_stats(scores, cohorts.top_k, cohort_side))
+                except NormalizationError as exc:
+                    if row_ids is None:
+                        raise
+                    raise NormalizationError(f"{exc} ({side} '{row_ids[len(stats)]}')") from None
+            del grid, scores  # a row view keeps its grid alive; the next grid must not coexist with it
+        out.append(np.array(stats))
+    return out
+
+
 def snorm(
     kernel: ScoringKernel,
     cohorts: CohortSet,
@@ -110,35 +134,15 @@ def snorm(
 ) -> float:
     """Normalize one raw trial score against both cohorts.
 
-    Slot order is preserved when scoring cohorts: enrollment-side cohort
-    entries always occupy the enrollment slot and test-side entries the
-    test slot, which matters because the kernel is asymmetric.
+    The one-trial case of `snorm_batch`, through the same arithmetic, so
+    the two agree exactly. Slot order is preserved when scoring cohorts:
+    the enrollment vector keeps the enrollment slot against test-side
+    entries, and the test vector the test slot against enrollment-side
+    entries, which matters because the kernel is asymmetric.
     """
-    _check_cohort_dims(cohorts, kernel.dim)
-    vs_test_cohort = score_pair_matrix(kernel, w_e, cohorts.test_cohort.matrix)[0]
-    vs_enroll_cohort = score_pair_matrix(kernel, cohorts.enroll_cohort.matrix, w_t)[:, 0]
-    stats_vs_test = top_score_stats(vs_test_cohort, cohorts.top_k, "test-side")
-    stats_vs_enroll = top_score_stats(vs_enroll_cohort, cohorts.top_k, "enroll-side")
-    return combine_normalized(float(raw), stats_vs_test, stats_vs_enroll)
-
-
-def _cohort_stats(offset, quad, proj, cohort_quad, cohort_proj, top_k, side, ids, label):
-    """(mean, std) of each row's selected cohort scores, one row block at a time.
-
-    The row and cohort terms come from `_side_terms`; `ids` names the
-    rows in a `NormalizationError`. A block of 256 rows against a
-    5000-entry cohort is 10 MB of scores.
-    """
-    stats = np.empty((len(quad), 2))
-    for block in row_blocks(len(quad)):
-        grid = _grid(offset, quad[block], proj[block], cohort_quad, cohort_proj)
-        for row, scores in enumerate(grid, block.start):
-            try:
-                stats[row] = top_score_stats(scores, top_k, side)
-            except NormalizationError as exc:
-                raise NormalizationError(f"{exc} ({label} '{ids[row]}')") from None
-        del grid  # so the next block's grid does not coexist with this one
-    return stats
+    w_e, w_t = (np.asarray(w, dtype=np.float64).reshape(1, -1) for w in (w_e, w_t))
+    enroll_stats, test_stats = _side_stats(kernel, cohorts, w_e, w_t)
+    return float(combine_normalized(float(raw), enroll_stats[0], test_stats[0]))
 
 
 def snorm_batch(
@@ -156,33 +160,17 @@ def snorm_batch(
 
     Statistics for a given enrollment (or test) vector are shared by
     every trial that uses it, so the batch matches per-trial `snorm`
-    while scoring each vector against each cohort exactly once. The
-    per-side terms of the trial vectors and of both cohorts are computed
-    once; the referenced trial vectors, in table order, are then scored
-    against the opposite cohort one `data.row_blocks` block at a time,
-    and each block is reduced to statistics before the next one is
-    formed, so memory is O(block x cohort) per side whatever the number
-    of trials or ids.
+    while scoring each referenced vector, in table order, against the
+    opposite cohort exactly once. Memory is O(block x cohort) per side
+    whatever the number of trials or ids.
     """
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(scores):
         return scores.with_scores(())
-    d = kernel.dim
-    used_e, at_e = _referenced(scores.enroll_ids, enrolls, "enrollment", d)
-    used_t, at_t = _referenced(scores.test_ids, tests, "test", d)
-    _check_cohort_dims(cohorts, d)
-
-    quad_e, proj_e, quad_t, z_t = _side_terms(kernel, used_e.matrix, used_t.matrix)
-    cohort_quad_e, cohort_proj_e, cohort_quad_t, cohort_z_t = _side_terms(
-        kernel, cohorts.enroll_cohort.matrix, cohorts.test_cohort.matrix
-    )
-    enroll_stats = _cohort_stats(
-        kernel.offset, quad_e, proj_e, cohort_quad_t, cohort_z_t,
-        cohorts.top_k, "test-side", used_e.ids, "enrollment",
-    )
-    test_stats = _cohort_stats(
-        kernel.offset, quad_t, z_t, cohort_quad_e, cohort_proj_e,
-        cohorts.top_k, "enroll-side", used_t.ids, "test",
+    used_e, at_e = referenced_rows(kernel, scores.enroll_ids, enrolls, "enrollment")
+    used_t, at_t = referenced_rows(kernel, scores.test_ids, tests, "test")
+    enroll_stats, test_stats = _side_stats(
+        kernel, cohorts, used_e.matrix, used_t.matrix, (used_e.ids, used_t.ids)
     )
     normalized = combine_normalized(
         scores.values(),

@@ -128,8 +128,11 @@ class GenConfig:
             raise ParameterError("test_noise_jitter must be non-negative")
         if self.augment_copies < 0 or self.augment_noise <= 0.0:
             raise ParameterError("augment_copies must be >= 0 with positive augment_noise")
-        if "-" in self.speaker_prefix:
-            raise ParameterError("speaker_prefix must not contain '-'")
+        # an id's speaker ends at its first '-', and text files split ids on whitespace and skip '#' lines
+        if self.speaker_prefix.startswith("#") or any(c == "-" or c.isspace() for c in self.speaker_prefix):
+            raise ParameterError(
+                f"speaker_prefix {self.speaker_prefix!r} must not contain '-' or whitespace, or start with '#'"
+            )
 
 
 def _wishart_unit_cov(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -211,12 +211,39 @@ def test_only_data_checks_for_embedding_tables():
     assert all(file == "data.py" for file, _ in found), found
 
 
+def test_only_fourcov_reads_the_kernel_layout():
+    # every score comes from fourcov's side terms; a module that imports a
+    # private fourcov name or reads a kernel's weights keeps a second path,
+    # and inside fourcov only `_side_terms` reads a kernel's weights
+    package = os.path.dirname(asvbackend.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for statement in tree.body:
+            function = statement.name if isinstance(statement, ast.FunctionDef) else ""
+            for node in ast.walk(statement):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fourcov":
+                    found += [(name, function, alias.name) for alias in node.names if alias.name.startswith("_")]
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    private = node.value.id == "fourcov" and node.attr.startswith("_")
+                    layout = node.attr in ("blocks", "weights") and node.value.id != "self"
+                    if private or layout:
+                        found.append((name, function, node.attr))
+    allowed = {("fourcov.py", "_side_terms", "weights")}
+    assert allowed <= set(found)  # proves the walk sees the kernel's reader
+    assert set(found) == allowed, found
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
         ("--nontargets", -1), ("--cohort-speakers", -3), ("--test-rank", 0),
         ("--kappa", "inf"), ("--kappa", "nan"), ("--snr", "inf"), ("--rotation", "inf"),
         ("--mean-shift", "inf"), ("--jitter", "nan"), ("--eval-jitter", "inf"),
+        ("--id-prefix", "a b"), ("--id-prefix", "#a"),
     ],
 )
 def test_bad_synth_value_exits_6_before_writing(tmp_path, capsys, flag, value):
@@ -660,3 +687,33 @@ class TestSideWidth:
         if stage != "route-score":
             assert str(narrow[side]) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, label",
+        [("preprocess", "transform"), ("train-plda", "training"),
+         ("fit-fourcov", "enrollment"), ("fit-fourcov", "test")],
+    )
+    def test_training_stage_wrong_width_exits_5_naming_the_file(self, stack, tmp_path, capsys, stage, label):
+        # every stage that maps a file through a stored preprocessor checks
+        # its width the way score and snorm do
+        paths = stack[0]
+        pre = tmp_path / "pre.npz"
+        assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", pre) == 0
+        source = paths["train_enroll.embs" if label == "enrollment" else "train_test.embs"]
+        narrow = tmp_path / "narrow.embs"
+        narrow.write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in open(source)))
+        out = tmp_path / "out"
+        train = {"enrollment": paths["train_enroll.embs"], "test": paths["train_test.embs"], label: narrow}
+        argv = {
+            "preprocess": ["--embeddings", paths["train_test.embs"], "--transform", narrow,
+                           "--transformed-out", tmp_path / "out.pre"],
+            "train-plda": ["--embeddings", narrow, "--pre", pre, "--rank", 2],
+            "fit-fourcov": ["--enroll-model", paths["side1"], "--test-model", paths["side2"],
+                            "--enroll-embeddings", train["enrollment"], "--test-embeddings", train["test"],
+                            "--enroll-aggregate", 3],
+        }[stage]
+        assert invoke(stage, *argv, "--out", out) == 5
+        err = capsys.readouterr().err
+        assert err == (f"asvbackend: dimension: {label} ({narrow}) vectors have dimension 5, "
+                       "the model expects 6\n"), err
+        assert not out.exists() and not (tmp_path / "out.pre").exists()

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
-from asvbackend import synth
+from asvbackend import data, synth
 from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup, TrialList
 from asvbackend.exceptions import (
     DimensionMismatchError,
@@ -17,12 +17,12 @@ from asvbackend.fourcov import (
     FourCovModel,
     _pd_inverse,
     build_kernel,
+    cohort_grids,
     coupling_from_factors,
     fit_coupling,
     joint_covariances,
     model_space_pair,
     score_batch,
-    score_pair_matrix,
     score_trial,
     symmetric_kernel,
 )
@@ -283,7 +283,7 @@ class TestScoreTrial:
     def test_dimension_mismatch(self, rng):
         model = random_fourcov(rng, 4, 2, 2)
         kernel = build_kernel(model)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^enrollment vector has dimension 3, kernel dimension is 4$"):
             score_trial(kernel, np.zeros(3), np.zeros(4))
 
 
@@ -300,7 +300,7 @@ class TestScoreBatch:
         trials = trial_list([("e0", "t0", None)])
         out = score_batch(kernel, enrolls, tests, trials)
         expected = score_trial(kernel, enrolls[0].vector, tests[0].vector)
-        np.testing.assert_allclose(out.entries[0].score, expected, atol=1e-12)
+        np.testing.assert_array_equal(out.values(), [expected])
 
     def test_permutation_equivariance(self, rng):
         kernel, enrolls, tests = self._setup(rng)
@@ -349,25 +349,36 @@ class TestScoreBatch:
         with pytest.raises(UnknownIdError, match="'missing'"):
             score_batch(kernel, enrolls, tests, trial_list([("missing", "t0", None)]))
 
-    @pytest.mark.parametrize("side", ["enrollment", "test"])
-    def test_pair_matrix_wrong_dimension_names_side(self, rng, side):
-        kernel = build_kernel(random_fourcov(rng, 3, 2, 2))
-        rows = {"enrollment": rng.standard_normal((2, 3)), "test": rng.standard_normal((5, 3))}
-        rows[side] = rng.standard_normal((2, 4))
-        with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 4, kernel dimension is 3"):
-            score_pair_matrix(kernel, rows["enrollment"], rows["test"])
 
-    def test_pair_matrix_matches_trials(self, rng):
-        kernel, enrolls, tests = self._setup(rng, n_enroll=3, n_test=4)
-        matrix = score_pair_matrix(
-            kernel,
-            np.stack([e.vector for e in enrolls]),
-            np.stack([t.vector for t in tests]),
-        )
-        for i in range(3):
-            for j in range(4):
-                expected = score_trial(kernel, enrolls[i].vector, tests[j].vector)
-                assert abs(matrix[i, j] - expected) < 1e-12
+class TestCohortGrids:
+    def _setup(self, rng, n_rows=5, n_cohort=7):
+        kernel = build_kernel(random_fourcov(rng, 4, 2, 2))
+        rows = rng.standard_normal((n_rows, 4))
+        cohort = EmbeddingTable.from_columns([f"c{j}" for j in range(n_cohort)], rng.standard_normal((n_cohort, 4)))
+        return kernel, rows, cohort
+
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_grids_match_score_trial_with_slots_kept(self, rng, monkeypatch, side):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)  # three blocks of rows
+        kernel, rows, cohort = self._setup(rng)
+        grids = list(cohort_grids(kernel, rows, side, cohort))
+        assert [len(grid) for grid in grids] == [2, 2, 1]
+        got = np.vstack(grids)
+        assert got.shape == (len(rows), len(cohort))
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(cohort.matrix):
+                pair = (row, entry) if side == "enrollment" else (entry, row)
+                assert abs(got[i, j] - score_trial(kernel, *pair)) < 1e-12
+
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_wrong_dimension_names_side(self, rng, side):
+        kernel, rows, cohort = self._setup(rng)
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vector has dimension 3, kernel dimension is 4$"):
+            cohort_grids(kernel, rows[:, :3], side, cohort)
+        other = "test" if side == "enrollment" else "enrollment"
+        narrow = EmbeddingTable.from_columns(cohort.ids, cohort.matrix[:, :3])
+        with pytest.raises(DimensionMismatchError, match=f"^{other}-side cohort vector 'c0' has dimension 3"):
+            cohort_grids(kernel, rows, side, narrow)
 
 
 class TestModelSpacePair:

@@ -276,6 +276,7 @@ class TestConfigValidation:
             ({**DOC, "conditions": {"few-primary": {**STACK, "topk": 7}}},
              "condition 'few-primary' has unknown key(s) 'topk'"),
             ({**DOC, "enroll_seg_treshold": 99}, "the routing config has unknown key(s) 'enroll_seg_treshold'"),
+            ({**DOC, "conditions": {"few-tertiary": STACK}}, "routing.json: unknown condition 'few-tertiary'"),
         ],
     )
     def test_wrongly_typed_fields_exit_8(self, tmp_path, capsys, doc, message):
@@ -308,17 +309,19 @@ class TestConfigValidation:
         write_id_map(tmp_path / "lang.txt", {"t1": "primary"})
         return pipe
 
-    def test_alpha_recorded_only_when_given(self, rng, tmp_path):
+    def test_alpha_is_an_unknown_key(self, rng, tmp_path):
+        # an interpolation weight would be accepted and never read, so the
+        # key is refused like any other unknown key, before files are read
         from asvbackend.routing import load_routing_config
 
         self._stack_files(rng, tmp_path)
-        stack = {**self.STACK, "top_k": 2}
-        doc = {**self.DOC, "conditions": {"few-primary": {**stack, "alpha": 0.25}, "many-primary": stack}}
         path = tmp_path / "routing.json"
-        path.write_text(json.dumps(doc))
-        config = load_routing_config(path)
-        assert config.pipelines[ConditionKey("few", "primary")].alpha == 0.25
-        assert config.pipelines[ConditionKey("many", "primary")].alpha is None
+        stack = {**self.STACK, "top_k": 2}
+        path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": stack}}))
+        assert ConditionKey("few", "primary") in load_routing_config(path).pipelines
+        path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": {**stack, "alpha": 0.25}}}))
+        with pytest.raises(ConfigError, match="condition 'few-primary' has unknown key\\(s\\) 'alpha'"):
+            load_routing_config(path)
 
     def test_calibration_tag_must_name_its_condition(self, rng, tmp_path):
         from asvbackend.calibration import write_calibration
