@@ -42,20 +42,19 @@ from .plda import (
     interpolate_plda,
     length_normalize,
     plda_llr,
-    speaker_factor,
     to_model_space,
     train_plda,
 )
-from .routing import ConditionKey, RoutingConfig, classify_trials, route_and_score
+from .routing import CONDITIONS, RoutingConfig, classify_trials, route_and_score
 from .scorenorm import CohortSet, snorm, snorm_batch
 from .synth import GenConfig, GroundTruth, make_ground_truth, sample_dataset, true_llr
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CONDITIONS",
     "CalibrationModel",
     "CohortSet",
-    "ConditionKey",
     "DcfParams",
     "Embedding",
     "EmbeddingTable",
@@ -96,7 +95,6 @@ __all__ = [
     "score_trial",
     "snorm",
     "snorm_batch",
-    "speaker_factor",
     "to_model_space",
     "train_plda",
     "true_llr",

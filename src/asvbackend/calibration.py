@@ -32,7 +32,7 @@ class CalibrationModel:
     """Affine score map; scale must be positive for deployment use.
 
     A non-positive scale would reverse score order, so deployment paths
-    (routing config load) reject it; construction only warns, because a
+    (a routing `ConditionPipeline`) reject it; construction only warns, because a
     fit on uninformative development trials legitimately lands near zero.
     """
 

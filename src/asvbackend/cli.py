@@ -285,10 +285,13 @@ def _cmd_calibrate(args) -> int:
 def _cmd_route_score(args) -> int:
     _require_files(args.config, args.enroll, args.test, args.trials)
     config = routing.load_routing_config(args.config)
+    trials = data.read_trials(args.trials)
+    # every id and condition the trials use is checked before a stack is read
+    routing.used_conditions(routing.classify_trials(config, trials), config.conditions)
+    pipelines = routing.load_pipelines(config)
     enrolls = data.read_embeddings(args.enroll)
     tests = data.read_embeddings(args.test)
-    trials = data.read_trials(args.trials)
-    scores = routing.route_and_score(config, enrolls, tests, trials)
+    scores = routing.route_and_score(config, pipelines, enrolls, tests, trials)
     data.write_scores(scores, args.out)
     print(f"wrote {len(scores)} routed scores to {args.out}")
     return 0
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--trials", default=None, help="labeled trials: fit mode")
     p.add_argument("--model", default=None, help="calibration file: apply mode")
-    p.add_argument("--condition", default=None)
+    p.add_argument("--condition", choices=routing.CONDITIONS, default=None)
     p.add_argument("--out", required=True, help="calibration file (fit) or calibrated scores (apply)")
     p.set_defaults(func=_cmd_calibrate)
 

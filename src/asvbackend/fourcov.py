@@ -298,16 +298,23 @@ def cohort_grids(kernel: ScoringKernel, rows: np.ndarray, side: str, cohort: Emb
     """Scores of `side` rows against a cohort of the other side, one row block at a time.
 
     Each side keeps its slot, so every score is the one `score_trial`
-    gives that pair. Widths are checked and side terms formed at the
-    call; the iterator then yields one (rows, cohort) grid per
+    gives that pair. Widths are checked at the call. The iterator forms
+    the side terms when the first grid is asked for and drops them
+    after the last, and yields one (rows, cohort) grid per
     `data.row_blocks` block of rows, in row order. Dropping each grid
     before the next bounds memory to one.
     """
     other = "test" if side == "enrollment" else "enrollment"
     _check_width(cohort.matrix, f"{other}-side cohort", kernel.dim, cohort.ids)
-    quad, proj = _side_terms(kernel, rows, side)
-    cohort_quad, cohort_proj = _side_terms(kernel, cohort.matrix, other)
-    return (_grid(kernel.offset, quad[b], proj[b], cohort_quad, cohort_proj) for b in row_blocks(len(rows)))
+    _check_width(rows, side, kernel.dim)
+
+    def grids():
+        quad, proj = _side_terms(kernel, rows, side)
+        cohort_quad, cohort_proj = _side_terms(kernel, cohort.matrix, other)
+        for b in row_blocks(len(rows)):
+            yield _grid(kernel.offset, quad[b], proj[b], cohort_quad, cohort_proj)
+
+    return grids()
 
 
 def coupling_from_factors(enroll_factors: np.ndarray, test_factors: np.ndarray):

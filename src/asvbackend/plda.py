@@ -489,11 +489,6 @@ def speaker_factors(model: PldaModel, samples) -> np.ndarray:
     return _posterior(model.speaker_loadings, model.residual_cov, sums, stats.counts)[0]
 
 
-def speaker_factor(model: PldaModel, sample: SpeakerGroup) -> np.ndarray:
-    """Posterior mean of the speaker factor given one speaker group."""
-    return speaker_factors(model, [sample])[0]
-
-
 def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
     """log N(x; mean, cov): the log-determinant from a Cholesky factor of
     cov, the quadratic term from one solve against cov."""

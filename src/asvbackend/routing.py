@@ -7,13 +7,16 @@ metadata — this package never detects it. Each of the four conditions
 owns a complete scoring stack (two-sided model, cohorts, calibration);
 a mixed trial list is partitioned, each partition scored, normalized and
 calibrated by its own stack, and the streams merged back in input order.
+A routing config loads in two steps: `load_routing_config` checks the
+document and reads the metadata, and `load_pipelines` reads each
+condition's stack from what it returns.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +26,13 @@ from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingErr
 from .fourcov import FourCovModel, build_kernel, model_space_pair, score_batch
 from .modelio import load_fourcov
 from .plda import Preprocessor
-from .scorenorm import DEFAULT_TOP_K, CohortSet, snorm_batch
+from .scorenorm import DEFAULT_TOP_K, CohortSet, check_top_k, snorm_batch
 
 ENROLL_BUCKETS = ("few", "many")
 TEST_LANGUAGES = ("primary", "secondary")
+# A condition is its tag; buckets run outer and languages inner, and
+# `classify_trials` gives each trial an index into this tuple.
+CONDITIONS = tuple(f"{bucket}-{language}" for bucket in ENROLL_BUCKETS for language in TEST_LANGUAGES)
 DEFAULT_SEG_THRESHOLD = 5
 # the files each condition of a routing config names, and every key the
 # document and a condition may hold
@@ -34,40 +40,6 @@ CONDITION_FILES = ("model", "cohort_enroll", "cohort_test", "calibration")
 DOCUMENT_KEYS = ("enroll_seg_threshold", "enroll_segments", "test_language", "conditions")
 CONDITION_KEYS = CONDITION_FILES + ("top_k",)
 _JSON_TYPES = {dict: "a JSON object", int: "an integer", str: "a string"}
-
-
-@dataclass(frozen=True)
-class ConditionKey:
-    """One cell of the enrollment-size x test-language grid."""
-
-    enroll_bucket: str
-    test_language: str
-
-    def __post_init__(self):
-        if self.enroll_bucket not in ENROLL_BUCKETS:
-            raise ParameterError(
-                f"enroll_bucket must be one of {ENROLL_BUCKETS}, got '{self.enroll_bucket}'"
-            )
-        if self.test_language not in TEST_LANGUAGES:
-            raise ParameterError(
-                f"test_language must be one of {TEST_LANGUAGES}, got '{self.test_language}'"
-            )
-
-    @property
-    def tag(self) -> str:
-        return f"{self.enroll_bucket}-{self.test_language}"
-
-
-ALL_CONDITIONS = tuple(
-    ConditionKey(bucket, language) for bucket in ENROLL_BUCKETS for language in TEST_LANGUAGES
-)
-
-
-def parse_condition_tag(tag: str) -> ConditionKey:
-    parts = tag.split("-")
-    if len(parts) != 2:
-        raise ParameterError(f"condition tag must look like 'few-primary', got '{tag}'")
-    return ConditionKey(parts[0], parts[1])
 
 
 @dataclass(frozen=True)
@@ -80,65 +52,53 @@ class ConditionPipeline:
     cohorts: CohortSet          # already in preprocessed (model) space
     calibration: CalibrationModel
 
+    def __post_init__(self):
+        # a scale that is not positive would reverse this condition's score order
+        if not self.calibration.scale > 0.0:
+            raise ConfigError(
+                f"calibration scale must be positive for routing, got {self.calibration.scale}"
+            )
 
-@dataclass
+
+@dataclass(frozen=True)
 class RoutingConfig:
-    """Condition pipelines plus the trial metadata needed to classify."""
+    """The trial metadata needed to classify, and what each condition's stack is read from.
 
-    pipelines: dict[ConditionKey, ConditionPipeline]
+    `conditions` maps each configured tag to its resolved `CONDITION_FILES`
+    paths and its `top_k`; `path` is the config file, which errors from
+    `load_pipelines` name. `load_routing_config` checks every field.
+    """
+
     enroll_segments: dict[str, int]
     test_language: dict[str, str]
     enroll_seg_threshold: int = DEFAULT_SEG_THRESHOLD
-
-    def __post_init__(self):
-        if self.enroll_seg_threshold < 1:
-            raise ParameterError(
-                f"enroll_seg_threshold must be positive, got {self.enroll_seg_threshold}"
-            )
-        for tid, language in self.test_language.items():
-            if language not in TEST_LANGUAGES:
-                raise ConfigError(
-                    f"test id '{tid}' has unknown language '{language}' "
-                    f"(want one of {TEST_LANGUAGES})"
-                )
-        for cal in (p.calibration for p in self.pipelines.values()):
-            if not cal.scale > 0.0:
-                raise ConfigError(
-                    f"calibration scale must be positive for routing, got {cal.scale}"
-                )
+    conditions: dict[str, dict] = field(default_factory=dict)
+    path: str = ""
 
 
 def classify_trials(config: RoutingConfig, trials: TrialList) -> np.ndarray:
-    """Each trial's index into ALL_CONDITIONS.
+    """Each trial's index into CONDITIONS.
 
     The enrollment bucket comes from the segment count (few below the
     threshold, many from it up), the language from the test id's label;
     each unique id is looked up once.
     """
     try:
-        buckets = [
-            int(config.enroll_segments[i] >= config.enroll_seg_threshold)
-            for i in trials.enroll_ids
-        ]
+        buckets = [int(config.enroll_segments[i] >= config.enroll_seg_threshold) for i in trials.enroll_ids]
     except KeyError as exc:
         raise RoutingError(f"no segment count for enrollment id '{exc.args[0]}'") from None
     try:
         languages = [TEST_LANGUAGES.index(config.test_language[i]) for i in trials.test_ids]
     except KeyError as exc:
         raise RoutingError(f"no language label for test id '{exc.args[0]}'") from None
-    # ALL_CONDITIONS runs over languages within each bucket
+    # CONDITIONS runs over languages within each bucket
     return (
         len(TEST_LANGUAGES) * np.array(buckets, dtype=np.intp)[trials.enroll_codes]
         + np.array(languages, dtype=np.intp)[trials.test_codes]
     )
 
 
-def condition_pipeline_scores(
-    pipeline: ConditionPipeline,
-    enrolls,
-    tests,
-    trials: TrialList,
-) -> ScoreSet:
+def condition_pipeline_scores(pipeline: ConditionPipeline, enrolls, tests, trials: TrialList) -> ScoreSet:
     """Score raw embeddings through one condition's full stack.
 
     `enrolls` and `tests` are tables, or sequences of `Embedding` rows,
@@ -153,31 +113,39 @@ def condition_pipeline_scores(
     return apply_calibration(pipeline.calibration, normalized)
 
 
+def used_conditions(conditions: np.ndarray, configured) -> list[int]:
+    """The indices into CONDITIONS that `conditions` holds, each once, in order.
+
+    Raises `ConfigError` naming every used condition whose tag is not
+    in `configured`.
+    """
+    used = np.unique(conditions).tolist()
+    missing = [CONDITIONS[c] for c in used if CONDITIONS[c] not in configured]
+    if missing:
+        raise ConfigError(f"no pipeline configured for condition(s): {', '.join(missing)}")
+    return used
+
+
 def route_and_score(
-    config: RoutingConfig,
-    enrolls,
-    tests,
-    trials: TrialList,
+    config: RoutingConfig, pipelines: dict[str, ConditionPipeline], enrolls, tests, trials: TrialList
 ) -> ScoreSet:
     """Partition trials by condition, score each partition, merge in order.
 
-    `enrolls` and `tests` are tables of raw embeddings, or sequences of
-    `Embedding` rows, converted to tables once. Each condition's trials
-    are scored by `condition_pipeline_scores` against the whole tables,
-    so a routed trial gets the score that `score`, `snorm` and
-    `calibrate` give it with the same stack, repeated ids included.
+    `pipelines` maps condition tags to stacks, as `load_pipelines`
+    gives them. `enrolls` and `tests` are tables of raw embeddings, or
+    sequences of `Embedding` rows, converted to tables once. Each
+    condition's trials are scored by `condition_pipeline_scores` against
+    the whole tables, so a routed trial gets the score that `score`,
+    `snorm` and `calibrate` give it with the same stack, repeated ids
+    included.
     """
     conditions = classify_trials(config, trials)
-    needed = np.unique(conditions).tolist()
-    missing = [ALL_CONDITIONS[c].tag for c in needed if ALL_CONDITIONS[c] not in config.pipelines]
-    if missing:
-        raise ConfigError(f"no pipeline configured for condition(s): {', '.join(sorted(missing))}")
-
+    needed = used_conditions(conditions, pipelines)
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     merged = np.empty(len(trials))
     for c in needed:
         rows = np.flatnonzero(conditions == c)
-        pipeline = config.pipelines[ALL_CONDITIONS[c]]
+        pipeline = pipelines[CONDITIONS[c]]
         merged[rows] = condition_pipeline_scores(pipeline, enrolls, tests, trials.take(rows)).values()
     return trials.with_scores(merged)
 
@@ -209,7 +177,7 @@ def read_language_map(path) -> dict[str, str]:
 
 
 def load_routing_config(path) -> RoutingConfig:
-    """Load the declarative routing file (JSON).
+    """Load and check the declarative routing file (JSON), reading no stack.
 
     Schema:
         {
@@ -228,15 +196,13 @@ def load_routing_config(path) -> RoutingConfig:
         }
 
     The document, `conditions` and each condition are JSON objects that
-    hold no keys but those above, each condition is named by the tag of
-    one cell of the grid (`few-primary`, ..., `many-secondary`), paths
-    are strings, and `enroll_seg_threshold` and `top_k` are integers
-    (`top_k` may be null, for the whole cohort); anything else raises
-    `ConfigError` before any referenced file is read. A calibration
-    file tagged with a condition (`calibrate --condition`) must be
-    configured under that condition. Relative paths resolve against the
-    config file's directory. Every referenced path is checked before
-    anything heavy is loaded.
+    hold no keys but those above, each condition is named by one of the
+    CONDITIONS tags, paths are strings, `enroll_seg_threshold` is a
+    positive integer and `top_k` a positive integer or null (the whole
+    cohort); anything else raises `ConfigError` before any referenced
+    file is read. Relative paths resolve against the config file's
+    directory, and every referenced path must exist. Of those files only
+    the two metadata maps are read; `load_pipelines` reads the rest.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -255,58 +221,73 @@ def load_routing_config(path) -> RoutingConfig:
         p = require(p, str, "a file path")
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    def known(spec, keys, what):
-        unknown = sorted(set(spec) - set(keys))
+    def check_keys(spec, allowed, required, what):
+        unknown = sorted(set(spec) - set(allowed))
         if unknown:
             raise ConfigError(f"{path}: {what} has unknown key(s) {', '.join(map(repr, unknown))}")
+        missing = [key for key in required if key not in spec]
+        if missing:
+            raise ConfigError(f"{path}: {what} is missing key(s) {', '.join(map(repr, missing))}")
 
     require(doc, dict, "the routing config")
-    known(doc, DOCUMENT_KEYS, "the routing config")
-    for field_name in ("enroll_segments", "test_language", "conditions"):
-        if field_name not in doc:
-            raise ConfigError(f"{path}: missing required field '{field_name}'")
+    check_keys(doc, DOCUMENT_KEYS, ("enroll_segments", "test_language", "conditions"), "the routing config")
     require(doc["conditions"], dict, "'conditions'")
     threshold = require(doc.get("enroll_seg_threshold", DEFAULT_SEG_THRESHOLD), int, "'enroll_seg_threshold'")
+    if threshold < 1:
+        raise ConfigError(f"{path}: 'enroll_seg_threshold' must be positive, got {threshold}")
 
     referenced = [resolve(doc["enroll_segments"]), resolve(doc["test_language"])]
-    condition_docs = {}
+    conditions = {}
     for tag, spec in doc["conditions"].items():
-        try:
-            key = parse_condition_tag(tag)
-        except ParameterError as exc:
-            raise ConfigError(f"{path}: unknown condition '{tag}' ({exc})") from None
+        if tag not in CONDITIONS:
+            raise ConfigError(f"{path}: unknown condition '{tag}' (want one of {', '.join(CONDITIONS)})")
         require(spec, dict, f"condition '{tag}'")
-        known(spec, CONDITION_KEYS, f"condition '{tag}'")
-        for required in CONDITION_FILES:
-            if required not in spec:
-                raise ConfigError(f"{path}: condition '{tag}' is missing '{required}'")
-        if spec.get("top_k") is not None:
-            require(spec["top_k"], int, f"condition '{tag}' top_k")
-        condition_docs[key] = spec
-        referenced += [resolve(spec[field_name]) for field_name in CONDITION_FILES]
+        check_keys(spec, CONDITION_KEYS, CONDITION_FILES, f"condition '{tag}'")
+        top_k = spec.get("top_k", DEFAULT_TOP_K)
+        try:
+            check_top_k(top_k)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: condition '{tag}' {exc}") from None
+        conditions[tag] = {**{f: resolve(spec[f]) for f in CONDITION_FILES}, "top_k": top_k}
+        referenced += [conditions[tag][f] for f in CONDITION_FILES]
     missing = [p for p in referenced if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"{path}: referenced file(s) do not exist: {', '.join(missing)}")
+    return RoutingConfig(
+        enroll_segments=read_segment_counts(referenced[0]),
+        test_language=read_language_map(referenced[1]),
+        enroll_seg_threshold=threshold,
+        conditions=conditions,
+        path=str(path),
+    )
 
+
+def load_pipelines(config: RoutingConfig) -> dict[str, ConditionPipeline]:
+    """Each configured condition's stack, read from the files the config names.
+
+    A calibration file tagged with a condition (`calibrate --condition`)
+    must be configured under that condition. A stack that cannot be
+    built, such as one whose `top_k` exceeds a cohort's size or whose
+    calibration scale is not positive, raises `ConfigError` naming the
+    config file and the condition.
+    """
     pipelines = {}
-    for key, spec in condition_docs.items():
-        cal_model, cal_tag = read_calibration(resolve(spec["calibration"]))
-        if cal_tag not in (None, key.tag):
+    for tag, spec in config.conditions.items():
+        cal_model, cal_tag = read_calibration(spec["calibration"])
+        if cal_tag not in (None, tag):
             raise ConfigError(
-                f"{path}: condition '{key.tag}' names calibration {spec['calibration']!r}, "
+                f"{config.path}: condition '{tag}' names calibration {spec['calibration']!r}, "
                 f"which is tagged '{cal_tag}'"
             )
-        model, pre_enroll, pre_test = load_fourcov(resolve(spec["model"]))
-        cohort_enroll, cohort_test = resolve(spec["cohort_enroll"]), resolve(spec["cohort_test"])
+        model, pre_enroll, pre_test = load_fourcov(spec["model"])
+        cohort_enroll, cohort_test = spec["cohort_enroll"], spec["cohort_test"]
         cohort_pair = model_space_pair(
             pre_enroll, pre_test, read_embeddings(cohort_enroll), read_embeddings(cohort_test),
             (f"enrollment-side cohort ({cohort_enroll})", f"test-side cohort ({cohort_test})"),
         )
-        cohorts = CohortSet(*cohort_pair, spec.get("top_k", DEFAULT_TOP_K))
-        pipelines[key] = ConditionPipeline(model, pre_enroll, pre_test, cohorts, cal_model)
-    return RoutingConfig(
-        pipelines=pipelines,
-        enroll_segments=read_segment_counts(resolve(doc["enroll_segments"])),
-        test_language=read_language_map(resolve(doc["test_language"])),
-        enroll_seg_threshold=threshold,
-    )
+        try:
+            cohorts = CohortSet(*cohort_pair, spec["top_k"])
+            pipelines[tag] = ConditionPipeline(model, pre_enroll, pre_test, cohorts, cal_model)
+        except (ParameterError, ConfigError) as exc:
+            raise ConfigError(f"{config.path}: condition '{tag}': {exc}") from None
+    return pipelines

@@ -46,11 +46,8 @@ class CohortSet:
         test = _cohort_table(self.test_cohort, "test-side")
         if not len(enroll) or not len(test):
             raise ParameterError("both cohorts must be non-empty")
+        check_top_k(self.top_k)
         if self.top_k is not None:
-            if isinstance(self.top_k, bool) or not isinstance(self.top_k, numbers.Integral):
-                raise ParameterError(f"top_k must be an integer or None, got {self.top_k!r}")
-            if self.top_k < 1:
-                raise ParameterError(f"top_k must be positive, got {self.top_k}")
             limit = min(len(enroll), len(test))
             if self.top_k > limit:
                 raise ParameterError(
@@ -58,6 +55,16 @@ class CohortSet:
                 )
         object.__setattr__(self, "enroll_cohort", enroll)
         object.__setattr__(self, "test_cohort", test)
+
+
+def check_top_k(top_k) -> None:
+    """Raise unless `top_k` is None (the whole cohort) or a positive integer."""
+    if top_k is None:
+        return
+    if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
+        raise ParameterError(f"top_k must be an integer or None, got {top_k!r}")
+    if top_k < 1:
+        raise ParameterError(f"top_k must be positive, got {top_k}")
 
 
 def _cohort_table(cohort, side: str) -> EmbeddingTable:
@@ -100,10 +107,11 @@ def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enroll_rows, test_row
     """(mean, std) of each row's selected scores against the opposite cohort.
 
     Both sides' `cohort_grids` are set up, checking every width, before
-    any score is formed. Each row block's grid is reduced to statistics
-    before the next is formed: 256 rows against a 5000-entry cohort is
-    10 MB of scores. Where `ids` names a side's rows, a
-    `NormalizationError` names the row.
+    any score is formed. The enrollment side is then reduced, and its
+    side terms dropped, before the test side forms its own. Each row
+    block's grid is reduced to statistics before the next is formed:
+    256 rows against a 5000-entry cohort is 10 MB of scores. Where `ids`
+    names a side's rows, a `NormalizationError` names the row.
     """
     sides = (
         ("enrollment", cohort_grids(kernel, enroll_rows, "enrollment", cohorts.test_cohort), "test-side"),

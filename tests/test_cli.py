@@ -311,6 +311,16 @@ class TestErrorPaths:
             invoke("evaluate", "--nope")
         assert err.value.code == 2
 
+    def test_calibrate_condition_must_be_a_routing_tag(self, tmp_path, monkeypatch, capsys):
+        # a tag that no routing config can name is a usage error, before any file is read
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            invoke("calibrate", "--scores", "s.scores", "--trials", "t.trials",
+                   "--condition", "few-tertiary", "--out", "c.cal")
+        assert err.value.code == 2
+        assert "invalid choice: 'few-tertiary'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code = invoke("evaluate", "--scores", tmp_path / "no.scores", "--trials", tmp_path / "no.trials")
         assert code == 3

@@ -19,7 +19,6 @@ from asvbackend.plda import (
     interpolate_plda,
     length_normalize,
     plda_llr,
-    speaker_factor,
     speaker_factors,
     speaker_stats,
     to_model_space,
@@ -322,18 +321,18 @@ class TestTrainPlda:
 class TestSpeakerFactor:
     def test_sample_at_mean_gives_zero(self, rng):
         model = random_plda(rng, 4, 2)
-        factor = speaker_factor(model, make_group("s", [model.mean.copy()]))
+        factor = speaker_factors(model, [make_group("s", [model.mean.copy()])])[0]
         np.testing.assert_allclose(factor, np.zeros(2), atol=1e-12)
 
     def test_scalar_case(self):
         model = PldaModel(np.zeros(1), np.ones((1, 1)), np.ones((1, 1)))
-        factor = speaker_factor(model, make_group("s", [np.array([2.0])]))
+        factor = speaker_factors(model, [make_group("s", [np.array([2.0])])])[0]
         np.testing.assert_allclose(factor, [1.0])
 
     def test_matches_dense_formula(self, rng):
         model = random_plda(rng, 4, 2)
         rows = rng.standard_normal((3, 4)) + model.mean
-        got = speaker_factor(model, make_group("s", rows))
+        got = speaker_factors(model, [make_group("s", rows)])[0]
         # direct dense evaluation
         gamma_inv = np.linalg.inv(model.residual_cov)
         phi = model.speaker_loadings
@@ -344,7 +343,7 @@ class TestSpeakerFactor:
     def test_shrinkage_and_precision_growth(self, rng):
         model = random_plda(rng, 5, 2)
         w = model.mean + rng.standard_normal(5)
-        posterior = speaker_factor(model, make_group("s", [w]))
+        posterior = speaker_factors(model, [make_group("s", [w])])[0]
         gamma_inv = np.linalg.inv(model.residual_cov)
         phi = model.speaker_loadings
         base = phi.T @ gamma_inv @ phi

@@ -22,7 +22,7 @@ from asvbackend.data import (
     write_trials,
 )
 from asvbackend.metrics import compute_eer, compute_min_dcf, det_points
-from asvbackend.routing import ALL_CONDITIONS, route_and_score
+from asvbackend.routing import CONDITIONS, route_and_score
 
 from conftest import random_truth
 from test_routing import metadata_config, tiny_pipeline
@@ -141,8 +141,8 @@ _rng = np.random.default_rng(31)
 KERNEL = fourcov.build_kernel(random_truth(_rng, 5, 2, 2).as_fourcov())
 ENROLLS = [Embedding(f"e{i}", _rng.standard_normal(5)) for i in range(6)]
 TESTS = [Embedding(f"t{j}", _rng.standard_normal(5)) for j in range(7)]
+PIPELINES = {tag: tiny_pipeline(_rng, offset=float(k)) for k, tag in enumerate(CONDITIONS)}
 ROUTING = metadata_config(
-    {key: tiny_pipeline(_rng, offset=float(k)) for k, key in enumerate(ALL_CONDITIONS)},
     {f"e{i}": 1 + 2 * i for i in range(6)},
     {f"t{j}": ("primary", "secondary")[j % 2] for j in range(7)},
 )
@@ -163,8 +163,8 @@ class TestScoresFollowTrialOrder:
     @settings(max_examples=20, deadline=None)
     @given(st.permutations(GRID))
     def test_route_and_score(self, pairs):
-        expected = route_and_score(ROUTING, ENROLLS, TESTS, unlabeled(GRID)).values()
-        got = route_and_score(ROUTING, ENROLLS, TESTS, unlabeled(pairs)).values()
+        expected = route_and_score(ROUTING, PIPELINES, ENROLLS, TESTS, unlabeled(GRID)).values()
+        got = route_and_score(ROUTING, PIPELINES, ENROLLS, TESTS, unlabeled(pairs)).values()
         # each condition scores the referenced vectors in table order, so a
         # permutation of the trials leaves every BLAS product as it was
         np.testing.assert_array_equal(got, expected[[GRID.index(p) for p in pairs]])

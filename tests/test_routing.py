@@ -6,15 +6,15 @@ import pytest
 from asvbackend import cli, plda
 from asvbackend.calibration import CalibrationModel
 from asvbackend.data import Embedding, Trial, TrialList
-from asvbackend.exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
+from asvbackend.exceptions import ConfigError, FileFormatError, RoutingError
 from asvbackend.routing import (
-    ALL_CONDITIONS,
-    ConditionKey,
+    CONDITIONS,
     ConditionPipeline,
     RoutingConfig,
     classify_trials,
     condition_pipeline_scores,
-    parse_condition_tag,
+    load_pipelines,
+    load_routing_config,
     read_language_map,
     read_segment_counts,
     route_and_score,
@@ -37,51 +37,40 @@ def tiny_pipeline(rng, dim=5, offset=0.0):
     return ConditionPipeline(model, pre1, pre2, cohorts, CalibrationModel(1.0, offset))
 
 
-def metadata_config(pipelines, enroll_segments, test_language, threshold=5):
+def metadata_config(enroll_segments, test_language, threshold=5):
     return RoutingConfig(
-        pipelines=pipelines,
         enroll_segments=enroll_segments,
         test_language=test_language,
         enroll_seg_threshold=threshold,
     )
 
 
-class TestConditionKey:
+class TestConditions:
     def test_exactly_four_conditions(self):
-        assert len(ALL_CONDITIONS) == 4
-        assert len(set(ALL_CONDITIONS)) == 4
+        assert len(CONDITIONS) == 4
+        assert len(set(CONDITIONS)) == 4
 
-    def test_tag_round_trip(self):
-        for key in ALL_CONDITIONS:
-            assert parse_condition_tag(key.tag) == key
-
-    def test_bad_values_rejected(self):
-        with pytest.raises(ParameterError):
-            ConditionKey("some", "primary")
-        with pytest.raises(ParameterError):
-            parse_condition_tag("few-tertiary")
+    def test_buckets_outer_languages_inner(self):
+        assert CONDITIONS == ("few-primary", "few-secondary", "many-primary", "many-secondary")
 
 
 def classify_trial(config, enroll_id, test_id):
-    """The condition of a single trial."""
-    return ALL_CONDITIONS[classify_trials(config, TrialList((Trial(enroll_id, test_id),)))[0]]
+    """The condition tag of a single trial."""
+    return CONDITIONS[classify_trials(config, TrialList((Trial(enroll_id, test_id),)))[0]]
 
 
 class TestClassify:
     def _config(self):
         return metadata_config(
-            {},
             {"e3": 3, "e5": 5, "e12": 12},
             {"t_p": "primary", "t_s": "secondary"},
         )
 
     def test_below_threshold_is_few(self):
-        key = classify_trial(self._config(), "e3", "t_p")
-        assert key == ConditionKey("few", "primary")
+        assert classify_trial(self._config(), "e3", "t_p") == "few-primary"
 
     def test_boundary_is_many(self):
-        key = classify_trial(self._config(), "e5", "t_s")
-        assert key == ConditionKey("many", "secondary")
+        assert classify_trial(self._config(), "e5", "t_s") == "many-secondary"
 
     def test_unknown_ids_named(self):
         with pytest.raises(RoutingError, match="'ghost'"):
@@ -91,7 +80,6 @@ class TestClassify:
 
     def test_partition_is_total_and_disjoint(self):
         config = metadata_config(
-            {},
             {f"e{n}": n for n in range(1, 10)},
             {"tp": "primary", "ts": "secondary"},
         )
@@ -99,7 +87,7 @@ class TestClassify:
         for eid in config.enroll_segments:
             for tid in config.test_language:
                 seen.setdefault(classify_trial(config, eid, tid), []).append((eid, tid))
-        assert set(seen) <= set(ALL_CONDITIONS)
+        assert set(seen) <= set(CONDITIONS)
         assert sum(len(v) for v in seen.values()) == 18
 
     def test_threshold_monotonicity(self):
@@ -109,45 +97,43 @@ class TestClassify:
             few_lo = {
                 eid
                 for eid in counts
-                if classify_trial(metadata_config({}, counts, lang, lo), eid, "t").enroll_bucket == "few"
+                if classify_trial(metadata_config(counts, lang, lo), eid, "t").startswith("few-")
             }
             few_hi = {
                 eid
                 for eid in counts
-                if classify_trial(metadata_config({}, counts, lang, lo + 1), eid, "t").enroll_bucket == "few"
+                if classify_trial(metadata_config(counts, lang, lo + 1), eid, "t").startswith("few-")
             }
             assert few_lo <= few_hi
 
 
 class TestRouteAndScore:
     def _setup(self, rng):
-        pipe_a = tiny_pipeline(rng, offset=0.0)
-        pipe_b = tiny_pipeline(rng, offset=10.0)  # deliberately different calibration
         pipelines = {
-            ConditionKey("few", "primary"): pipe_a,
-            ConditionKey("many", "secondary"): pipe_b,
+            "few-primary": tiny_pipeline(rng, offset=0.0),
+            "many-secondary": tiny_pipeline(rng, offset=10.0),  # deliberately different calibration
         }
         enrolls = [Embedding("eA", rng.standard_normal(5)) for _ in range(2)]
         enrolls += [Embedding("eB", rng.standard_normal(5)) for _ in range(6)]
         tests = [Embedding("tP", rng.standard_normal(5)), Embedding("tS", rng.standard_normal(5))]
-        config = metadata_config(pipelines, {"eA": 2, "eB": 6}, {"tP": "primary", "tS": "secondary"})
-        return config, enrolls, tests
+        config = metadata_config({"eA": 2, "eB": 6}, {"tP": "primary", "tS": "secondary"})
+        return config, pipelines, enrolls, tests
 
     def test_splice_equality(self, rng):
-        config, enrolls, tests = self._setup(rng)
+        config, pipelines, enrolls, tests = self._setup(rng)
         trials = TrialList((Trial("eA", "tP"), Trial("eB", "tS")))
-        merged = route_and_score(config, enrolls, tests, trials)
+        merged = route_and_score(config, pipelines, enrolls, tests, trials)
 
         only_a = TrialList((Trial("eA", "tP"),))
         manual_a = condition_pipeline_scores(
-            config.pipelines[ConditionKey("few", "primary")],
+            pipelines["few-primary"],
             [e for e in enrolls if e.id == "eA"],
             [t for t in tests if t.id == "tP"],
             only_a,
         )
         only_b = TrialList((Trial("eB", "tS"),))
         manual_b = condition_pipeline_scores(
-            config.pipelines[ConditionKey("many", "secondary")],
+            pipelines["many-secondary"],
             [e for e in enrolls if e.id == "eB"],
             [t for t in tests if t.id == "tS"],
             only_b,
@@ -156,57 +142,50 @@ class TestRouteAndScore:
         assert merged.entries[1].score == manual_b.entries[1 - 1].score
 
     def test_calibration_offsets_applied_per_condition(self, rng):
-        config, enrolls, tests = self._setup(rng)
+        config, pipelines, enrolls, tests = self._setup(rng)
         trials = TrialList((Trial("eA", "tP"), Trial("eB", "tS")))
-        merged = route_and_score(config, enrolls, tests, trials)
+        merged = route_and_score(config, pipelines, enrolls, tests, trials)
         no_cal_pipelines = {
-            key: ConditionPipeline(p.model, p.pre_enroll, p.pre_test, p.cohorts, CalibrationModel(1.0, 0.0))
-            for key, p in config.pipelines.items()
+            tag: ConditionPipeline(p.model, p.pre_enroll, p.pre_test, p.cohorts, CalibrationModel(1.0, 0.0))
+            for tag, p in pipelines.items()
         }
-        uncal = route_and_score(
-            metadata_config(no_cal_pipelines, config.enroll_segments, config.test_language),
-            enrolls, tests, trials,
-        )
+        uncal = route_and_score(config, no_cal_pipelines, enrolls, tests, trials)
         assert merged.entries[0].score == uncal.entries[0].score  # offset 0
         np.testing.assert_allclose(merged.entries[1].score, uncal.entries[1].score + 10.0, atol=1e-12)
 
     def test_missing_condition_reported(self, rng):
-        config, enrolls, tests = self._setup(rng)
+        config, pipelines, enrolls, tests = self._setup(rng)
         trials = TrialList((Trial("eA", "tS"),))  # few-secondary has no pipeline
         with pytest.raises(ConfigError, match="few-secondary"):
-            route_and_score(config, enrolls, tests, trials)
+            route_and_score(config, pipelines, enrolls, tests, trials)
 
     def test_output_order_is_input_order(self, rng):
-        config, enrolls, tests = self._setup(rng)
+        config, pipelines, enrolls, tests = self._setup(rng)
         trials = TrialList((Trial("eB", "tS"), Trial("eA", "tP")))
-        merged = route_and_score(config, enrolls, tests, trials)
+        merged = route_and_score(config, pipelines, enrolls, tests, trials)
         assert [(s.enroll_id, s.test_id) for s in merged] == [("eB", "tS"), ("eA", "tP")]
 
     def test_repeated_test_id_scored_as_condition_pipeline(self, rng):
         # route_and_score resolves ids as score_batch and snorm_batch do:
         # the last row of a repeated id is used
-        config, enrolls, tests = self._setup(rng)
+        config, pipelines, enrolls, tests = self._setup(rng)
         tests = tests + [Embedding("tP", rng.standard_normal(5))]
         trials = TrialList((Trial("eA", "tP"), Trial("eB", "tS")))
-        routed = route_and_score(config, enrolls, tests, trials).values()
-        for row, key in enumerate((ConditionKey("few", "primary"), ConditionKey("many", "secondary"))):
+        routed = route_and_score(config, pipelines, enrolls, tests, trials).values()
+        for row, tag in enumerate(("few-primary", "many-secondary")):
             subset = trials.take([row])
-            direct = condition_pipeline_scores(config.pipelines[key], enrolls, tests, subset)
+            direct = condition_pipeline_scores(pipelines[tag], enrolls, tests, subset)
             assert routed[row] == direct.values()[0]
-        last_only = condition_pipeline_scores(
-            config.pipelines[ConditionKey("few", "primary")], enrolls, tests[1:], trials.take([0])
-        )
+        last_only = condition_pipeline_scores(pipelines["few-primary"], enrolls, tests[1:], trials.take([0]))
         assert routed[0] == last_only.values()[0]
 
     def test_four_condition_partition(self, rng):
-        pipelines = {key: tiny_pipeline(rng, offset=i) for i, key in enumerate(ALL_CONDITIONS)}
+        pipelines = {tag: tiny_pipeline(rng, offset=i) for i, tag in enumerate(CONDITIONS)}
         enrolls = [Embedding("few_e", rng.standard_normal(5)), Embedding("many_e", rng.standard_normal(5))]
         tests = [Embedding("tp", rng.standard_normal(5)), Embedding("ts", rng.standard_normal(5))]
-        config = metadata_config(
-            pipelines, {"few_e": 1, "many_e": 9}, {"tp": "primary", "ts": "secondary"}
-        )
+        config = metadata_config({"few_e": 1, "many_e": 9}, {"tp": "primary", "ts": "secondary"})
         trials = TrialList(tuple(Trial(e, t) for e in ("few_e", "many_e") for t in ("tp", "ts")))
-        merged = route_and_score(config, enrolls, tests, trials)
+        merged = route_and_score(config, pipelines, enrolls, tests, trials)
         assert len(merged) == 4
 
 
@@ -233,18 +212,14 @@ class TestConfigValidation:
         pipe = tiny_pipeline(rng)
         with pytest.warns(RuntimeWarning, match="not positive"):
             flipped = CalibrationModel(-0.5, 0.0)
-        bad = ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, flipped)
         with pytest.raises(ConfigError, match="positive"):
-            metadata_config({ConditionKey("few", "primary"): bad}, {}, {})
+            ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, flipped)
         with pytest.warns(RuntimeWarning, match="not positive"):
             undefined = CalibrationModel(float("nan"), 0.0)
-        bad = ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, undefined)
         with pytest.raises(ConfigError, match="positive"):
-            metadata_config({ConditionKey("few", "primary"): bad}, {}, {})
+            ConditionPipeline(pipe.model, pipe.pre_enroll, pipe.pre_test, pipe.cohorts, undefined)
 
     def test_missing_referenced_file_reported(self, tmp_path):
-        from asvbackend.routing import load_routing_config
-
         doc = {
             "enroll_segments": "missing_enroll.txt",
             "test_language": "missing_lang.txt",
@@ -277,9 +252,24 @@ class TestConfigValidation:
              "condition 'few-primary' has unknown key(s) 'topk'"),
             ({**DOC, "enroll_seg_treshold": 99}, "the routing config has unknown key(s) 'enroll_seg_treshold'"),
             ({**DOC, "conditions": {"few-tertiary": STACK}}, "routing.json: unknown condition 'few-tertiary'"),
+            ({**DOC, "enroll_seg_threshold": 0}, "routing.json: 'enroll_seg_threshold' must be positive, got 0"),
+            ({**DOC, "enroll_seg_threshold": -2}, "routing.json: 'enroll_seg_threshold' must be positive, got -2"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 0}}},
+             "routing.json: condition 'few-primary' top_k must be positive, got 0"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": -1}}},
+             "routing.json: condition 'few-primary' top_k must be positive, got -1"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 100000}}},
+             "routing.json: condition 'few-primary': top_k 100000 exceeds the smaller cohort size 3"),
+            ({k: v for k, v in DOC.items() if k != "test_language"},
+             "routing.json: the routing config is missing key(s) 'test_language'"),
+            ({**DOC, "conditions": {"few-primary": {"model": "m.npz", "calibration": "c.cal"}}},
+             "routing.json: condition 'few-primary' is missing key(s) 'cohort_enroll', 'cohort_test'"),
         ],
     )
-    def test_wrongly_typed_fields_exit_8(self, tmp_path, capsys, doc, message):
+    def test_wrongly_typed_fields_exit_8(self, rng, tmp_path, capsys, doc, message):
+        # every file the config names exists, so only the stack's own
+        # sizes can reject the last case
+        self._stack_files(rng, tmp_path)
         for name in ("e.embs", "t.embs", "x.trials"):
             (tmp_path / name).write_text("")
         config = tmp_path / "routing.json"
@@ -312,27 +302,70 @@ class TestConfigValidation:
     def test_alpha_is_an_unknown_key(self, rng, tmp_path):
         # an interpolation weight would be accepted and never read, so the
         # key is refused like any other unknown key, before files are read
-        from asvbackend.routing import load_routing_config
-
         self._stack_files(rng, tmp_path)
         path = tmp_path / "routing.json"
         stack = {**self.STACK, "top_k": 2}
         path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": stack}}))
-        assert ConditionKey("few", "primary") in load_routing_config(path).pipelines
+        assert "few-primary" in load_routing_config(path).conditions
         path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": {**stack, "alpha": 0.25}}}))
         with pytest.raises(ConfigError, match="condition 'few-primary' has unknown key\\(s\\) 'alpha'"):
             load_routing_config(path)
 
     def test_calibration_tag_must_name_its_condition(self, rng, tmp_path):
         from asvbackend.calibration import write_calibration
-        from asvbackend.routing import load_routing_config
 
         pipe = self._stack_files(rng, tmp_path)
         path = tmp_path / "routing.json"
         path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": {**self.STACK, "top_k": 2}}}))
         write_calibration(tmp_path / "c.cal", pipe.calibration, "few-primary")
-        assert ConditionKey("few", "primary") in load_routing_config(path).pipelines
+        assert "few-primary" in load_pipelines(load_routing_config(path))
         write_calibration(tmp_path / "c.cal", pipe.calibration, "many-secondary")
-        with pytest.raises(ConfigError, match="condition 'few-primary' names calibration 'c.cal', "
+        with pytest.raises(ConfigError, match=f"condition 'few-primary' names calibration '{tmp_path / 'c.cal'}', "
                                               "which is tagged 'many-secondary'"):
-            load_routing_config(path)
+            load_pipelines(load_routing_config(path))
+
+    def test_metadata_step_reads_no_stack(self, rng, tmp_path, monkeypatch):
+        import asvbackend.routing as routing
+
+        self._stack_files(rng, tmp_path)
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps({**self.DOC, "conditions": {"few-primary": {**self.STACK, "top_k": 2}}}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stack file was read")
+
+        for name in ("load_fourcov", "read_embeddings", "read_calibration"):
+            monkeypatch.setattr(routing, name, refuse)
+        config = load_routing_config(path)
+        assert config.conditions["few-primary"] == {
+            **{key: str(tmp_path / name) for key, name in self.STACK.items()}, "top_k": 2
+        }
+        assert classify_trials(config, TrialList((Trial("e1", "t1"),))).tolist() == [0]
+        with pytest.raises(AssertionError, match="stack file"):
+            load_pipelines(config)
+
+    @pytest.mark.parametrize(
+        "enroll_id, message",
+        [("e1", "config: no pipeline configured for condition(s): few-primary"),
+         ("ghost", "routing: no segment count for enrollment id 'ghost'")],
+        ids=["unconfigured-condition", "id-without-metadata"],
+    )
+    def test_route_score_checks_trials_before_reading_a_stack(self, rng, tmp_path, capsys, enroll_id, message):
+        # the trial is few-primary and only few-secondary is configured; its
+        # model file is unreadable, so reading it would exit 4
+        self._stack_files(rng, tmp_path)
+        (tmp_path / "m.npz").write_bytes(b"not a bundle")
+        for name in ("e.embs", "t.embs"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "x.trials").write_text(f"{enroll_id} t1\n")
+        config = tmp_path / "routing.json"
+        config.write_text(json.dumps({**self.DOC, "conditions": {"few-secondary": self.STACK}}))
+        code = cli.main([
+            "route-score", "--config", str(config), "--enroll", str(tmp_path / "e.embs"),
+            "--test", str(tmp_path / "t.embs"), "--trials", str(tmp_path / "x.trials"),
+            "--out", str(tmp_path / "o.scores"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 8, err
+        assert err == f"asvbackend: {message}\n"
+        assert not (tmp_path / "o.scores").exists()

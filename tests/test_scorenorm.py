@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asvbackend.data import Embedding, ScoredTrial, ScoreSet
+from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet
 from asvbackend.exceptions import DimensionMismatchError, NormalizationError, ParameterError
 from asvbackend.fourcov import ScoringKernel, build_kernel, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
@@ -281,3 +281,28 @@ class TestSnormBatch:
         # a row of a finished block's grid must not keep that grid alive
         # while the next one is formed: two 256-row grids are 8.2 MB
         assert peak < 2 * 256 * m * 8, f"peak {peak / 1e6:.1f} MB"
+
+    def test_side_terms_are_formed_one_side_at_a_time(self, rng):
+        # 2000 vectors per side at dimension 128 against 200-entry cohorts:
+        # one side's (vectors x d) terms are 2 MB, a cohort's 0.2 MB and a
+        # 256-row grid 0.4 MB. Forming one side's terms holds two (vectors
+        # x d) arrays at once; with the other side's terms still alive it
+        # would hold three.
+        n, m, d = 2000, 200, 128
+        kernel = build_kernel(random_truth(rng, d, 4, 4).as_fourcov())
+
+        def table(prefix, rows):
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(rows)], rng.standard_normal((rows, d)))
+
+        enrolls, tests = table("e", n), table("t", n)
+        cohorts = CohortSet(table("ce", m), table("ct", m), 50)
+        raw = ScoreSet.from_columns(enrolls.ids, tests.ids, rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        side = n * d * 8
+        assert peak - held < 2.5 * side, f"transient peak {(peak - held) / 1e6:.2f} MB"
