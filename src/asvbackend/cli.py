@@ -10,6 +10,8 @@ otherwise. Each error class carries its kind and stable exit code
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 
@@ -21,9 +23,10 @@ from .exceptions import BackendError, ParameterError
 
 
 def _require_files(*paths) -> None:
+    """A stage input that is missing, or is not a regular file, is a missing file."""
     for p in paths:
-        if p is not None and not os.path.exists(p):
-            raise FileNotFoundError(p)
+        if p is not None and not os.path.isfile(p):
+            raise FileNotFoundError(f"{p} (not a regular file)" if os.path.exists(p) else p)
 
 
 def _training_rows(rows, label, speaker_map_path, pre, aggregate):
@@ -55,103 +58,68 @@ def _cmd_synth(args) -> int:
     for flag, count in (("--nontargets", args.nontargets), ("--cohort-speakers", args.cohort_speakers)):
         if count < 0:
             raise ParameterError(f"{flag} must be non-negative, got {count}")
-    master = np.random.SeedSequence(args.seed)
-    train_seed, eval_seed, cohort_seed, trial_seed = (
-        s.generate_state(1)[0] for s in master.spawn(4)
-    )
-    eval_jitter = args.jitter if args.eval_jitter is None else args.eval_jitter
-    common = dict(
-        dim=args.dim,
-        enroll_rank=args.rank,
-        test_rank=args.rank if args.test_rank is None else args.test_rank,
-        snr=args.snr,
-        coupling_strength=args.coupling,
-        test_noise_inflation=args.kappa,
-        test_rotation=args.rotation,
-        test_mean_shift=args.mean_shift,
-        augment_copies=args.augment_copies,
-    )
+    test_rank = args.rank if args.test_rank is None else args.test_rank
+    seeds = np.random.SeedSequence(args.seed).spawn(4)
+    train_seed, eval_seed, cohort_seed, trial_seed = (int(s.generate_state(1)[0]) for s in seeds)
     train_cfg = synth.GenConfig(
-        n_speakers=args.train_speakers,
-        enroll_segments=args.enroll_segs * args.train_enroll_samples,
-        test_segments=args.train_test_segs,
-        seed=int(train_seed),
-        speaker_prefix=args.id_prefix + "tr",
-        test_noise_jitter=args.jitter,
-        **common,
+        dim=args.dim, enroll_rank=args.rank, test_rank=test_rank, n_speakers=args.train_speakers,
+        enroll_segments=args.enroll_segs * args.train_enroll_samples, test_segments=args.train_test_segs,
+        seed=train_seed, snr=args.snr, coupling_strength=args.coupling, test_noise_inflation=args.kappa,
+        test_rotation=args.rotation, test_mean_shift=args.mean_shift, test_noise_jitter=args.jitter,
+        augment_copies=args.augment_copies, speaker_prefix=args.id_prefix + "tr",
     )
-    truth = synth.make_ground_truth(train_cfg)
-    train_enroll, train_test, _ = synth.sample_dataset(train_cfg)
-    eval_cfg = synth.GenConfig(
-        n_speakers=args.eval_speakers,
-        enroll_segments=args.enroll_segs,
-        test_segments=args.eval_test_segs,
-        seed=int(eval_seed),
-        speaker_prefix=args.id_prefix + "ev",
-        truth=truth,
-        test_noise_jitter=eval_jitter,
-        **common,
+    if args.rotation != 0.0 and test_rank != args.rank:
+        # test loadings of another rank are drawn on their own: there is nothing to rotate
+        raise ParameterError(f"--rotation needs --test-rank equal to --rank ({args.rank}), got {test_rank}")
+    # the truth is drawn once, from the training config, and shared by all three sets
+    train_cfg = dataclasses.replace(train_cfg, truth=synth.make_ground_truth(train_cfg))
+    eval_cfg = dataclasses.replace(
+        train_cfg, n_speakers=args.eval_speakers, enroll_segments=args.enroll_segs,
+        test_segments=args.eval_test_segs, seed=eval_seed, speaker_prefix=args.id_prefix + "ev",
+        test_noise_jitter=args.jitter if args.eval_jitter is None else args.eval_jitter,
     )
-    eval_enroll, eval_test, _ = synth.sample_dataset(eval_cfg)
-
+    cohort_cfg = dataclasses.replace(
+        eval_cfg, n_speakers=args.cohort_speakers, test_segments=1, seed=cohort_seed,
+        speaker_prefix=args.id_prefix + "coh",
+    ) if args.cohort_speakers else None
     os.makedirs(args.out_dir, exist_ok=True)
+    path = functools.partial(os.path.join, args.out_dir)
 
-    def path(name):
-        return os.path.join(args.out_dir, name)
+    def write(name, groups, model=None):
+        """Write the groups' rows, each named `<speaker>-<model>` if `model` is given; return the ids."""
+        ids = [f"{g.speaker_id}-{model}" if model else m.id for g in groups for m in g.members]
+        matrix = np.vstack([g.matrix() for g in groups])
+        data.write_embeddings(path(name), data.EmbeddingTable.from_columns(ids, matrix))
+        return ids
 
-    data.write_embeddings(path("train_enroll.embs"), [m for g in train_enroll for m in g.members])
-    data.write_embeddings(path("train_test.embs"), [m for g in train_test for m in g.members])
-
-    # Eval enrollment rows all carry the enrollment-model id; the scoring
-    # stage aggregates rows sharing an id.
-    enroll_rows = []
-    enroll_meta = {}
-    for group in eval_enroll:
-        model_id = f"{group.speaker_id}-model"
-        enroll_meta[model_id] = str(len(group.members))
-        enroll_rows += [data.Embedding(model_id, m.vector) for m in group.members]
-    data.write_embeddings(path("eval_enroll.embs"), enroll_rows)
-    test_rows = [m for g in eval_test for m in g.members]
-    data.write_embeddings(path("eval_test.embs"), test_rows)
-    data.write_id_map(path("enroll_meta.txt"), enroll_meta)
-    data.write_id_map(path("test_meta.txt"), {t.id: args.language for t in test_rows})
-
-    rng = np.random.default_rng(int(trial_seed))
-    trial_enroll, trial_test, trial_labels = [], [], []
-    test_ids = [t.id for t in test_rows]
-    for group in eval_enroll:
-        targets = [m.id for g in eval_test if g.speaker_id == group.speaker_id for m in g.members]
-        impostors = [tid for tid in test_ids if data.speaker_of(tid) != group.speaker_id]
-        picked = rng.choice(len(impostors), size=min(args.nontargets, len(impostors)), replace=False)
-        nontargets = [impostors[idx] for idx in sorted(picked)]
-        trial_enroll += [f"{group.speaker_id}-model"] * (len(targets) + len(nontargets))
-        trial_test += targets + nontargets
-        trial_labels += [True] * len(targets) + [False] * len(nontargets)
-    data.write_trials(
-        path("eval.trials"), data.TrialList.from_columns(trial_enroll, trial_test, trial_labels)
-    )
-
-    if args.cohort_speakers > 0:
-        cohort_cfg = synth.GenConfig(
-            n_speakers=args.cohort_speakers,
-            enroll_segments=args.enroll_segs,
-            test_segments=1,
-            seed=int(cohort_seed),
-            speaker_prefix=args.id_prefix + "coh",
-            truth=truth,
-            test_noise_jitter=eval_jitter,
-            **common,
-        )
+    train_enroll, train_test, _ = synth.sample_dataset(train_cfg)
+    write("train_enroll.embs", train_enroll)
+    write("train_test.embs", train_test)
+    # eval and cohort enrollment rows carry their model's id; scoring averages rows sharing an id
+    if cohort_cfg:
         cohort_enroll, cohort_test, _ = synth.sample_dataset(cohort_cfg)
-        rows = []
-        for group in cohort_enroll:
-            rows += [data.Embedding(f"{group.speaker_id}-cmodel", m.vector) for m in group.members]
-        data.write_embeddings(path("cohort_enroll.embs"), rows)
-        data.write_embeddings(
-            path("cohort_test.embs"), [m for g in cohort_test for m in g.members]
-        )
-
-    modelio.save_ground_truth(path("truth.npz"), truth)
+        write("cohort_enroll.embs", cohort_enroll, "cmodel")
+        write("cohort_test.embs", cohort_test)
+    enroll, test, _ = synth.sample_dataset(eval_cfg)
+    write("eval_enroll.embs", enroll, "model")
+    test_ids = write("eval_test.embs", test)
+    model_ids = [f"{g.speaker_id}-model" for g in enroll]
+    data.write_id_map(path("enroll_meta.txt"), {m: str(len(g.members)) for m, g in zip(model_ids, enroll)})
+    data.write_id_map(path("test_meta.txt"), dict.fromkeys(test_ids, args.language))
+    # each model's target rows, then a sorted draw of the other speakers' test rows
+    speaker = np.repeat(np.arange(len(test)), [len(g.members) for g in test])
+    rng = np.random.default_rng(trial_seed)
+    picks = []
+    for s in range(len(enroll)):
+        impostors = np.flatnonzero(speaker != s)
+        drawn = rng.choice(len(impostors), size=min(args.nontargets, len(impostors)), replace=False)
+        picks.append(np.concatenate([np.flatnonzero(speaker == s), impostors[np.sort(drawn)]]))
+    models, rows = np.repeat(np.arange(len(picks)), [len(p) for p in picks]), np.concatenate(picks)
+    data.write_trials(path("eval.trials"), data.TrialList.from_columns(
+        [model_ids[m] for m in models.tolist()], [test_ids[r] for r in rows.tolist()],
+        (speaker[rows] == models).tolist(),
+    ))
+    modelio.save_ground_truth(path("truth.npz"), train_cfg.truth)
     print(f"wrote synthetic dataset to {args.out_dir}")
     return 0
 
@@ -291,6 +259,9 @@ def _cmd_route_score(args) -> int:
     pipelines = routing.load_pipelines(config)
     enrolls = data.read_embeddings(args.enroll)
     tests = data.read_embeddings(args.test)
+    for pipeline in pipelines.values():
+        plda.check_raw_width(enrolls, pipeline.pre_enroll, f"enrollment ({args.enroll})")
+        plda.check_raw_width(tests, pipeline.pre_test, f"test ({args.test})")
     scores = routing.route_and_score(config, pipelines, enrolls, tests, trials)
     data.write_scores(scores, args.out)
     print(f"wrote {len(scores)} routed scores to {args.out}")

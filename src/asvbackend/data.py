@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from array import array
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,8 +62,11 @@ _BLOCK_ROWS = 256
 
 @contextmanager
 def atomic_write(path, mode="w"):
-    """Open a temp file next to `path`, rename over it on success."""
+    """Open a temp file next to `path` (a file in an existing directory), rename over it on success."""
     directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(directory):
+        problem = "it is a directory" if os.path.isdir(path) else "no such directory"
+        raise FileNotFoundError(f"cannot write {path}: {problem}")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     try:
         with os.fdopen(fd, mode, newline="\n" if "b" not in mode else None) as fh:
@@ -423,9 +427,13 @@ def _check_tokens(path, tokens: Iterable[str]) -> None:
 
 
 def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    """(line number, fields) of each data line; a line that is not UTF-8 raises `FileFormatError`."""
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise FileFormatError(f"{path}:{lineno}: line is not valid UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             yield lineno, line.split()
@@ -551,7 +559,10 @@ def _read_embeddings_binary(path) -> EmbeddingTable:
             slot = slots[rows.filled * width : (rows.filled + 1) * width]
             if len(id_bytes) != id_len or fh.readinto(slot) != width:
                 raise FileFormatError(f"{path}: truncated record {record}")
-            rows.add(id_bytes.decode("utf-8"))
+            try:
+                rows.add(id_bytes.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise FileFormatError(f"{path}: record {record}: id is not valid UTF-8") from None
     return rows.table()
 
 
@@ -574,19 +585,42 @@ def _write_embeddings_binary(path, table: EmbeddingTable) -> None:
 _LABELS = {"tgt": True, "non": False}
 
 
-def read_trials(path) -> TrialList:
-    rows = list(_data_lines(path))
-    labels = []
-    for lineno, parts in rows:
-        if len(parts) not in (2, 3):
-            raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id [tgt|non]'")
-        if len(parts) == 3 and parts[2] not in _LABELS:
-            raise FileFormatError(f"{path}:{lineno}: unknown label '{parts[2]}' (want tgt or non)")
-        labels.append(_LABELS[parts[2]] if len(parts) == 3 else None)
+def _read_pairs(path, table, parse):
+    """A trial or score file as `table`, read in one pass that encodes each side's ids.
+
+    `parse(path, lineno, fields)` checks a data line and gives its value.
+    """
+    index, codes, values = ({}, {}), (array("q"), array("q")), []
+    for lineno, parts in _data_lines(path):
+        values.append(parse(path, lineno, parts))
+        for ids, side_codes, part in zip(index, codes, parts):
+            side_codes.append(ids.setdefault(part, len(ids)))
+    sides = [(tuple(ids), np.array(side_codes, dtype=np.intp)) for ids, side_codes in zip(index, codes)]
     try:
-        return TrialList.from_columns([p[0] for _, p in rows], [p[1] for _, p in rows], labels)
-    except ParameterError as exc:
+        return table._make(*sides, table._column(values))
+    except (ParameterError, DomainError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _trial_label(path, lineno, parts):
+    if len(parts) not in (2, 3):
+        raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id [tgt|non]'")
+    if len(parts) == 3 and parts[2] not in _LABELS:
+        raise FileFormatError(f"{path}:{lineno}: unknown label '{parts[2]}' (want tgt or non)")
+    return _LABELS[parts[2]] if len(parts) == 3 else None
+
+
+def _score_value(path, lineno, parts):
+    if len(parts) != 3:
+        raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id score'")
+    try:
+        return float(parts[2])
+    except ValueError:
+        raise FileFormatError(f"{path}:{lineno}: non-numeric score '{parts[2]}'") from None
+
+
+def read_trials(path) -> TrialList:
+    return _read_pairs(path, TrialList, _trial_label)
 
 
 def _write_table(path, table: TrialList | ScoreSet, suffix) -> None:
@@ -602,19 +636,7 @@ def write_trials(path, trials: TrialList) -> None:
 
 
 def read_scores(path) -> ScoreSet:
-    rows = list(_data_lines(path))
-    values = []
-    for lineno, parts in rows:
-        if len(parts) != 3:
-            raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id score'")
-        try:
-            values.append(float(parts[2]))
-        except ValueError:
-            raise FileFormatError(f"{path}:{lineno}: non-numeric score '{parts[2]}'") from None
-    try:
-        return ScoreSet.from_columns([p[0] for _, p in rows], [p[1] for _, p in rows], values)
-    except (ParameterError, DomainError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+    return _read_pairs(path, ScoreSet, _score_value)
 
 
 def write_scores(scores: ScoreSet, path) -> None:

@@ -201,12 +201,17 @@ def load_routing_config(path) -> RoutingConfig:
     positive integer and `top_k` a positive integer or null (the whole
     cohort); anything else raises `ConfigError` before any referenced
     file is read. Relative paths resolve against the config file's
-    directory, and every referenced path must exist. Of those files only
-    the two metadata maps are read; `load_pipelines` reads the rest.
+    directory, and every referenced path must be a regular file. Of
+    those files only the two metadata maps are read; `load_pipelines`
+    reads the rest.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{line}: line is not valid UTF-8") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     base = os.path.dirname(os.path.abspath(path))
@@ -250,9 +255,9 @@ def load_routing_config(path) -> RoutingConfig:
             raise ConfigError(f"{path}: condition '{tag}' {exc}") from None
         conditions[tag] = {**{f: resolve(spec[f]) for f in CONDITION_FILES}, "top_k": top_k}
         referenced += [conditions[tag][f] for f in CONDITION_FILES]
-    missing = [p for p in referenced if not os.path.exists(p)]
+    missing = [p for p in referenced if not os.path.isfile(p)]
     if missing:
-        raise ConfigError(f"{path}: referenced file(s) do not exist: {', '.join(missing)}")
+        raise ConfigError(f"{path}: referenced file(s) do not exist or are not files: {', '.join(missing)}")
     return RoutingConfig(
         enroll_segments=read_segment_counts(referenced[0]),
         test_language=read_language_map(referenced[1]),

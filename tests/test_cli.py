@@ -1,6 +1,8 @@
+import argparse
 import ast
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -9,8 +11,8 @@ import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import cli, exceptions, fourcov, modelio, plda
-from asvbackend.data import join, read_scores
+from asvbackend import cli, exceptions, fourcov, modelio, plda, synth
+from asvbackend.data import BINARY_MAGIC, join, read_scores
 
 
 def invoke(*argv):
@@ -244,6 +246,8 @@ def test_only_fourcov_reads_the_kernel_layout():
         ("--kappa", "inf"), ("--kappa", "nan"), ("--snr", "inf"), ("--rotation", "inf"),
         ("--mean-shift", "inf"), ("--jitter", "nan"), ("--eval-jitter", "inf"),
         ("--id-prefix", "a b"), ("--id-prefix", "#a"),
+        # test loadings of another rank are drawn on their own, so the rotation of 0.3 would be ignored
+        ("--test-rank", 1),
     ],
 )
 def test_bad_synth_value_exits_6_before_writing(tmp_path, capsys, flag, value):
@@ -254,6 +258,80 @@ def test_bad_synth_value_exits_6_before_writing(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("asvbackend: parameter:") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_synth_draws_the_truth_once(tmp_path, monkeypatch):
+    # every truth draw starts with the enrollment residual covariance
+    calls = []
+    draw = synth._wishart_unit_cov
+    monkeypatch.setattr(synth, "_wishart_unit_cov", lambda *a: calls.append(a) or draw(*a))
+    assert invoke(*synth_args(tmp_path / "d")) == 0
+    assert len(calls) == 1
+
+
+# a small synth run with equal ranks, and one changed value for each of its knobs
+SYNTH_BASE = {"--dim": 5, "--rank": 2, "--train-speakers": 12, "--eval-speakers": 4,
+              "--cohort-speakers": 3, "--nontargets": 2}
+SYNTH_KNOBS = [
+    ("--dim", 6), ("--rank", 3), ("--test-rank", 1), ("--train-speakers", 13), ("--eval-speakers", 5),
+    ("--cohort-speakers", 4), ("--enroll-segs", 2), ("--train-enroll-samples", 3),
+    ("--train-test-segs", 2), ("--eval-test-segs", 3), ("--snr", 2.0), ("--coupling", 0.5),
+    ("--kappa", 2.0), ("--rotation", 0.3), ("--mean-shift", 0.5), ("--jitter", 0.4),
+    ("--eval-jitter", 0.4), ("--augment-copies", 1), ("--nontargets", 3), ("--language", "secondary"),
+    ("--id-prefix", "x"), ("--seed", 1),
+]
+
+
+def _synth_files(out, **overrides):
+    """The bytes of every file a `synth` run with SYNTH_BASE and `overrides` writes."""
+    argv = ["synth", "--out-dir", out]
+    for flag, value in {**SYNTH_BASE, **overrides}.items():
+        argv += [flag, value]
+    assert invoke(*argv) == 0
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.fixture(scope="module")
+def synth_base_files(tmp_path_factory):
+    return _synth_files(tmp_path_factory.mktemp("synth") / "base")
+
+
+@pytest.mark.parametrize("flag, value", SYNTH_KNOBS)
+def test_every_synth_knob_changes_the_files(tmp_path, synth_base_files, flag, value):
+    assert _synth_files(tmp_path / "d", **{flag: value}) != synth_base_files
+
+
+def _stages():
+    """Each subcommand's name and parser."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_synth_knob_list_covers_every_option():
+    options = {
+        option for action in _stages()["synth"]._actions for option in action.option_strings
+        if option.startswith("--") and option not in ("--help", "--out-dir")
+    }
+    assert options == {flag for flag, _ in SYNTH_KNOBS}
+
+
+def test_every_stage_reads_every_option_it_defines():
+    # an option that a stage's parser defines and its `_cmd_*` function never
+    # reads is accepted and then ignored
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    stages = _stages()
+    unread = []
+    for name, stage in stages.items():
+        function = functions[stage.get_default("func").__name__]
+        read = {
+            node.attr for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        unread += [(name, action.dest) for action in stage._actions if action.dest not in read | {"help"}]
+    assert len(stages) == 10
+    assert unread == []
 
 
 def _bundles(tmp_path):
@@ -325,6 +403,64 @@ class TestErrorPaths:
         code = invoke("evaluate", "--scores", tmp_path / "no.scores", "--trials", tmp_path / "no.trials")
         assert code == 3
         assert "missing-file" in capsys.readouterr().err
+
+    def test_text_file_not_utf8_exits_4_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "s.scores").write_text("e t1 5.0\ne t2 -5.0\n")
+        (tmp_path / "t.trials").write_bytes(b"e t1 tgt\ne t\xff2 non\n")
+        assert invoke("evaluate", "--scores", tmp_path / "s.scores", "--trials", tmp_path / "t.trials") == 4
+        err = capsys.readouterr().err
+        assert err == f"asvbackend: file-format: {tmp_path / 't.trials'}:2: line is not valid UTF-8\n"
+
+    def test_binary_id_not_utf8_exits_4_naming_the_record(self, tmp_path, capsys):
+        path = tmp_path / "e.bembs"
+        record = struct.pack("<I", 3) + b"a-\xff" + struct.pack("<2f", 1.0, 2.0)
+        path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2) + record)
+        assert invoke("preprocess", "--embeddings", path, "--out", tmp_path / "p.npz") == 4
+        assert capsys.readouterr().err == f"asvbackend: file-format: {path}: record 1: id is not valid UTF-8\n"
+
+    def test_routing_config_not_utf8_exits_4_naming_the_line(self, tmp_path, capsys):
+        for name in ("e.embs", "t.embs", "t.trials"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "routing.json").write_bytes(b'{\n  "enroll_segments": "\xe9.txt"\n}\n')
+        code = invoke("route-score", "--config", tmp_path / "routing.json", "--enroll", tmp_path / "e.embs",
+                      "--test", tmp_path / "t.embs", "--trials", tmp_path / "t.trials", "--out", tmp_path / "r")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"asvbackend: file-format: {tmp_path / 'routing.json'}:2: line is not valid UTF-8\n"
+
+    def test_directory_as_input_exits_3(self, tmp_path, capsys):
+        (tmp_path / "t.trials").write_text("e t1 tgt\n")
+        assert invoke("evaluate", "--scores", tmp_path, "--trials", tmp_path / "t.trials") == 3
+        assert capsys.readouterr().err == f"asvbackend: missing-file: {tmp_path} (not a regular file)\n"
+
+    def test_directory_as_routing_metadata_exits_8(self, tmp_path, capsys):
+        for name in ("e.embs", "t.embs", "t.trials", "lang.txt"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "meta").mkdir()
+        config = {"enroll_segments": "meta", "test_language": "lang.txt", "conditions": {}}
+        (tmp_path / "routing.json").write_text(json.dumps(config))
+        code = invoke("route-score", "--config", tmp_path / "routing.json", "--enroll", tmp_path / "e.embs",
+                      "--test", tmp_path / "t.embs", "--trials", tmp_path / "t.trials", "--out", tmp_path / "r")
+        assert code == 8
+        err = capsys.readouterr().err
+        assert err.startswith("asvbackend: config:") and err.endswith(f"not files: {tmp_path / 'meta'}\n"), err
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unwritable_output_exits_3_naming_it(self, tmp_path, capsys, where):
+        (tmp_path / "s.scores").write_text("e t1 5.0\ne t2 -5.0\n")
+        (tmp_path / "t.trials").write_text("e t1 tgt\ne t2 non\n")
+        out = tmp_path / "det"
+        if where == "directory":
+            out.mkdir()
+            problem = "it is a directory"
+        else:
+            out = out / "det.txt"
+            problem = "no such directory"
+        code = invoke("evaluate", "--scores", tmp_path / "s.scores", "--trials", tmp_path / "t.trials",
+                      "--det-out", out)
+        assert code == 3
+        assert capsys.readouterr().err == f"asvbackend: missing-file: cannot write {out}: {problem}\n"
+        assert not list(tmp_path.rglob(".tmp.*"))
 
     def test_malformed_file_exits_4(self, tmp_path, capsys):
         (tmp_path / "bad.scores").write_text("only two\n")
@@ -693,9 +829,7 @@ class TestSideWidth:
         assert invoke(stage, *argv, "--out", out) == 5
         err = capsys.readouterr().err
         assert err.startswith(f"asvbackend: dimension: {side} "), err
-        assert "vectors have dimension 5, the model expects 6" in err
-        if stage != "route-score":
-            assert str(narrow[side]) in err
+        assert f"({narrow[side]}) vectors have dimension 5, the model expects 6" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

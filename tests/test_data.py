@@ -280,6 +280,27 @@ class TestTrialAndScoreFiles:
         with pytest.raises(FileFormatError, match="non-numeric score"):
             read_scores(path)
 
+    @pytest.mark.parametrize("kind", ["trials", "scores"])
+    def test_reading_holds_no_per_line_copies(self, tmp_path, kind):
+        # 200 models x 100 tests; a reader that keeps every line's fields
+        # (about 500 B a row) before building the table peaks far above
+        # one that encodes ids as it reads
+        path = tmp_path / f"f.{kind}"
+        with open(path, "w") as fh:
+            for m in range(200):
+                for t in range(100):
+                    value = ("tgt" if m == t else "non") if kind == "trials" else repr((m * 7919 + t) / 3.0)
+                    fh.write(f"spk{m:05d}-model spk{t:05d}-t0 {value}\n")
+        read = read_trials if kind == "trials" else read_scores
+        tracemalloc.start()
+        try:
+            table = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 20_000
+        assert peak / len(table) < 200, f"peak {peak / len(table):.0f} B per row"
+
     def test_id_map_round_trip_and_duplicates(self, tmp_path):
         path = tmp_path / "m.txt"
         write_id_map(path, {"a": "spk1", "b": "spk2"})
