@@ -55,6 +55,11 @@ def _shared_speaker_stats(side, shared):
 
 
 def _cmd_synth(args) -> int:
+    existing = os.path.abspath(args.out_dir)
+    while not os.path.lexists(existing):  # the nearest existing path must be a directory
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise FileNotFoundError(f"cannot create directory {args.out_dir}: {existing} is not a directory")
     for flag, count in (("--nontargets", args.nontargets), ("--cohort-speakers", args.cohort_speakers)):
         if count < 0:
             raise ParameterError(f"{flag} must be non-negative, got {count}")

@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .plda import (
     PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, speaker_factors,
-    to_model_space,
+    symmetric, to_model_space,
 )
 
 
@@ -53,11 +53,8 @@ class FourCovModel:
             raise DimensionMismatchError(
                 f"coupling noise covariance shape {noise.shape} does not match rank {r2}"
             )
-        scale = max(1.0, float(np.abs(noise).max()))
-        if not np.allclose(noise, noise.T, rtol=0.0, atol=1e-10 * scale):
-            raise ParameterError("coupling noise covariance must be symmetric")
-        noise = (noise + noise.T) / 2.0
-        if noise.size and np.linalg.eigvalsh(noise)[0] < -1e-10 * scale:
+        noise = symmetric(noise, "coupling noise covariance")
+        if noise.size and np.linalg.eigvalsh(noise)[0] < -1e-10 * max(1.0, float(np.abs(noise).max())):
             raise ParameterError("coupling noise covariance must be positive semi-definite")
         if self.enroll_plda.dim != self.test_plda.dim:
             raise DimensionMismatchError(
@@ -94,12 +91,9 @@ class ScoringKernel:
             raise DimensionMismatchError(
                 f"kernel weights shape {weights.shape} does not match stacked dimension {two_d}"
             )
-        scale = max(1.0, float(np.abs(weights).max()))
-        if not np.allclose(weights, weights.T, rtol=0.0, atol=1e-10 * scale):
-            raise ParameterError("kernel weights must be symmetric")
         object.__setattr__(self, "enroll_mean", enroll_mean)
         object.__setattr__(self, "test_mean", test_mean)
-        object.__setattr__(self, "weights", (weights + weights.T) / 2.0)
+        object.__setattr__(self, "weights", symmetric(weights, "kernel weights"))
         object.__setattr__(self, "offset", float(self.offset))
 
     @property
@@ -237,8 +231,10 @@ def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarr
 def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
     """LLR score of one (enrollment, test) pair of preprocessed vectors.
 
-    The one-trial case of `score_batch`'s arithmetic, so the two agree
-    exactly. The two slots are not interchangeable: enrollment-side
+    The one-trial case of `score_batch`'s arithmetic: a batch of one
+    gives the same bits, a larger batch the same score up to rounding,
+    because BLAS may round a one-row product differently from a many-row
+    one. The two slots are not interchangeable: enrollment-side
     vectors must go first. With distinct side models, score(a, b) !=
     score(b, a).
     """

@@ -1,10 +1,11 @@
 """Versioned on-disk bundles for trained models.
 
-Each bundle is a single .npz with a magic/version string, dimension and
-rank fields in the header entries, and the arrays themselves. A side
-bundle carries one PLDA model together with its preprocessor; a
-two-sided bundle carries both sides plus the factor coupling. Writes are
-atomic.
+Each bundle is a single .npz holding a magic/version string and the
+arrays its loader reads, nothing else: dimensions and ranks are the
+arrays' shapes. A side bundle carries one PLDA model together with its
+preprocessor; a two-sided bundle carries both sides plus the factor
+coupling; a ground-truth file, which no loader reads, the eight
+`GroundTruth` fields. Writes are atomic.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _load_npz(path, magic: str, *names: str) -> list[np.ndarray]:
 
 
 def save_preprocessor(path, pre: Preprocessor) -> None:
-    _save_npz(path, magic=PREPROCESSOR_MAGIC, dim=pre.dim, mean=pre.mean, whitener=pre.whitener)
+    _save_npz(path, magic=PREPROCESSOR_MAGIC, mean=pre.mean, whitener=pre.whitener)
 
 
 def load_preprocessor(path) -> Preprocessor:
@@ -55,8 +56,6 @@ def save_plda_side(path, model: PldaModel, pre: Preprocessor) -> None:
     _save_npz(
         path,
         magic=SIDE_MAGIC,
-        dim=model.dim,
-        rank=model.rank,
         mean=model.mean,
         speaker_loadings=model.speaker_loadings,
         residual_cov=model.residual_cov,
@@ -76,9 +75,6 @@ def save_fourcov(path, model: FourCovModel, pre_enroll: Preprocessor, pre_test: 
     _save_npz(
         path,
         magic=FOURCOV_MAGIC,
-        dim=model.dim,
-        enroll_rank=model.enroll_plda.rank,
-        test_rank=model.test_plda.rank,
         enroll_mean=model.enroll_plda.mean,
         enroll_loadings=model.enroll_plda.speaker_loadings,
         enroll_residual_cov=model.enroll_plda.residual_cov,
@@ -110,7 +106,6 @@ def save_ground_truth(path, truth: GroundTruth) -> None:
     _save_npz(
         path,
         magic=TRUTH_MAGIC,
-        dim=truth.dim,
         enroll_mean=truth.enroll_mean,
         enroll_loadings=truth.enroll_loadings,
         enroll_noise_cov=truth.enroll_noise_cov,

@@ -217,6 +217,15 @@ def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) 
     return SpeakerGroup(group.speaker_id, tuple(averages))
 
 
+def symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
+    """The one symmetry rule: `matrix` must equal its transpose to within
+    1e-10 of its largest entry, or of 1 (`ParameterError("<what> must be
+    symmetric")` otherwise); returns the symmetrized matrix."""
+    if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(matrix).max()))):
+        raise ParameterError(f"{what} must be symmetric")
+    return (matrix + matrix.T) / 2.0
+
+
 @dataclass(frozen=True)
 class PldaModel:
     """Parameters of one side's Gaussian PLDA in preprocessed space."""
@@ -236,16 +245,14 @@ class PldaModel:
             )
         if loadings.shape[1] > d:
             raise ParameterError(f"rank {loadings.shape[1]} exceeds dimension {d}")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
-            raise ParameterError("residual covariance must be symmetric")
-        cov = (cov + cov.T) / 2.0
+        cov = symmetric(cov, "residual covariance")
         _cholesky(cov, "residual covariance is not positive definite")
         if np.linalg.matrix_rank(loadings) < loadings.shape[1]:
             warnings.warn(
                 "speaker loadings are rank deficient; the model carries no "
                 "speaker information along some factor directions",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the line that builds the model
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "speaker_loadings", loadings)
@@ -404,6 +411,14 @@ def _e_step(loadings, residual_cov, sums, counts, scatter, total):
     return factors, second_moment, cross_stat, loglik
 
 
+def _top_loadings(between: np.ndarray, rank: int):
+    """Loadings along the top `rank` eigenvectors of a between-speaker covariance, each
+    scaled by the root of its eigenvalue floored at 0; and those eigenvalues."""
+    evals, evecs = np.linalg.eigh(between)
+    top = np.maximum(evals[::-1][:rank], 0.0)
+    return evecs[:, ::-1][:, :rank] * np.sqrt(top), top
+
+
 def train_plda(
     stats,
     rank: int | None = None,
@@ -443,9 +458,7 @@ def train_plda(
     speaker_means = sums / counts[:, None]
     between = (speaker_means * counts[:, None]).T @ speaker_means / total
     within = (scatter - (speaker_means * counts[:, None]).T @ speaker_means) / total
-    evals, evecs = np.linalg.eigh(between)
-    top = np.maximum(evals[::-1][:rank], 0.0)
-    loadings = evecs[:, ::-1][:, :rank] * np.sqrt(top)
+    loadings, _ = _top_loadings(between, rank)
     residual_cov = _floor_cov(within, "PLDA initialization")
 
     for iteration in range(iterations):
@@ -458,18 +471,8 @@ def train_plda(
         loadings = np.linalg.solve(second_moment, cross_stat).T
         residual_cov = _floor_cov((scatter - loadings @ cross_stat) / total, "PLDA M-step")
 
-    with warnings.catch_warnings():
-        # Degenerate data can legitimately produce (near-)zero loadings;
-        # the constructor's rank warning already fired where it matters.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        model = PldaModel(mean, loadings, residual_cov)
-    if np.linalg.matrix_rank(model.speaker_loadings) < model.rank:
-        warnings.warn(
-            "trained speaker loadings are rank deficient (degenerate training data)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return model
+    # degenerate data can give (near-)zero loadings: the constructor warns
+    return PldaModel(mean, loadings, residual_cov)
 
 
 def speaker_factors(model: PldaModel, samples) -> np.ndarray:
@@ -545,9 +548,7 @@ def interpolate_plda(in_domain: PldaModel, out_domain: PldaModel, alpha: float) 
     between = alpha * in_domain.between_cov() + (1.0 - alpha) * out_domain.between_cov()
     residual = alpha * in_domain.residual_cov + (1.0 - alpha) * out_domain.residual_cov
     mean = alpha * in_domain.mean + (1.0 - alpha) * out_domain.mean
-    evals, evecs = np.linalg.eigh(between)
-    top = np.maximum(evals[::-1][:r], 0.0)
-    loadings = evecs[:, ::-1][:, :r] * np.sqrt(top)
+    loadings, top = _top_loadings(between, r)
     tail = max(float(np.trace(between)) - float(top.sum()), 0.0)
     residual = residual + (tail / d) * np.eye(d)
     return PldaModel(mean, loadings, residual)

@@ -142,11 +142,13 @@ def snorm(
 ) -> float:
     """Normalize one raw trial score against both cohorts.
 
-    The one-trial case of `snorm_batch`, through the same arithmetic, so
-    the two agree exactly. Slot order is preserved when scoring cohorts:
-    the enrollment vector keeps the enrollment slot against test-side
-    entries, and the test vector the test slot against enrollment-side
-    entries, which matters because the kernel is asymmetric.
+    The one-trial case of `snorm_batch`, through the same arithmetic: a
+    batch of one gives the same bits, a larger batch the same score up
+    to rounding (see `fourcov.score_trial`). Slot order is preserved
+    when scoring cohorts: the enrollment vector keeps the enrollment
+    slot against test-side entries, and the test vector the test slot
+    against enrollment-side entries, which matters because the kernel
+    is asymmetric.
     """
     w_e, w_t = (np.asarray(w, dtype=np.float64).reshape(1, -1) for w in (w_e, w_t))
     enroll_stats, test_stats = _side_stats(kernel, cohorts, w_e, w_t)

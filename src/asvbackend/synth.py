@@ -23,14 +23,17 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Embedding, SpeakerGroup
-from .exceptions import DimensionMismatchError, ParameterError
+from .exceptions import DimensionMismatchError, NumericalError, ParameterError
 from .fourcov import FourCovModel
 from .plda import PldaModel, gaussian_logpdf
 
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact generative parameters for both sides and their coupling."""
+    """Exact generative parameters for both sides and their coupling.
+
+    Accepts exactly what its `as_fourcov()` model accepts (a residual covariance that is not
+    positive definite raises `ParameterError`) and keeps that model's symmetrized covariances."""
 
     enroll_mean: np.ndarray
     enroll_loadings: np.ndarray
@@ -42,36 +45,15 @@ class GroundTruth:
     coupling_noise_cov: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "enroll_mean",
-            "enroll_loadings",
-            "enroll_noise_cov",
-            "test_mean",
-            "test_loadings",
-            "test_noise_cov",
-            "coupling",
-            "coupling_noise_cov",
-        ):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        d = self.enroll_mean.size
-        r1 = self.enroll_loadings.shape[1]
-        r2 = self.test_loadings.shape[1]
-        shapes_ok = (
-            self.enroll_loadings.shape == (d, r1)
-            and self.test_loadings.shape == (d, r2)
-            and self.enroll_noise_cov.shape == (d, d)
-            and self.test_noise_cov.shape == (d, d)
-            and self.test_mean.shape == (d,)
-            and self.coupling.shape == (r2, r1)
-            and self.coupling_noise_cov.shape == (r2, r2)
-        )
-        if not shapes_ok:
-            raise DimensionMismatchError("ground-truth parameter shapes are inconsistent")
-        for cov in (self.enroll_noise_cov, self.test_noise_cov):
-            if np.linalg.eigvalsh(cov)[0] <= 0.0:
-                raise ParameterError("residual covariances must be positive definite")
-        if np.linalg.eigvalsh(self.coupling_noise_cov)[0] < -1e-12:
-            raise ParameterError("coupling noise covariance must be positive semi-definite")
+        for field in fields(self):
+            object.__setattr__(self, field.name, np.asarray(getattr(self, field.name), dtype=np.float64))
+        try:
+            model = self.as_fourcov()
+        except NumericalError as exc:
+            raise ParameterError(str(exc)) from None
+        object.__setattr__(self, "enroll_noise_cov", model.enroll_plda.residual_cov)
+        object.__setattr__(self, "test_noise_cov", model.test_plda.residual_cov)
+        object.__setattr__(self, "coupling_noise_cov", model.coupling_noise_cov)
 
     @property
     def dim(self) -> int:
@@ -181,14 +163,7 @@ def make_ground_truth(config: GenConfig) -> GroundTruth:
     coupling = config.coupling_strength * np.eye(r2, r1)
     coupling_noise = np.eye(r2) - coupling @ coupling.T
     return GroundTruth(
-        enroll_mean,
-        enroll_loadings,
-        enroll_noise,
-        test_mean,
-        test_loadings,
-        test_noise,
-        coupling,
-        coupling_noise,
+        enroll_mean, enroll_loadings, enroll_noise, test_mean, test_loadings, test_noise, coupling, coupling_noise
     )
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import struct
@@ -239,6 +240,41 @@ def test_only_fourcov_reads_the_kernel_layout():
     assert set(found) == allowed, found
 
 
+def test_each_model_rule_is_written_once():
+    # one symmetry rule, `plda.symmetric`; `GroundTruth` takes definiteness
+    # from its model; `train_plda` leaves the rank warning to `PldaModel`
+    package = os.path.dirname(asvbackend.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                trees[name] = ast.parse(fh.read(), name)
+
+    def compares_with_transpose(node):
+        transposed = [n.value for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "T"]
+        others = {ast.dump(n) for n in ast.walk(node) if all(n is not t for t in transposed)}
+        return any(ast.dump(t) in others for t in transposed)
+
+    found = set()
+    for name, tree in trees.items():
+        for function in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            for node in ast.walk(function):
+                comparison = isinstance(node, ast.Compare) or (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("allclose", "isclose", "array_equal", "array_equiv")
+                )
+                if comparison and compares_with_transpose(node):
+                    found.add((name, function.name))
+    assert found == {("plda.py", "symmetric")}
+
+    def attributes(tree, kind, name):
+        definition = next(n for n in tree.body if isinstance(n, kind) and n.name == name)
+        return {n.attr for n in ast.walk(definition) if isinstance(n, ast.Attribute)}
+
+    assert "eigvalsh" not in attributes(trees["synth.py"], ast.ClassDef, "GroundTruth")
+    assert not attributes(trees["plda.py"], ast.FunctionDef, "train_plda") & {"matrix_rank", "catch_warnings"}
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -258,6 +294,19 @@ def test_bad_synth_value_exits_6_before_writing(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("asvbackend: parameter:") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_synth_out_dir_at_or_below_a_file_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    draws, draw = [], synth._wishart_unit_cov
+    monkeypatch.setattr(synth, "_wishart_unit_cov", lambda *a: draws.append(a) or draw(*a))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub"):
+        assert invoke(*synth_args(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"asvbackend: missing-file: cannot create directory {out}: "), err
+        assert err.count("\n") == 1, err
+    assert afile.read_text() == "kept\n" and os.listdir(tmp_path) == ["afile"] and not draws
 
 
 def test_synth_draws_the_truth_once(tmp_path, monkeypatch):
@@ -350,6 +399,28 @@ def _bundles(tmp_path):
         "side": ["interpolate", "--in-domain", "{}", "--out-domain", "{}", "--alpha", 0.5, "--out", out],
         "fourcov": ["score", "--model", "{}", "--enroll", empty, "--test", empty, "--trials", empty, "--out", out],
     }
+
+
+@pytest.mark.parametrize(
+    "kind, load", [("preprocessor", modelio.load_preprocessor), ("side", modelio.load_plda_side),
+                   ("fourcov", modelio.load_fourcov)],
+)
+def test_bundle_holds_only_what_its_loader_reads(tmp_path, monkeypatch, kind, load):
+    _bundles(tmp_path)
+    read, load_npz = [], modelio._load_npz
+    monkeypatch.setattr(modelio, "_load_npz", lambda *a: read.extend(a[2:]) or load_npz(*a))
+    load(tmp_path / f"{kind}.npz")
+    with np.load(tmp_path / f"{kind}.npz") as bundle:
+        assert sorted(bundle.files) == sorted(["magic", *read])
+
+
+def test_truth_file_holds_the_truth_fields(tmp_path):
+    # no loader reads truth.npz; it holds the eight fields `GroundTruth` takes, in its order
+    config = synth.GenConfig(dim=3, enroll_rank=1, test_rank=1, n_speakers=1, enroll_segments=1, test_segments=1, seed=0)
+    truth = synth.make_ground_truth(config)
+    modelio.save_ground_truth(tmp_path / "truth.npz", truth)
+    with np.load(tmp_path / "truth.npz") as bundle:
+        assert bundle.files == ["magic", *(f.name for f in dataclasses.fields(synth.GroundTruth))]
 
 
 @pytest.mark.parametrize(

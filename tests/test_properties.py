@@ -1,4 +1,4 @@
-"""Property tests for the embedding, trial and score tables and the stages built on them."""
+"""Property tests for the embedding, trial and score tables, the stages built on them, and the model rules."""
 
 import os
 import tempfile
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asvbackend import data, fourcov, scorenorm
+from asvbackend import data, fourcov, scorenorm, synth
 from asvbackend.data import (
     Embedding,
     EmbeddingTable,
@@ -21,7 +21,9 @@ from asvbackend.data import (
     write_scores,
     write_trials,
 )
+from asvbackend.exceptions import BackendError
 from asvbackend.metrics import compute_eer, compute_min_dcf, det_points
+from asvbackend.plda import PldaModel
 from asvbackend.routing import CONDITIONS, route_and_score
 
 from conftest import random_truth
@@ -218,3 +220,56 @@ class TestSnormBatch:
         expected = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(GRID)).values()
         got = scorenorm.snorm_batch(KERNEL, COHORTS, ENROLLS, TESTS, raw_scores(pairs)).values()
         np.testing.assert_array_equal(got, expected[[GRID.index(p) for p in pairs]])
+
+
+@st.composite
+def perturbed_truths(draw, case):
+    """The eight `GroundTruth` arrays of a small two-sided model with one perturbation `case`:
+    an asymmetry of up to 1e-6 in one covariance, one side's loadings wider than the
+    dimension, or the coupling noise's smallest eigenvalue moved from 0 by up to 1e-9."""
+    d = draw(st.integers(2, 4))
+    ranks = [draw(st.integers(1, d)), draw(st.integers(1, d))]
+    if case == "wide":
+        ranks[draw(st.integers(0, 1))] = d + draw(st.integers(1, 2))
+    r1, r2 = ranks
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a magnitude spread over orders, so that both sides of every tolerance are drawn
+    exponent = draw(st.floats(-13.0, -9.0 if case == "eigenvalue" else -6.0))
+    shift = draw(st.sampled_from([-1.0, 1.0])) * 10.0**exponent
+
+    def residual(n):
+        draws = rng.standard_normal((n, n))
+        return draws @ draws.T / n + np.eye(n)
+
+    evals = np.concatenate([[shift if case == "eigenvalue" else 0.0], rng.uniform(0.1, 1.0, r2 - 1)])
+    basis = np.linalg.qr(rng.standard_normal((r2, r2)))[0]
+    noise = (basis * evals) @ basis.T
+    p = [
+        rng.standard_normal(d), rng.standard_normal((d, r1)), residual(d),
+        rng.standard_normal(d), rng.standard_normal((d, r2)), residual(d),
+        rng.standard_normal((r2, r1)), (noise + noise.T) / 2.0,
+    ]
+    if case == "asymmetry":
+        target = draw(st.sampled_from([2, 5, 7] if r2 > 1 else [2, 5]))
+        p[target][0, 1] += shift
+    return p
+
+
+class TestGroundTruthRule:
+    """A `GroundTruth` accepts exactly the parameters its `FourCovModel` accepts."""
+
+    @pytest.mark.parametrize("case", ["asymmetry", "wide", "eigenvalue"])
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truth_raises_exactly_when_the_model_does(self, case, draws):
+        p = draws.draw(perturbed_truths(case))
+
+        def error(build):
+            try:
+                build()
+            except BackendError as exc:
+                return str(exc)
+            return None
+
+        model_error = error(lambda: fourcov.FourCovModel(PldaModel(*p[0:3]), PldaModel(*p[3:6]), *p[6:8]))
+        assert error(lambda: synth.GroundTruth(*p)) == model_error

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet
+from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet, TrialList
 from asvbackend.exceptions import DimensionMismatchError, NormalizationError, ParameterError
-from asvbackend.fourcov import ScoringKernel, build_kernel, score_trial, symmetric_kernel
+from asvbackend.fourcov import ScoringKernel, build_kernel, score_batch, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
     CohortSet,
     combine_normalized,
@@ -182,6 +182,28 @@ class TestSnormBatch:
         batch = snorm_batch(kernel, cohorts, enrolls, tests, raw)
         single = snorm(kernel, cohorts, enrolls[0].vector, tests[0].vector, raw.entries[0].score)
         np.testing.assert_array_equal(batch.values(), [single])
+
+    def test_one_trial_paths_equal_the_batches_to_rounding(self, rng):
+        # a batch of one is bit-equal (above); in a batch of 300, BLAS may
+        # round a many-row product differently from a one-row one
+        d, n = 200, 300
+        truth = random_truth(rng, d, 100, 100)
+        kernel = build_kernel(truth.as_fourcov())
+
+        def table(prefix, mean, rows):
+            ids = [f"{prefix}{i}" for i in range(rows)]
+            return EmbeddingTable.from_columns(ids, mean + rng.standard_normal((rows, d)))
+
+        enrolls, tests = table("e", truth.enroll_mean, n), table("t", truth.test_mean, n)
+        cohorts = CohortSet(table("ce", truth.enroll_mean, 50), table("ct", truth.test_mean, 50), 20)
+        raw = score_batch(kernel, enrolls, tests, TrialList.from_columns(enrolls.ids, tests.ids, [None] * n))
+        normalized = snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
+        pairs = list(zip(enrolls.matrix, tests.matrix, raw.values()))
+        for batch, single in (
+            (raw.values(), [score_trial(kernel, e, t) for e, t, _ in pairs]),
+            (normalized, [snorm(kernel, cohorts, e, t, score) for e, t, score in pairs]),
+        ):
+            assert np.all(np.abs(np.array(single) - batch) <= 1e-12 * np.maximum(1.0, np.abs(batch)))
 
     def test_batch_matches_naive_loop(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts

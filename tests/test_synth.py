@@ -146,6 +146,29 @@ class TestConfigValidation:
                 np.eye(1), np.zeros((1, 1)),
             )
 
+    def test_truth_follows_the_model_rules(self):
+        dim, eye = 3, np.eye(3)
+
+        def truth(loadings=np.eye(dim, 1), residual=eye, noise=np.zeros((1, 1))):
+            rank = loadings.shape[1]
+            return synth.GroundTruth(
+                np.zeros(dim), loadings, residual, np.zeros(dim), loadings, eye, np.eye(rank), noise
+            )
+
+        asymmetric = eye.copy()
+        asymmetric[0, 1] += 0.5
+        with pytest.raises(ParameterError, match="^residual covariance must be symmetric$"):
+            truth(residual=asymmetric)
+        with pytest.raises(ParameterError, match="^rank 5 exceeds dimension 3$"):
+            truth(loadings=np.ones((dim, 5)), noise=np.zeros((5, 5)))
+        # within the model's tolerances: an eigenvalue of -5e-11, and an
+        # asymmetry of 1e-12 that the truth averages away as the model does
+        np.testing.assert_array_equal(truth(noise=np.array([[-5e-11]])).coupling_noise_cov, [[-5e-11]])
+        asymmetric[0, 1] = 1e-12
+        kept = truth(residual=asymmetric).enroll_noise_cov
+        np.testing.assert_array_equal(kept, kept.T)
+        np.testing.assert_array_equal(kept, truth(residual=asymmetric).as_fourcov().enroll_plda.residual_cov)
+
     def test_bad_knobs_rejected(self):
         with pytest.raises(ParameterError):
             base_config(coupling_strength=1.5)
