@@ -27,8 +27,8 @@ from .exceptions import (
     UnknownIdError,
 )
 from .plda import (
-    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, speaker_factors,
-    symmetric, to_model_space,
+    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, finite,
+    speaker_factors, symmetric, to_model_space,
 )
 
 
@@ -42,8 +42,8 @@ class FourCovModel:
     coupling_noise_cov: np.ndarray  # (r_test, r_test), symmetric PSD
 
     def __post_init__(self):
-        coupling = np.asarray(self.coupling, dtype=np.float64)
-        noise = np.asarray(self.coupling_noise_cov, dtype=np.float64)
+        coupling = finite(self.coupling, "coupling")
+        noise = finite(self.coupling_noise_cov, "coupling noise covariance")
         r1, r2 = self.enroll_plda.rank, self.test_plda.rank
         if coupling.shape != (r2, r1):
             raise DimensionMismatchError(

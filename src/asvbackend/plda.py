@@ -81,8 +81,8 @@ class Preprocessor:
     whitener: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        whitener = np.asarray(self.whitener, dtype=np.float64)
+        mean = finite(self.mean, "preprocessor mean")
+        whitener = finite(self.whitener, "whitener")
         if mean.ndim != 1 or whitener.shape != (mean.size, mean.size):
             raise DimensionMismatchError(
                 f"preprocessor shapes inconsistent: mean {mean.shape}, whitener {whitener.shape}"
@@ -217,6 +217,15 @@ def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) 
     return SpeakerGroup(group.speaker_id, tuple(averages))
 
 
+def finite(values, what: str) -> np.ndarray:
+    """The one finiteness rule of model parameters: `values` as float64, every one
+    finite (`ParameterError("<what> must be finite")` otherwise)."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{what} must be finite")
+    return values
+
+
 def symmetric(matrix: np.ndarray, what: str) -> np.ndarray:
     """The one symmetry rule: `matrix` must equal its transpose to within
     1e-10 of its largest entry, or of 1 (`ParameterError("<what> must be
@@ -235,9 +244,9 @@ class PldaModel:
     residual_cov: np.ndarray     # (d, d), symmetric positive definite
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        loadings = np.asarray(self.speaker_loadings, dtype=np.float64)
-        cov = np.asarray(self.residual_cov, dtype=np.float64)
+        mean = finite(self.mean, "PLDA mean")
+        loadings = finite(self.speaker_loadings, "speaker loadings")
+        cov = finite(self.residual_cov, "residual covariance")
         d = mean.size
         if mean.ndim != 1 or loadings.ndim != 2 or loadings.shape[0] != d or cov.shape != (d, d):
             raise DimensionMismatchError(

@@ -131,7 +131,10 @@ def _scaled_loadings(rng: np.random.Generator, dim: int, rank: int, target_trace
 def _rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndarray:
     draws = rng.standard_normal((dim, dim))
     skew = (draws - draws.T) / 2.0
-    skew /= np.linalg.norm(skew, 2)
+    norm = np.linalg.norm(skew, 2)
+    if norm == 0.0:  # dimension 1: the only skew matrix is zero, and the only rotation the identity
+        return np.eye(dim)
+    skew /= norm
     # the one use of scipy, imported here so that loading the package
     # (and every CLI stage but `synth`) brings in numpy's BLAS alone
     import scipy.linalg

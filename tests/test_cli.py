@@ -7,12 +7,13 @@ import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import cli, exceptions, fourcov, modelio, plda, synth
+from asvbackend import calibration, cli, exceptions, fourcov, modelio, plda, synth
 from asvbackend.data import BINARY_MAGIC, join, read_scores
 
 
@@ -275,6 +276,34 @@ def test_each_model_rule_is_written_once():
     assert not attributes(trees["plda.py"], ast.FunctionDef, "train_plda") & {"matrix_rank", "catch_warnings"}
 
 
+def test_each_bundle_layout_is_written_once_and_read_in_a_with(tmp_path):
+    # a `save_*` or `load_*` function that spells an entry name keeps a second
+    # copy of its kind's layout; an `np.load` outside a `with` leaves the file
+    # open when a check fails
+    _bundles(tmp_path)
+    modelio.save_ground_truth(tmp_path / "truth.npz", synth.make_ground_truth(
+        synth.GenConfig(dim=2, enroll_rank=1, test_rank=1, n_speakers=1, enroll_segments=1, test_segments=1, seed=0)
+    ))
+    entries = set()
+    for kind in ("preprocessor", "side", "fourcov", "truth"):
+        with np.load(tmp_path / f"{kind}.npz") as bundle:
+            entries.update(bundle.files)
+    with open(modelio.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith(("save_", "load_"))]
+    spelled = []
+    for function in functions:
+        for node in ast.walk(function):
+            name = node.value if isinstance(node, ast.Constant) else node.arg if isinstance(node, ast.keyword) else None
+            if name in entries:
+                spelled.append((function.name, name))
+    loads = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.load"]
+    with_items = [item.context_expr for n in ast.walk(tree) if isinstance(n, ast.With) for item in n.items]
+    assert len(functions) == 7 and loads  # proves the walk sees the writers, the readers and the read
+    assert spelled == []
+    assert all(any(call is item for item in with_items) for call in loads)
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -348,6 +377,15 @@ def synth_base_files(tmp_path_factory):
 @pytest.mark.parametrize("flag, value", SYNTH_KNOBS)
 def test_every_synth_knob_changes_the_files(tmp_path, synth_base_files, flag, value):
     assert _synth_files(tmp_path / "d", **{flag: value}) != synth_base_files
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.3])
+def test_synth_in_dimension_one(tmp_path, rotation):
+    # the one rotation of dimension 1 is the identity
+    files = _synth_files(tmp_path / "d", **{"--dim": 1, "--rank": 1, "--rotation": rotation})
+    assert all(files.values())
+    with np.load(tmp_path / "d" / "truth.npz") as truth:
+        assert all(np.isfinite(truth[name]).all() for name in truth.files if name != "magic")
 
 
 def _stages():
@@ -434,6 +472,117 @@ def test_bundle_missing_entry_exits_4(tmp_path, capsys, kind, entry):
     np.savez(bundle, **kept)
     assert invoke(*(bundle if a == "{}" else a for a in argv)) == 4
     assert capsys.readouterr().err == f"asvbackend: file-format: {bundle}: bundle is missing entry '{entry}'\n"
+
+
+def _loading_stages(tmp_path):
+    """`_bundles`' bundles, and the argv of every stage that loads one, by stage.
+
+    `{}` in an argv is the bundle; `route-score` reads `bad.npz` through its routing config.
+    """
+    bundles = _bundles(tmp_path)
+    stages = {"train-plda": bundles["preprocessor"], "interpolate": bundles["side"], "score": bundles["fourcov"]}
+    e, empty, out = tmp_path / "e.embs", tmp_path / "empty", tmp_path / "out"
+    stages["fit-fourcov"] = [
+        "fit-fourcov", "--enroll-model", "{}", "--test-model", "{}",
+        "--enroll-embeddings", e, "--test-embeddings", e, "--out", out,
+    ]
+    stages["snorm"] = [
+        "snorm", "--model", "{}", "--scores", empty, "--enroll", empty, "--test", empty,
+        "--cohort-enroll", empty, "--cohort-test", empty, "--out", out,
+    ]
+    calibration.write_calibration(tmp_path / "cal.txt", calibration.CalibrationModel(1.0, 0.0))
+    condition = {"model": "bad.npz", "cohort_enroll": "empty", "cohort_test": "empty", "calibration": "cal.txt"}
+    config = {"enroll_segments": "empty", "test_language": "empty", "conditions": {"few-primary": condition}}
+    (tmp_path / "routing.json").write_text(json.dumps(config))
+    stages["route-score"] = [
+        "route-score", "--config", tmp_path / "routing.json",
+        "--enroll", empty, "--test", empty, "--trials", empty, "--out", out,
+    ]
+    return stages
+
+
+def _damage(source, target, entry, defect):
+    """Write bundle `source` to `target` with `entry` (or, `truncated`, the whole file) damaged by `defect`."""
+    raw = bytearray(source.read_bytes())
+    with np.load(source) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    value = arrays.pop(entry)
+    if defect == "truncated":
+        target.write_bytes(raw[: len(raw) // 2])
+    elif defect == "crc":
+        with zipfile.ZipFile(source) as archive:
+            info = archive.getinfo(f"{entry}.npy")
+        # the entry's data follows its local header: 30 bytes, then its name and extra field
+        names, extra = struct.unpack("<HH", raw[info.header_offset + 26: info.header_offset + 30])
+        raw[info.header_offset + 30 + names + extra + info.compress_size - 1] ^= 0xFF
+        target.write_bytes(raw)
+    elif defect == "not-npy":
+        np.savez(target, **arrays)
+        with zipfile.ZipFile(target, "a") as archive:
+            archive.writestr(f"{entry}.npy", b"not an array")
+    else:
+        if defect == "string":
+            value = np.array("abc")
+        elif defect == "wrong-shape":
+            value = np.eye(len(value) + 1)
+        elif defect == "asymmetric":
+            value = value + np.triu(np.ones_like(value), 1)
+        else:
+            value = value.copy()
+            value.flat[0] = {"nan": np.nan, "inf": np.inf}[defect]
+        np.savez(target, **arrays, **{entry: value})
+
+
+# each bundle kind, a defect, and the entry it damages
+BUNDLE_DEFECTS = [
+    ("preprocessor", "truncated", "mean"), ("preprocessor", "crc", "whitener"),
+    ("preprocessor", "not-npy", "mean"), ("preprocessor", "string", "whitener"),
+    ("preprocessor", "nan", "mean"), ("preprocessor", "inf", "whitener"),
+    ("preprocessor", "wrong-shape", "whitener"),
+    ("side", "truncated", "mean"), ("side", "crc", "residual_cov"), ("side", "not-npy", "pre_mean"),
+    ("side", "string", "mean"), ("side", "nan", "speaker_loadings"), ("side", "inf", "mean"),
+    ("side", "wrong-shape", "pre_whitener"), ("side", "asymmetric", "residual_cov"),
+    ("fourcov", "truncated", "coupling"), ("fourcov", "crc", "coupling"), ("fourcov", "not-npy", "test_mean"),
+    ("fourcov", "string", "enroll_loadings"), ("fourcov", "nan", "coupling"),
+    ("fourcov", "inf", "coupling_noise_cov"), ("fourcov", "wrong-shape", "pre_enroll_whitener"),
+    ("fourcov", "asymmetric", "test_residual_cov"),
+]
+BUNDLE_STAGES = {"preprocessor": ["train-plda"], "side": ["interpolate", "fit-fourcov"],
+                 "fourcov": ["score", "snorm", "route-score"]}
+
+
+# a bundle file left open is reported, when it is collected, as this warning
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize(
+    "kind, stage, defect, entry",
+    [(kind, stage, defect, entry) for kind, defect, entry in BUNDLE_DEFECTS for stage in BUNDLE_STAGES[kind]],
+)
+def test_bad_bundle_exits_4_naming_the_file(tmp_path, capsys, kind, stage, defect, entry):
+    argv = _loading_stages(tmp_path)[stage]
+    bad = tmp_path / "bad.npz"
+    _damage(tmp_path / f"{kind}.npz", bad, entry, defect)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert invoke(*(bad if a == "{}" else a for a in argv)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"asvbackend: file-format: {bad}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, load, save",
+    [("preprocessor", modelio.load_preprocessor, modelio.save_preprocessor),
+     ("side", modelio.load_plda_side, modelio.save_plda_side), ("fourcov", modelio.load_fourcov, modelio.save_fourcov)],
+)
+def test_bundle_with_an_extra_entry_loads(tmp_path, kind, load, save):
+    # bundles written before each bundle held only what its loader reads also hold `dim` and ranks
+    _bundles(tmp_path)
+    with np.load(tmp_path / f"{kind}.npz") as full:
+        arrays = {name: full[name] for name in full.files}
+    np.savez(tmp_path / "old.npz", **arrays, dim=np.array(2), rank=np.array(1))
+    loaded = load(tmp_path / "old.npz")
+    save(tmp_path / "again.npz", *(loaded if isinstance(loaded, tuple) else (loaded,)))
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / f"{kind}.npz").read_bytes()
 
 
 # the exit codes and kinds that README documents

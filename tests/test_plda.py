@@ -9,6 +9,7 @@ from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup
 from asvbackend.exceptions import DomainError, NumericalError, ParameterError
 from asvbackend.plda import (
     PldaModel,
+    Preprocessor,
     _as_stats,
     chunk_averages,
     chunked_enroll_averages,
@@ -461,3 +462,32 @@ class TestInterpolate:
         np.testing.assert_allclose(
             np.trace(mixed.between_cov() + mixed.residual_cov), np.trace(want), rtol=1e-10
         )
+
+
+# valid arguments of each type whose array parameters follow the one finiteness rule, `plda.finite`
+_SIDE = {"mean": np.zeros(2), "speaker_loadings": np.eye(2, 1), "residual_cov": np.eye(2)}
+FINITE_PARAMETERS = {
+    Preprocessor: {"mean": np.zeros(2), "whitener": np.eye(2)},
+    PldaModel: _SIDE,
+    fourcov.FourCovModel: {"enroll_plda": PldaModel(**_SIDE), "test_plda": PldaModel(**_SIDE),
+                           "coupling": np.eye(1), "coupling_noise_cov": np.zeros((1, 1))},
+    synth.GroundTruth: {"enroll_mean": np.zeros(2), "enroll_loadings": np.eye(2, 1), "enroll_noise_cov": np.eye(2),
+                        "test_mean": np.zeros(2), "test_loadings": np.eye(2, 1), "test_noise_cov": np.eye(2),
+                        "coupling": np.eye(1), "coupling_noise_cov": np.zeros((1, 1))},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, field) for kind, args in FINITE_PARAMETERS.items() for field, value in args.items()
+     if isinstance(value, np.ndarray)],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_every_model_parameter_must_be_finite(kind, field, value):
+    args = FINITE_PARAMETERS[kind]
+    kind(**args)  # valid as given
+    bad = args[field].copy()
+    bad.flat[0] = value
+    with pytest.raises(ParameterError, match=" must be finite$"):
+        kind(**{**args, field: bad})

@@ -125,19 +125,9 @@ class TestRouteAndScore:
         merged = route_and_score(config, pipelines, enrolls, tests, trials)
 
         only_a = TrialList((Trial("eA", "tP"),))
-        manual_a = condition_pipeline_scores(
-            pipelines["few-primary"],
-            [e for e in enrolls if e.id == "eA"],
-            [t for t in tests if t.id == "tP"],
-            only_a,
-        )
+        manual_a = condition_pipeline_scores(pipelines["few-primary"], enrolls, tests, only_a)
         only_b = TrialList((Trial("eB", "tS"),))
-        manual_b = condition_pipeline_scores(
-            pipelines["many-secondary"],
-            [e for e in enrolls if e.id == "eB"],
-            [t for t in tests if t.id == "tS"],
-            only_b,
-        )
+        manual_b = condition_pipeline_scores(pipelines["many-secondary"], enrolls, tests, only_b)
         assert merged.entries[0].score == manual_a.entries[0].score
         assert merged.entries[1].score == manual_b.entries[1 - 1].score
 
