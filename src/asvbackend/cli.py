@@ -5,6 +5,8 @@ Every subcommand exits 0 on success with outputs written atomically, and
 nonzero with a single-line `asvbackend: <kind>: <message>` on stderr
 otherwise. Each error class carries its kind and stable exit code
 (see `exceptions`); a missing input file is kind `missing-file`, code 3.
+Each input is checked when its stage opens it (`data.open_input`). A
+warning prints as one `asvbackend: warning: <message>` line.
 """
 
 from __future__ import annotations
@@ -14,19 +16,13 @@ import dataclasses
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import calibration as cal
 from . import data, fourcov, metrics, modelio, plda, routing, scorenorm, synth
 from .exceptions import BackendError, ParameterError
-
-
-def _require_files(*paths) -> None:
-    """A stage input that is missing, or is not a regular file, is a missing file."""
-    for p in paths:
-        if p is not None and not os.path.isfile(p):
-            raise FileNotFoundError(f"{p} (not a regular file)" if os.path.exists(p) else p)
 
 
 def _training_rows(rows, label, speaker_map_path, pre, aggregate):
@@ -132,7 +128,6 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     if args.transformed_out is not None and args.transform is None:
         raise ParameterError("--transformed-out needs --transform")
-    _require_files(args.embeddings, args.transform)
     pre = plda.fit_preprocessor(data.read_embeddings(args.embeddings))
     if args.transform:
         raw = data.read_embeddings(args.transform)
@@ -145,7 +140,6 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train_plda(args) -> int:
-    _require_files(args.embeddings, args.speaker_map, args.pre)
     rows = data.read_embeddings(args.embeddings)
     pre = modelio.load_preprocessor(args.pre) if args.pre else plda.fit_preprocessor(rows)
     label = f"training ({args.embeddings})"
@@ -158,14 +152,6 @@ def _cmd_train_plda(args) -> int:
 
 
 def _cmd_fit_fourcov(args) -> int:
-    _require_files(
-        args.enroll_model,
-        args.test_model,
-        args.enroll_embeddings,
-        args.test_embeddings,
-        args.speaker_map_enroll,
-        args.speaker_map_test,
-    )
     model1, pre1 = modelio.load_plda_side(args.enroll_model)
     model2, pre2 = modelio.load_plda_side(args.test_model)
     rows1 = data.read_embeddings(args.enroll_embeddings)
@@ -184,7 +170,6 @@ def _cmd_fit_fourcov(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    _require_files(args.in_domain, args.out_domain)
     model_in, pre_in = modelio.load_plda_side(args.in_domain)
     model_out, pre_out = modelio.load_plda_side(args.out_domain)
     combined = plda.interpolate_plda(model_in, model_out, args.alpha)
@@ -195,7 +180,6 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _require_files(args.model, args.enroll, args.test, args.trials)
     model, pre1, pre2 = modelio.load_fourcov(args.model)
     enrolls, tests = fourcov.model_space_pair(
         pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
@@ -214,9 +198,6 @@ def _cmd_snorm(args) -> int:
         top_k = None if args.top_k == "all" else int(args.top_k)
     except ValueError:
         raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
-    _require_files(
-        args.model, args.scores, args.enroll, args.test, args.cohort_enroll, args.cohort_test
-    )
     model, pre1, pre2 = modelio.load_fourcov(args.model)
     enrolls, tests = fourcov.model_space_pair(
         pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
@@ -241,7 +222,6 @@ def _cmd_calibrate(args) -> int:
         raise ParameterError("pass exactly one of --trials (fit) or --model (apply)")
     if args.model is not None and args.condition is not None:
         raise ParameterError("--condition applies only when fitting (--trials)")
-    _require_files(args.scores, args.trials, args.model)
     scores = data.read_scores(args.scores)
     if args.trials:
         trials = data.read_trials(args.trials)
@@ -256,7 +236,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_route_score(args) -> int:
-    _require_files(args.config, args.enroll, args.test, args.trials)
     config = routing.load_routing_config(args.config)
     trials = data.read_trials(args.trials)
     # every id and condition the trials use is checked before a stack is read
@@ -274,7 +253,6 @@ def _cmd_route_score(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _require_files(args.scores, args.trials)
     scores = data.read_scores(args.scores)
     trials = data.read_trials(args.trials)
     params = metrics.DcfParams(args.p_target, args.c_miss, args.c_fa)
@@ -414,9 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"asvbackend: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning is shown as one line; which warnings are shown is left to the filters
+    shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -425,6 +409,8 @@ def main(argv=None) -> int:
     except BackendError as exc:
         print(f"asvbackend: {exc.kind}: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

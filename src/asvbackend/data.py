@@ -60,16 +60,26 @@ BINARY_MAGIC = b"XVECBIN1"
 _BLOCK_ROWS = 256
 
 
+def open_input(path):
+    """Open input `path` for binary reading; a path that is missing or is not a regular file raises
+    `FileNotFoundError` naming it."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{path} (not a regular file)" if os.path.exists(path) else path)
+    return open(path, "rb")
+
+
 @contextmanager
 def atomic_write(path, mode="w"):
-    """Open a temp file next to `path` (a file in an existing directory), rename over it on success."""
+    """Open a temp file next to `path` (a file in an existing directory), rename over it on success.
+    A text file is written as UTF-8 with LF line endings, whatever the locale."""
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.path.isdir(directory):
         problem = "it is a directory" if os.path.isdir(path) else "no such directory"
         raise FileNotFoundError(f"cannot write {path}: {problem}")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    text = "b" not in mode
     try:
-        with os.fdopen(fd, mode, newline="\n" if "b" not in mode else None) as fh:
+        with os.fdopen(fd, mode, encoding="utf-8" if text else None, newline="\n" if text else None) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -426,9 +436,10 @@ def _check_tokens(path, tokens: Iterable[str]) -> None:
             )
 
 
-def _data_lines(path):
-    """(line number, fields) of each data line; a line that is not UTF-8 raises `FileFormatError`."""
-    with open(path, "rb") as fh:
+def _data_lines(path, fh=None):
+    """(line number, fields) of each data line of `path`, read from `fh` if it is open already;
+    a line that is not UTF-8 raises `FileFormatError`."""
+    with fh or open_input(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -489,31 +500,30 @@ class _Rows:
 
 def read_embeddings(path) -> EmbeddingTable:
     """Read an embedding file (text or binary, detected by magic bytes) as one table in file order."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(BINARY_MAGIC))
-    if head == BINARY_MAGIC:
-        return _read_embeddings_binary(path)
-
-    rows = None
-    lines: list[int] = []
-    for lineno, parts in _data_lines(path):
-        if len(parts) < 2:
-            raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got {len(parts)} fields")
-        try:
-            values = [float(p) for p in parts[1:]]
-        except ValueError:
-            raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
-        if rows is None:
-            dim, first_line = len(values), lineno
-            rows = _Rows(dim, _BLOCK_ROWS, np.float64, lambda row: f"{path}:{lines[row]}")
-        elif len(values) != dim:
-            raise DimensionMismatchError(
-                f"{path}:{lineno}: dimension {len(values)} does not match "
-                f"dimension {dim} established at line {first_line}"
-            )
-        rows.block[rows.filled] = values
-        lines.append(lineno)
-        rows.add(parts[0])
+    with open_input(path) as fh:
+        if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
+            return _read_embeddings_binary(path, fh)
+        fh.seek(0)
+        rows = None
+        lines: list[int] = []
+        for lineno, parts in _data_lines(path, fh):
+            if len(parts) < 2:
+                raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got {len(parts)} fields")
+            try:
+                values = [float(p) for p in parts[1:]]
+            except ValueError:
+                raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
+            if rows is None:
+                dim, first_line = len(values), lineno
+                rows = _Rows(dim, _BLOCK_ROWS, np.float64, lambda row: f"{path}:{lines[row]}")
+            elif len(values) != dim:
+                raise DimensionMismatchError(
+                    f"{path}:{lineno}: dimension {len(values)} does not match "
+                    f"dimension {dim} established at line {first_line}"
+                )
+            rows.block[rows.filled] = values
+            lines.append(lineno)
+            rows.add(parts[0])
     return rows.table() if rows is not None else EmbeddingTable()
 
 
@@ -529,40 +539,37 @@ def write_embeddings(path, embeddings, binary: bool = False) -> None:
             fh.write(embedding_id + "  " + " ".join(map(repr, vector.tolist())) + "\n")
 
 
-def _read_embeddings_binary(path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(BINARY_MAGIC))
-        if magic != BINARY_MAGIC:
-            raise FileFormatError(f"{path}: bad magic bytes for binary embedding file")
-        header = fh.read(4)
-        if len(header) != 4:
-            raise FileFormatError(f"{path}: truncated header")
-        (dim,) = struct.unpack("<I", header)
-        width = 4 * dim
-        # every record holds a 4-byte id length and its vector, so the
-        # file size bounds the number of records
-        capacity = (os.fstat(fh.fileno()).st_size - fh.tell()) // (4 + width) if dim else 0
-        rows = _Rows(dim, capacity, "<f4", lambda row: f"{path}: record {row + 1}")
-        # each record's vector bytes are read straight into its row of the block
-        slots = memoryview(rows.block).cast("B") if dim else None
-        while True:
-            lenbytes = fh.read(4)
-            if not lenbytes:
-                break
-            record = len(rows.ids) + 1
-            if len(lenbytes) != 4:
-                raise FileFormatError(f"{path}: truncated record {record}")
-            if dim == 0:
-                raise FileFormatError(f"{path}: record {record} under a header of dimension 0")
-            (id_len,) = struct.unpack("<I", lenbytes)
-            id_bytes = fh.read(id_len)
-            slot = slots[rows.filled * width : (rows.filled + 1) * width]
-            if len(id_bytes) != id_len or fh.readinto(slot) != width:
-                raise FileFormatError(f"{path}: truncated record {record}")
-            try:
-                rows.add(id_bytes.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise FileFormatError(f"{path}: record {record}: id is not valid UTF-8") from None
+def _read_embeddings_binary(path, fh) -> EmbeddingTable:
+    """The records of binary embedding file `path`, read from `fh`, open just past the magic bytes."""
+    header = fh.read(4)
+    if len(header) != 4:
+        raise FileFormatError(f"{path}: truncated header")
+    (dim,) = struct.unpack("<I", header)
+    width = 4 * dim
+    # every record holds a 4-byte id length and its vector, so the
+    # file size bounds the number of records
+    capacity = (os.fstat(fh.fileno()).st_size - fh.tell()) // (4 + width) if dim else 0
+    rows = _Rows(dim, capacity, "<f4", lambda row: f"{path}: record {row + 1}")
+    # each record's vector bytes are read straight into its row of the block
+    slots = memoryview(rows.block).cast("B") if dim else None
+    while True:
+        lenbytes = fh.read(4)
+        if not lenbytes:
+            break
+        record = len(rows.ids) + 1
+        if len(lenbytes) != 4:
+            raise FileFormatError(f"{path}: truncated record {record}")
+        if dim == 0:
+            raise FileFormatError(f"{path}: record {record} under a header of dimension 0")
+        (id_len,) = struct.unpack("<I", lenbytes)
+        id_bytes = fh.read(id_len)
+        slot = slots[rows.filled * width : (rows.filled + 1) * width]
+        if len(id_bytes) != id_len or fh.readinto(slot) != width:
+            raise FileFormatError(f"{path}: truncated record {record}")
+        try:
+            rows.add(id_bytes.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: record {record}: id is not valid UTF-8") from None
     return rows.table()
 
 

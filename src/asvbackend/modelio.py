@@ -8,19 +8,23 @@ coupling; a ground-truth file, which no loader reads, the eight
 `GroundTruth` fields. Each kind's entry names are one layout that its
 writer and reader share. Writes are atomic. A file that is not a
 readable bundle of its kind, or whose arrays its model rejects, raises
-`FileFormatError` naming the file.
+`FileFormatError` naming the file, and a warning its model gives names
+the file too. A bundle's preprocessors have its model's dimension: a
+writer refuses other parts with `DimensionMismatchError`, and a reader
+rejects such a file.
 """
 
 from __future__ import annotations
 
+import warnings
 import zipfile
 import zlib
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .data import atomic_write
-from .exceptions import BackendError, FileFormatError
+from .data import atomic_write, open_input
+from .exceptions import BackendError, DimensionMismatchError, FileFormatError
 from .fourcov import FourCovModel
 from .plda import PldaModel, Preprocessor
 from .synth import GroundTruth
@@ -53,7 +57,7 @@ def _load_npz(path, magic: str, *names: str) -> list[np.ndarray]:
     """Entries `names` of a `magic` bundle as float64; a bad file, kind or non-real entry is a `FileFormatError`.
     The file is opened here because `np.load` leaves a file it opened open when it is no zip archive."""
     try:
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as bundle:
+        with open_input(path) as fh, np.load(fh, allow_pickle=False) as bundle:
             stored = str(bundle["magic"]) if "magic" in bundle else "<missing>"
             if stored != magic:
                 raise FileFormatError(f"{path}: expected bundle '{magic}', found '{stored}'")
@@ -61,17 +65,31 @@ def _load_npz(path, magic: str, *names: str) -> list[np.ndarray]:
                 if name not in bundle:
                     raise FileFormatError(f"{path}: bundle is missing entry '{name}'")
             return [np.asarray(bundle[name]).astype(np.float64, casting="same_kind", copy=False) for name in names]
+    except FileNotFoundError:  # a missing bundle is a missing file, not an unreadable one
+        raise
     except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
         raise FileFormatError(f"{path}: not a readable model bundle ({exc})") from None
 
 
 def _load(path, magic: str, layout: tuple[str, ...], build):
-    """`build(*entries)` of a bundle's layout; an error from the model it builds names the file."""
+    """`build(*entries)` of a bundle's layout; an error or a warning from the model it builds names the file."""
     entries = _load_npz(path, magic, *layout)
     try:
-        return build(*entries)
+        with warnings.catch_warnings(record=True) as caught:
+            built = build(*entries)
     except BackendError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
+    for warning in caught:
+        warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=3)
+    return built
+
+
+def _matched(model, *pres) -> tuple:
+    """`(model, *pres)`: the one cross-part rule of a bundle, that each preprocessor has its model's dimension."""
+    for pre in pres:
+        if pre.dim != model.dim:
+            raise DimensionMismatchError(f"preprocessor dimension {pre.dim} does not match model dimension {model.dim}")
+    return model, *pres
 
 
 def save_preprocessor(path, pre: Preprocessor) -> None:
@@ -83,19 +101,19 @@ def load_preprocessor(path) -> Preprocessor:
 
 
 def save_plda_side(path, model: PldaModel, pre: Preprocessor) -> None:
-    _save_npz(path, SIDE_MAGIC, SIDE_LAYOUT, _arrays(model, pre))
+    _save_npz(path, SIDE_MAGIC, SIDE_LAYOUT, _arrays(*_matched(model, pre)))
 
 
 def load_plda_side(path) -> tuple[PldaModel, Preprocessor]:
-    return _load(path, SIDE_MAGIC, SIDE_LAYOUT, lambda *e: (PldaModel(*e[:3]), Preprocessor(*e[3:])))
+    return _load(path, SIDE_MAGIC, SIDE_LAYOUT, lambda *e: _matched(PldaModel(*e[:3]), Preprocessor(*e[3:])))
 
 
 def save_fourcov(path, model: FourCovModel, pre_enroll: Preprocessor, pre_test: Preprocessor) -> None:
-    _save_npz(path, FOURCOV_MAGIC, FOURCOV_LAYOUT, _arrays(model, pre_enroll, pre_test))
+    _save_npz(path, FOURCOV_MAGIC, FOURCOV_LAYOUT, _arrays(*_matched(model, pre_enroll, pre_test)))
 
 
 def load_fourcov(path) -> tuple[FourCovModel, Preprocessor, Preprocessor]:
-    return _load(path, FOURCOV_MAGIC, FOURCOV_LAYOUT, lambda *e: (
+    return _load(path, FOURCOV_MAGIC, FOURCOV_LAYOUT, lambda *e: _matched(
         FourCovModel(PldaModel(*e[0:3]), PldaModel(*e[3:6]), *e[6:8]), Preprocessor(*e[8:10]), Preprocessor(*e[10:])
     ))
 

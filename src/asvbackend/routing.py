@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
-from .data import ScoreSet, TrialList, embedding_table, read_embeddings, read_id_map
+from .data import ScoreSet, TrialList, embedding_table, open_input, read_embeddings, read_id_map
 from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
 from .fourcov import FourCovModel, build_kernel, model_space_pair, score_batch
 from .modelio import load_fourcov
@@ -205,7 +205,7 @@ def load_routing_config(path) -> RoutingConfig:
     those files only the two metadata maps are read; `load_pipelines`
     reads the rest.
     """
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw.decode("utf-8"))

@@ -184,15 +184,19 @@ def sample_dataset(config: GenConfig):
     which makes the draw deterministic for a given config.
     """
     truth = make_ground_truth(config)
+    r1 = truth.enroll_loadings.shape[1]
+    r2 = truth.test_loadings.shape[1]
     if truth.dim != config.dim:
         raise ParameterError(
             f"explicit truth dimension {truth.dim} does not match config dim {config.dim}"
         )
+    if (r1, r2) != (config.enroll_rank, config.test_rank):
+        raise ParameterError(
+            f"explicit truth ranks ({r1}, {r2}) do not match config ranks ({config.enroll_rank}, {config.test_rank})"
+        )
     enroll_noise_sqrt = _psd_sqrt(truth.enroll_noise_cov)
     test_noise_sqrt = _psd_sqrt(truth.test_noise_cov)
     coupling_noise_sqrt = _psd_sqrt(truth.coupling_noise_cov)
-    r1 = truth.enroll_loadings.shape[1]
-    r2 = truth.test_loadings.shape[1]
 
     seeds = np.random.SeedSequence(config.seed).spawn(2)[1].spawn(config.n_speakers)
     width = max(5, len(str(config.n_speakers)))

@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import json
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import calibration, cli, exceptions, fourcov, modelio, plda, synth
+from asvbackend import calibration, cli, data, exceptions, fourcov, modelio, plda, synth
 from asvbackend.data import BINARY_MAGIC, join, read_scores
 
 
@@ -1081,3 +1082,306 @@ class TestSideWidth:
         assert err == (f"asvbackend: dimension: {label} ({narrow}) vectors have dimension 5, "
                        "the model expects 6\n"), err
         assert not out.exists() and not (tmp_path / "out.pre").exists()
+
+
+# every stage that reads files, once per mode, as an argv over `stage_files`: a value
+# that names one of its files is an input, and one starting with `out` an output
+STAGE_ARGVS = {
+    "preprocess": ("preprocess", {
+        "--embeddings": "train_test.embs", "--transform": "eval_test.embs",
+        "--transformed-out": "out.embs", "--out": "out.npz",
+    }),
+    "train-plda": ("train-plda", {
+        "--embeddings": "train_test.embs", "--speaker-map": "train_test.map", "--pre": "pre.npz",
+        "--rank": 2, "--iters": 2, "--out": "out.npz",
+    }),
+    "fit-fourcov": ("fit-fourcov", {
+        "--enroll-model": "side1", "--test-model": "side2", "--enroll-embeddings": "train_enroll.embs",
+        "--test-embeddings": "train_test.embs", "--enroll-aggregate": 3,
+        "--speaker-map-enroll": "train_enroll.map", "--speaker-map-test": "train_test.map", "--out": "out.npz",
+    }),
+    "interpolate": ("interpolate", {
+        "--in-domain": "side1", "--out-domain": "side2", "--alpha": 0.5, "--out": "out.npz",
+    }),
+    "score": ("score", {
+        "--model": "fourcov", "--enroll": "eval_enroll.embs", "--test": "eval_test.embs",
+        "--trials": "eval.trials", "--out": "out.scores",
+    }),
+    "snorm": ("snorm", {
+        "--model": "fourcov", "--scores": "raw.scores", "--enroll": "eval_enroll.embs", "--test": "eval_test.embs",
+        "--cohort-enroll": "cohort_enroll.embs", "--cohort-test": "cohort_test.embs", "--top-k": 20,
+        "--out": "out.scores",
+    }),
+    "calibrate-fit": ("calibrate", {"--scores": "raw.scores", "--trials": "eval.trials", "--out": "out.cal"}),
+    "calibrate-apply": ("calibrate", {"--scores": "raw.scores", "--model": "cal.txt", "--out": "out.scores"}),
+    "route-score": ("route-score", {
+        "--config": "routing.json", "--enroll": "eval_enroll.embs", "--test": "eval_test.embs",
+        "--trials": "eval.trials", "--out": "out.scores",
+    }),
+    "evaluate": ("evaluate", {"--scores": "raw.scores", "--trials": "eval.trials", "--det-out": "out.det"}),
+}
+STAGE_OUTPUTS = {"--out", "--transformed-out", "--det-out"}
+
+
+def _path_options(stage):
+    """The options of `stage` that take a file path: string-valued, without choices, not `--top-k`."""
+    return {
+        action.option_strings[-1] for action in _stages()[stage]._actions
+        if action.option_strings and action.nargs != 0 and action.type is None and action.choices is None
+    } - {"--top-k"}
+
+
+def test_stage_argvs_cover_every_path_option():
+    # a path option missing here would escape `test_bad_input_exits_3_before_any_output`
+    stages = {stage for stage in _stages() if stage != "synth"}
+    assert {stage for stage, _ in STAGE_ARGVS.values()} == stages
+    for stage in stages:
+        given = {option for name, argv in STAGE_ARGVS.values() if name == stage for option in argv}
+        assert _path_options(stage) <= given, stage
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory):
+    """Valid inputs for every argv of `STAGE_ARGVS`, by name."""
+    base = tmp_path_factory.mktemp("inputs")
+    paths = {name: pathlib.Path(path) for name, path in build_bundle(base).items()}
+    raw, _, calfile, _ = score_pipeline(paths, base)
+    paths.update({"raw.scores": pathlib.Path(raw), "cal.txt": pathlib.Path(calfile), "pre.npz": base / "pre.npz"})
+    paths["routing.json"] = pathlib.Path(one_condition_config(paths, calfile, base))
+    assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", paths["pre.npz"]) == 0
+    for side in ("train_enroll", "train_test"):
+        paths[f"{side}.map"] = base / f"{side}.map"
+        ids = [line.split()[0] for line in paths[f"{side}.embs"].read_text().splitlines()]
+        paths[f"{side}.map"].write_text("".join(f"{i} {i.split('-')[0]}\n" for i in ids))
+    return paths
+
+
+def _bad_inputs():
+    """(stage, argv, the input option made bad) for each input of each argv of `STAGE_ARGVS`."""
+    return [
+        pytest.param(stage, argv, option, id=f"{key}{option}")
+        for key, (stage, argv) in STAGE_ARGVS.items() for option in argv
+        if option in _path_options(stage) - STAGE_OUTPUTS
+    ]
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory"])
+@pytest.mark.parametrize("stage, argv, option", _bad_inputs())
+def test_bad_input_exits_3_before_any_output(stage_files, tmp_path, capsys, stage, argv, option, bad):
+    # with every other input valid, a stage reports the bad one as a missing file and writes nothing
+    path = tmp_path / "bad"
+    if bad == "directory":
+        path.mkdir()
+    files = {**stage_files, argv[option]: path}
+    args = [a for o, v in argv.items() for a in (o, tmp_path / v if str(v).startswith("out") else files.get(v, v))]
+    assert invoke(stage, *args) == 3
+    shown = f"{path} (not a regular file)" if bad == "directory" else f"{path}"
+    assert capsys.readouterr().err == f"asvbackend: missing-file: {shown}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["bad"] if bad == "directory" else [])
+
+
+def _calls(name):
+    """(module, innermost enclosing function) of each call of `name` in the package's source."""
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
+            found.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_inputs_are_opened_only_through_the_one_opener():
+    # an input opened any other way can exit otherwise than 3 when it is missing,
+    # and a stage that checks a path copies what its reader checks
+    assert _calls("open") == [("data", "open_input")]
+    assert _calls("os.fdopen") == [("data", "atomic_write")]
+    assert _calls("os.path.isfile") == [("data", "open_input"), ("routing", "load_routing_config")]
+    checks = ("os.path.exists", "os.path.lexists", "os.path.isfile", "os.path.isdir")
+    assert {where for check in checks for module, where in _calls(check) if module == "cli"} == {"_cmd_synth"}
+
+
+# route-score names its bundle in a routing config, which checks that the file exists (exit 8)
+@pytest.mark.parametrize(
+    "kind, stage", [(kind, stage) for kind in BUNDLE_STAGES for stage in BUNDLE_STAGES[kind] if stage != "route-score"]
+)
+def test_unopenable_bundle_exits_4_and_missing_bundle_exits_3(tmp_path, capsys, monkeypatch, kind, stage):
+    # only a missing bundle is a missing file; one that exists but cannot be opened is unreadable
+    argv = _loading_stages(tmp_path)[stage]
+    bundle = tmp_path / f"{kind}.npz"
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio, "open_input", lambda path: open(tmp_path, "rb"))  # raises IsADirectoryError
+        assert invoke(*(bundle if a == "{}" else a for a in argv)) == 4
+    assert capsys.readouterr().err == (f"asvbackend: file-format: {bundle}: not a readable model bundle "
+                                       f"([Errno 21] Is a directory: '{tmp_path}')\n")
+    missing = tmp_path / "missing.npz"
+    assert invoke(*(missing if a == "{}" else a for a in argv)) == 3
+    assert capsys.readouterr().err == f"asvbackend: missing-file: {missing}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _unmatched(source, target, prefix):
+    """Bundle `source` written to `target` with its `prefix` preprocessors widened to dimension 3."""
+    with np.load(source) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    for name in arrays:
+        if name.startswith(prefix):
+            arrays[name] = np.zeros(3) if name.endswith("mean") else np.eye(3)
+    np.savez(target, **arrays)
+
+
+@pytest.mark.parametrize(
+    "kind, stage, prefix",
+    [("side", "interpolate", "pre_"), ("side", "fit-fourcov", "pre_"),
+     *[("fourcov", stage, prefix) for stage in BUNDLE_STAGES["fourcov"] for prefix in ("pre_enroll_", "pre_test_")]],
+)
+def test_bundle_preprocessors_must_match_its_models(tmp_path, capsys, kind, stage, prefix):
+    # each part is valid on its own; together they would fail later, naming neither the bundle nor a file
+    argv = _loading_stages(tmp_path)[stage]
+    bad = tmp_path / "bad.npz"
+    _unmatched(tmp_path / f"{kind}.npz", bad, prefix)
+    assert invoke(*(bad if a == "{}" else a for a in argv)) == 4
+    message = "preprocessor dimension 3 does not match model dimension 2"
+    assert capsys.readouterr().err == f"asvbackend: file-format: {bad}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _side_parts():
+    """A side model of dimension 2, a preprocessor of its dimension and one of dimension 3."""
+    side = plda.PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2))
+    return side, plda.identity_preprocessor(2), plda.identity_preprocessor(3)
+
+
+@pytest.mark.parametrize("kind", ["side", "fourcov"])
+def test_bundle_writer_refuses_preprocessors_that_do_not_match(tmp_path, kind):
+    side, pre, wide = _side_parts()
+    out = tmp_path / "out.npz"
+    with pytest.raises(exceptions.DimensionMismatchError,
+                       match="^preprocessor dimension 3 does not match model dimension 2$"):
+        if kind == "side":
+            modelio.save_plda_side(out, side, wide)
+        else:
+            modelio.save_fourcov(out, fourcov.FourCovModel(side, side, np.eye(1), np.zeros((1, 1))), pre, wide)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_warning_prints_as_one_line_naming_the_bundle(tmp_path, capsys):
+    argv = _loading_stages(tmp_path)["score"]
+    with np.load(tmp_path / "fourcov.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    zero = tmp_path / "zero.npz"
+    np.savez(zero, **{**arrays, "enroll_loadings": np.zeros((2, 1))})
+    assert invoke(*(zero if a == "{}" else a for a in argv)) == 0
+    assert capsys.readouterr().err == (
+        f"asvbackend: warning: {zero}: speaker loadings are rank deficient; "
+        "the model carries no speaker information along some factor directions\n"
+    )
+    assert (tmp_path / "out").read_text() == ""
+
+
+def test_text_writers_write_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "e.embs").write_text("é-1 1.0 2.0\né-2 2.0 -1.0\né-3 -0.5 0.5\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(asvbackend.__file__))
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    run = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "asvbackend.cli", "preprocess", "--embeddings", tmp_path / "e.embs",
+         "--transform", tmp_path / "e.embs", "--out", tmp_path / "p.npz"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    written = (tmp_path / "e.embs.pre").read_text(encoding="utf-8")
+    assert [line.split()[0] for line in written.splitlines()] == ["é-1", "é-2", "é-3"]
+
+
+TRAINING_ROWS = "a-1 1.0 2.0\na-2 1.5 1.0\nb-1 -1.0 0.5\nb-2 -0.5 -1.5\nc-1 0.3 -0.2\nc-2 2.0 -1.0\n"
+
+
+def _written_as_transformed(tmp_path):
+    table = data.read_embeddings(tmp_path / "e.pre")
+    expected = plda.to_model_space(data.read_embeddings(tmp_path / "e"), modelio.load_preprocessor(tmp_path / "out"))
+    return table.ids == expected.ids and np.array_equal(table.matrix, expected.matrix)
+
+
+def _empty_score_file(tmp_path):
+    return (tmp_path / "out").read_text() == ""
+
+
+def _full_rank_side(tmp_path):
+    return modelio.load_plda_side(tmp_path / "out")[0].rank == 2
+
+
+# each: the files written to `tmp_path` (text or bytes), the argv over their names, `out` and
+# `model` (a two-sided bundle of dimension 2, written for every case), the exit code, and either
+# the stderr line (`{name}` is that file) or a check of what was written
+EXIT_PATHS = {
+    "embedding-id-only": (
+        {"e": "a-1\n"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        4, "file-format: {e}:1: expected 'id v1 ... vd', got 1 fields"),
+    "binary-header-cut": (
+        {"e": BINARY_MAGIC + b"\x02\x00"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        4, "file-format: {e}: truncated header"),
+    "binary-record-length-cut": (
+        {"e": BINARY_MAGIC + struct.pack("<I", 2) + b"\x01\x00"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        4, "file-format: {e}: truncated record 1"),
+    "trial-four-fields": (
+        {"s": "e t 1.0\n", "t": "e t tgt x\n"}, ["evaluate", "--scores", "s", "--trials", "t"],
+        4, "file-format: {t}:1: expected 'enroll_id test_id [tgt|non]'"),
+    "speaker-map-three-fields": (
+        {"e": TRAINING_ROWS, "m": "a-1 a x\n"},
+        ["train-plda", "--embeddings", "e", "--speaker-map", "m", "--out", "out"],
+        4, "file-format: {m}:1: expected 'key value'"),
+    "routing-config-not-json": (
+        {"cfg": "not json", "x": ""},
+        ["route-score", "--config", "cfg", "--enroll", "x", "--test", "x", "--trials", "x", "--out", "out"],
+        4, "file-format: {cfg}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    "segment-count-zero": (
+        {"cfg": json.dumps({"enroll_segments": "meta", "test_language": "lang", "conditions": {}}),
+         "meta": "m 0\n", "lang": "", "x": ""},
+        ["route-score", "--config", "cfg", "--enroll", "x", "--test", "x", "--trials", "x", "--out", "out"],
+        4, "file-format: {meta}: segment count for 'm' must be positive"),
+    "calibration-without-offset": (
+        {"s": "e t 1.0\n", "cal": "scale 1.0\n"}, ["calibrate", "--scores", "s", "--model", "cal", "--out", "out"],
+        4, "file-format: {cal}: expected 'scale <a>' and 'offset <b>' lines"),
+    "aggregate-negative": (
+        {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--aggregate", -1, "--out", "out"],
+        6, "parameter: chunk size must be positive, got -1"),
+    "synth-dim-zero": (
+        {}, ["synth", "--out-dir", "out", "--dim", 0], 6, "parameter: dim and n_speakers must be positive"),
+    "synth-snr-zero": (
+        {}, ["synth", "--out-dir", "out", "--snr", 0], 6, "parameter: snr and test_noise_inflation must be positive"),
+    "preprocess-transform": (
+        {"e": TRAINING_ROWS}, ["preprocess", "--embeddings", "e", "--transform", "e", "--out", "out"],
+        0, _written_as_transformed),
+    "train-plda-default-rank": (
+        {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--out", "out"], 0, _full_rank_side),
+    "snorm-no-scores": (
+        {"e": TRAINING_ROWS, "s": "", "x": ""},
+        ["snorm", "--model", "model", "--scores", "s", "--enroll", "x", "--test", "x",
+         "--cohort-enroll", "e", "--cohort-test", "e", "--top-k", 3, "--out", "out"],
+        0, _empty_score_file),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_PATHS)
+def test_exit_path(tmp_path, capsys, case):
+    files, argv, code, expected = EXIT_PATHS[case]
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    side, pre, _ = _side_parts()
+    modelio.save_fourcov(tmp_path / "model", fourcov.FourCovModel(side, side, np.eye(1), np.zeros((1, 1))), pre, pre)
+    argv = [tmp_path / a if a in files or a in ("out", "model") else a for a in argv]
+    assert invoke(*argv) == code
+    captured = capsys.readouterr()
+    if code:
+        line = expected.format(**{name: tmp_path / name for name in files})
+        assert captured.err == f"asvbackend: {line}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "model"])
+    else:
+        assert captured.err == "" and expected(tmp_path)

@@ -169,6 +169,24 @@ class TestConfigValidation:
         np.testing.assert_array_equal(kept, kept.T)
         np.testing.assert_array_equal(kept, truth(residual=asymmetric).as_fourcov().enroll_plda.residual_cov)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"dim": 6}, r"^explicit truth dimension 5 does not match config dim 6$"),
+            ({"enroll_rank": 5, "test_rank": 1}, r"^explicit truth ranks \(2, 3\) do not match config ranks \(5, 1\)$"),
+            ({"test_rank": 2}, r"^explicit truth ranks \(2, 3\) do not match config ranks \(2, 2\)$"),
+        ],
+        ids=["dimension", "both-ranks", "test-rank"],
+    )
+    def test_explicit_truth_must_match_the_config(self, overrides, message):
+        # a config value that the truth contradicts would be accepted and then ignored
+        matching = dict(dim=5, enroll_rank=2, test_rank=3, n_speakers=2)
+        truth = synth.make_ground_truth(base_config(**matching))
+        enroll, test, drawn = synth.sample_dataset(base_config(**matching, truth=truth))
+        assert drawn is truth and enroll[0].members[0].dim == 5
+        with pytest.raises(ParameterError, match=message):
+            synth.sample_dataset(base_config(**{**matching, **overrides}, truth=truth))
+
     def test_bad_knobs_rejected(self):
         with pytest.raises(ParameterError):
             base_config(coupling_strength=1.5)
