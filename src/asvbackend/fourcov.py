@@ -228,6 +228,18 @@ def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarr
     return grid
 
 
+def trial_rows(w_e, w_t) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's enrollment and test vectors as (1, d) float64 rows.
+
+    A non-finite value raises `DomainError` naming its side, by the rule
+    of every embedding table, before any arithmetic.
+    """
+    return tuple(
+        EmbeddingTable.from_columns((side,), np.reshape(w, (1, -1))).matrix
+        for side, w in (("enrollment", w_e), ("test", w_t))
+    )
+
+
 def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
     """LLR score of one (enrollment, test) pair of preprocessed vectors.
 
@@ -238,7 +250,7 @@ def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> floa
     vectors must go first. With distinct side models, score(a, b) !=
     score(b, a).
     """
-    w_e, w_t = (np.asarray(w, dtype=np.float64).reshape(1, -1) for w in (w_e, w_t))
+    w_e, w_t = trial_rows(w_e, w_t)
     first = np.zeros(1, dtype=np.intp)
     return float(_gathered_scores(kernel, w_e, w_t, first, first)[0])
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import EmbeddingTable, ScoreSet, embedding_table
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
-from .fourcov import ScoringKernel, cohort_grids, referenced_rows
+from .fourcov import ScoringKernel, cohort_grids, referenced_rows, trial_rows
 
 DEFAULT_TOP_K = 400
 
@@ -150,9 +150,11 @@ def snorm(
     against enrollment-side entries, which matters because the kernel
     is asymmetric.
     """
-    w_e, w_t = (np.asarray(w, dtype=np.float64).reshape(1, -1) for w in (w_e, w_t))
+    w_e, w_t = trial_rows(w_e, w_t)
+    raw = float(raw)
+    ScoreSet.from_columns(("enrollment",), ("test",), (raw,))  # a non-finite raw score raises DomainError
     enroll_stats, test_stats = _side_stats(kernel, cohorts, w_e, w_t)
-    return float(combine_normalized(float(raw), enroll_stats[0], test_stats[0]))
+    return float(combine_normalized(raw, enroll_stats[0], test_stats[0]))
 
 
 def snorm_batch(

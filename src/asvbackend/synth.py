@@ -132,14 +132,14 @@ def _rotation(rng: np.random.Generator, dim: int, angle: float) -> np.ndarray:
     draws = rng.standard_normal((dim, dim))
     skew = (draws - draws.T) / 2.0
     norm = np.linalg.norm(skew, 2)
-    if norm == 0.0:  # dimension 1: the only skew matrix is zero, and the only rotation the identity
+    # checked after the draw, so every later draw is the same at any angle;
+    # in dimension 1 the only skew matrix is zero, and the only rotation the identity
+    if angle == 0.0 or norm == 0.0:
         return np.eye(dim)
-    skew /= norm
-    # the one use of scipy, imported here so that loading the package
-    # (and every CLI stage but `synth`) brings in numpy's BLAS alone
-    import scipy.linalg
-
-    return scipy.linalg.expm(angle * skew)
+    # 1j * skew is Hermitian with real eigenvalues lam and unitary
+    # eigenvectors V, so exp(angle * skew) = V diag(exp(-1j * angle * lam)) V^H
+    lam, vecs = np.linalg.eigh(1j * (skew / norm))
+    return ((vecs * np.exp(-1j * angle * lam)) @ vecs.conj().T).real
 
 
 def make_ground_truth(config: GenConfig) -> GroundTruth:

@@ -140,55 +140,6 @@ class TestEvaluate:
         assert evaluate_err == capsys.readouterr().err == message
 
 
-def _probe(code):
-    """stdout of `code` run in a fresh interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(asvbackend.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
-
-
-@pytest.mark.parametrize("module", ["asvbackend", "asvbackend.cli"])
-def test_import_loads_no_scipy(module):
-    # scipy brings its own OpenBLAS thread pool, which competes with
-    # numpy's, and a quarter-second import; only `synth` may load it
-    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    assert _probe(probe) == "[]"
-
-
-def test_synth_stage_loads_scipy_when_it_runs(tmp_path):
-    probe = (
-        "import sys; from asvbackend import cli; "
-        f"code = cli.main({[str(a) for a in synth_args(tmp_path / 'd')]!r}); "
-        "print(code, 'scipy.linalg' in sys.modules)"
-    )
-    assert _probe(probe).splitlines()[-1] == "0 True"
-    assert (tmp_path / "d" / "train_enroll.embs").exists()
-
-
-def test_scipy_imported_only_inside_synth_functions():
-    # a module-level scipy import anywhere would start scipy's BLAS pool
-    # in every stage; synth imports it inside the one function that needs it
-    package = os.path.dirname(asvbackend.__file__)
-    found = []
-
-    def visit(node, path, in_function):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append((os.path.basename(path), node.lineno, in_function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
-
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            path = os.path.join(package, name)
-            with open(path, encoding="utf-8") as fh:
-                visit(ast.parse(fh.read(), path), path, False)
-    assert found  # synth's own import proves the walk sees nested imports
-    assert all(file == "synth.py" and in_function for file, _, in_function in found), found
-
-
 def test_only_data_checks_for_embedding_tables():
     # a sequence of `Embedding` rows becomes a table in `data.embedding_table`
     # alone; any other module that tests for a table keeps a second path
@@ -1156,6 +1107,11 @@ def stage_files(tmp_path_factory):
     return paths
 
 
+def _stage_args(argv, files, out_dir):
+    """The arguments of one `STAGE_ARGVS` argv: inputs taken from `files`, outputs written to `out_dir`."""
+    return [a for o, v in argv.items() for a in (o, out_dir / v if str(v).startswith("out") else files.get(v, v))]
+
+
 def _bad_inputs():
     """(stage, argv, the input option made bad) for each input of each argv of `STAGE_ARGVS`."""
     return [
@@ -1172,12 +1128,28 @@ def test_bad_input_exits_3_before_any_output(stage_files, tmp_path, capsys, stag
     path = tmp_path / "bad"
     if bad == "directory":
         path.mkdir()
-    files = {**stage_files, argv[option]: path}
-    args = [a for o, v in argv.items() for a in (o, tmp_path / v if str(v).startswith("out") else files.get(v, v))]
-    assert invoke(stage, *args) == 3
+    assert invoke(stage, *_stage_args(argv, {**stage_files, argv[option]: path}, tmp_path)) == 3
     shown = f"{path} (not a regular file)" if bad == "directory" else f"{path}"
     assert capsys.readouterr().err == f"asvbackend: missing-file: {shown}\n"
     assert [p.name for p in tmp_path.iterdir()] == (["bad"] if bad == "directory" else [])
+
+
+def test_package_and_every_stage_load_no_scipy(stage_files, tmp_path):
+    # the package needs numpy alone; scipy would bring a second BLAS
+    # thread pool. No source file names it, and a fresh interpreter that
+    # runs every stage (`STAGE_ARGVS` covers all but synth) has loaded none
+    package = pathlib.Path(asvbackend.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "scipy" in p.read_text(encoding="utf-8")] == []
+    argvs = [synth_args(tmp_path / "synth")]
+    argvs += [[stage, *_stage_args(argv, stage_files, tmp_path)] for stage, argv in STAGE_ARGVS.values()]
+    probe = (
+        "import sys; from asvbackend import cli; "
+        f"codes = [cli.main(argv) for argv in {[[str(a) for a in argv] for argv in argvs]!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
 
 
 def _calls(name):

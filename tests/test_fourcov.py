@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from asvbackend import data, synth
 from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup, TrialList
 from asvbackend.exceptions import (
     DimensionMismatchError,
+    DomainError,
     NumericalError,
     ParameterError,
     UnknownIdError,
@@ -285,6 +287,18 @@ class TestScoreTrial:
         kernel = build_kernel(model)
         with pytest.raises(DimensionMismatchError, match="^enrollment vector has dimension 3, kernel dimension is 4$"):
             score_trial(kernel, np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
+    def test_non_finite_vector_raises_naming_side(self, rng, side, value):
+        # as a table would reject it, before any arithmetic could warn
+        kernel = build_kernel(random_fourcov(rng, 4, 2, 2))
+        vectors = {"enrollment": rng.standard_normal(4), "test": rng.standard_normal(4)}
+        vectors[side][1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^embedding '{side}' contains non-finite values$"):
+                score_trial(kernel, vectors["enrollment"], vectors["test"])
 
 
 class TestScoreBatch:

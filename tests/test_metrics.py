@@ -6,6 +6,13 @@ from asvbackend.exceptions import MetricError, ParameterError, UnknownIdError
 from asvbackend.metrics import DcfParams, compute_eer, compute_min_dcf, det_points
 
 
+def _recount(scores, labels, thresholds):
+    """Brute-force false-alarm and miss counts at each threshold: every
+    score compared with every threshold; accept iff score >= threshold."""
+    accept = scores[None, :] >= np.asarray(thresholds, dtype=np.float64)[:, None]
+    return (accept & ~labels).sum(axis=1).tolist(), (~accept & labels).sum(axis=1).tolist()
+
+
 def oracle_points(scores, labels):
     """O(n^2) recount: thresholds midway between distinct scores plus
     accept-all / reject-all sentinels; accept iff score >= threshold."""
@@ -17,11 +24,8 @@ def oracle_points(scores, labels):
     thresholds = [-np.inf]
     thresholds += [(a + b) / 2.0 for a, b in zip(distinct[:-1], distinct[1:])]
     thresholds += [np.inf]
-    points = []
-    for theta in thresholds:
-        fa = sum(1 for s, is_tar in zip(scores, labels) if not is_tar and s >= theta)
-        miss = sum(1 for s, is_tar in zip(scores, labels) if is_tar and s < theta)
-        points.append((fa / n_non, miss / n_tar))
+    fa, miss = _recount(scores, labels, thresholds)
+    points = [(f / n_non, m / n_tar) for f, m in zip(fa, miss)]
     # reject-all first, accept-all last, to match the implementation's order
     return sorted(points, key=lambda p: (p[0], -p[1]))
 
@@ -44,9 +48,7 @@ def oracle_min_dcf(scores, labels, params):
     n_tar = int(labels.sum())
     n_non = int((~labels).sum())
     best = np.inf
-    for theta in list(scores) + [np.inf, -np.inf]:
-        fa = sum(1 for s, is_tar in zip(scores, labels) if not is_tar and s >= theta)
-        miss = sum(1 for s, is_tar in zip(scores, labels) if is_tar and s < theta)
+    for fa, miss in zip(*_recount(scores, labels, list(scores) + [np.inf, -np.inf])):
         cost = (
             params.p_target * params.c_miss * (miss / n_tar)
             + (1.0 - params.p_target) * params.c_fa * (fa / n_non)

@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet, TrialList
-from asvbackend.exceptions import DimensionMismatchError, NormalizationError, ParameterError
+from asvbackend.exceptions import DimensionMismatchError, DomainError, NormalizationError, ParameterError
 from asvbackend.fourcov import ScoringKernel, build_kernel, score_batch, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
     CohortSet,
@@ -147,6 +148,23 @@ class TestSnorm:
         vectors[side] = rng.standard_normal(4)
         with pytest.raises(DimensionMismatchError, match=f"^{side} vector has dimension 4, kernel dimension is 5$"):
             snorm(kernel, cohorts, vectors["enrollment"], vectors["test"], 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", ["enrollment", "test", "raw"])
+    def test_non_finite_input_raises_naming_it(self, kernel_and_cohorts, rng, bad, value):
+        # as a table would reject it, before any arithmetic could warn
+        kernel, cohorts = kernel_and_cohorts
+        inputs = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5), "raw": 1.0}
+        if bad == "raw":
+            inputs["raw"] = value
+            message = "^non-finite score for trial enrollment test$"
+        else:
+            inputs[bad][1] = value
+            message = f"^embedding '{bad}' contains non-finite values$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                snorm(kernel, cohorts, inputs["enrollment"], inputs["test"], inputs["raw"])
 
     def test_order_preserved_for_shared_enrollment(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import spearmanr
 
 from asvbackend import fourcov, metrics, plda, synth
@@ -33,6 +34,29 @@ class TestDeterminism:
         a = synth.sample_dataset(base_config(seed=1))[0]
         b = synth.sample_dataset(base_config(seed=2))[0]
         assert not np.array_equal(a[0].matrix(), b[0].matrix())
+
+
+class TestRotation:
+    @pytest.mark.parametrize("dim", [2, 16, 200])
+    def test_orthogonal_and_equal_to_the_matrix_exponential(self, dim):
+        got = synth._rotation(np.random.default_rng(dim), dim, 1.0)
+        draws = np.random.default_rng(dim).standard_normal((dim, dim))
+        skew = (draws - draws.T) / 2.0
+        expected = scipy.linalg.expm(skew / np.linalg.norm(skew, 2))
+        assert np.abs(got - expected).max() < 1e-14
+        assert np.abs(got.T @ got - np.eye(dim)).max() < 1e-14
+
+    def test_angle_zero_is_exactly_the_identity(self):
+        np.testing.assert_array_equal(synth._rotation(np.random.default_rng(3), 16, 0.0), np.eye(16))
+
+    def test_draws_the_same_at_every_angle(self):
+        # later draws of the truth must not depend on whether the test loadings were rotated
+        states = []
+        for angle in (0.0, 0.7):
+            rng = np.random.default_rng(3)
+            synth._rotation(rng, 16, angle)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestPopulationStatistics:
