@@ -140,6 +140,29 @@ class TestEvaluate:
         assert evaluate_err == capsys.readouterr().err == message
 
 
+def _probe(code):
+    """stdout of `code` run in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(asvbackend.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["asvbackend", "asvbackend.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy brings its own OpenBLAS thread pool, which competes with
+    # numpy's, and a quarter-second import; the package needs numpy alone
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _probe(probe) == "[]"
+
+
+def test_scipy_imported_only_inside_synth_functions():
+    # synth once imported scipy inside `_rotation`; now no source file
+    # names scipy at all, which also rules out a hidden dynamic import
+    package = pathlib.Path(asvbackend.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "scipy" in p.read_text(encoding="utf-8")] == []
+
+
 def test_only_data_checks_for_embedding_tables():
     # a sequence of `Embedding` rows becomes a table in `data.embedding_table`
     # alone; any other module that tests for a table keeps a second path
@@ -1134,12 +1157,9 @@ def test_bad_input_exits_3_before_any_output(stage_files, tmp_path, capsys, stag
     assert [p.name for p in tmp_path.iterdir()] == (["bad"] if bad == "directory" else [])
 
 
-def test_package_and_every_stage_load_no_scipy(stage_files, tmp_path):
-    # the package needs numpy alone; scipy would bring a second BLAS
-    # thread pool. No source file names it, and a fresh interpreter that
-    # runs every stage (`STAGE_ARGVS` covers all but synth) has loaded none
-    package = pathlib.Path(asvbackend.__file__).parent
-    assert [p.name for p in package.rglob("*.py") if "scipy" in p.read_text(encoding="utf-8")] == []
+def test_every_stage_loads_no_scipy(stage_files, tmp_path):
+    # a fresh interpreter that runs synth and every other stage (all of
+    # `STAGE_ARGVS`) has loaded no scipy module
     argvs = [synth_args(tmp_path / "synth")]
     argvs += [[stage, *_stage_args(argv, stage_files, tmp_path)] for stage, argv in STAGE_ARGVS.values()]
     probe = (
@@ -1147,9 +1167,8 @@ def test_package_and_every_stage_load_no_scipy(stage_files, tmp_path):
         f"codes = [cli.main(argv) for argv in {[[str(a) for a in argv] for argv in argvs]!r}]; "
         "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
-    env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == f"{[0] * len(argvs)} []"
+    assert _probe(probe).splitlines()[-1] == f"{[0] * len(argvs)} []"
+    assert (tmp_path / "synth" / "train_enroll.embs").exists()
 
 
 def _calls(name):
