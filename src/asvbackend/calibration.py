@@ -158,7 +158,17 @@ def write_calibration(path, model: CalibrationModel, condition: str | None = Non
 
 
 def read_calibration(path) -> tuple[CalibrationModel, str | None]:
+    """The model and condition tag (or None) of a file `write_calibration` wrote.
+
+    The file holds `scale` and `offset` lines with finite numbers and at
+    most a `condition` line besides; any other key, such as a misspelt
+    `conditon`, raises `FileFormatError` naming the file and the key
+    rather than loading the file as untagged.
+    """
     fields = read_id_map(path)
+    unknown = [key for key in fields if key not in ("scale", "offset", "condition")]
+    if unknown:
+        raise FileFormatError(f"{path}: unknown key '{unknown[0]}'")
     try:
         scale, offset = float(fields["scale"]), float(fields["offset"])
     except (KeyError, ValueError):

@@ -130,9 +130,7 @@ def _cmd_preprocess(args) -> int:
         raise ParameterError("--transformed-out needs --transform")
     pre = plda.fit_preprocessor(data.read_embeddings(args.embeddings))
     if args.transform:
-        raw = data.read_embeddings(args.transform)
-        plda.check_raw_width(raw, pre, f"transform ({args.transform})")
-        transformed = plda.to_model_space(raw, pre)
+        transformed = fourcov.read_model_space(args.transform, pre, "transform")
         data.write_embeddings(args.transformed_out or args.transform + ".pre", transformed)
     modelio.save_preprocessor(args.out, pre)
     print(f"wrote preprocessor to {args.out}")
@@ -181,10 +179,7 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_score(args) -> int:
     model, pre1, pre2 = modelio.load_fourcov(args.model)
-    enrolls, tests = fourcov.model_space_pair(
-        pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
-        (f"enrollment ({args.enroll})", f"test ({args.test})"),
-    )
+    enrolls, tests = fourcov.read_model_space_pair(pre1, pre2, args.enroll, args.test)
     trials = data.read_trials(args.trials)
     kernel = fourcov.build_kernel(model)
     scores = fourcov.score_batch(kernel, enrolls, tests, trials)
@@ -199,16 +194,9 @@ def _cmd_snorm(args) -> int:
     except ValueError:
         raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
     model, pre1, pre2 = modelio.load_fourcov(args.model)
-    enrolls, tests = fourcov.model_space_pair(
-        pre1, pre2, data.read_embeddings(args.enroll), data.read_embeddings(args.test),
-        (f"enrollment ({args.enroll})", f"test ({args.test})"),
-    )
+    enrolls, tests = fourcov.read_model_space_pair(pre1, pre2, args.enroll, args.test)
     scores = data.read_scores(args.scores)
-    cohort_pair = fourcov.model_space_pair(
-        pre1, pre2,
-        data.read_embeddings(args.cohort_enroll), data.read_embeddings(args.cohort_test),
-        (f"enrollment-side cohort ({args.cohort_enroll})", f"test-side cohort ({args.cohort_test})"),
-    )
+    cohort_pair = fourcov.read_model_space_pair(pre1, pre2, args.cohort_enroll, args.cohort_test, cohort=True)
     cohorts = scorenorm.CohortSet(*cohort_pair, top_k)
     kernel = fourcov.build_kernel(model)
     normalized = scorenorm.snorm_batch(kernel, cohorts, enrolls, tests, scores)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, TrialList, embedding_table, row_blocks
+from .data import EmbeddingTable, ScoreSet, TrialList, embedding_table, read_embeddings, row_blocks
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
@@ -141,6 +141,13 @@ def build_kernel(model: FourCovModel) -> ScoringKernel:
     return ScoringKernel(model.enroll_plda.mean, model.test_plda.mean, weights, offset)
 
 
+def _in_model_space(rows, pre: Preprocessor, label: str, average: bool) -> EmbeddingTable:
+    """One side's raw vectors in model space, after the width check that `label` names."""
+    table = embedding_table(rows)
+    check_raw_width(table, pre, label)
+    return to_model_space(table, pre, average=average)
+
+
 def model_space_pair(
     pre_enroll: Preprocessor, pre_test: Preprocessor, enrolls, tests, labels=("enrollment", "test")
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
@@ -152,12 +159,30 @@ def model_space_pair(
     rows. Each side's width is checked against its preprocessor first,
     and a mismatch raises naming that side's entry of `labels`.
     """
-    def side(rows, pre: Preprocessor, label: str, average: bool) -> EmbeddingTable:
-        table = embedding_table(rows)
-        check_raw_width(table, pre, label)
-        return to_model_space(table, pre, average=average)
+    return (_in_model_space(enrolls, pre_enroll, labels[0], True),
+            _in_model_space(tests, pre_test, labels[1], False))
 
-    return side(enrolls, pre_enroll, labels[0], True), side(tests, pre_test, labels[1], False)
+
+def read_model_space(path, pre: Preprocessor, side: str, average: bool = False) -> EmbeddingTable:
+    """The vector file at `path` in model space, checked as one side of `model_space_pair`, naming `<side> (<path>)`."""
+    return _in_model_space(read_embeddings(path), pre, f"{side} ({path})", average)
+
+
+def read_model_space_pair(
+    pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False
+) -> tuple[EmbeddingTable, EmbeddingTable]:
+    """An enrollment and a test vector file in model space, as `model_space_pair` brings them.
+
+    The one reader of a stack's vector files (`score`, `snorm` and
+    `routing.load_pipelines`). Each file is read, checked and mapped
+    before the next is read, so one raw table is held at a time and a bad
+    first file decides. Errors name the files `enrollment (<path>)` and
+    `test (<path>)`, or with `cohort` `enrollment-side cohort (<path>)`
+    and `test-side cohort (<path>)`.
+    """
+    sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
+    return (read_model_space(enroll_path, pre_enroll, sides[0], average=True),
+            read_model_space(test_path, pre_test, sides[1]))
 
 
 def symmetric_kernel(model: PldaModel) -> ScoringKernel:

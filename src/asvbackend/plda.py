@@ -289,7 +289,8 @@ class SpeakerStats:
     Per speaker, in code order: its id (ids repeat where speakers are
     counted by position), its vector count and its raw vector sum. Over
     all vectors: the mean and the scatter, the summed outer products of
-    the deviations from that mean.
+    the deviations from that mean. Every speaker has at least one
+    vector: a count of 0 raises `ParameterError` naming the speaker.
     """
 
     speaker_ids: tuple[str, ...]
@@ -297,6 +298,13 @@ class SpeakerStats:
     sums: np.ndarray     # (speakers, d)
     mean: np.ndarray     # (d,)
     scatter: np.ndarray  # (d, d)
+
+    def __post_init__(self):
+        # with no vectors a speaker's factor is its prior: EM fails inside
+        # LAPACK, and the coupling fit silently pairs a zero factor
+        empty = np.flatnonzero(self.counts == 0)
+        if empty.size:
+            raise ParameterError(f"speaker '{self.speaker_ids[empty[0]]}' has no vectors")
 
 
 def speaker_stats(matrix: np.ndarray, speaker_ids: Sequence[str], codes: np.ndarray) -> SpeakerStats:

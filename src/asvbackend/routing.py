@@ -9,7 +9,9 @@ a mixed trial list is partitioned, each partition scored, normalized and
 calibrated by its own stack, and the streams merged back in input order.
 A routing config loads in two steps: `load_routing_config` checks the
 document and reads the metadata, and `load_pipelines` reads each
-condition's stack from what it returns.
+condition's stack from what it returns. A stack's cohorts come through
+`fourcov.read_model_space_pair`, the reader `score` and `snorm` use, so
+a routed trial gets the score those stages give it with the same stack.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
-from .data import ScoreSet, TrialList, embedding_table, open_input, read_embeddings, read_id_map
+from .data import ScoreSet, TrialList, embedding_table, open_input, read_id_map
 from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
-from .fourcov import FourCovModel, build_kernel, model_space_pair, score_batch
+from .fourcov import FourCovModel, build_kernel, model_space_pair, read_model_space_pair, score_batch
 from .modelio import load_fourcov
 from .plda import Preprocessor
 from .scorenorm import DEFAULT_TOP_K, CohortSet, check_top_k, snorm_batch
@@ -270,11 +272,12 @@ def load_routing_config(path) -> RoutingConfig:
 def load_pipelines(config: RoutingConfig) -> dict[str, ConditionPipeline]:
     """Each configured condition's stack, read from the files the config names.
 
-    A calibration file tagged with a condition (`calibrate --condition`)
-    must be configured under that condition. A stack that cannot be
-    built, such as one whose `top_k` exceeds a cohort's size or whose
-    calibration scale is not positive, raises `ConfigError` naming the
-    config file and the condition.
+    The cohorts are read by `read_model_space_pair`, as `snorm` reads
+    them. A calibration file tagged with a condition (`calibrate
+    --condition`) must be configured under that condition. A stack that
+    cannot be built, such as one whose `top_k` exceeds a cohort's size
+    or whose calibration scale is not positive, raises `ConfigError`
+    naming the config file and the condition.
     """
     pipelines = {}
     for tag, spec in config.conditions.items():
@@ -285,10 +288,8 @@ def load_pipelines(config: RoutingConfig) -> dict[str, ConditionPipeline]:
                 f"which is tagged '{cal_tag}'"
             )
         model, pre_enroll, pre_test = load_fourcov(spec["model"])
-        cohort_enroll, cohort_test = spec["cohort_enroll"], spec["cohort_test"]
-        cohort_pair = model_space_pair(
-            pre_enroll, pre_test, read_embeddings(cohort_enroll), read_embeddings(cohort_test),
-            (f"enrollment-side cohort ({cohort_enroll})", f"test-side cohort ({cohort_test})"),
+        cohort_pair = read_model_space_pair(
+            pre_enroll, pre_test, spec["cohort_enroll"], spec["cohort_test"], cohort=True
         )
         try:
             cohorts = CohortSet(*cohort_pair, spec["top_k"])

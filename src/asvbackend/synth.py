@@ -71,7 +71,12 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Sampler configuration; explicit `truth` overrides the random draws."""
+    """Sampler configuration; explicit `truth` overrides the random draws.
+
+    An explicit truth must have the config's `dim` and ranks: one that
+    contradicts them raises `ParameterError` when the config is built,
+    so no config value is accepted and then ignored.
+    """
 
     dim: int
     enroll_rank: int
@@ -115,6 +120,15 @@ class GenConfig:
             raise ParameterError(
                 f"speaker_prefix {self.speaker_prefix!r} must not contain '-' or whitespace, or start with '#'"
             )
+        if self.truth is not None:
+            truth = self.truth
+            r1, r2 = truth.enroll_loadings.shape[1], truth.test_loadings.shape[1]
+            if truth.dim != self.dim:
+                raise ParameterError(f"explicit truth dimension {truth.dim} does not match config dim {self.dim}")
+            if (r1, r2) != (self.enroll_rank, self.test_rank):
+                raise ParameterError(
+                    f"explicit truth ranks ({r1}, {r2}) do not match config ranks ({self.enroll_rank}, {self.test_rank})"
+                )
 
 
 def _wishart_unit_cov(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -184,16 +198,7 @@ def sample_dataset(config: GenConfig):
     which makes the draw deterministic for a given config.
     """
     truth = make_ground_truth(config)
-    r1 = truth.enroll_loadings.shape[1]
-    r2 = truth.test_loadings.shape[1]
-    if truth.dim != config.dim:
-        raise ParameterError(
-            f"explicit truth dimension {truth.dim} does not match config dim {config.dim}"
-        )
-    if (r1, r2) != (config.enroll_rank, config.test_rank):
-        raise ParameterError(
-            f"explicit truth ranks ({r1}, {r2}) do not match config ranks ({config.enroll_rank}, {config.test_rank})"
-        )
+    r1, r2 = config.enroll_rank, config.test_rank
     enroll_noise_sqrt = _psd_sqrt(truth.enroll_noise_cov)
     test_noise_sqrt = _psd_sqrt(truth.test_noise_cov)
     coupling_noise_sqrt = _psd_sqrt(truth.coupling_noise_cov)

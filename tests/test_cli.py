@@ -1027,6 +1027,28 @@ class TestSideWidth:
         assert f"({narrow[side]}) vectors have dimension 5, the model expects 6" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage, pair", [("score", "eval"), ("snorm", "eval"), ("snorm", "cohort")])
+    def test_first_file_of_a_pair_decides(self, stack, tmp_path, capsys, stage, pair):
+        # each file of a pair is read and checked before the next is opened, so a
+        # narrow enrollment-side file wins over a missing test-side file
+        paths, raw, _, narrow = stack
+        missing = tmp_path / "missing.embs"
+        files = {"eval": [paths["eval_enroll.embs"], paths["eval_test.embs"]],
+                 "cohort": [paths["cohort_enroll.embs"], paths["cohort_test.embs"]]}
+        files[pair] = [narrow["enrollment"], missing]
+        vectors = ["--enroll", files["eval"][0], "--test", files["eval"][1]]
+        argv = {
+            "score": ["--model", paths["fourcov"], *vectors, "--trials", paths["eval.trials"]],
+            "snorm": ["--model", paths["fourcov"], "--scores", raw, *vectors, "--cohort-enroll", files["cohort"][0],
+                      "--cohort-test", files["cohort"][1], "--top-k", 20],
+        }[stage]
+        out = tmp_path / "out.scores"
+        assert invoke(stage, *argv, "--out", out) == 5
+        side = "enrollment" if pair == "eval" else "enrollment-side cohort"
+        assert capsys.readouterr().err == (f"asvbackend: dimension: {side} ({narrow['enrollment']}) vectors have "
+                                           "dimension 5, the model expects 6\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "stage, label",
         [("preprocess", "transform"), ("train-plda", "training"),
@@ -1198,6 +1220,25 @@ def test_inputs_are_opened_only_through_the_one_opener():
     assert {where for check in checks for module, where in _calls(check) if module == "cli"} == {"_cmd_synth"}
 
 
+def test_stack_vector_files_are_read_only_through_the_one_reader():
+    # `route-score` promises each routed trial the score of `score` -> `snorm` -> `calibrate`,
+    # which holds while one reader brings every stack's vector files into model space
+    reads = _calls("read_embeddings") + _calls("data.read_embeddings")
+    assert [where for module, where in reads if module == "routing"] == []
+    assert sorted(where for module, where in reads if module == "cli") == [
+        "_cmd_fit_fourcov", "_cmd_fit_fourcov", "_cmd_preprocess",  # preprocess: --embeddings
+        "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
+    ]
+    for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("model_space_pair"):
+                arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+                assert not [
+                    inner for argument in arguments for inner in ast.walk(argument)
+                    if isinstance(inner, ast.Call) and ast.unparse(inner.func).endswith("read_embeddings")
+                ], f"{path.name}:{node.lineno} reads a vector file for model_space_pair"
+
+
 # route-score names its bundle in a routing config, which checks that the file exists (exit 8)
 @pytest.mark.parametrize(
     "kind, stage", [(kind, stage) for kind in BUNDLE_STAGES for stage in BUNDLE_STAGES[kind] if stage != "route-score"]
@@ -1340,6 +1381,16 @@ EXIT_PATHS = {
     "calibration-without-offset": (
         {"s": "e t 1.0\n", "cal": "scale 1.0\n"}, ["calibrate", "--scores", "s", "--model", "cal", "--out", "out"],
         4, "file-format: {cal}: expected 'scale <a>' and 'offset <b>' lines"),
+    "calibration-unknown-key": (
+        {"s": "e t 1.0\n", "cal": "scale 1.0\noffset 0.0\nconditon few-secondary\n"},
+        ["calibrate", "--scores", "s", "--model", "cal", "--out", "out"],
+        4, "file-format: {cal}: unknown key 'conditon'"),
+    "routed-calibration-unknown-key": (
+        {"cfg": json.dumps({"enroll_segments": "x", "test_language": "x", "conditions": {"few-secondary": {
+            "model": "model", "cohort_enroll": "x", "cohort_test": "x", "calibration": "cal"}}}),
+         "cal": "scale 1.0\noffset 0.0\nconditon few-secondary\n", "x": ""},
+        ["route-score", "--config", "cfg", "--enroll", "x", "--test", "x", "--trials", "x", "--out", "out"],
+        4, "file-format: {cal}: unknown key 'conditon'"),
     "aggregate-negative": (
         {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--aggregate", -1, "--out", "out"],
         6, "parameter: chunk size must be positive, got -1"),

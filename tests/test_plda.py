@@ -213,6 +213,16 @@ class TestSpeakerStats:
         with pytest.raises(ParameterError, match="at least 2 speakers, got 0"):
             train_plda(stats)
 
+    @pytest.mark.parametrize("position", [0, 5, 12])  # first, inside, last
+    def test_speaker_without_vectors_is_refused(self, rng, position):
+        # a count of 0 made train_plda fail inside LAPACK, and fit_coupling give
+        # the speaker a zero factor without a warning
+        table, speaker_ids, codes, _ = interleaved_speakers(rng)
+        speaker_ids = speaker_ids[:position] + ("ghost",) + speaker_ids[position:]
+        codes = codes + (codes >= position)
+        with pytest.raises(ParameterError, match="^speaker 'ghost' has no vectors$"):
+            speaker_stats(table.matrix, speaker_ids, codes)
+
     def test_repeated_speaker_id_trains_as_separate_speakers(self, rng):
         groups = [make_group("s", rng.standard_normal((3, 4)) + i) for i in range(10)]
         renamed = [SpeakerGroup(f"s{i}", g.members) for i, g in enumerate(groups)]

@@ -324,7 +324,7 @@ class TestConfigValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("a stack file was read")
 
-        for name in ("load_fourcov", "read_embeddings", "read_calibration"):
+        for name in ("load_fourcov", "read_model_space_pair", "read_calibration"):
             monkeypatch.setattr(routing, name, refuse)
         config = load_routing_config(path)
         assert config.conditions["few-primary"] == {

@@ -211,6 +211,13 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match=message):
             synth.sample_dataset(base_config(**{**matching, **overrides}, truth=truth))
 
+    def test_explicit_truth_is_checked_when_the_config_is_built(self):
+        truth = synth.make_ground_truth(base_config(dim=5, enroll_rank=2, test_rank=3))
+        with pytest.raises(ParameterError, match=r"^explicit truth dimension 5 does not match config dim 8$"):
+            base_config(truth=truth)
+        with pytest.raises(ParameterError, match=r"^explicit truth ranks \(2, 3\) do not match config ranks \(2, 2\)$"):
+            base_config(dim=5, truth=truth)
+
     def test_bad_knobs_rejected(self):
         with pytest.raises(ParameterError):
             base_config(coupling_strength=1.5)
