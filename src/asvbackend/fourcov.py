@@ -149,7 +149,7 @@ def _in_model_space(rows, pre: Preprocessor, label: str, average: bool) -> Embed
 
 
 def model_space_pair(
-    pre_enroll: Preprocessor, pre_test: Preprocessor, enrolls, tests, labels=("enrollment", "test")
+    pre_enroll: Preprocessor, pre_test: Preprocessor, enrolls, tests
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
     """Raw enrollment and test vectors in the two-sided model space.
 
@@ -157,10 +157,10 @@ def model_space_pair(
     one unit-norm vector per id; test rows pass through `pre_test` one
     by one. `enrolls` and `tests` are tables or sequences of `Embedding`
     rows. Each side's width is checked against its preprocessor first,
-    and a mismatch raises naming that side's entry of `labels`.
+    and a mismatch raises naming the side, `enrollment` or `test`.
     """
-    return (_in_model_space(enrolls, pre_enroll, labels[0], True),
-            _in_model_space(tests, pre_test, labels[1], False))
+    return (_in_model_space(enrolls, pre_enroll, "enrollment", True),
+            _in_model_space(tests, pre_test, "test", False))
 
 
 def read_model_space(path, pre: Preprocessor, side: str, average: bool = False) -> EmbeddingTable:

@@ -78,22 +78,50 @@ def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
     """Mean and population std of the selected cohort scores.
 
     With numeric top_k, the k highest scores are selected; ties at the
-    boundary are all kept.
+    boundary are all kept. The one-row case of `_top_k_stats`, on a copy
+    of `scores`.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if top_k is not None and top_k < scores.size:
-        boundary = np.partition(scores, scores.size - top_k)[scores.size - top_k]
-        selected = scores[scores >= boundary]
-    else:
-        selected = scores
-    mean = float(selected.mean())
-    std = float(selected.std())
-    if std < MIN_COHORT_STD:
+    stats = np.empty((1, 2))
+    _top_k_stats(np.array(scores, dtype=np.float64).reshape(1, -1), top_k, side, stats)
+    return float(stats[0, 0]), float(stats[0, 1])
+
+
+def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.ndarray, names=None) -> None:
+    """Write each grid row's (mean, std) of its selected scores into `out`.
+
+    `grid` is scratch space; its values are lost. With numeric top_k
+    below the row length m, it is partitioned in place, row by row: the
+    k highest scores move to its last k columns and column m - k holds
+    each row's boundary. A row with an equal score below the boundary
+    has a tie at k, and only such a row is gathered, before the grid is
+    overwritten, to keep every score >= its boundary. A std below
+    `MIN_COHORT_STD` raises `NormalizationError` for the first such
+    row, naming it as `names`, a (side, row ids) pair, does.
+    """
+    cut = 0 if top_k is None else max(grid.shape[1] - top_k, 0)
+    tied = ()
+    if cut:
+        grid.partition(cut, axis=1)
+        boundary = grid[:, cut]
+        ties = np.flatnonzero(grid[:, :cut].max(axis=1) == boundary)
+        tied = [(i, grid[i][grid[i] >= boundary[i]]) for i in ties]
+    top = grid[:, cut:]
+    # np.mean's and np.std's arithmetic, with the deviations formed in
+    # place: np.std would allocate a second `top`, a whole grid for top_k None
+    out[:, 0] = top.mean(axis=1)
+    top -= out[:, :1]
+    top *= top
+    out[:, 1] = np.sqrt(top.sum(axis=1) / top.shape[1])
+    for i, selected in tied:
+        out[i] = selected.mean(), selected.std()
+    degenerate = np.flatnonzero(out[:, 1] < MIN_COHORT_STD)
+    if degenerate.size:
+        i = degenerate[0]
+        where = "" if names is None else f" ({names[0]} '{names[1][i]}')"
         raise NormalizationError(
-            f"{side} cohort scores are degenerate (std {std:.3e}); "
-            "cannot z-normalize against them"
+            f"{cohort_side} cohort scores are degenerate (std {out[i, 1]:.3e}); "
+            f"cannot z-normalize against them{where}"
         )
-    return mean, std
 
 
 def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
@@ -104,32 +132,31 @@ def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
 
 
 def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enroll_rows, test_rows, ids=(None, None)):
-    """(mean, std) of each row's selected scores against the opposite cohort.
+    """(mean, std) of each row's selected scores against the opposite cohort, as an (n, 2) array per side.
 
     Both sides' `cohort_grids` are set up, checking every width, before
     any score is formed. The enrollment side is then reduced, and its
     side terms dropped, before the test side forms its own. Each row
-    block's grid is reduced to statistics before the next is formed:
-    256 rows against a 5000-entry cohort is 10 MB of scores. Where `ids`
-    names a side's rows, a `NormalizationError` names the row.
+    block's grid is reduced to statistics by `_top_k_stats`, which
+    partitions it in place, before the next is formed: 256 rows against
+    a 5000-entry cohort is 10 MB of scores. Where `ids` names a side's
+    rows, a `NormalizationError` names the row.
     """
     sides = (
-        ("enrollment", cohort_grids(kernel, enroll_rows, "enrollment", cohorts.test_cohort), "test-side"),
-        ("test", cohort_grids(kernel, test_rows, "test", cohorts.enroll_cohort), "enroll-side"),
+        ("enrollment", enroll_rows, cohort_grids(kernel, enroll_rows, "enrollment", cohorts.test_cohort), "test-side"),
+        ("test", test_rows, cohort_grids(kernel, test_rows, "test", cohorts.enroll_cohort), "enroll-side"),
     )
     out = []
-    for (side, grids, cohort_side), row_ids in zip(sides, ids):
-        stats = []
+    for (side, rows, grids, cohort_side), row_ids in zip(sides, ids):
+        stats = np.empty((len(rows), 2))
+        start = 0
         for grid in grids:
-            for scores in grid:
-                try:
-                    stats.append(top_score_stats(scores, cohorts.top_k, cohort_side))
-                except NormalizationError as exc:
-                    if row_ids is None:
-                        raise
-                    raise NormalizationError(f"{exc} ({side} '{row_ids[len(stats)]}')") from None
-            del grid, scores  # a row view keeps its grid alive; the next grid must not coexist with it
-        out.append(np.array(stats))
+            block = slice(start, start + len(grid))
+            names = None if row_ids is None else (side, row_ids[block])
+            _top_k_stats(grid, cohorts.top_k, cohort_side, stats[block], names)
+            start = block.stop
+            del grid  # the next grid must not coexist with this one
+        out.append(stats)
     return out
 
 
@@ -142,9 +169,10 @@ def snorm(
 ) -> float:
     """Normalize one raw trial score against both cohorts.
 
-    The one-trial case of `snorm_batch`, through the same arithmetic: a
-    batch of one gives the same bits, a larger batch the same score up
-    to rounding (see `fourcov.score_trial`). Slot order is preserved
+    The one-trial case of `snorm_batch`, through the same arithmetic:
+    each side's vector is a one-row block for `_top_k_stats`. A batch of
+    one gives the same bits, a larger batch the same score up to
+    rounding (see `fourcov.score_trial`). Slot order is preserved
     when scoring cohorts: the enrollment vector keeps the enrollment
     slot against test-side entries, and the test vector the test slot
     against enrollment-side entries, which matters because the kernel

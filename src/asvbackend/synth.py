@@ -73,9 +73,10 @@ class GroundTruth:
 class GenConfig:
     """Sampler configuration; explicit `truth` overrides the random draws.
 
-    An explicit truth must have the config's `dim` and ranks: one that
-    contradicts them raises `ParameterError` when the config is built,
-    so no config value is accepted and then ignored.
+    An explicit truth must have the config's `dim` and ranks, and a
+    `test_rotation` needs equal ranks: a config that breaks either rule
+    raises `ParameterError` when it is built, so no config value is
+    accepted and then ignored.
     """
 
     dim: int
@@ -115,6 +116,11 @@ class GenConfig:
             raise ParameterError("test_noise_jitter must be non-negative")
         if self.augment_copies < 0 or self.augment_noise <= 0.0:
             raise ParameterError("augment_copies must be >= 0 with positive augment_noise")
+        if self.test_rotation != 0.0 and self.test_rank != self.enroll_rank:
+            # test loadings of another rank are drawn on their own: there is nothing to rotate
+            raise ParameterError(
+                f"test_rotation needs test_rank equal to enroll_rank ({self.enroll_rank}), got {self.test_rank}"
+            )
         # an id's speaker ends at its first '-', and text files split ids on whitespace and skip '#' lines
         if self.speaker_prefix.startswith("#") or any(c == "-" or c.isspace() for c in self.speaker_prefix):
             raise ParameterError(

@@ -32,7 +32,7 @@ def random_truth(rng, dim, rank_enroll, rank_test):
         snr=2.0,
         coupling_strength=0.8,
         test_noise_inflation=2.0,
-        test_rotation=0.5,
+        test_rotation=0.5 if rank_enroll == rank_test else 0.0,  # another rank has nothing to rotate
         test_mean_shift=0.7,
     )
     return synth.make_ground_truth(cfg)

@@ -414,9 +414,9 @@ class TestModelSpacePair:
     def test_wrong_width_names_the_side(self, rng, side):
         args = list(self._sides(rng))
         args[2 + side] = EmbeddingTable.from_columns(["x"], rng.standard_normal((1, 5)))
-        with pytest.raises(DimensionMismatchError, match=f"^{['left', 'right'][side]} vectors have dimension 5, "
+        with pytest.raises(DimensionMismatchError, match=f"^{['enrollment', 'test'][side]} vectors have dimension 5, "
                                                          "the model expects 4$"):
-            model_space_pair(*args, labels=("left", "right"))
+            model_space_pair(*args)
 
 
 class TestScoreBatchMemory:

@@ -3,12 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from asvbackend import data, scorenorm
 from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet, TrialList
 from asvbackend.exceptions import DimensionMismatchError, DomainError, NormalizationError, ParameterError
 from asvbackend.fourcov import ScoringKernel, build_kernel, score_batch, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
+    MIN_COHORT_STD,
     CohortSet,
+    _top_k_stats,
     combine_normalized,
     snorm,
     snorm_batch,
@@ -23,6 +29,19 @@ def scaled_kernel(kernel, a, b):
     return ScoringKernel(
         kernel.enroll_mean, kernel.test_mean, a * kernel.weights, a * kernel.offset + b
     )
+
+
+def cross_kernel(d):
+    """Kernel whose score is -z_e . z_t: vectors with integer entries give exact, often tied, scores."""
+    weights = np.zeros((2 * d, 2 * d))
+    weights[:d, d:] = weights[d:, :d] = np.eye(d)
+    return ScoringKernel(np.zeros(d), np.zeros(d), weights, 0.0)
+
+
+# integers force ties at the boundary; distinct values 1e-3 apart keep
+# every non-zero std far above MIN_COHORT_STD, so the oracle and the
+# reducer agree on which rows are degenerate
+values = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3).map(lambda v: round(v, 3))
 
 
 @pytest.fixture
@@ -70,6 +89,35 @@ class TestStats:
             boundary = ranked[k - 1]
             kept = scores[scores >= boundary]
             np.testing.assert_allclose([mu, sd], [kept.mean(), kept.std()], atol=1e-12)
+
+
+class TestBlockStats:
+    """`_top_k_stats` reduces a block of score rows at once; `top_score_stats` is its one-row case."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rows_match_sort_and_slice_oracle(self, source):
+        n, m = source.draw(st.integers(1, 6)), source.draw(st.integers(1, 12))
+        grid = source.draw(arrays(np.float64, (n, m), elements=values))
+        top_k = source.draw(st.none() | st.integers(1, m))
+        original = grid.copy()
+        expected = []
+        for scores in grid:
+            kept = scores if top_k is None else scores[scores >= np.sort(scores)[-top_k]]
+            expected.append((kept.mean(), kept.std()))
+        expected = np.array(expected)
+        ids = tuple(f"r{i}" for i in range(n))
+        out = np.empty((n, 2))
+        degenerate = np.flatnonzero(expected[:, 1] < MIN_COHORT_STD)
+        if degenerate.size:
+            with pytest.raises(NormalizationError, match=rf"against them \(test 'r{degenerate[0]}'\)$"):
+                _top_k_stats(grid.copy(), top_k, "enroll-side", out, ("test", ids))
+            return
+        _top_k_stats(grid.copy(), top_k, "enroll-side", out, ("test", ids))
+        assert np.all(np.abs(out - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        for scores, stats in zip(grid, out):
+            assert top_score_stats(scores, top_k, "enroll-side") == tuple(stats)
+        np.testing.assert_array_equal(grid, original)  # top_score_stats partitions a copy
 
 
 class TestCohortSet:
@@ -255,6 +303,81 @@ class TestSnormBatch:
         with pytest.raises(NormalizationError, match="test-side.*e0"):
             snorm_batch(kernel, cohorts, enrolls, tests, raw)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_block_size_and_row_order_do_not_change_scores(self, source):
+        # the same values, or the same error naming the same first degenerate row
+        d = 2
+        kernel = cross_kernel(d)
+
+        def table(prefix, rows):
+            matrix = source.draw(arrays(np.float64, (rows, d), elements=values))
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(rows)], matrix)
+
+        enrolls, tests = (table(prefix, source.draw(st.integers(1, 8))) for prefix in ("e", "t"))
+        cohort_pair = [table(prefix, source.draw(st.integers(2, 10))) for prefix in ("ce", "ct")]
+        top_k = source.draw(st.none() | st.integers(1, min(map(len, cohort_pair))))
+        cohorts = CohortSet(*cohort_pair, top_k)
+        pairs = [(e, t) for e in enrolls.ids for t in tests.ids]
+        order = source.draw(st.permutations(range(len(pairs))))
+
+        def outcome(block, rows):
+            raw = ScoreSet.from_columns([pairs[i][0] for i in rows], [pairs[i][1] for i in rows],
+                                        [float(i) for i in rows])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data, "_BLOCK_ROWS", block)
+                try:
+                    return snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
+                except NormalizationError as exc:
+                    return str(exc)
+
+        expected = outcome(256, range(len(pairs)))
+        for block in (1, 2, 3):
+            np.testing.assert_array_equal(outcome(block, range(len(pairs))), expected)
+        permuted = expected if isinstance(expected, str) else expected[list(order)]
+        np.testing.assert_array_equal(outcome(256, order), permuted)
+
+    @pytest.mark.parametrize("block", [2, 256])
+    def test_first_degenerate_row_is_named_after_tie_rows(self, monkeypatch, block):
+        # rows e0-e4 tie at the boundary (integer scores against a cohort
+        # with repeated first entries); e5 and e7 score every cohort entry
+        # alike. With two-row blocks e5 sits in the third block.
+        kernel = cross_kernel(2)
+        rows = [(1.0, 0.0)] * 5 + [(0.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
+        enrolls = EmbeddingTable.from_columns([f"e{i}" for i in range(8)], np.array(rows))
+        tests = EmbeddingTable.from_columns(["t0"], np.array([[1.0, 1.0]]))
+        cohort = EmbeddingTable.from_columns(
+            [f"c{i}" for i in range(6)], np.array([[v, 0.5 * i] for i, v in enumerate([0, 1, 1, 1, 2, 3])])
+        )
+        cohorts = CohortSet(cohort, cohort, 3)
+        raw = ScoreSet.from_columns(enrolls.ids, ["t0"] * 8, np.zeros(8))
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        with pytest.raises(NormalizationError, match=r"^test-side cohort scores are degenerate \(std 0.000e\+00\); "
+                                                     r"cannot z-normalize against them \(enrollment 'e5'\)$"):
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+
+    def test_statistics_are_reduced_one_block_at_a_time(self, rng, monkeypatch):
+        # 600 rows per side are three 256-row blocks: one reduction per
+        # block, not one per row
+        calls = []
+        reduce_block = scorenorm._top_k_stats
+
+        def counted(grid, top_k, cohort_side, out, names=None):
+            calls.append(cohort_side)
+            return reduce_block(grid, top_k, cohort_side, out, names)
+
+        monkeypatch.setattr(scorenorm, "_top_k_stats", counted)
+        n, d = 600, 4
+        kernel = build_kernel(random_truth(rng, d, 2, 2).as_fourcov())
+
+        def table(prefix, rows):
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(rows)], rng.standard_normal((rows, d)))
+
+        enrolls, tests = table("e", n), table("t", n)
+        raw = ScoreSet.from_columns(enrolls.ids, tests.ids, rng.standard_normal(n))
+        snorm_batch(kernel, CohortSet(table("ce", 50), table("ct", 50), 20), enrolls, tests, raw)
+        assert calls == ["test-side"] * 3 + ["enroll-side"] * 3
+
     @pytest.mark.parametrize(
         "wrong, message",
         [
@@ -321,6 +444,26 @@ class TestSnormBatch:
         # a row of a finished block's grid must not keep that grid alive
         # while the next one is formed: two 256-row grids are 8.2 MB
         assert peak < 2 * 256 * m * 8, f"peak {peak / 1e6:.1f} MB"
+
+    def test_whole_cohort_statistics_hold_one_grid(self, rng):
+        # with top_k None a block's statistics cover the whole 4.1 MB grid;
+        # np.std would hold a second grid of deviations beside it
+        n, m, d = 600, 2000, 16
+        kernel = build_kernel(random_truth(rng, d, 4, 4).as_fourcov())
+
+        def table(prefix, rows):
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(rows)], rng.standard_normal((rows, d)))
+
+        enrolls, tests = table("e", n), table("t", n)
+        cohorts = CohortSet(table("ce", m), table("ct", m), None)
+        raw = ScoreSet.from_columns(enrolls.ids, tests.ids, rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            snorm_batch(kernel, cohorts, enrolls, tests, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 256 * m * 8, f"peak {peak / 1e6:.1f} MB"
 
     def test_side_terms_are_formed_one_side_at_a_time(self, rng):
         # 2000 vectors per side at dimension 128 against 200-entry cohorts:

@@ -117,7 +117,7 @@ class TestPopulationStatistics:
 class TestTrueLlr:
     def test_matches_kernel_on_truth_model(self, rng):
         cfg = base_config(
-            test_rank=3, test_rotation=0.6, test_mean_shift=1.0,
+            test_rank=3, test_rotation=0.0, test_mean_shift=1.0,
             test_noise_inflation=3.0, seed=41,
         )
         truth = synth.make_ground_truth(cfg)
@@ -217,6 +217,13 @@ class TestConfigValidation:
             base_config(truth=truth)
         with pytest.raises(ParameterError, match=r"^explicit truth ranks \(2, 3\) do not match config ranks \(2, 2\)$"):
             base_config(dim=5, truth=truth)
+
+    def test_rotation_needs_equal_ranks(self):
+        # test loadings of another rank are drawn on their own, so a rotation would be ignored
+        with pytest.raises(ParameterError, match=r"^test_rotation needs test_rank equal to enroll_rank \(2\), got 3$"):
+            base_config(test_rank=3, test_rotation=0.5)
+        assert base_config(test_rank=3).test_rotation == 0.0
+        assert base_config(test_rotation=0.5).test_rank == 2
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ParameterError):
