@@ -457,12 +457,13 @@ class _Rows:
     the dtype it parses to, then calls `add(id)`. Each full block is
     checked for finiteness as a whole, converted to float64 and copied
     into the matrix. The matrix starts with room for `capacity` rows,
-    grows if needed and is cut to the rows read at the end. `locate(i)`
-    names row i of the file in an error.
+    grows if needed and is cut to the rows read at the end. The block
+    has no more rows than that. `locate(i)` names row i of the file in
+    an error.
     """
 
     def __init__(self, dim: int, capacity: int, dtype, locate):
-        self.block = np.empty((_BLOCK_ROWS, dim), dtype=dtype)
+        self.block = np.empty((min(_BLOCK_ROWS, capacity), dim), dtype=dtype)
         self.matrix = np.empty((capacity, dim))
         self.ids: list[str] = []
         self.filled = 0
@@ -471,7 +472,7 @@ class _Rows:
     def add(self, embedding_id: str) -> None:
         self.ids.append(embedding_id)
         self.filled += 1
-        if self.filled == _BLOCK_ROWS:
+        if self.filled == len(self.block):
             self._store()
 
     def _store(self) -> None:
@@ -550,8 +551,9 @@ def _read_embeddings_binary(path, fh) -> EmbeddingTable:
     # file size bounds the number of records
     capacity = (os.fstat(fh.fileno()).st_size - fh.tell()) // (4 + width) if dim else 0
     rows = _Rows(dim, capacity, "<f4", lambda row: f"{path}: record {row + 1}")
-    # each record's vector bytes are read straight into its row of the block
-    slots = memoryview(rows.block).cast("B") if dim else None
+    # each record's vector bytes are read straight into its row of the
+    # block; an empty block cannot be cast, so its slots are one empty buffer
+    slots = memoryview(rows.block).cast("B") if rows.block.size else memoryview(bytearray())
     while True:
         lenbytes = fh.read(4)
         if not lenbytes:

@@ -206,32 +206,14 @@ def _side_terms(kernel: ScoringKernel, rows: np.ndarray, side: str):
     With W's blocks ee, et, tt, enrollment rows give (z_e' ee z_e,
     z_e' et) and test rows (z_t' tt z_t, z_t); a pair's score is then
     -0.5 * (quad_e + 2 * proj_e . z_t + quad_t) + offset. Nothing else
-    reads the kernel's weights.
+    reads the kernel's weights. Widths are checked where rows enter.
     """
-    _check_width(rows, side, kernel.dim)
     d, weights = kernel.dim, kernel.weights
     if side == "enrollment":
         z = rows - kernel.enroll_mean
         return np.sum((z @ weights[:d, :d]) * z, axis=1), z @ weights[:d, d:]
     z = rows - kernel.test_mean
     return np.sum((z @ weights[d:, d:]) * z, axis=1), z
-
-
-def _gathered_scores(kernel: ScoringKernel, enroll_rows, test_rows, at_e, at_t) -> np.ndarray:
-    """Score of each pair (enroll_rows[at_e[i]], test_rows[at_t[i]]).
-
-    A pair's score is a gather of its rows' side terms and one row-wise
-    dot product, taken `data.row_blocks` pairs at a time so the gathers
-    never exceed one block.
-    """
-    quad_e, proj_e = _side_terms(kernel, enroll_rows, "enrollment")
-    quad_t, z_t = _side_terms(kernel, test_rows, "test")
-    values = np.empty(len(at_e))
-    for block in row_blocks(len(at_e)):
-        e, t = at_e[block], at_t[block]
-        cross = np.einsum("ij,ij->i", proj_e[e], z_t[t])
-        values[block] = (kernel.offset - 0.5 * quad_e[e]) - cross - 0.5 * quad_t[t]
-    return values
 
 
 def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarray:
@@ -253,31 +235,33 @@ def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarr
     return grid
 
 
-def trial_rows(w_e, w_t) -> tuple[np.ndarray, np.ndarray]:
-    """One trial's enrollment and test vectors as (1, d) float64 rows.
+def trial_rows(kernel: ScoringKernel, w_e, w_t) -> tuple[EmbeddingTable, EmbeddingTable]:
+    """One trial's vectors as one-row tables, ids `enrollment` and `test`, checked before any arithmetic.
 
-    A non-finite value raises `DomainError` naming its side, by the rule
-    of every embedding table, before any arithmetic.
+    A non-finite value raises `DomainError`, and then a vector not as
+    wide as the kernel `DimensionMismatchError`, naming its side.
     """
-    return tuple(
-        EmbeddingTable.from_columns((side,), np.reshape(w, (1, -1))).matrix
+    tables = tuple(
+        EmbeddingTable.from_columns((side,), np.reshape(w, (1, -1)))
         for side, w in (("enrollment", w_e), ("test", w_t))
     )
+    for table in tables:
+        _check_width(table.matrix, table.ids[0], kernel.dim)
+    return tables
 
 
 def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
     """LLR score of one (enrollment, test) pair of preprocessed vectors.
 
-    The one-trial case of `score_batch`'s arithmetic: a batch of one
-    gives the same bits, a larger batch the same score up to rounding,
-    because BLAS may round a one-row product differently from a many-row
-    one. The two slots are not interchangeable: enrollment-side
-    vectors must go first. With distinct side models, score(a, b) !=
-    score(b, a).
+    `score_batch` on `trial_rows` and their one trial. A larger batch
+    gives the same score up to rounding: BLAS may round a one-row
+    product differently from a many-row one. The two slots are not
+    interchangeable: enrollment-side vectors must go first. With
+    distinct side models, score(a, b) != score(b, a).
     """
-    w_e, w_t = trial_rows(w_e, w_t)
-    first = np.zeros(1, dtype=np.intp)
-    return float(_gathered_scores(kernel, w_e, w_t, first, first)[0])
+    enroll, test = trial_rows(kernel, w_e, w_t)
+    trial = TrialList.from_columns(enroll.ids, test.ids, (None,))
+    return float(score_batch(kernel, enroll, test, trial).values()[0])
 
 
 def referenced_rows(kernel: ScoringKernel, ids, vectors: EmbeddingTable, side: str):
@@ -312,18 +296,25 @@ def score_batch(
     of `Embedding` rows is converted once, on entry, and must have one
     width. Output order matches the trial list.
     Each vector that a trial references gets its side terms once, in
-    table order, and trials gather them by id code. Vectors that no
-    trial references are ignored. Where ids repeat, the last vector
-    with that id is used.
+    table order. A trial's score is a gather of its rows' terms by id
+    code and one row-wise dot product, taken `data.row_blocks` trials at
+    a time so the gathers never exceed one block. Vectors that no trial
+    references are ignored. Where ids repeat, the last vector with that
+    id is used.
     """
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(trials):
         return trials.with_scores(())
     used_e, at_e = referenced_rows(kernel, trials.enroll_ids, enrolls, "enrollment")
     used_t, at_t = referenced_rows(kernel, trials.test_ids, tests, "test")
-    values = _gathered_scores(
-        kernel, used_e.matrix, used_t.matrix, at_e[trials.enroll_codes], at_t[trials.test_codes]
-    )
+    at_e, at_t = at_e[trials.enroll_codes], at_t[trials.test_codes]
+    quad_e, proj_e = _side_terms(kernel, used_e.matrix, "enrollment")
+    quad_t, z_t = _side_terms(kernel, used_t.matrix, "test")
+    values = np.empty(len(trials))
+    for block in row_blocks(len(trials)):
+        e, t = at_e[block], at_t[block]
+        cross = np.einsum("ij,ij->i", proj_e[e], z_t[t])
+        values[block] = (kernel.offset - 0.5 * quad_e[e]) - cross - 0.5 * quad_t[t]
     return trials.with_scores(values)
 
 

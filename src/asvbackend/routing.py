@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import ScoreSet, TrialList, embedding_table, open_input, read_id_map
-from .exceptions import ConfigError, FileFormatError, ParameterError, RoutingError
+from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError
 from .fourcov import FourCovModel, build_kernel, model_space_pair, read_model_space_pair, score_batch
 from .modelio import load_fourcov
 from .plda import Preprocessor
@@ -139,7 +139,8 @@ def route_and_score(
     condition's trials are scored by `condition_pipeline_scores` against
     the whole tables, so a routed trial gets the score that `score`,
     `snorm` and `calibrate` give it with the same stack, repeated ids
-    included.
+    included. A condition's error keeps its class, so its exit code,
+    and gains the prefix `condition '<tag>': `.
     """
     conditions = classify_trials(config, trials)
     needed = used_conditions(conditions, pipelines)
@@ -147,8 +148,11 @@ def route_and_score(
     merged = np.empty(len(trials))
     for c in needed:
         rows = np.flatnonzero(conditions == c)
-        pipeline = pipelines[CONDITIONS[c]]
-        merged[rows] = condition_pipeline_scores(pipeline, enrolls, tests, trials.take(rows)).values()
+        tag = CONDITIONS[c]
+        try:
+            merged[rows] = condition_pipeline_scores(pipelines[tag], enrolls, tests, trials.take(rows)).values()
+        except BackendError as exc:
+            raise type(exc)(f"condition '{tag}': {exc}") from None
     return trials.with_scores(merged)
 
 

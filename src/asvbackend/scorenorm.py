@@ -131,7 +131,7 @@ def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
     return 0.5 * (raw - mu1) / sd1 + 0.5 * (raw - mu2) / sd2
 
 
-def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enroll_rows, test_rows, ids=(None, None)):
+def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enrolls: EmbeddingTable, tests: EmbeddingTable):
     """(mean, std) of each row's selected scores against the opposite cohort, as an (n, 2) array per side.
 
     Both sides' `cohort_grids` are set up, checking every width, before
@@ -139,21 +139,20 @@ def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enroll_rows, test_row
     side terms dropped, before the test side forms its own. Each row
     block's grid is reduced to statistics by `_top_k_stats`, which
     partitions it in place, before the next is formed: 256 rows against
-    a 5000-entry cohort is 10 MB of scores. Where `ids` names a side's
-    rows, a `NormalizationError` names the row.
+    a 5000-entry cohort is 10 MB of scores. A `NormalizationError` names
+    the side and id of the first degenerate row.
     """
     sides = (
-        ("enrollment", enroll_rows, cohort_grids(kernel, enroll_rows, "enrollment", cohorts.test_cohort), "test-side"),
-        ("test", test_rows, cohort_grids(kernel, test_rows, "test", cohorts.enroll_cohort), "enroll-side"),
+        ("enrollment", enrolls, cohort_grids(kernel, enrolls.matrix, "enrollment", cohorts.test_cohort), "test-side"),
+        ("test", tests, cohort_grids(kernel, tests.matrix, "test", cohorts.enroll_cohort), "enrollment-side"),
     )
     out = []
-    for (side, rows, grids, cohort_side), row_ids in zip(sides, ids):
+    for side, rows, grids, cohort_side in sides:
         stats = np.empty((len(rows), 2))
         start = 0
         for grid in grids:
             block = slice(start, start + len(grid))
-            names = None if row_ids is None else (side, row_ids[block])
-            _top_k_stats(grid, cohorts.top_k, cohort_side, stats[block], names)
+            _top_k_stats(grid, cohorts.top_k, cohort_side, stats[block], (side, rows.ids[block]))
             start = block.stop
             del grid  # the next grid must not coexist with this one
         out.append(stats)
@@ -169,20 +168,17 @@ def snorm(
 ) -> float:
     """Normalize one raw trial score against both cohorts.
 
-    The one-trial case of `snorm_batch`, through the same arithmetic:
-    each side's vector is a one-row block for `_top_k_stats`. A batch of
-    one gives the same bits, a larger batch the same score up to
-    rounding (see `fourcov.score_trial`). Slot order is preserved
-    when scoring cohorts: the enrollment vector keeps the enrollment
-    slot against test-side entries, and the test vector the test slot
-    against enrollment-side entries, which matters because the kernel
-    is asymmetric.
+    `snorm_batch` on `fourcov.trial_rows` and a one-row score set of
+    `raw`, so a non-finite `raw` raises `DomainError`. A larger batch
+    gives the same score up to rounding (see `fourcov.score_trial`).
+    Slot order is preserved when scoring cohorts: the enrollment vector
+    keeps the enrollment slot against test-side entries, and the test
+    vector the test slot against enrollment-side entries, which matters
+    because the kernel is asymmetric.
     """
-    w_e, w_t = trial_rows(w_e, w_t)
-    raw = float(raw)
-    ScoreSet.from_columns(("enrollment",), ("test",), (raw,))  # a non-finite raw score raises DomainError
-    enroll_stats, test_stats = _side_stats(kernel, cohorts, w_e, w_t)
-    return float(combine_normalized(raw, enroll_stats[0], test_stats[0]))
+    enroll, test = trial_rows(kernel, w_e, w_t)
+    scores = ScoreSet.from_columns(enroll.ids, test.ids, (float(raw),))
+    return float(snorm_batch(kernel, cohorts, enroll, test, scores).values()[0])
 
 
 def snorm_batch(
@@ -209,9 +205,7 @@ def snorm_batch(
         return scores.with_scores(())
     used_e, at_e = referenced_rows(kernel, scores.enroll_ids, enrolls, "enrollment")
     used_t, at_t = referenced_rows(kernel, scores.test_ids, tests, "test")
-    enroll_stats, test_stats = _side_stats(
-        kernel, cohorts, used_e.matrix, used_t.matrix, (used_e.ids, used_t.ids)
-    )
+    enroll_stats, test_stats = _side_stats(kernel, cohorts, used_e, used_t)
     normalized = combine_normalized(
         scores.values(),
         enroll_stats[at_e[scores.enroll_codes]].T,

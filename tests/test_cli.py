@@ -7,6 +7,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zipfile
 
@@ -214,6 +215,24 @@ def test_only_fourcov_reads_the_kernel_layout():
     allowed = {("fourcov.py", "_side_terms", "weights")}
     assert allowed <= set(found)  # proves the walk sees the kernel's reader
     assert set(found) == allowed, found
+
+
+def test_one_trial_functions_are_batches_of_one():
+    # `score_trial` and `snorm` reach the core only through `score_batch` and
+    # `snorm_batch`, so each kind of score has one entry to keep in step
+    callers = {}
+    for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    callers.setdefault(callee, set()).add((path.stem, getattr(statement, "name", None)))
+    one_trial = {("fourcov", "score_trial"), ("scorenorm", "snorm")}
+    assert ("fourcov", "score_trial") in callers["score_batch"]
+    assert ("scorenorm", "snorm") in callers["snorm_batch"]
+    assert sorted(name for name, where in callers.items() if name.startswith("_") and where & one_trial) == []
+    assert callers["_side_terms"] == {("fourcov", "score_batch"), ("fourcov", "cohort_grids")}
+    assert callers["_side_stats"] == {("scorenorm", "snorm_batch")}
 
 
 def test_each_model_rule_is_written_once():
@@ -1362,6 +1381,8 @@ EXIT_PATHS = {
     "binary-record-length-cut": (
         {"e": BINARY_MAGIC + struct.pack("<I", 2) + b"\x01\x00"}, ["preprocess", "--embeddings", "e", "--out", "out"],
         4, "file-format: {e}: truncated record 1"),
+    "preprocess-empty-embeddings": (
+        {"e": ""}, ["preprocess", "--embeddings", "e", "--out", "out"], 6, "parameter: no embeddings to stack"),
     "trial-four-fields": (
         {"s": "e t 1.0\n", "t": "e t tgt x\n"}, ["evaluate", "--scores", "s", "--trials", "t"],
         4, "file-format: {t}:1: expected 'enroll_id test_id [tgt|non]'"),
@@ -1403,6 +1424,26 @@ EXIT_PATHS = {
         0, _written_as_transformed),
     "train-plda-default-rank": (
         {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--out", "out"], 0, _full_rank_side),
+    # the enrollment-side cohort holds one vector three times, so every test
+    # vector scores it alike
+    "snorm-degenerate-enrollment-side-cohort": (
+        {"e": "e0 1.0 2.0\n", "t": "t0 0.5 -1.0\n", "s": "e0 t0 1.0\n",
+         "ce": "c0 1.0 1.0\nc1 1.0 1.0\nc2 1.0 1.0\n", "ct": "d0 1.0 0.0\nd1 0.0 1.0\nd2 -1.0 0.5\n"},
+        ["snorm", "--model", "model", "--scores", "s", "--enroll", "e", "--test", "t",
+         "--cohort-enroll", "ce", "--cohort-test", "ct", "--top-k", 3, "--out", "out"],
+        9, "normalization: enrollment-side cohort scores are degenerate (std 0.000e+00); "
+           "cannot z-normalize against them (test 't0')"),
+    # e0 routes to few-primary and e1 to many-primary, whose enrollment-side cohort is degenerate
+    "route-score-degenerate-cohort-names-condition": (
+        {"cfg": json.dumps({"enroll_segments": "meta", "test_language": "lang", "conditions": {
+            tag: {"model": "model", "cohort_enroll": cohort, "cohort_test": "ct", "calibration": "cal", "top_k": 3}
+            for tag, cohort in (("few-primary", "ct"), ("many-primary", "ce"))}}),
+         "meta": "e0 3\ne1 6\n", "lang": "t0 primary\n", "cal": "scale 1.0\noffset 0.0\n",
+         "e": "e0 1.0 2.0\ne1 -1.0 0.5\n", "t": "t0 0.5 -1.0\n", "tr": "e0 t0\ne1 t0\n",
+         "ce": "c0 1.0 1.0\nc1 1.0 1.0\nc2 1.0 1.0\n", "ct": "d0 1.0 0.0\nd1 0.0 1.0\nd2 -1.0 0.5\n"},
+        ["route-score", "--config", "cfg", "--enroll", "e", "--test", "t", "--trials", "tr", "--out", "out"],
+        9, "normalization: condition 'many-primary': enrollment-side cohort scores are degenerate "
+           "(std 0.000e+00); cannot z-normalize against them (test 't0')"),
     "snorm-no-scores": (
         {"e": TRAINING_ROWS, "s": "", "x": ""},
         ["snorm", "--model", "model", "--scores", "s", "--enroll", "x", "--test", "x",
@@ -1427,3 +1468,23 @@ def test_exit_path(tmp_path, capsys, case):
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files, "model"])
     else:
         assert captured.err == "" and expected(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "records, code, line",
+    [(struct.pack("<I", 1) + b"a", 4, "file-format: {e}: truncated record 1"),
+     (b"", 6, "parameter: no embeddings to stack")],
+    ids=["cut-record", "header-only"],
+)
+def test_binary_header_dimension_allocates_no_rows_the_file_cannot_hold(tmp_path, capsys, records, code, line):
+    # a block of 256 rows at the claimed dimension 2**28 would be 256 GiB
+    path = tmp_path / "e"
+    path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2**28) + records)
+    tracemalloc.start()
+    try:
+        assert invoke("preprocess", "--embeddings", path, "--out", tmp_path / "out") == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"asvbackend: {line.format(e=path)}\n"
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"

@@ -222,6 +222,53 @@ class TestSnormBatch:
         np.testing.assert_array_equal(got, expected[[GRID.index(p) for p in pairs]])
 
 
+class TestOneTrialIsABatchOfOne:
+    """`score_trial` and `snorm` are `score_batch` and `snorm_batch` on one trial's tables."""
+
+    D, COHORT = 200, 257
+    TRUTH = random_truth(np.random.default_rng(19), D, 100, 100)
+    KERNEL = fourcov.build_kernel(TRUTH.as_fourcov())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.sampled_from([None, "enrollment-side", "test-side"]),
+        top_k=st.none() | st.integers(2, COHORT),  # one score alone has no spread
+        raw=st.floats(-100.0, 100.0),
+    )
+    def test_same_bits_and_errors(self, seed, degenerate, top_k, raw):
+        rng = np.random.default_rng(seed)
+        kernel, d, m = self.KERNEL, self.D, self.COHORT
+        w_e = self.TRUTH.enroll_mean + rng.standard_normal(d)
+        w_t = self.TRUTH.test_mean + rng.standard_normal(d)
+
+        def cohort(prefix, mean, side):
+            # a degenerate cohort holds one vector m times
+            rows = rng.standard_normal((1 if side == degenerate else m, d))
+            rows = np.repeat(rows, m // len(rows), axis=0)
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(m)], mean + rows)
+
+        cohorts = scorenorm.CohortSet(cohort("ce", self.TRUTH.enroll_mean, "enrollment-side"),
+                                      cohort("ct", self.TRUTH.test_mean, "test-side"), top_k)
+        enroll, test = fourcov.trial_rows(kernel, w_e, w_t)
+        trial = TrialList.from_columns(enroll.ids, test.ids, [None])
+        batch = fourcov.score_batch(kernel, enroll, test, trial).values()
+        np.testing.assert_array_equal([fourcov.score_trial(kernel, w_e, w_t)], batch)
+
+        def outcome(normalize):
+            try:
+                return [normalize()]
+            except BackendError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        single = outcome(lambda: scorenorm.snorm(kernel, cohorts, w_e, w_t, raw))
+        scores = ScoreSet.from_columns(enroll.ids, test.ids, [raw])
+        np.testing.assert_array_equal(
+            single, outcome(lambda: scorenorm.snorm_batch(kernel, cohorts, enroll, test, scores).values()[0])
+        )
+        assert isinstance(single, str) == (degenerate is not None)
+
+
 @st.composite
 def perturbed_truths(draw, case):
     """The eight `GroundTruth` arrays of a small two-sided model with one perturbation `case`:

@@ -376,7 +376,7 @@ class TestSnormBatch:
         enrolls, tests = table("e", n), table("t", n)
         raw = ScoreSet.from_columns(enrolls.ids, tests.ids, rng.standard_normal(n))
         snorm_batch(kernel, CohortSet(table("ce", 50), table("ct", 50), 20), enrolls, tests, raw)
-        assert calls == ["test-side"] * 3 + ["enroll-side"] * 3
+        assert calls == ["test-side"] * 3 + ["enrollment-side"] * 3
 
     @pytest.mark.parametrize(
         "wrong, message",
