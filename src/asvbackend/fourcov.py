@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, TrialList, embedding_table, read_embeddings, row_blocks
+from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, embedding_table, read_embeddings, row_blocks
 from .exceptions import (
     DimensionMismatchError,
     NumericalError,
@@ -141,37 +141,27 @@ def build_kernel(model: FourCovModel) -> ScoringKernel:
     return ScoringKernel(model.enroll_plda.mean, model.test_plda.mean, weights, offset)
 
 
-def _in_model_space(rows, pre: Preprocessor, label: str, average: bool) -> EmbeddingTable:
-    """One side's raw vectors in model space, after the width check that `label` names."""
+def in_model_space(rows, pre: Preprocessor, label: str, average: bool = False) -> EmbeddingTable:
+    """One side's raw vectors in model space, after the width check that `label` names.
+
+    `rows` is a table or `Embedding` rows. With `average` (the enrollment
+    side) rows sharing an id become one unit-norm vector per id; without
+    it (the test side) every row stays.
+    """
     table = embedding_table(rows)
     check_raw_width(table, pre, label)
     return to_model_space(table, pre, average=average)
 
 
-def model_space_pair(
-    pre_enroll: Preprocessor, pre_test: Preprocessor, enrolls, tests
-) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """Raw enrollment and test vectors in the two-sided model space.
-
-    Enrollment rows sharing an id are averaged through `pre_enroll` into
-    one unit-norm vector per id; test rows pass through `pre_test` one
-    by one. `enrolls` and `tests` are tables or sequences of `Embedding`
-    rows. Each side's width is checked against its preprocessor first,
-    and a mismatch raises naming the side, `enrollment` or `test`.
-    """
-    return (_in_model_space(enrolls, pre_enroll, "enrollment", True),
-            _in_model_space(tests, pre_test, "test", False))
-
-
 def read_model_space(path, pre: Preprocessor, side: str, average: bool = False) -> EmbeddingTable:
-    """The vector file at `path` in model space, checked as one side of `model_space_pair`, naming `<side> (<path>)`."""
-    return _in_model_space(read_embeddings(path), pre, f"{side} ({path})", average)
+    """The vector file at `path` in model space by `in_model_space`, naming `<side> (<path>)`."""
+    return in_model_space(read_embeddings(path), pre, f"{side} ({path})", average)
 
 
 def read_model_space_pair(
     pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """An enrollment and a test vector file in model space, as `model_space_pair` brings them.
+    """An enrollment and a test vector file in model space, enrollment rows averaged by id.
 
     The one reader of a stack's vector files (`score`, `snorm` and
     `routing.load_pipelines`). Each file is read, checked and mapped
@@ -235,32 +225,17 @@ def _grid(offset: float, quad_rows, proj_rows, quad_cols, proj_cols) -> np.ndarr
     return grid
 
 
-def trial_rows(kernel: ScoringKernel, w_e, w_t) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """One trial's vectors as one-row tables, ids `enrollment` and `test`, checked before any arithmetic.
-
-    A non-finite value raises `DomainError`, and then a vector not as
-    wide as the kernel `DimensionMismatchError`, naming its side.
-    """
-    tables = tuple(
-        EmbeddingTable.from_columns((side,), np.reshape(w, (1, -1)))
-        for side, w in (("enrollment", w_e), ("test", w_t))
-    )
-    for table in tables:
-        _check_width(table.matrix, table.ids[0], kernel.dim)
-    return tables
-
-
 def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> float:
     """LLR score of one (enrollment, test) pair of preprocessed vectors.
 
-    `score_batch` on `trial_rows` and their one trial. A larger batch
-    gives the same score up to rounding: BLAS may round a one-row
-    product differently from a many-row one. The two slots are not
-    interchangeable: enrollment-side vectors must go first. With
-    distinct side models, score(a, b) != score(b, a).
+    `score_batch` on rows `Embedding("enrollment", w_e)` and `Embedding("test", w_t)`
+    and their one trial: the same bits and errors. A larger batch gives
+    the same score up to rounding: BLAS may round a one-row product
+    differently from a many-row one. Enrollment-side vectors go first:
+    with distinct side models, score(a, b) != score(b, a).
     """
-    enroll, test = trial_rows(kernel, w_e, w_t)
-    trial = TrialList.from_columns(enroll.ids, test.ids, (None,))
+    enroll, test = [Embedding("enrollment", w_e)], [Embedding("test", w_t)]
+    trial = TrialList.from_columns(("enrollment",), ("test",), (None,))
     return float(score_batch(kernel, enroll, test, trial).values()[0])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ScoreSet, TrialList, join, score_rows
-from .exceptions import MetricError, ParameterError
+from .exceptions import DomainError, MetricError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,9 @@ def _scores_and_labels(scores, labels):
         raise ParameterError(
             f"scores and labels must be parallel 1-D arrays, got {values.shape} and {flags.shape}"
         )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"non-finite score at position {int(np.argmax(bad))}")
     return values, flags
 
 

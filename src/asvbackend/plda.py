@@ -52,6 +52,9 @@ def _as_matrix(data) -> np.ndarray:
         mat = np.asarray(data, dtype=np.float64)
         if mat.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-D data matrix, got shape {mat.shape}")
+        bad = ~np.isfinite(mat).all(axis=1)
+        if bad.any():
+            raise DomainError(f"data row {int(np.argmax(bad))} contains non-finite values")
         return mat
     table = embedding_table(data)
     if not len(table):

@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import ScoreSet, TrialList, embedding_table, open_input, read_id_map
 from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError
-from .fourcov import FourCovModel, build_kernel, model_space_pair, read_model_space_pair, score_batch
+from .fourcov import FourCovModel, build_kernel, in_model_space, read_model_space_pair, score_batch
 from .modelio import load_fourcov
 from .plda import Preprocessor
 from .scorenorm import DEFAULT_TOP_K, CohortSet, check_top_k, snorm_batch
@@ -104,12 +104,13 @@ def condition_pipeline_scores(pipeline: ConditionPipeline, enrolls, tests, trial
     """Score raw embeddings through one condition's full stack.
 
     `enrolls` and `tests` are tables, or sequences of `Embedding` rows,
-    brought into the condition's model space by `model_space_pair`.
+    brought into the condition's model space by `in_model_space`.
     Vectors that no trial references are ignored; where ids repeat, the
     last vector with that id is used, as in `score_batch`.
     """
     kernel = build_kernel(pipeline.model)
-    enroll_vectors, test_vectors = model_space_pair(pipeline.pre_enroll, pipeline.pre_test, enrolls, tests)
+    enroll_vectors = in_model_space(enrolls, pipeline.pre_enroll, "enrollment", average=True)
+    test_vectors = in_model_space(tests, pipeline.pre_test, "test")
     raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, ScoreSet, embedding_table
+from .data import Embedding, EmbeddingTable, ScoreSet, embedding_table
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
-from .fourcov import ScoringKernel, cohort_grids, referenced_rows, trial_rows
+from .fourcov import ScoringKernel, cohort_grids, referenced_rows
 
 DEFAULT_TOP_K = 400
 
@@ -74,19 +74,7 @@ def _cohort_table(cohort, side: str) -> EmbeddingTable:
         raise DimensionMismatchError(f"{side} cohort: {exc}") from None
 
 
-def top_score_stats(scores: np.ndarray, top_k: int | None, side: str):
-    """Mean and population std of the selected cohort scores.
-
-    With numeric top_k, the k highest scores are selected; ties at the
-    boundary are all kept. The one-row case of `_top_k_stats`, on a copy
-    of `scores`.
-    """
-    stats = np.empty((1, 2))
-    _top_k_stats(np.array(scores, dtype=np.float64).reshape(1, -1), top_k, side, stats)
-    return float(stats[0, 0]), float(stats[0, 1])
-
-
-def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.ndarray, names=None) -> None:
+def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.ndarray, names) -> None:
     """Write each grid row's (mean, std) of its selected scores into `out`.
 
     `grid` is scratch space; its values are lost. With numeric top_k
@@ -117,10 +105,9 @@ def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.
     degenerate = np.flatnonzero(out[:, 1] < MIN_COHORT_STD)
     if degenerate.size:
         i = degenerate[0]
-        where = "" if names is None else f" ({names[0]} '{names[1][i]}')"
         raise NormalizationError(
             f"{cohort_side} cohort scores are degenerate (std {out[i, 1]:.3e}); "
-            f"cannot z-normalize against them{where}"
+            f"cannot z-normalize against them ({names[0]} '{names[1][i]}')"
         )
 
 
@@ -168,16 +155,16 @@ def snorm(
 ) -> float:
     """Normalize one raw trial score against both cohorts.
 
-    `snorm_batch` on `fourcov.trial_rows` and a one-row score set of
-    `raw`, so a non-finite `raw` raises `DomainError`. A larger batch
-    gives the same score up to rounding (see `fourcov.score_trial`).
+    `snorm_batch` on the one-trial rows and score set of `raw`, as
+    `fourcov.score_trial` builds them: the same bits and errors. A larger
+    batch gives the same score up to rounding.
     Slot order is preserved when scoring cohorts: the enrollment vector
     keeps the enrollment slot against test-side entries, and the test
     vector the test slot against enrollment-side entries, which matters
     because the kernel is asymmetric.
     """
-    enroll, test = trial_rows(kernel, w_e, w_t)
-    scores = ScoreSet.from_columns(enroll.ids, test.ids, (float(raw),))
+    enroll, test = [Embedding("enrollment", w_e)], [Embedding("test", w_t)]
+    scores = ScoreSet.from_columns(("enrollment",), ("test",), (float(raw),))
     return float(snorm_batch(kernel, cohorts, enroll, test, scores).values()[0])
 
 

@@ -235,6 +235,42 @@ def test_one_trial_functions_are_batches_of_one():
     assert callers["_side_stats"] == {("scorenorm", "snorm_batch")}
 
 
+def _package_trees():
+    """Each package module's name and parsed source."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py"))}
+
+
+def _callee(call):
+    """The called name of a call node: `f` for `f(...)` and `m.f(...)`, else None."""
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def test_no_package_source_reshapes():
+    # a reshape lets an array of any shape through as rows, beside the
+    # shape rule of `Embedding` and `EmbeddingTable.from_columns`
+    found = [(module, node.lineno) for module, tree in _package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call) and _callee(node) == "reshape"]
+    assert found == []
+
+
+def test_every_public_function_is_used():
+    # a public function that no package code calls, that the package does
+    # not export and that the acceptance suite does not use is a side
+    # entrance whose rules drift from the path every stage takes
+    trees = _package_trees()
+    called = {_callee(node) for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    acceptance = ast.parse((pathlib.Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(acceptance) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = [(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert ("fourcov", "score_trial") in public  # proves the walk sees the functions
+    assert [(module, name) for module, name in public
+            if name not in called and name not in asvbackend.__all__ and name not in used] == []
+
+
 def test_each_model_rule_is_written_once():
     # one symmetry rule, `plda.symmetric`; `GroundTruth` takes definiteness
     # from its model; `train_plda` leaves the rank warning to `PldaModel`
@@ -1212,21 +1248,26 @@ def test_every_stage_loads_no_scipy(stage_files, tmp_path):
     assert (tmp_path / "synth" / "train_enroll.embs").exists()
 
 
-def _calls(name):
-    """(module, innermost enclosing function) of each call of `name` in the package's source."""
+def _call_nodes(name):
+    """(module, innermost enclosing function, call) of each call of `name` in the package's source."""
     found = []
 
     def visit(node, module, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
         if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
-            found.append((module, where))
+            found.append((module, where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
-    for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    for module, tree in _package_trees().items():
+        visit(tree, module, None)
     return found
+
+
+def _calls(name):
+    """(module, innermost enclosing function) of each call of `name` in the package's source."""
+    return [(module, where) for module, where, _ in _call_nodes(name)]
 
 
 def test_inputs_are_opened_only_through_the_one_opener():
@@ -1248,14 +1289,15 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
         "_cmd_fit_fourcov", "_cmd_fit_fourcov", "_cmd_preprocess",  # preprocess: --embeddings
         "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
     ]
-    for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("model_space_pair"):
-                arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
-                assert not [
-                    inner for argument in arguments for inner in ast.walk(argument)
-                    if isinstance(inner, ast.Call) and ast.unparse(inner.func).endswith("read_embeddings")
-                ], f"{path.name}:{node.lineno} reads a vector file for model_space_pair"
+    # and only `read_model_space` hands a vector file straight to the per-side step
+    steps = _call_nodes("in_model_space") + _call_nodes("fourcov.in_model_space")
+    handed = [
+        (module, where) for module, where, call in steps
+        if any(isinstance(inner, ast.Call) and _callee(inner) == "read_embeddings"
+               for argument in [*call.args, *(keyword.value for keyword in call.keywords)]
+               for inner in ast.walk(argument))
+    ]
+    assert handed == [("fourcov", "read_model_space")]
 
 
 # route-score names its bundle in a routing config, which checks that the file exists (exit 8)

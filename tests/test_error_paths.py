@@ -16,6 +16,9 @@ from asvbackend.plda import (
 SIDE = PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2))
 WIDE_SIDE = PldaModel(np.zeros(3), np.ones((3, 1)), np.eye(3))
 RANK_2_SIDE = PldaModel(np.zeros(2), np.eye(2), np.eye(2))
+# 20 random training vectors of dimension 3, one value of row 4 NaN
+NAN_DATA = np.random.default_rng(0).standard_normal((20, 3))
+NAN_DATA[4, 1] = np.nan
 
 
 def gen_config(**overrides):
@@ -52,6 +55,9 @@ ERRORS = {
     "data-matrix-not-2d": (
         lambda: fit_preprocessor(np.zeros(3)),
         DimensionMismatchError, "expected a 2-D data matrix, got shape (3,)"),
+    "data-matrix-non-finite": (
+        lambda: fit_preprocessor(NAN_DATA),
+        DomainError, "data row 4 contains non-finite values"),
     "data-matrix-empty": (
         lambda: fit_preprocessor([]), ParameterError, "no embeddings to stack"),
     "speaker-factors-dimension": (

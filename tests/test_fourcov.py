@@ -22,8 +22,8 @@ from asvbackend.fourcov import (
     cohort_grids,
     coupling_from_factors,
     fit_coupling,
+    in_model_space,
     joint_covariances,
-    model_space_pair,
     score_batch,
     score_trial,
     symmetric_kernel,
@@ -285,7 +285,7 @@ class TestScoreTrial:
     def test_dimension_mismatch(self, rng):
         model = random_fourcov(rng, 4, 2, 2)
         kernel = build_kernel(model)
-        with pytest.raises(DimensionMismatchError, match="^enrollment vector has dimension 3, kernel dimension is 4$"):
+        with pytest.raises(DimensionMismatchError, match="^enrollment vector 'enrollment' has dimension 3, kernel dimension is 4$"):
             score_trial(kernel, np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -395,7 +395,7 @@ class TestCohortGrids:
             cohort_grids(kernel, rows, side, narrow)
 
 
-class TestModelSpacePair:
+class TestInModelSpace:
     def _sides(self, rng, dim=4):
         pre_enroll = fit_preprocessor(rng.standard_normal((30, dim)))
         pre_test = fit_preprocessor(2.0 + rng.standard_normal((30, dim)))
@@ -405,18 +405,19 @@ class TestModelSpacePair:
 
     def test_enrollment_averaged_test_rows_kept(self, rng):
         pre_enroll, pre_test, enrolls, tests = self._sides(rng)
-        got_e, got_t = model_space_pair(pre_enroll, pre_test, enrolls, tests)
+        got_e = in_model_space(enrolls, pre_enroll, "enrollment", average=True)
+        got_t = in_model_space(tests, pre_test, "test")
         assert got_e == to_model_space(enrolls, pre_enroll, average=True)
         assert got_e.ids == ("a", "b", "c")
         assert got_t == to_model_space(tests, pre_test)
 
-    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("side", ["enrollment", "test"])
     def test_wrong_width_names_the_side(self, rng, side):
-        args = list(self._sides(rng))
-        args[2 + side] = EmbeddingTable.from_columns(["x"], rng.standard_normal((1, 5)))
-        with pytest.raises(DimensionMismatchError, match=f"^{['enrollment', 'test'][side]} vectors have dimension 5, "
-                                                         "the model expects 4$"):
-            model_space_pair(*args)
+        pre_enroll, pre_test, _, _ = self._sides(rng)
+        pre = pre_enroll if side == "enrollment" else pre_test
+        wide = EmbeddingTable.from_columns(["x"], rng.standard_normal((1, 5)))
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 5, the model expects 4$"):
+            in_model_space(wide, pre, side, average=side == "enrollment")
 
 
 class TestScoreBatchMemory:

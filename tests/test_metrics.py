@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asvbackend.data import ScoredTrial, ScoreSet, Trial, TrialList
-from asvbackend.exceptions import MetricError, ParameterError, UnknownIdError
+from asvbackend.exceptions import DomainError, MetricError, ParameterError, UnknownIdError
 from asvbackend.metrics import DcfParams, compute_eer, compute_min_dcf, det_points
 
 
@@ -106,6 +106,13 @@ class TestTrialKey:
         scores = ScoreSet.from_columns(["e"] * 4 + ["x"], ["t1", "t2", "t3", "t4", "t1"], [1.0] * 5)
         with pytest.raises(MetricError, match="^no label for scored trial x t1$"):
             metric(scores, self.KEY)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [compute_eer, compute_min_dcf, det_points])
+    def test_non_finite_array_score_named(self, metric, value):
+        # an array score gets the finiteness rule of a ScoreSet's scores
+        with pytest.raises(DomainError, match="^non-finite score at position 0$"):
+            metric(np.array([value, 1.0, 2.0, 0.5]), np.array([True, False, True, False]))
 
 
 class TestMinDcf:

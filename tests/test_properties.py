@@ -223,24 +223,37 @@ class TestSnormBatch:
 
 
 class TestOneTrialIsABatchOfOne:
-    """`score_trial` and `snorm` are `score_batch` and `snorm_batch` on one trial's tables."""
+    """`score_trial` and `snorm` are `score_batch` and `snorm_batch` on one trial's tables, errors included."""
 
     D, COHORT = 200, 257
     TRUTH = random_truth(np.random.default_rng(19), D, 100, 100)
     KERNEL = fourcov.build_kernel(TRUTH.as_fourcov())
+    # what is done to one side's vector: nothing, one value fewer or more, a
+    # non-finite value, or the vector as a (1, d) or a (2, d/2) array
+    CASES = ("valid", "narrow", "wide", "nan", "inf", "row", "folded")
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         degenerate=st.sampled_from([None, "enrollment-side", "test-side"]),
         top_k=st.none() | st.integers(2, COHORT),  # one score alone has no spread
         raw=st.floats(-100.0, 100.0),
+        case=st.sampled_from(CASES),
+        side=st.sampled_from(["enrollment", "test"]),
+        at=st.integers(0, D - 1),
     )
-    def test_same_bits_and_errors(self, seed, degenerate, top_k, raw):
+    def test_same_bits_and_errors(self, seed, degenerate, top_k, raw, case, side, at):
         rng = np.random.default_rng(seed)
         kernel, d, m = self.KERNEL, self.D, self.COHORT
-        w_e = self.TRUTH.enroll_mean + rng.standard_normal(d)
-        w_t = self.TRUTH.test_mean + rng.standard_normal(d)
+        vectors = {"enrollment": self.TRUTH.enroll_mean + rng.standard_normal(d),
+                   "test": self.TRUTH.test_mean + rng.standard_normal(d)}
+        w = vectors[side]
+        vectors[side] = {
+            "valid": w, "narrow": w[:-1], "wide": np.append(w, 0.5),
+            "nan": np.where(np.arange(d) == at, np.nan, w), "inf": np.where(np.arange(d) == at, np.inf, w),
+            "row": w[None, :], "folded": w.reshape(2, d // 2),
+        }[case]
+        w_e, w_t = vectors["enrollment"], vectors["test"]
 
         def cohort(prefix, mean, side):
             # a degenerate cohort holds one vector m times
@@ -250,23 +263,26 @@ class TestOneTrialIsABatchOfOne:
 
         cohorts = scorenorm.CohortSet(cohort("ce", self.TRUTH.enroll_mean, "enrollment-side"),
                                       cohort("ct", self.TRUTH.test_mean, "test-side"), top_k)
-        enroll, test = fourcov.trial_rows(kernel, w_e, w_t)
-        trial = TrialList.from_columns(enroll.ids, test.ids, [None])
-        batch = fourcov.score_batch(kernel, enroll, test, trial).values()
-        np.testing.assert_array_equal([fourcov.score_trial(kernel, w_e, w_t)], batch)
 
-        def outcome(normalize):
+        def outcome(call):
+            # a score's exact bits, or an error's class and message
             try:
-                return [normalize()]
+                return "score", float(call()).hex()
             except BackendError as exc:
-                return f"{type(exc).__name__}: {exc}"
+                return type(exc).__name__, str(exc)
 
+        def rows():
+            # the batch of one's rows, built inside each call so that their errors are its errors
+            return [Embedding("enrollment", w_e)], [Embedding("test", w_t)]
+
+        trial = TrialList.from_columns(["enrollment"], ["test"], [None])
+        scores = ScoreSet.from_columns(["enrollment"], ["test"], [raw])
+        single = outcome(lambda: fourcov.score_trial(kernel, w_e, w_t))
+        assert single == outcome(lambda: fourcov.score_batch(kernel, *rows(), trial).values()[0])
+        assert (single[0] == "score") == (case == "valid")
         single = outcome(lambda: scorenorm.snorm(kernel, cohorts, w_e, w_t, raw))
-        scores = ScoreSet.from_columns(enroll.ids, test.ids, [raw])
-        np.testing.assert_array_equal(
-            single, outcome(lambda: scorenorm.snorm_batch(kernel, cohorts, enroll, test, scores).values()[0])
-        )
-        assert isinstance(single, str) == (degenerate is not None)
+        assert single == outcome(lambda: scorenorm.snorm_batch(kernel, cohorts, *rows(), scores).values()[0])
+        assert (single[0] == "score") == (case == "valid" and degenerate is None)
 
 
 @st.composite

@@ -18,7 +18,6 @@ from asvbackend.scorenorm import (
     combine_normalized,
     snorm,
     snorm_batch,
-    top_score_stats,
 )
 
 from conftest import random_plda, random_truth, trial_list
@@ -57,34 +56,41 @@ def kernel_and_cohorts(rng):
     return kernel, CohortSet(enroll_cohort, test_cohort, None)
 
 
+def one_row_stats(scores, top_k, cohort_side):
+    """`_top_k_stats` of one row of scores, the row named `test 't'`, as a (mean, std) tuple."""
+    out = np.empty((1, 2))
+    _top_k_stats(np.array([scores], dtype=np.float64), top_k, cohort_side, out, ("test", ("t",)))
+    return float(out[0, 0]), float(out[0, 1])
+
+
 class TestStats:
     def test_hand_arithmetic(self):
         # cohort scores {0, 2}: mu = 1, population sigma = 1; raw 3 -> 2
-        stats = top_score_stats(np.array([0.0, 2.0]), None, "test-side")
+        stats = one_row_stats(np.array([0.0, 2.0]), None, "test-side")
         assert stats == (1.0, 1.0)
         assert combine_normalized(3.0, stats, stats) == 2.0
 
     def test_top_k_selects_highest(self):
         scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-        mu, sd = top_score_stats(scores, 2, "test-side")
+        mu, sd = one_row_stats(scores, 2, "test-side")
         top = np.array([5.0, 4.0])
         np.testing.assert_allclose([mu, sd], [top.mean(), top.std()])
 
     def test_boundary_ties_all_kept(self):
         scores = np.array([5.0, 4.0, 4.0, 1.0])
-        mu, sd = top_score_stats(scores, 2, "test-side")
+        mu, sd = one_row_stats(scores, 2, "test-side")
         kept = np.array([5.0, 4.0, 4.0])
         np.testing.assert_allclose([mu, sd], [kept.mean(), kept.std()])
 
     def test_degenerate_scores_rejected(self):
         with pytest.raises(NormalizationError, match="enroll-side"):
-            top_score_stats(np.array([1.0, 1.0, 1.0]), None, "enroll-side")
+            one_row_stats(np.array([1.0, 1.0, 1.0]), None, "enroll-side")
 
     def test_sort_and_slice_oracle(self, rng):
         for _ in range(25):
             scores = rng.standard_normal(30)
             k = int(rng.integers(2, 30))
-            mu, sd = top_score_stats(scores, k, "test-side")
+            mu, sd = one_row_stats(scores, k, "test-side")
             ranked = np.sort(scores)[::-1]
             boundary = ranked[k - 1]
             kept = scores[scores >= boundary]
@@ -92,7 +98,7 @@ class TestStats:
 
 
 class TestBlockStats:
-    """`_top_k_stats` reduces a block of score rows at once; `top_score_stats` is its one-row case."""
+    """`_top_k_stats` reduces a block of score rows at once, each row as it reduces that row alone."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -100,7 +106,6 @@ class TestBlockStats:
         n, m = source.draw(st.integers(1, 6)), source.draw(st.integers(1, 12))
         grid = source.draw(arrays(np.float64, (n, m), elements=values))
         top_k = source.draw(st.none() | st.integers(1, m))
-        original = grid.copy()
         expected = []
         for scores in grid:
             kept = scores if top_k is None else scores[scores >= np.sort(scores)[-top_k]]
@@ -116,8 +121,7 @@ class TestBlockStats:
         _top_k_stats(grid.copy(), top_k, "enroll-side", out, ("test", ids))
         assert np.all(np.abs(out - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
         for scores, stats in zip(grid, out):
-            assert top_score_stats(scores, top_k, "enroll-side") == tuple(stats)
-        np.testing.assert_array_equal(grid, original)  # top_score_stats partitions a copy
+            assert one_row_stats(scores, top_k, "enroll-side") == tuple(stats)
 
 
 class TestCohortSet:
@@ -194,7 +198,7 @@ class TestSnorm:
         kernel, cohorts = kernel_and_cohorts
         vectors = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5)}
         vectors[side] = rng.standard_normal(4)
-        with pytest.raises(DimensionMismatchError, match=f"^{side} vector has dimension 4, kernel dimension is 5$"):
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vector '{side}' has dimension 4, kernel dimension is 5$"):
             snorm(kernel, cohorts, vectors["enrollment"], vectors["test"], 0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
