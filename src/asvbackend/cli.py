@@ -5,7 +5,8 @@ Every subcommand exits 0 on success with outputs written atomically, and
 nonzero with a single-line `asvbackend: <kind>: <message>` on stderr
 otherwise. Each error class carries its kind and stable exit code
 (see `exceptions`); a missing input file is kind `missing-file`, code 3.
-Each input is checked when its stage opens it (`data.open_input`). A
+Each output is checked (`data.check_output`) before the stage reads its
+first input, and each input when its stage opens it (`data.open_input`). A
 warning prints as one `asvbackend: warning: <message>` line.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import data, fourcov, metrics, modelio, plda, routing, scorenorm, synth
-from .exceptions import BackendError, ParameterError
+from .exceptions import BackendError, NumericalError, ParameterError
 
 
 def _training_rows(rows, label, speaker_map_path, pre, aggregate):
@@ -40,6 +41,14 @@ def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     else:
         table = plda.to_model_space(rows, pre)
     return table, speaker_ids, codes
+
+
+def _fitted_preprocessor(rows, path):
+    """`plda.fit_preprocessor` of the rows of training file `path`; a numerical error names the file."""
+    try:
+        return plda.fit_preprocessor(rows)
+    except NumericalError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
 
 
 def _shared_speaker_stats(side, shared):
@@ -71,10 +80,11 @@ def _cmd_synth(args) -> int:
     )
     # the truth is drawn once, from the training config, and shared by all three sets
     train_cfg = dataclasses.replace(train_cfg, truth=synth.make_ground_truth(train_cfg))
+    # augmentation is training-only: eval and cohort models keep their real segment counts
     eval_cfg = dataclasses.replace(
         train_cfg, n_speakers=args.eval_speakers, enroll_segments=args.enroll_segs,
         test_segments=args.eval_test_segs, seed=eval_seed, speaker_prefix=args.id_prefix + "ev",
-        test_noise_jitter=args.jitter if args.eval_jitter is None else args.eval_jitter,
+        test_noise_jitter=args.jitter if args.eval_jitter is None else args.eval_jitter, augment_copies=0,
     )
     cohort_cfg = dataclasses.replace(
         eval_cfg, n_speakers=args.cohort_speakers, test_segments=1, seed=cohort_seed,
@@ -125,10 +135,13 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     if args.transformed_out is not None and args.transform is None:
         raise ParameterError("--transformed-out needs --transform")
-    pre = plda.fit_preprocessor(data.read_embeddings(args.embeddings))
+    transformed_out = args.transformed_out or (args.transform + ".pre" if args.transform else None)
+    if transformed_out:
+        data.check_output(transformed_out)
+    pre = _fitted_preprocessor(data.read_embeddings(args.embeddings), args.embeddings)
     if args.transform:
         transformed = fourcov.read_model_space(args.transform, pre, "transform")
-        data.write_embeddings(args.transformed_out or args.transform + ".pre", transformed)
+        data.write_embeddings(transformed_out, transformed)
     modelio.save_preprocessor(args.out, pre)
     print(f"wrote preprocessor to {args.out}")
     return 0
@@ -136,7 +149,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train_plda(args) -> int:
     rows = data.read_embeddings(args.embeddings)
-    pre = modelio.load_preprocessor(args.pre) if args.pre else plda.fit_preprocessor(rows)
+    pre = modelio.load_preprocessor(args.pre) if args.pre else _fitted_preprocessor(rows, args.embeddings)
     label = f"training ({args.embeddings})"
     table, speaker_ids, codes = _training_rows(rows, label, args.speaker_map, pre, args.aggregate)
     stats = plda.speaker_stats(table.matrix, speaker_ids, codes)
@@ -149,11 +162,11 @@ def _cmd_train_plda(args) -> int:
 def _cmd_fit_fourcov(args) -> int:
     model1, pre1 = modelio.load_plda_side(args.enroll_model)
     model2, pre2 = modelio.load_plda_side(args.test_model)
-    rows1 = data.read_embeddings(args.enroll_embeddings)
-    rows2 = data.read_embeddings(args.test_embeddings)
-    side1 = _training_rows(rows1, f"enrollment ({args.enroll_embeddings})", args.speaker_map_enroll, pre1,
-                           args.enroll_aggregate)
-    side2 = _training_rows(rows2, f"test ({args.test_embeddings})", args.speaker_map_test, pre2, 0)
+    # one raw table at a time: each file is read, checked and mapped before the next is opened
+    side1 = _training_rows(data.read_embeddings(args.enroll_embeddings), f"enrollment ({args.enroll_embeddings})",
+                           args.speaker_map_enroll, pre1, args.enroll_aggregate)
+    side2 = _training_rows(data.read_embeddings(args.test_embeddings), f"test ({args.test_embeddings})",
+                           args.speaker_map_test, pre2, 0)
     shared = sorted(set(side1[1]) & set(side2[1]))
     if not shared:
         raise ParameterError("no speakers shared between the two training sets")
@@ -165,10 +178,12 @@ def _cmd_fit_fourcov(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    model_in, pre_in = modelio.load_plda_side(args.in_domain)
+    model_in, pre = modelio.load_plda_side(args.in_domain)
     model_out, pre_out = modelio.load_plda_side(args.out_domain)
     combined = plda.interpolate_plda(model_in, model_out, args.alpha)
-    pre = pre_in if args.pre == "from-in" else pre_out
+    if not (np.array_equal(pre.mean, pre_out.mean) and np.array_equal(pre.whitener, pre_out.whitener)):
+        raise ParameterError(f"{args.in_domain} and {args.out_domain} hold different preprocessors "
+                             "(train both with one train-plda --pre bundle)")
     modelio.save_plda_side(args.out, combined, pre)
     print(f"wrote interpolated model to {args.out} (alpha {args.alpha})")
     return 0
@@ -226,10 +241,12 @@ def _cmd_route_score(args) -> int:
     # every id and condition the trials use is checked before a stack is read
     routing.used_conditions(routing.classify_trials(config, trials), config.conditions)
     pipelines = routing.load_pipelines(config)
+    # each evaluation file is checked against every stack before the next is opened
     enrolls = data.read_embeddings(args.enroll)
-    tests = data.read_embeddings(args.test)
     for pipeline in pipelines.values():
         plda.check_raw_width(enrolls, pipeline.pre_enroll, f"enrollment ({args.enroll})")
+    tests = data.read_embeddings(args.test)
+    for pipeline in pipelines.values():
         plda.check_raw_width(tests, pipeline.pre_test, f"test ({args.test})")
     scores = routing.route_and_score(config, pipelines, enrolls, tests, trials)
     data.write_scores(scores, args.out)
@@ -326,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in-domain", required=True)
     p.add_argument("--out-domain", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--pre", choices=("from-in", "from-out"), default="from-in")
     p.add_argument("--out", required=True, help="interpolated side model bundle to write")
     p.set_defaults(func=_cmd_interpolate)
 
@@ -387,6 +403,10 @@ def main(argv=None) -> int:
     # a warning is shown as one line; which warnings are shown is left to the filters
     shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
+        # every output is checked before the stage reads its first input
+        for output in (getattr(args, name, None) for name in ("out", "det_out")):
+            if output is not None:
+                data.check_output(output)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"asvbackend: missing-file: {exc}", file=sys.stderr)

@@ -68,14 +68,21 @@ def open_input(path):
     return open(path, "rb")
 
 
-@contextmanager
-def atomic_write(path, mode="w"):
-    """Open a temp file next to `path` (a file in an existing directory), rename over it on success.
-    A text file is written as UTF-8 with LF line endings, whatever the locale."""
+def check_output(path) -> str:
+    """The directory of output `path`; a path that is a directory, or whose directory does not exist,
+    raises `FileNotFoundError` naming it."""
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.path.isdir(directory):
         problem = "it is a directory" if os.path.isdir(path) else "no such directory"
         raise FileNotFoundError(f"cannot write {path}: {problem}")
+    return directory
+
+
+@contextmanager
+def atomic_write(path, mode="w"):
+    """Open a temp file next to `path` (a file in an existing directory), rename over it on success.
+    A text file is written as UTF-8 with LF line endings, whatever the locale."""
+    directory = check_output(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     text = "b" not in mode
     try:

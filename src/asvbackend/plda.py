@@ -63,11 +63,19 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def length_normalize(w: np.ndarray) -> np.ndarray:
-    """Scale to unit Euclidean norm (rows of a matrix, or one vector)."""
+    """Scale to unit Euclidean norm (rows of a matrix, or one vector).
+
+    A zero vector, or one whose norm is beyond the float64 range (a
+    component above about 1.3e154 overflows its square), raises
+    `DomainError`.
+    """
     w = np.asarray(w, dtype=np.float64)
-    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(w, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise DomainError("cannot length-normalize a zero vector")
+    if not np.isfinite(norms).all():
+        raise DomainError("cannot length-normalize a vector whose norm is beyond the float64 range")
     return w / norms
 
 
@@ -106,7 +114,10 @@ class Preprocessor:
         return (vectors - self.mean) @ self.whitener
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        return length_normalize(self.whiten(vectors))
+        # a whitened value beyond the float64 range fails the length normalization, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            whitened = self.whiten(vectors)
+        return length_normalize(whitened)
 
 
 def identity_preprocessor(dim: int) -> Preprocessor:
@@ -119,13 +130,18 @@ def fit_preprocessor(data) -> Preprocessor:
     The mean and the scatter about it come from `speaker_stats` with
     every row one speaker. The whitener is the inverse symmetric square
     root of the total sample covariance, so the whitened training data
-    has identity covariance.
+    has identity covariance. A scatter beyond the float64 range (a
+    component above about 1.3e154 overflows its square) raises
+    `NumericalError`.
     """
     mat = _as_matrix(data)
     n, d = mat.shape
     if n < d + 1:
         raise NumericalError(f"whitening needs at least {d + 1} vectors for dimension {d}, got {n}")
-    stats = speaker_stats(mat, ("",), np.zeros(n, dtype=np.intp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = speaker_stats(mat, ("",), np.zeros(n, dtype=np.intp))
+    if not np.isfinite(stats.scatter).all():
+        raise NumericalError("training scatter is beyond the float64 range: a vector component is too large")
     evals, evecs = np.linalg.eigh(stats.scatter / (n - 1))
     tol = max(evals[-1], 0.0) * d * np.finfo(np.float64).eps
     if evals[0] <= tol:

@@ -69,14 +69,20 @@ class GroundTruth:
         )
 
 
+# residual scale of the perturbed copies that `augment_copies` adds
+AUGMENT_NOISE = 0.5
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Sampler configuration; explicit `truth` overrides the random draws.
 
     An explicit truth must have the config's `dim` and ranks, and a
     `test_rotation` needs equal ranks: a config that breaks either rule
-    raises `ParameterError` when it is built, so no config value is
-    accepted and then ignored.
+    raises `ParameterError` when it is built. With an explicit truth the
+    knobs that only shape the drawn truth (`snr`, `coupling_strength`,
+    `test_noise_inflation`, `test_rotation` and `test_mean_shift`) are
+    unused; every other value shapes the sample.
     """
 
     dim: int
@@ -93,7 +99,6 @@ class GenConfig:
     test_mean_shift: float = 0.0        # norm of the offset added to the test mean
     test_noise_jitter: float = 0.0      # lognormal sigma of per-segment residual scale
     augment_copies: int = 0             # extra perturbed copies per enrollment segment
-    augment_noise: float = 0.5          # residual scale of those perturbations
     speaker_prefix: str = "s"
     truth: GroundTruth | None = None
 
@@ -114,8 +119,8 @@ class GenConfig:
             raise ParameterError("snr and test_noise_inflation must be positive")
         if self.test_noise_jitter < 0.0:
             raise ParameterError("test_noise_jitter must be non-negative")
-        if self.augment_copies < 0 or self.augment_noise <= 0.0:
-            raise ParameterError("augment_copies must be >= 0 with positive augment_noise")
+        if self.augment_copies < 0:
+            raise ParameterError("augment_copies must be >= 0")
         if self.test_rotation != 0.0 and self.test_rank != self.enroll_rank:
             # test loadings of another rank are drawn on their own: there is nothing to rotate
             raise ParameterError(
@@ -237,7 +242,7 @@ def sample_dataset(config: GenConfig):
         if config.augment_copies > 0:
             for k, row in enumerate(enroll_rows):
                 perturb = rng.standard_normal((config.augment_copies, truth.dim))
-                copies = row + config.augment_noise * perturb @ enroll_noise_sqrt.T
+                copies = row + AUGMENT_NOISE * perturb @ enroll_noise_sqrt.T
                 members.extend(
                     Embedding(f"{speaker}-e{k}a{j}", crow) for j, crow in enumerate(copies)
                 )

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import asvbackend
-from asvbackend import calibration, cli, data, exceptions, fourcov, modelio, plda, synth
+from asvbackend import calibration, cli, data, exceptions, fourcov, modelio, plda, routing, synth
 from asvbackend.data import BINARY_MAGIC, join, read_scores
 
 
@@ -407,6 +407,15 @@ def synth_base_files(tmp_path_factory):
 @pytest.mark.parametrize("flag, value", SYNTH_KNOBS)
 def test_every_synth_knob_changes_the_files(tmp_path, synth_base_files, flag, value):
     assert _synth_files(tmp_path / "d", **{flag: value}) != synth_base_files
+
+
+def test_augmentation_is_training_only(tmp_path, synth_base_files):
+    # augmented copies are training rows: every other file, and the segment counts that
+    # routing reads from enroll_meta.txt, are those of a run without them
+    augmented = _synth_files(tmp_path / "d", **{"--augment-copies": 2})
+    assert set(data.read_id_map(tmp_path / "d" / "enroll_meta.txt").values()) == {"3"}
+    assert [name for name in augmented if augmented[name] != synth_base_files[name]] == ["train_enroll.embs"]
+    assert augmented["train_enroll.embs"].count(b"\n") == 3 * synth_base_files["train_enroll.embs"].count(b"\n")
 
 
 @pytest.mark.parametrize("rotation", [0.0, 0.3])
@@ -1056,7 +1065,8 @@ class TestSideWidth:
         raw, _, calfile, _ = score_pipeline(paths, base)
         config = one_condition_config(paths, calfile, base)
         narrow = {}
-        for side, name in (("enrollment", "eval_enroll.embs"), ("test", "eval_test.embs")):
+        for side, name in (("enrollment", "eval_enroll.embs"), ("test", "eval_test.embs"),
+                           ("training", "train_enroll.embs")):
             # each vector loses its last value
             narrow[side] = base / f"narrow_{name}"
             narrow[side].write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in open(paths[name])))
@@ -1082,25 +1092,34 @@ class TestSideWidth:
         assert f"({narrow[side]}) vectors have dimension 5, the model expects 6" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("stage, pair", [("score", "eval"), ("snorm", "eval"), ("snorm", "cohort")])
+    @pytest.mark.parametrize(
+        "stage, pair",
+        [("score", "eval"), ("snorm", "eval"), ("snorm", "cohort"), ("fit-fourcov", "train"), ("route-score", "eval")],
+    )
     def test_first_file_of_a_pair_decides(self, stack, tmp_path, capsys, stage, pair):
         # each file of a pair is read and checked before the next is opened, so a
         # narrow enrollment-side file wins over a missing test-side file
-        paths, raw, _, narrow = stack
+        paths, raw, config, narrow = stack
         missing = tmp_path / "missing.embs"
         files = {"eval": [paths["eval_enroll.embs"], paths["eval_test.embs"]],
-                 "cohort": [paths["cohort_enroll.embs"], paths["cohort_test.embs"]]}
-        files[pair] = [narrow["enrollment"], missing]
+                 "cohort": [paths["cohort_enroll.embs"], paths["cohort_test.embs"]],
+                 "train": [paths["train_enroll.embs"], paths["train_test.embs"]]}
+        bad = narrow["training" if pair == "train" else "enrollment"]
+        files[pair] = [bad, missing]
         vectors = ["--enroll", files["eval"][0], "--test", files["eval"][1]]
         argv = {
             "score": ["--model", paths["fourcov"], *vectors, "--trials", paths["eval.trials"]],
             "snorm": ["--model", paths["fourcov"], "--scores", raw, *vectors, "--cohort-enroll", files["cohort"][0],
                       "--cohort-test", files["cohort"][1], "--top-k", 20],
+            "fit-fourcov": ["--enroll-model", paths["side1"], "--test-model", paths["side2"],
+                            "--enroll-embeddings", files["train"][0], "--test-embeddings", files["train"][1],
+                            "--enroll-aggregate", 3],
+            "route-score": ["--config", config, *vectors, "--trials", paths["eval.trials"]],
         }[stage]
         out = tmp_path / "out.scores"
         assert invoke(stage, *argv, "--out", out) == 5
-        side = "enrollment" if pair == "eval" else "enrollment-side cohort"
-        assert capsys.readouterr().err == (f"asvbackend: dimension: {side} ({narrow['enrollment']}) vectors have "
+        side = "enrollment-side cohort" if pair == "cohort" else "enrollment"
+        assert capsys.readouterr().err == (f"asvbackend: dimension: {side} ({bad}) vectors have "
                                            "dimension 5, the model expects 6\n")
         assert not out.exists()
 
@@ -1152,7 +1171,7 @@ STAGE_ARGVS = {
         "--speaker-map-enroll": "train_enroll.map", "--speaker-map-test": "train_test.map", "--out": "out.npz",
     }),
     "interpolate": ("interpolate", {
-        "--in-domain": "side1", "--out-domain": "side2", "--alpha": 0.5, "--out": "out.npz",
+        "--in-domain": "pre_side1", "--out-domain": "pre_side2", "--alpha": 0.5, "--out": "out.npz",
     }),
     "score": ("score", {
         "--model": "fourcov", "--enroll": "eval_enroll.embs", "--test": "eval_test.embs",
@@ -1200,6 +1219,11 @@ def stage_files(tmp_path_factory):
     paths.update({"raw.scores": pathlib.Path(raw), "cal.txt": pathlib.Path(calfile), "pre.npz": base / "pre.npz"})
     paths["routing.json"] = pathlib.Path(one_condition_config(paths, calfile, base))
     assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", paths["pre.npz"]) == 0
+    # side models of one preprocessed space, which `interpolate` combines
+    for side, name in (("pre_side1", "train_enroll.embs"), ("pre_side2", "train_test.embs")):
+        paths[side] = base / f"{side}.npz"
+        assert invoke("train-plda", "--embeddings", paths[name], "--pre", paths["pre.npz"], "--rank", 2,
+                      "--iters", 2, "--out", paths[side]) == 0
     for side in ("train_enroll", "train_test"):
         paths[f"{side}.map"] = base / f"{side}.map"
         ids = [line.split()[0] for line in paths[f"{side}.embs"].read_text().splitlines()]
@@ -1232,6 +1256,79 @@ def test_bad_input_exits_3_before_any_output(stage_files, tmp_path, capsys, stag
     shown = f"{path} (not a regular file)" if bad == "directory" else f"{path}"
     assert capsys.readouterr().err == f"asvbackend: missing-file: {shown}\n"
     assert [p.name for p in tmp_path.iterdir()] == (["bad"] if bad == "directory" else [])
+
+
+def _outputs():
+    """(stage, argv, the output option) for each output of each argv of `STAGE_ARGVS`."""
+    return [
+        pytest.param(stage, argv, option, id=f"{key}{option}")
+        for key, (stage, argv) in STAGE_ARGVS.items() for option in argv if option in STAGE_OUTPUTS
+    ]
+
+
+def _refuse_inputs(monkeypatch):
+    """Make opening any input fail the test."""
+    def refuse(path):
+        raise AssertionError(f"{path} was opened before the outputs were checked")
+
+    for module in (data, modelio, routing):
+        monkeypatch.setattr(module, "open_input", refuse)
+
+
+@pytest.mark.parametrize("stage, argv, option", _outputs())
+def test_bad_output_exits_3_before_any_input_is_read(stage_files, tmp_path, capsys, monkeypatch, stage, argv, option):
+    out = tmp_path / "missing" / "out"
+    args = _stage_args(argv, stage_files, tmp_path)
+    args[args.index(option) + 1] = out
+    _refuse_inputs(monkeypatch)
+    assert invoke(stage, *args) == 3
+    assert capsys.readouterr().err == f"asvbackend: missing-file: cannot write {out}: no such directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preprocess_checks_its_derived_output_before_any_input_is_read(stage_files, tmp_path, capsys, monkeypatch):
+    # without --transformed-out the transformed file is <transform>.pre, here a directory
+    transform = tmp_path / "t.embs"
+    transform.write_bytes(stage_files["eval_test.embs"].read_bytes())
+    (tmp_path / "t.embs.pre").mkdir()
+    _refuse_inputs(monkeypatch)
+    argv = ["--embeddings", stage_files["train_test.embs"], "--transform", transform, "--out", tmp_path / "pre.npz"]
+    assert invoke("preprocess", *argv) == 3
+    assert capsys.readouterr().err == f"asvbackend: missing-file: cannot write {transform}.pre: it is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.embs", "t.embs.pre"]
+
+
+def test_interpolate_runs_the_readme_recipe(stage_files, tmp_path, capsys):
+    # one preprocessor, two side models trained in its space, then their interpolation,
+    # which carries that preprocessor
+    pre, side_in, side_out, mixed = (tmp_path / name for name in ("pre.npz", "in.npz", "out-domain.npz", "mixed.npz"))
+    assert invoke("preprocess", "--embeddings", stage_files["train_test.embs"], "--out", pre) == 0
+    for side, name in ((side_in, "train_test.embs"), (side_out, "train_enroll.embs")):
+        assert invoke("train-plda", "--embeddings", stage_files[name], "--pre", pre, "--rank", 2, "--out", side) == 0
+    assert invoke("interpolate", "--in-domain", side_in, "--out-domain", side_out, "--alpha", 0.3,
+                  "--out", mixed) == 0
+    assert capsys.readouterr().err == ""
+    (model_in, pre_in), (model_out, _) = modelio.load_plda_side(side_in), modelio.load_plda_side(side_out)
+    modelio.save_plda_side(tmp_path / "expected.npz", plda.interpolate_plda(model_in, model_out, 0.3), pre_in)
+    assert mixed.read_bytes() == (tmp_path / "expected.npz").read_bytes()
+
+
+def test_interpolate_refuses_models_of_two_spaces(stage_files, tmp_path, capsys):
+    # side1 and side2 each fitted their own preprocessor
+    side1, side2 = stage_files["side1"], stage_files["side2"]
+    out = tmp_path / "mixed.npz"
+    assert invoke("interpolate", "--in-domain", side1, "--out-domain", side2, "--alpha", 0.5, "--out", out) == 6
+    assert capsys.readouterr().err == (f"asvbackend: parameter: {side1} and {side2} hold different preprocessors "
+                                       "(train both with one train-plda --pre bundle)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interpolate_takes_no_pre_option(stage_files, tmp_path, capsys):
+    side = stage_files["pre_side1"]
+    with pytest.raises(SystemExit) as exited:
+        invoke("interpolate", "--in-domain", side, "--out-domain", side, "--alpha", 0.5, "--pre", "from-out",
+               "--out", tmp_path / "mixed.npz")
+    assert exited.value.code == 2 and "--pre" in capsys.readouterr().err
 
 
 def test_every_stage_loads_no_scipy(stage_files, tmp_path):

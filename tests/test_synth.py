@@ -236,7 +236,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field",
         ["snr", "coupling_strength", "test_noise_inflation", "test_rotation",
-         "test_mean_shift", "test_noise_jitter", "augment_noise"],
+         "test_mean_shift", "test_noise_jitter"],
     )
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_float_rejected(self, field, value):
