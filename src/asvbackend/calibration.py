@@ -86,6 +86,8 @@ def _objective_terms(theta: np.ndarray, tar: np.ndarray, non: np.ndarray):
     return float(value), grad, hess
 
 
+# a value beyond the float64 range is a non-finite objective, which the fit refuses, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def fit_calibration(
     scores: ScoreSet,
     trials: TrialList,
@@ -96,6 +98,9 @@ def fit_calibration(
     `callback(iteration, objective)` sees the objective after each Newton
     update; the sequence decreases monotonically. Every labeled trial
     needs a score; the target and nontarget scores are taken in trial order.
+    An objective beyond the float64 range (a score above about 1e154
+    overflows its square) raises `NumericalError`, as a fit that does not
+    converge does.
     """
     rows, values = score_rows(trials, scores), scores.values()
     tar, non = values[rows[trials.labels == 1]], values[rows[trials.labels == 0]]
@@ -112,6 +117,8 @@ def fit_calibration(
     theta = np.array([1.0, 0.0])
     value, grad, hess = _objective_terms(theta, tar, non)
     for iteration in range(MAX_NEWTON_ITERS):
+        if not (np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+            raise NumericalError("calibration objective is beyond the float64 range: a score is too large")
         if np.linalg.norm(grad) <= GRADIENT_TOL:
             break
         try:
@@ -138,8 +145,13 @@ def fit_calibration(
     return CalibrationModel(float(theta[0]), float(theta[1]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_calibration(model: CalibrationModel, scores: ScoreSet) -> ScoreSet:
-    """Map every score through the affine calibration, preserving order."""
+    """Map every score through the affine calibration, preserving order.
+
+    A calibrated score beyond the float64 range raises `DomainError`, as
+    the score table refuses it, without a numpy warning.
+    """
     return scores.with_scores(model.transform(scores.values()))
 
 

@@ -7,7 +7,9 @@ otherwise. Each error class carries its kind and stable exit code
 (see `exceptions`); a missing input file is kind `missing-file`, code 3.
 Each output is checked (`data.check_output`) before the stage reads its
 first input, and each input when its stage opens it (`data.open_input`). A
-warning prints as one `asvbackend: warning: <message>` line.
+warning prints as one `asvbackend: warning: <message>` line. A preprocessor
+is fitted by `train-plda` and lives in its side bundle; `train-plda --pre`
+trains in another side bundle's preprocessed space.
 """
 
 from __future__ import annotations
@@ -23,32 +25,26 @@ import numpy as np
 
 from . import calibration as cal
 from . import data, fourcov, metrics, modelio, plda, routing, scorenorm, synth
-from .exceptions import BackendError, NumericalError, ParameterError
+from .exceptions import BackendError, DomainError, NumericalError, ParameterError, prefixed
 
 
 def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     """Training vectors in model space, each row's speaker code and the speaker ids.
 
-    Rows, which `label` names in a width error, pass through `pre`. With
-    `aggregate` = N, consecutive chunks of N segments per speaker each
-    become one unit-norm average (a pseudo enrollment model).
+    Rows, which `label` names in a width or length-normalization error,
+    pass through `pre`. With `aggregate` = N, consecutive chunks of N
+    segments per speaker each become one unit-norm average (a pseudo
+    enrollment model).
     """
     plda.check_raw_width(rows, pre, label)
     speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
     speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
-    if aggregate:
-        table, codes = plda.chunk_averages(rows, speaker_ids, codes, pre, aggregate)
-    else:
-        table = plda.to_model_space(rows, pre)
+    with prefixed(label, DomainError):
+        if aggregate:
+            table, codes = plda.chunk_averages(rows, speaker_ids, codes, pre, aggregate)
+        else:
+            table = plda.to_model_space(rows, pre)
     return table, speaker_ids, codes
-
-
-def _fitted_preprocessor(rows, path):
-    """`plda.fit_preprocessor` of the rows of training file `path`; a numerical error names the file."""
-    try:
-        return plda.fit_preprocessor(rows)
-    except NumericalError as exc:
-        raise NumericalError(f"{path}: {exc}") from None
 
 
 def _shared_speaker_stats(side, shared):
@@ -132,24 +128,13 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    if args.transformed_out is not None and args.transform is None:
-        raise ParameterError("--transformed-out needs --transform")
-    transformed_out = args.transformed_out or (args.transform + ".pre" if args.transform else None)
-    if transformed_out:
-        data.check_output(transformed_out)
-    pre = _fitted_preprocessor(data.read_embeddings(args.embeddings), args.embeddings)
-    if args.transform:
-        transformed = fourcov.read_model_space(args.transform, pre, "transform")
-        data.write_embeddings(transformed_out, transformed)
-    modelio.save_preprocessor(args.out, pre)
-    print(f"wrote preprocessor to {args.out}")
-    return 0
-
-
 def _cmd_train_plda(args) -> int:
     rows = data.read_embeddings(args.embeddings)
-    pre = modelio.load_preprocessor(args.pre) if args.pre else _fitted_preprocessor(rows, args.embeddings)
+    if args.pre:
+        pre = modelio.load_plda_side(args.pre)[1]
+    else:
+        with prefixed(args.embeddings, NumericalError):
+            pre = plda.fit_preprocessor(rows)
     label = f"training ({args.embeddings})"
     table, speaker_ids, codes = _training_rows(rows, label, args.speaker_map, pre, args.aggregate)
     stats = plda.speaker_stats(table.matrix, speaker_ids, codes)
@@ -183,7 +168,7 @@ def _cmd_interpolate(args) -> int:
     combined = plda.interpolate_plda(model_in, model_out, args.alpha)
     if not (np.array_equal(pre.mean, pre_out.mean) and np.array_equal(pre.whitener, pre_out.whitener)):
         raise ParameterError(f"{args.in_domain} and {args.out_domain} hold different preprocessors "
-                             "(train both with one train-plda --pre bundle)")
+                             "(train the out-of-domain side with train-plda --pre <in-domain bundle>)")
     modelio.save_plda_side(args.out, combined, pre)
     print(f"wrote interpolated model to {args.out} (alpha {args.alpha})")
     return 0
@@ -211,7 +196,8 @@ def _cmd_snorm(args) -> int:
     cohort_pair = fourcov.read_model_space_pair(pre1, pre2, args.cohort_enroll, args.cohort_test, cohort=True)
     cohorts = scorenorm.CohortSet(*cohort_pair, top_k)
     kernel = fourcov.build_kernel(model)
-    normalized = scorenorm.snorm_batch(kernel, cohorts, enrolls, tests, scores)
+    with prefixed(f"normalizing {args.scores}", DomainError):
+        normalized = scorenorm.snorm_batch(kernel, cohorts, enrolls, tests, scores)
     data.write_scores(normalized, args.out)
     print(f"wrote {len(normalized)} normalized scores to {args.out}")
     return 0
@@ -225,12 +211,15 @@ def _cmd_calibrate(args) -> int:
     scores = data.read_scores(args.scores)
     if args.trials:
         trials = data.read_trials(args.trials)
-        model = cal.fit_calibration(scores, trials)
+        with prefixed(args.scores, NumericalError):
+            model = cal.fit_calibration(scores, trials)
         cal.write_calibration(args.out, model, args.condition)
         print(f"wrote calibration to {args.out} (scale {model.scale:.6g}, offset {model.offset:.6g})")
     else:
         model, _ = cal.read_calibration(args.model)
-        data.write_scores(cal.apply_calibration(model, scores), args.out)
+        with prefixed(f"calibrating {args.scores}", DomainError):
+            calibrated = cal.apply_calibration(model, scores)
+        data.write_scores(calibrated, args.out)
         print(f"wrote {len(scores)} calibrated scores to {args.out}")
     return 0
 
@@ -242,13 +231,14 @@ def _cmd_route_score(args) -> int:
     routing.used_conditions(routing.classify_trials(config, trials), config.conditions)
     pipelines = routing.load_pipelines(config)
     # each evaluation file is checked against every stack before the next is opened
+    labels = (f"enrollment ({args.enroll})", f"test ({args.test})")
     enrolls = data.read_embeddings(args.enroll)
     for pipeline in pipelines.values():
-        plda.check_raw_width(enrolls, pipeline.pre_enroll, f"enrollment ({args.enroll})")
+        plda.check_raw_width(enrolls, pipeline.pre_enroll, labels[0])
     tests = data.read_embeddings(args.test)
     for pipeline in pipelines.values():
-        plda.check_raw_width(tests, pipeline.pre_test, f"test ({args.test})")
-    scores = routing.route_and_score(config, pipelines, enrolls, tests, trials)
+        plda.check_raw_width(tests, pipeline.pre_test, labels[1])
+    scores = routing.route_and_score(config, pipelines, enrolls, tests, trials, labels)
     data.write_scores(scores, args.out)
     print(f"wrote {len(scores)} routed scores to {args.out}")
     return 0
@@ -311,20 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("preprocess", help="fit a centering/whitening transform")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True, help="preprocessor bundle (.npz) to write")
-    p.add_argument("--transform", default=None, help="optionally apply the chain to this file")
-    p.add_argument("--transformed-out", default=None)
-    p.set_defaults(func=_cmd_preprocess)
-
     p = sub.add_parser("train-plda", help="fit preprocessing and PLDA for one side")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--speaker-map", default=None, help="two-column id->speaker file")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--aggregate", type=int, default=0, help="average consecutive chunks of N segments")
-    p.add_argument("--pre", default=None, help="reuse an existing preprocessor bundle")
+    p.add_argument("--pre", default=None, help="train in the preprocessed space of this side bundle")
     p.add_argument("--out", required=True, help="side model bundle (.npz) to write")
     p.set_defaults(func=_cmd_train_plda)
 

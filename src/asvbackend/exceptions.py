@@ -5,6 +5,17 @@ tell failure modes apart. Each class carries the `kind` the CLI prints
 (`asvbackend: <kind>: <message>`) and the stable `exit_code` it returns.
 """
 
+import contextlib
+
+
+@contextlib.contextmanager
+def prefixed(prefix: str, *errors):
+    """An error of the classes `errors` raised in the block gains `<prefix>: `, keeping its class."""
+    try:
+        yield
+    except errors as exc:
+        raise type(exc)(f"{prefix}: {exc}") from None
+
 
 class BackendError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,9 +22,11 @@ import numpy as np
 from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, embedding_table, read_embeddings, row_blocks
 from .exceptions import (
     DimensionMismatchError,
+    DomainError,
     NumericalError,
     ParameterError,
     UnknownIdError,
+    prefixed,
 )
 from .plda import (
     PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, finite,
@@ -146,16 +148,13 @@ def in_model_space(rows, pre: Preprocessor, label: str, average: bool = False) -
 
     `rows` is a table or `Embedding` rows. With `average` (the enrollment
     side) rows sharing an id become one unit-norm vector per id; without
-    it (the test side) every row stays.
+    it (the test side) every row stays. A row or average that cannot be
+    length-normalized raises `DomainError` naming `label`, then the row.
     """
     table = embedding_table(rows)
     check_raw_width(table, pre, label)
-    return to_model_space(table, pre, average=average)
-
-
-def read_model_space(path, pre: Preprocessor, side: str, average: bool = False) -> EmbeddingTable:
-    """The vector file at `path` in model space by `in_model_space`, naming `<side> (<path>)`."""
-    return in_model_space(read_embeddings(path), pre, f"{side} ({path})", average)
+    with prefixed(label, DomainError):
+        return to_model_space(table, pre, average=average)
 
 
 def read_model_space_pair(
@@ -171,8 +170,8 @@ def read_model_space_pair(
     and `test-side cohort (<path>)`.
     """
     sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
-    return (read_model_space(enroll_path, pre_enroll, sides[0], average=True),
-            read_model_space(test_path, pre_test, sides[1]))
+    enrolls = in_model_space(read_embeddings(enroll_path), pre_enroll, f"{sides[0]} ({enroll_path})", average=True)
+    return enrolls, in_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
 
 
 def symmetric_kernel(model: PldaModel) -> ScoringKernel:

@@ -2,10 +2,11 @@
 
 Each bundle is a single .npz holding a magic/version string and the
 arrays its loader reads, nothing else: dimensions and ranks are the
-arrays' shapes. A side bundle carries one PLDA model together with its
-preprocessor; a two-sided bundle carries both sides plus the factor
-coupling; a ground-truth file, which no loader reads, the eight
-`GroundTruth` fields. Each kind's entry names are one layout that its
+arrays' shapes. A side bundle carries one PLDA model together with the
+preprocessor it was trained in, the one home of a preprocessor
+(`train-plda --pre` trains in a side bundle's space); a two-sided
+bundle carries both sides plus the factor coupling; a ground-truth
+file, which no loader reads, the eight `GroundTruth` fields. Each kind's entry names are one layout that its
 writer and reader share. Writes are atomic. A file that is not a
 readable bundle of its kind, or whose arrays its model rejects, raises
 `FileFormatError` naming the file, and a warning its model gives names
@@ -29,12 +30,10 @@ from .fourcov import FourCovModel
 from .plda import PldaModel, Preprocessor
 from .synth import GroundTruth
 
-PREPROCESSOR_MAGIC = "asvbackend/preprocessor/1"
 SIDE_MAGIC = "asvbackend/plda-side/1"
 FOURCOV_MAGIC = "asvbackend/fourcov/1"
 TRUTH_MAGIC = "asvbackend/ground-truth/1"
 
-PREPROCESSOR_LAYOUT = ("mean", "whitener")
 SIDE_LAYOUT = ("mean", "speaker_loadings", "residual_cov", "pre_mean", "pre_whitener")
 FOURCOV_LAYOUT = (
     "enroll_mean", "enroll_loadings", "enroll_residual_cov", "test_mean", "test_loadings", "test_residual_cov",
@@ -90,14 +89,6 @@ def _matched(model, *pres) -> tuple:
         if pre.dim != model.dim:
             raise DimensionMismatchError(f"preprocessor dimension {pre.dim} does not match model dimension {model.dim}")
     return model, *pres
-
-
-def save_preprocessor(path, pre: Preprocessor) -> None:
-    _save_npz(path, PREPROCESSOR_MAGIC, PREPROCESSOR_LAYOUT, _arrays(pre))
-
-
-def load_preprocessor(path) -> Preprocessor:
-    return _load(path, PREPROCESSOR_MAGIC, PREPROCESSOR_LAYOUT, Preprocessor)
 
 
 def save_plda_side(path, model: PldaModel, pre: Preprocessor) -> None:

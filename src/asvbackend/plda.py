@@ -62,20 +62,22 @@ def _as_matrix(data) -> np.ndarray:
     return table.matrix
 
 
-def length_normalize(w: np.ndarray) -> np.ndarray:
+def length_normalize(w: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
     """Scale to unit Euclidean norm (rows of a matrix, or one vector).
 
     A zero vector, or one whose norm is beyond the float64 range (a
     component above about 1.3e154 overflows its square), raises
-    `DomainError`.
+    `DomainError` for the first such row, which `name(row)`, if given,
+    names.
     """
     w = np.asarray(w, dtype=np.float64)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DomainError("cannot length-normalize a zero vector")
-    if not np.isfinite(norms).all():
-        raise DomainError("cannot length-normalize a vector whose norm is beyond the float64 range")
+    bad = (norms == 0.0) | ~np.isfinite(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "a zero vector" if norms.flat[row] == 0.0 else "a vector whose norm is beyond the float64 range"
+        raise DomainError(("" if name is None else f"{name(row)}: ") + f"cannot length-normalize {what}")
     return w / norms
 
 
@@ -113,11 +115,11 @@ class Preprocessor:
             )
         return (vectors - self.mean) @ self.whitener
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
+    def apply(self, vectors: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
         # a whitened value beyond the float64 range fails the length normalization, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             whitened = self.whiten(vectors)
-        return length_normalize(whitened)
+        return length_normalize(whitened, name)
 
 
 def identity_preprocessor(dim: int) -> Preprocessor:
@@ -132,7 +134,10 @@ def fit_preprocessor(data) -> Preprocessor:
     root of the total sample covariance, so the whitened training data
     has identity covariance. A scatter beyond the float64 range (a
     component above about 1.3e154 overflows its square) raises
-    `NumericalError`.
+    `NumericalError`, and so does a covariance too ill-conditioned to
+    whiten: as singular when its correlations are rank deficient, and
+    otherwise naming the spread of the component variances (one huge
+    outlying component, say).
     """
     mat = _as_matrix(data)
     n, d = mat.shape
@@ -142,11 +147,19 @@ def fit_preprocessor(data) -> Preprocessor:
         stats = speaker_stats(mat, ("",), np.zeros(n, dtype=np.intp))
     if not np.isfinite(stats.scatter).all():
         raise NumericalError("training scatter is beyond the float64 range: a vector component is too large")
-    evals, evecs = np.linalg.eigh(stats.scatter / (n - 1))
-    tol = max(evals[-1], 0.0) * d * np.finfo(np.float64).eps
-    if evals[0] <= tol:
-        rank = int(np.sum(evals > tol))
-        raise NumericalError(f"training covariance is singular: rank {rank} < dimension {d}")
+    cov = stats.scatter / (n - 1)
+    evals, evecs = np.linalg.eigh(cov)
+    floor = d * np.finfo(np.float64).eps
+    if evals[0] <= max(evals[-1], 0.0) * floor:
+        # the rank is counted on the correlations, which no rescaling of a component changes
+        variances = np.diag(cov)
+        scale = np.sqrt(np.where(variances > 0.0, variances, 1.0))
+        corr = np.linalg.eigvalsh(cov / np.outer(scale, scale))
+        rank = int(np.sum(corr > corr[-1] * floor))
+        if rank < d:
+            raise NumericalError(f"training covariance is singular: rank {rank} < dimension {d}")
+        raise NumericalError(f"training covariance is ill-conditioned: component variances run from "
+                             f"{variances.min():.3g} to {variances.max():.3g}, too far apart to whiten")
     whitener = (evecs / np.sqrt(evals)) @ evecs.T
     return Preprocessor(stats.mean, whitener)
 
@@ -163,7 +176,10 @@ def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> Embe
     """Bring a table of embeddings into model space, one block of rows at a time.
 
     Every row goes through `pre.apply` (centering, whitening and length
-    normalization) one `data.row_blocks` block at a time.
+    normalization) one `data.row_blocks` block at a time. A row that
+    cannot be length-normalized raises `DomainError` naming it as
+    `vector '<id>' (row <n>)`, counted from 1, and an average as
+    `model '<id>'`.
     Without `average` the result keeps every row and id in table order.
     With `average`, rows sharing an id (the segments of a multi-segment
     enrollment model) are summed by id code as each block passes; each
@@ -180,7 +196,9 @@ def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> Embe
         ids, codes = table.ids, None
         out = np.empty((len(ids), pre.dim))
     for block in row_blocks(len(table)):
-        rows = pre.apply(table.matrix[block])
+        rows = pre.apply(
+            table.matrix[block], lambda i, at=block.start: f"vector '{table.ids[at + i]}' (row {at + i + 1})"
+        )
         if codes is None:
             out[block] = rows
         else:
@@ -188,7 +206,8 @@ def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> Embe
     if codes is not None:
         counts = np.bincount(codes)[:, None]
         for block in row_blocks(len(out)):
-            out[block] = length_normalize(out[block] / counts[block])
+            means = out[block] / counts[block]
+            out[block] = length_normalize(means, lambda i, at=block.start: f"model '{ids[at + i]}'")
     return EmbeddingTable._make(ids, out)
 
 

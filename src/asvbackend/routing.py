@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import ScoreSet, TrialList, embedding_table, open_input, read_id_map
-from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError
+from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError, prefixed
 from .fourcov import FourCovModel, build_kernel, in_model_space, read_model_space_pair, score_batch
 from .modelio import load_fourcov
 from .plda import Preprocessor
@@ -100,17 +100,20 @@ def classify_trials(config: RoutingConfig, trials: TrialList) -> np.ndarray:
     )
 
 
-def condition_pipeline_scores(pipeline: ConditionPipeline, enrolls, tests, trials: TrialList) -> ScoreSet:
+def condition_pipeline_scores(
+    pipeline: ConditionPipeline, enrolls, tests, trials: TrialList, labels=("enrollment", "test")
+) -> ScoreSet:
     """Score raw embeddings through one condition's full stack.
 
     `enrolls` and `tests` are tables, or sequences of `Embedding` rows,
-    brought into the condition's model space by `in_model_space`.
+    brought into the condition's model space by `in_model_space`, whose
+    errors name them by `labels`.
     Vectors that no trial references are ignored; where ids repeat, the
     last vector with that id is used, as in `score_batch`.
     """
     kernel = build_kernel(pipeline.model)
-    enroll_vectors = in_model_space(enrolls, pipeline.pre_enroll, "enrollment", average=True)
-    test_vectors = in_model_space(tests, pipeline.pre_test, "test")
+    enroll_vectors = in_model_space(enrolls, pipeline.pre_enroll, labels[0], average=True)
+    test_vectors = in_model_space(tests, pipeline.pre_test, labels[1])
     raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)
@@ -130,7 +133,8 @@ def used_conditions(conditions: np.ndarray, configured) -> list[int]:
 
 
 def route_and_score(
-    config: RoutingConfig, pipelines: dict[str, ConditionPipeline], enrolls, tests, trials: TrialList
+    config: RoutingConfig, pipelines: dict[str, ConditionPipeline], enrolls, tests, trials: TrialList,
+    labels=("enrollment", "test"),
 ) -> ScoreSet:
     """Partition trials by condition, score each partition, merge in order.
 
@@ -141,7 +145,8 @@ def route_and_score(
     the whole tables, so a routed trial gets the score that `score`,
     `snorm` and `calibrate` give it with the same stack, repeated ids
     included. A condition's error keeps its class, so its exit code,
-    and gains the prefix `condition '<tag>': `.
+    and gains the prefix `condition '<tag>': `; `labels` name the two
+    tables in it.
     """
     conditions = classify_trials(config, trials)
     needed = used_conditions(conditions, pipelines)
@@ -150,10 +155,8 @@ def route_and_score(
     for c in needed:
         rows = np.flatnonzero(conditions == c)
         tag = CONDITIONS[c]
-        try:
-            merged[rows] = condition_pipeline_scores(pipelines[tag], enrolls, tests, trials.take(rows)).values()
-        except BackendError as exc:
-            raise type(exc)(f"condition '{tag}': {exc}") from None
+        with prefixed(f"condition '{tag}'", BackendError):
+            merged[rows] = condition_pipeline_scores(pipelines[tag], enrolls, tests, trials.take(rows), labels).values()
     return trials.with_scores(merged)
 
 

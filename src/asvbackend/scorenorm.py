@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Embedding, EmbeddingTable, ScoreSet, embedding_table
-from .exceptions import DimensionMismatchError, NormalizationError, ParameterError
+from .exceptions import DimensionMismatchError, NormalizationError, ParameterError, prefixed
 from .fourcov import ScoringKernel, cohort_grids, referenced_rows
 
 DEFAULT_TOP_K = 400
@@ -68,10 +68,8 @@ def check_top_k(top_k) -> None:
 
 
 def _cohort_table(cohort, side: str) -> EmbeddingTable:
-    try:
+    with prefixed(f"{side} cohort", DimensionMismatchError):
         return embedding_table(cohort)
-    except DimensionMismatchError as exc:
-        raise DimensionMismatchError(f"{side} cohort: {exc}") from None
 
 
 def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.ndarray, names) -> None:
@@ -111,8 +109,13 @@ def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def combine_normalized(raw, stats_vs_test_cohort, stats_vs_enroll_cohort):
-    """Average of the two one-sided z-normalizations of a raw score (or array)."""
+    """Average of the two one-sided z-normalizations of a raw score (or array).
+
+    A value beyond the float64 range comes back infinite, without a
+    numpy warning; `snorm_batch`'s score table refuses it (`DomainError`).
+    """
     mu1, sd1 = stats_vs_test_cohort
     mu2, sd2 = stats_vs_enroll_cohort
     return 0.5 * (raw - mu1) / sd1 + 0.5 * (raw - mu2) / sd2

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -315,7 +317,7 @@ def test_each_bundle_layout_is_written_once_and_read_in_a_with(tmp_path):
         synth.GenConfig(dim=2, enroll_rank=1, test_rank=1, n_speakers=1, enroll_segments=1, test_segments=1, seed=0)
     ))
     entries = set()
-    for kind in ("preprocessor", "side", "fourcov", "truth"):
+    for kind in ("side", "fourcov", "truth"):
         with np.load(tmp_path / f"{kind}.npz") as bundle:
             entries.update(bundle.files)
     with open(modelio.__file__, encoding="utf-8") as fh:
@@ -329,7 +331,7 @@ def test_each_bundle_layout_is_written_once_and_read_in_a_with(tmp_path):
                 spelled.append((function.name, name))
     loads = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.load"]
     with_items = [item.context_expr for n in ast.walk(tree) if isinstance(n, ast.With) for item in n.items]
-    assert len(functions) == 7 and loads  # proves the walk sees the writers, the readers and the read
+    assert len(functions) == 5 and loads  # proves the walk sees the writers, the readers and the read
     assert spelled == []
     assert all(any(call is item for item in with_items) for call in loads)
 
@@ -441,6 +443,26 @@ def test_synth_knob_list_covers_every_option():
     assert options == {flag for flag, _ in SYNTH_KNOBS}
 
 
+def _readme_commands():
+    """The argv of each `asvbackend ...` command in the README's fenced `sh` blocks, continuation lines joined."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("asvbackend ")]
+
+
+def test_readme_commands_parse():
+    # a command that no longer parses, such as a removed stage or option, exits 2 for a reader who runs it
+    commands = _readme_commands()
+    assert len(commands) >= 10 and {argv[0] for argv in commands} >= {"synth", "train-plda", "interpolate"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: asvbackend {shlex.join(argv)}")
+
+
 def test_every_stage_reads_every_option_it_defines():
     # an option that a stage's parser defines and its `_cmd_*` function never
     # reads is accepted and then ignored
@@ -456,7 +478,7 @@ def test_every_stage_reads_every_option_it_defines():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
         }
         unread += [(name, action.dest) for action in stage._actions if action.dest not in read | {"help"}]
-    assert len(stages) == 10
+    assert len(stages) == 9
     assert unread == []
 
 
@@ -466,21 +488,18 @@ def _bundles(tmp_path):
     side = plda.PldaModel(np.zeros(2), np.ones((2, 1)), np.eye(2))
     (tmp_path / "e.embs").write_text("a-1 1.0 2.0\n")
     (tmp_path / "empty").write_text("")
-    modelio.save_preprocessor(tmp_path / "preprocessor.npz", pre)
     modelio.save_plda_side(tmp_path / "side.npz", side, pre)
     coupled = fourcov.FourCovModel(side, side, np.eye(1), np.zeros((1, 1)))
     modelio.save_fourcov(tmp_path / "fourcov.npz", coupled, pre, pre)
     empty, out = tmp_path / "empty", tmp_path / "out"
     return {
-        "preprocessor": ["train-plda", "--embeddings", tmp_path / "e.embs", "--pre", "{}", "--out", out],
         "side": ["interpolate", "--in-domain", "{}", "--out-domain", "{}", "--alpha", 0.5, "--out", out],
         "fourcov": ["score", "--model", "{}", "--enroll", empty, "--test", empty, "--trials", empty, "--out", out],
     }
 
 
 @pytest.mark.parametrize(
-    "kind, load", [("preprocessor", modelio.load_preprocessor), ("side", modelio.load_plda_side),
-                   ("fourcov", modelio.load_fourcov)],
+    "kind, load", [("side", modelio.load_plda_side), ("fourcov", modelio.load_fourcov)],
 )
 def test_bundle_holds_only_what_its_loader_reads(tmp_path, monkeypatch, kind, load):
     _bundles(tmp_path)
@@ -489,6 +508,17 @@ def test_bundle_holds_only_what_its_loader_reads(tmp_path, monkeypatch, kind, lo
     load(tmp_path / f"{kind}.npz")
     with np.load(tmp_path / f"{kind}.npz") as bundle:
         assert sorted(bundle.files) == sorted(["magic", *read])
+
+
+def test_a_preprocessor_bundle_is_no_side_bundle(tmp_path, capsys):
+    # the bundle kind that held a preprocessor alone is gone; `train-plda --pre` takes a side bundle
+    _bundles(tmp_path)
+    old = tmp_path / "preprocessor.npz"
+    np.savez(old, magic="asvbackend/preprocessor/1", mean=np.zeros(2), whitener=np.eye(2))
+    assert invoke("train-plda", "--embeddings", tmp_path / "e.embs", "--pre", old, "--out", tmp_path / "out") == 4
+    assert capsys.readouterr().err == (f"asvbackend: file-format: {old}: expected bundle 'asvbackend/plda-side/1', "
+                                       "found 'asvbackend/preprocessor/1'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_truth_file_holds_the_truth_fields(tmp_path):
@@ -501,7 +531,7 @@ def test_truth_file_holds_the_truth_fields(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, entry", [("preprocessor", "whitener"), ("side", "residual_cov"), ("fourcov", "pre_test_mean")]
+    "kind, entry", [("side", "residual_cov"), ("fourcov", "pre_test_mean")]
 )
 def test_bundle_missing_entry_exits_4(tmp_path, capsys, kind, entry):
     argv = _bundles(tmp_path)[kind]
@@ -519,8 +549,9 @@ def _loading_stages(tmp_path):
     `{}` in an argv is the bundle; `route-score` reads `bad.npz` through its routing config.
     """
     bundles = _bundles(tmp_path)
-    stages = {"train-plda": bundles["preprocessor"], "interpolate": bundles["side"], "score": bundles["fourcov"]}
+    stages = {"interpolate": bundles["side"], "score": bundles["fourcov"]}
     e, empty, out = tmp_path / "e.embs", tmp_path / "empty", tmp_path / "out"
+    stages["train-plda"] = ["train-plda", "--embeddings", e, "--pre", "{}", "--out", out]
     stages["fit-fourcov"] = [
         "fit-fourcov", "--enroll-model", "{}", "--test-model", "{}",
         "--enroll-embeddings", e, "--test-embeddings", e, "--out", out,
@@ -574,10 +605,6 @@ def _damage(source, target, entry, defect):
 
 # each bundle kind, a defect, and the entry it damages
 BUNDLE_DEFECTS = [
-    ("preprocessor", "truncated", "mean"), ("preprocessor", "crc", "whitener"),
-    ("preprocessor", "not-npy", "mean"), ("preprocessor", "string", "whitener"),
-    ("preprocessor", "nan", "mean"), ("preprocessor", "inf", "whitener"),
-    ("preprocessor", "wrong-shape", "whitener"),
     ("side", "truncated", "mean"), ("side", "crc", "residual_cov"), ("side", "not-npy", "pre_mean"),
     ("side", "string", "mean"), ("side", "nan", "speaker_loadings"), ("side", "inf", "mean"),
     ("side", "wrong-shape", "pre_whitener"), ("side", "asymmetric", "residual_cov"),
@@ -586,7 +613,7 @@ BUNDLE_DEFECTS = [
     ("fourcov", "inf", "coupling_noise_cov"), ("fourcov", "wrong-shape", "pre_enroll_whitener"),
     ("fourcov", "asymmetric", "test_residual_cov"),
 ]
-BUNDLE_STAGES = {"preprocessor": ["train-plda"], "side": ["interpolate", "fit-fourcov"],
+BUNDLE_STAGES = {"side": ["interpolate", "fit-fourcov", "train-plda"],
                  "fourcov": ["score", "snorm", "route-score"]}
 
 
@@ -610,8 +637,7 @@ def test_bad_bundle_exits_4_naming_the_file(tmp_path, capsys, kind, stage, defec
 
 @pytest.mark.parametrize(
     "kind, load, save",
-    [("preprocessor", modelio.load_preprocessor, modelio.save_preprocessor),
-     ("side", modelio.load_plda_side, modelio.save_plda_side), ("fourcov", modelio.load_fourcov, modelio.save_fourcov)],
+    [("side", modelio.load_plda_side, modelio.save_plda_side), ("fourcov", modelio.load_fourcov, modelio.save_fourcov)],
 )
 def test_bundle_with_an_extra_entry_loads(tmp_path, kind, load, save):
     # bundles written before each bundle held only what its loader reads also hold `dim` and ranks
@@ -674,7 +700,7 @@ class TestErrorPaths:
         path = tmp_path / "e.bembs"
         record = struct.pack("<I", 3) + b"a-\xff" + struct.pack("<2f", 1.0, 2.0)
         path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2) + record)
-        assert invoke("preprocess", "--embeddings", path, "--out", tmp_path / "p.npz") == 4
+        assert invoke("train-plda", "--embeddings", path, "--out", tmp_path / "p.npz") == 4
         assert capsys.readouterr().err == f"asvbackend: file-format: {path}: record 1: id is not valid UTF-8\n"
 
     def test_routing_config_not_utf8_exits_4_naming_the_line(self, tmp_path, capsys):
@@ -765,7 +791,7 @@ class TestErrorPaths:
 
     def test_dimension_mismatch_exits_5(self, tmp_path, capsys):
         (tmp_path / "e.embs").write_text("a-1 1.0 2.0\nb-1 1.0 2.0 3.0\n")
-        code = invoke("preprocess", "--embeddings", tmp_path / "e.embs", "--out", tmp_path / "p.npz")
+        code = invoke("train-plda", "--embeddings", tmp_path / "e.embs", "--out", tmp_path / "p.npz")
         assert code == 5
         assert "dimension" in capsys.readouterr().err
 
@@ -783,9 +809,8 @@ class TestErrorPaths:
              "--top-k", "abc", "--out", "o.scores"],
             ["calibrate", "--scores", "s.scores", "--model", "c.cal", "--condition", "few-primary",
              "--out", "o.scores"],
-            ["preprocess", "--embeddings", "e.embs", "--out", "p.npz", "--transformed-out", "x.embs"],
         ],
-        ids=["snorm-top-k-not-integer", "calibrate-apply-with-condition", "preprocess-output-without-input"],
+        ids=["snorm-top-k-not-integer", "calibrate-apply-with-condition"],
     )
     def test_bad_flag_combination_exits_6_before_reading(self, tmp_path, monkeypatch, capsys, argv):
         # none of the input files exist, so reading any of them would exit 3
@@ -825,10 +850,14 @@ class TestPipeline:
         assert float(eer_line.split()[1]) < 40.0  # clearly better than chance
 
     def test_preprocess_and_interpolate_smoke(self, tmp_path):
+        # `train-plda --pre` trains in the preprocessed space a side bundle holds
         paths = build_bundle(tmp_path, seed=14)
-        pre = tmp_path / "pre.npz"
-        assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", pre) == 0
-        assert pre.exists()
+        reused = tmp_path / "reused.npz"
+        assert invoke("train-plda", "--embeddings", paths["train_enroll.embs"], "--pre", paths["side2"],
+                      "--rank", 2, "--out", reused) == 0
+        for got, want in zip(dataclasses.astuple(modelio.load_plda_side(reused)[1]),
+                             dataclasses.astuple(modelio.load_plda_side(paths["side2"])[1])):
+            np.testing.assert_array_equal(got, want)
         mixed = tmp_path / "mixed.npz"
         assert invoke(
             "interpolate", "--in-domain", paths["side2"], "--out-domain", paths["side2"],
@@ -1125,24 +1154,19 @@ class TestSideWidth:
 
     @pytest.mark.parametrize(
         "stage, label",
-        [("preprocess", "transform"), ("train-plda", "training"),
-         ("fit-fourcov", "enrollment"), ("fit-fourcov", "test")],
+        [("train-plda", "training"), ("fit-fourcov", "enrollment"), ("fit-fourcov", "test")],
     )
     def test_training_stage_wrong_width_exits_5_naming_the_file(self, stack, tmp_path, capsys, stage, label):
         # every stage that maps a file through a stored preprocessor checks
         # its width the way score and snorm do
         paths = stack[0]
-        pre = tmp_path / "pre.npz"
-        assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", pre) == 0
         source = paths["train_enroll.embs" if label == "enrollment" else "train_test.embs"]
         narrow = tmp_path / "narrow.embs"
         narrow.write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in open(source)))
         out = tmp_path / "out"
         train = {"enrollment": paths["train_enroll.embs"], "test": paths["train_test.embs"], label: narrow}
         argv = {
-            "preprocess": ["--embeddings", paths["train_test.embs"], "--transform", narrow,
-                           "--transformed-out", tmp_path / "out.pre"],
-            "train-plda": ["--embeddings", narrow, "--pre", pre, "--rank", 2],
+            "train-plda": ["--embeddings", narrow, "--pre", paths["side2"], "--rank", 2],
             "fit-fourcov": ["--enroll-model", paths["side1"], "--test-model", paths["side2"],
                             "--enroll-embeddings", train["enrollment"], "--test-embeddings", train["test"],
                             "--enroll-aggregate", 3],
@@ -1151,18 +1175,14 @@ class TestSideWidth:
         err = capsys.readouterr().err
         assert err == (f"asvbackend: dimension: {label} ({narrow}) vectors have dimension 5, "
                        "the model expects 6\n"), err
-        assert not out.exists() and not (tmp_path / "out.pre").exists()
+        assert not out.exists()
 
 
 # every stage that reads files, once per mode, as an argv over `stage_files`: a value
 # that names one of its files is an input, and one starting with `out` an output
 STAGE_ARGVS = {
-    "preprocess": ("preprocess", {
-        "--embeddings": "train_test.embs", "--transform": "eval_test.embs",
-        "--transformed-out": "out.embs", "--out": "out.npz",
-    }),
     "train-plda": ("train-plda", {
-        "--embeddings": "train_test.embs", "--speaker-map": "train_test.map", "--pre": "pre.npz",
+        "--embeddings": "train_test.embs", "--speaker-map": "train_test.map", "--pre": "side2",
         "--rank": 2, "--iters": 2, "--out": "out.npz",
     }),
     "fit-fourcov": ("fit-fourcov", {
@@ -1171,7 +1191,7 @@ STAGE_ARGVS = {
         "--speaker-map-enroll": "train_enroll.map", "--speaker-map-test": "train_test.map", "--out": "out.npz",
     }),
     "interpolate": ("interpolate", {
-        "--in-domain": "pre_side1", "--out-domain": "pre_side2", "--alpha": 0.5, "--out": "out.npz",
+        "--in-domain": "side2", "--out-domain": "pre_side", "--alpha": 0.5, "--out": "out.npz",
     }),
     "score": ("score", {
         "--model": "fourcov", "--enroll": "eval_enroll.embs", "--test": "eval_test.embs",
@@ -1190,7 +1210,7 @@ STAGE_ARGVS = {
     }),
     "evaluate": ("evaluate", {"--scores": "raw.scores", "--trials": "eval.trials", "--det-out": "out.det"}),
 }
-STAGE_OUTPUTS = {"--out", "--transformed-out", "--det-out"}
+STAGE_OUTPUTS = {"--out", "--det-out"}
 
 
 def _path_options(stage):
@@ -1216,14 +1236,12 @@ def stage_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("inputs")
     paths = {name: pathlib.Path(path) for name, path in build_bundle(base).items()}
     raw, _, calfile, _ = score_pipeline(paths, base)
-    paths.update({"raw.scores": pathlib.Path(raw), "cal.txt": pathlib.Path(calfile), "pre.npz": base / "pre.npz"})
+    paths.update({"raw.scores": pathlib.Path(raw), "cal.txt": pathlib.Path(calfile)})
     paths["routing.json"] = pathlib.Path(one_condition_config(paths, calfile, base))
-    assert invoke("preprocess", "--embeddings", paths["train_test.embs"], "--out", paths["pre.npz"]) == 0
-    # side models of one preprocessed space, which `interpolate` combines
-    for side, name in (("pre_side1", "train_enroll.embs"), ("pre_side2", "train_test.embs")):
-        paths[side] = base / f"{side}.npz"
-        assert invoke("train-plda", "--embeddings", paths[name], "--pre", paths["pre.npz"], "--rank", 2,
-                      "--iters", 2, "--out", paths[side]) == 0
+    # a side model in side2's preprocessed space, which `interpolate` combines with side2
+    paths["pre_side"] = base / "pre_side.npz"
+    assert invoke("train-plda", "--embeddings", paths["train_enroll.embs"], "--pre", paths["side2"], "--rank", 2,
+                  "--iters", 2, "--out", paths["pre_side"]) == 0
     for side in ("train_enroll", "train_test"):
         paths[f"{side}.map"] = base / f"{side}.map"
         ids = [line.split()[0] for line in paths[f"{side}.embs"].read_text().splitlines()]
@@ -1286,25 +1304,13 @@ def test_bad_output_exits_3_before_any_input_is_read(stage_files, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
-def test_preprocess_checks_its_derived_output_before_any_input_is_read(stage_files, tmp_path, capsys, monkeypatch):
-    # without --transformed-out the transformed file is <transform>.pre, here a directory
-    transform = tmp_path / "t.embs"
-    transform.write_bytes(stage_files["eval_test.embs"].read_bytes())
-    (tmp_path / "t.embs.pre").mkdir()
-    _refuse_inputs(monkeypatch)
-    argv = ["--embeddings", stage_files["train_test.embs"], "--transform", transform, "--out", tmp_path / "pre.npz"]
-    assert invoke("preprocess", *argv) == 3
-    assert capsys.readouterr().err == f"asvbackend: missing-file: cannot write {transform}.pre: it is a directory\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.embs", "t.embs.pre"]
-
-
 def test_interpolate_runs_the_readme_recipe(stage_files, tmp_path, capsys):
-    # one preprocessor, two side models trained in its space, then their interpolation,
-    # which carries that preprocessor
-    pre, side_in, side_out, mixed = (tmp_path / name for name in ("pre.npz", "in.npz", "out-domain.npz", "mixed.npz"))
-    assert invoke("preprocess", "--embeddings", stage_files["train_test.embs"], "--out", pre) == 0
-    for side, name in ((side_in, "train_test.embs"), (side_out, "train_enroll.embs")):
-        assert invoke("train-plda", "--embeddings", stage_files[name], "--pre", pre, "--rank", 2, "--out", side) == 0
+    # the in-domain side fits its preprocessor, the out-of-domain side trains in its space,
+    # and their interpolation carries that preprocessor
+    side_in, side_out, mixed = (tmp_path / name for name in ("in.npz", "out-domain.npz", "mixed.npz"))
+    assert invoke("train-plda", "--embeddings", stage_files["train_test.embs"], "--rank", 2, "--out", side_in) == 0
+    assert invoke("train-plda", "--embeddings", stage_files["train_enroll.embs"], "--pre", side_in, "--rank", 2,
+                  "--out", side_out) == 0
     assert invoke("interpolate", "--in-domain", side_in, "--out-domain", side_out, "--alpha", 0.3,
                   "--out", mixed) == 0
     assert capsys.readouterr().err == ""
@@ -1319,12 +1325,12 @@ def test_interpolate_refuses_models_of_two_spaces(stage_files, tmp_path, capsys)
     out = tmp_path / "mixed.npz"
     assert invoke("interpolate", "--in-domain", side1, "--out-domain", side2, "--alpha", 0.5, "--out", out) == 6
     assert capsys.readouterr().err == (f"asvbackend: parameter: {side1} and {side2} hold different preprocessors "
-                                       "(train both with one train-plda --pre bundle)\n")
+                                       "(train the out-of-domain side with train-plda --pre <in-domain bundle>)\n")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_interpolate_takes_no_pre_option(stage_files, tmp_path, capsys):
-    side = stage_files["pre_side1"]
+    side = stage_files["pre_side"]
     with pytest.raises(SystemExit) as exited:
         invoke("interpolate", "--in-domain", side, "--out-domain", side, "--alpha", 0.5, "--pre", "from-out",
                "--out", tmp_path / "mixed.npz")
@@ -1383,10 +1389,10 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
     reads = _calls("read_embeddings") + _calls("data.read_embeddings")
     assert [where for module, where in reads if module == "routing"] == []
     assert sorted(where for module, where in reads if module == "cli") == [
-        "_cmd_fit_fourcov", "_cmd_fit_fourcov", "_cmd_preprocess",  # preprocess: --embeddings
+        "_cmd_fit_fourcov", "_cmd_fit_fourcov",
         "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
     ]
-    # and only `read_model_space` hands a vector file straight to the per-side step
+    # and only `read_model_space_pair` hands a vector file straight to the per-side step
     steps = _call_nodes("in_model_space") + _call_nodes("fourcov.in_model_space")
     handed = [
         (module, where) for module, where, call in steps
@@ -1394,7 +1400,7 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
                for argument in [*call.args, *(keyword.value for keyword in call.keywords)]
                for inner in ast.walk(argument))
     ]
-    assert handed == [("fourcov", "read_model_space")]
+    assert handed == [("fourcov", "read_model_space_pair")] * 2
 
 
 # route-score names its bundle in a routing config, which checks that the file exists (exit 8)
@@ -1428,7 +1434,7 @@ def _unmatched(source, target, prefix):
 
 @pytest.mark.parametrize(
     "kind, stage, prefix",
-    [("side", "interpolate", "pre_"), ("side", "fit-fourcov", "pre_"),
+    [("side", "interpolate", "pre_"), ("side", "fit-fourcov", "pre_"), ("side", "train-plda", "pre_"),
      *[("fourcov", stage, prefix) for stage in BUNDLE_STAGES["fourcov"] for prefix in ("pre_enroll_", "pre_test_")]],
 )
 def test_bundle_preprocessors_must_match_its_models(tmp_path, capsys, kind, stage, prefix):
@@ -1476,27 +1482,21 @@ def test_a_warning_prints_as_one_line_naming_the_bundle(tmp_path, capsys):
 
 
 def test_text_writers_write_utf8_whatever_the_locale(tmp_path):
-    (tmp_path / "e.embs").write_text("é-1 1.0 2.0\né-2 2.0 -1.0\né-3 -0.5 0.5\n", encoding="utf-8")
     src = os.path.dirname(os.path.dirname(asvbackend.__file__))
     env = {key: value for key, value in os.environ.items() if key not in ("PYTHONUTF8", "PYTHONIOENCODING")}
     env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
-    run = subprocess.run(
-        [sys.executable, "-X", "utf8=0", "-m", "asvbackend.cli", "preprocess", "--embeddings", tmp_path / "e.embs",
-         "--transform", tmp_path / "e.embs", "--out", tmp_path / "p.npz"],
-        env=env, capture_output=True, text=True,
-    )
+    # `ascii` passes the prefix é as an escape: the C locale would decode a command-line é to surrogates
+    argv = ["synth", "--out-dir", str(tmp_path / "d"), "--dim", "2", "--rank", "1", "--train-speakers", "2",
+            "--eval-speakers", "2", "--nontargets", "1", "--id-prefix", "é"]
+    code = f"from asvbackend import cli; raise SystemExit(cli.main({ascii(argv)}))"
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "")
-    written = (tmp_path / "e.embs.pre").read_text(encoding="utf-8")
-    assert [line.split()[0] for line in written.splitlines()] == ["é-1", "é-2", "é-3"]
+    for name in ("train_test.embs", "eval.trials", "test_meta.txt"):
+        written = (tmp_path / "d" / name).read_text(encoding="utf-8")
+        assert all(line.startswith("é") for line in written.splitlines()), name
 
 
 TRAINING_ROWS = "a-1 1.0 2.0\na-2 1.5 1.0\nb-1 -1.0 0.5\nb-2 -0.5 -1.5\nc-1 0.3 -0.2\nc-2 2.0 -1.0\n"
-
-
-def _written_as_transformed(tmp_path):
-    table = data.read_embeddings(tmp_path / "e.pre")
-    expected = plda.to_model_space(data.read_embeddings(tmp_path / "e"), modelio.load_preprocessor(tmp_path / "out"))
-    return table.ids == expected.ids and np.array_equal(table.matrix, expected.matrix)
 
 
 def _empty_score_file(tmp_path):
@@ -1512,16 +1512,16 @@ def _full_rank_side(tmp_path):
 # the stderr line (`{name}` is that file) or a check of what was written
 EXIT_PATHS = {
     "embedding-id-only": (
-        {"e": "a-1\n"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        {"e": "a-1\n"}, ["train-plda", "--embeddings", "e", "--out", "out"],
         4, "file-format: {e}:1: expected 'id v1 ... vd', got 1 fields"),
     "binary-header-cut": (
-        {"e": BINARY_MAGIC + b"\x02\x00"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        {"e": BINARY_MAGIC + b"\x02\x00"}, ["train-plda", "--embeddings", "e", "--out", "out"],
         4, "file-format: {e}: truncated header"),
     "binary-record-length-cut": (
-        {"e": BINARY_MAGIC + struct.pack("<I", 2) + b"\x01\x00"}, ["preprocess", "--embeddings", "e", "--out", "out"],
+        {"e": BINARY_MAGIC + struct.pack("<I", 2) + b"\x01\x00"}, ["train-plda", "--embeddings", "e", "--out", "out"],
         4, "file-format: {e}: truncated record 1"),
-    "preprocess-empty-embeddings": (
-        {"e": ""}, ["preprocess", "--embeddings", "e", "--out", "out"], 6, "parameter: no embeddings to stack"),
+    "train-plda-empty-embeddings": (
+        {"e": ""}, ["train-plda", "--embeddings", "e", "--out", "out"], 6, "parameter: no embeddings to stack"),
     "trial-four-fields": (
         {"s": "e t 1.0\n", "t": "e t tgt x\n"}, ["evaluate", "--scores", "s", "--trials", "t"],
         4, "file-format: {t}:1: expected 'enroll_id test_id [tgt|non]'"),
@@ -1558,9 +1558,6 @@ EXIT_PATHS = {
         {}, ["synth", "--out-dir", "out", "--dim", 0], 6, "parameter: dim and n_speakers must be positive"),
     "synth-snr-zero": (
         {}, ["synth", "--out-dir", "out", "--snr", 0], 6, "parameter: snr and test_noise_inflation must be positive"),
-    "preprocess-transform": (
-        {"e": TRAINING_ROWS}, ["preprocess", "--embeddings", "e", "--transform", "e", "--out", "out"],
-        0, _written_as_transformed),
     "train-plda-default-rank": (
         {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--out", "out"], 0, _full_rank_side),
     # the enrollment-side cohort holds one vector three times, so every test
@@ -1621,7 +1618,7 @@ def test_binary_header_dimension_allocates_no_rows_the_file_cannot_hold(tmp_path
     path.write_bytes(BINARY_MAGIC + struct.pack("<I", 2**28) + records)
     tracemalloc.start()
     try:
-        assert invoke("preprocess", "--embeddings", path, "--out", tmp_path / "out") == code
+        assert invoke("train-plda", "--embeddings", path, "--out", tmp_path / "out") == code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

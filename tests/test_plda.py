@@ -78,6 +78,15 @@ class TestPreprocessor:
         with pytest.raises(NumericalError, match="rank 1 < dimension 4"):
             fit_preprocessor(flat)
 
+    def test_finite_outlier_is_ill_conditioned_not_singular(self, rng):
+        # one component of 1e154 spreads the variances to about 5.6e305: the covariance
+        # has full rank, but no relative eigenvalue floor can tell its small eigenvalues from 0
+        rows = rng.standard_normal((180, 16))
+        rows[4, 1] = 1e154
+        with pytest.raises(NumericalError, match=r"^training covariance is ill-conditioned: component variances "
+                                                 r"run from \S+ to 5\.\d+e\+305, too far apart to whiten$"):
+            fit_preprocessor(rows)
+
 
 class TestEnrollAverage:
     def test_single_member_is_normalized_member(self, rng):
@@ -127,6 +136,18 @@ class TestToModelSpace:
             members = [pre.apply(v) for v, i in zip(matrix, self.IDS) if i == model_id]
             expected = length_normalize(np.mean(members, axis=0))
             np.testing.assert_allclose(vector, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 3, 100])
+    def test_a_row_or_average_that_cannot_be_normalized_is_named(self, monkeypatch, block):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", block)
+        pre = identity_preprocessor(2)
+        huge = EmbeddingTable.from_columns(["a", "b", "c"], [[1.0, 0.0], [1e155, 1.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match=r"^vector 'b' \(row 2\): cannot length-normalize a vector whose norm"):
+            to_model_space(huge, pre)
+        # the two rows of model 'b' cancel
+        cancelling = EmbeddingTable.from_columns(["a", "b", "b"], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(DomainError, match=r"^model 'b': cannot length-normalize a zero vector$"):
+            to_model_space(cancelling, pre, average=True)
 
     def test_rows_and_tables_give_the_same_result(self, rng):
         pre = fit_preprocessor(rng.standard_normal((40, 4)))
