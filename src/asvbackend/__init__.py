@@ -46,7 +46,7 @@ from .plda import (
     train_plda,
 )
 from .routing import CONDITIONS, RoutingConfig, classify_trials, route_and_score
-from .scorenorm import CohortSet, snorm, snorm_batch
+from .scorenorm import CohortSet, snorm_batch
 from .synth import GenConfig, GroundTruth, make_ground_truth, sample_dataset, true_llr
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "sample_dataset",
     "score_batch",
     "score_trial",
-    "snorm",
     "snorm_batch",
     "to_model_space",
     "train_plda",

@@ -428,14 +428,24 @@ def score_rows(trials: TrialList, scores: ScoreSet) -> np.ndarray:
     return rows
 
 
+def _utf8(path, token: str) -> bytes:
+    """`token` encoded as UTF-8; a lone surrogate, as a command-line value decoded
+    under a C locale holds, raises `ParameterError` naming `path` and the id."""
+    try:
+        return token.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParameterError(f"{path}: id {token!r} cannot be encoded as UTF-8") from None
+
+
 def _check_tokens(path, tokens: Iterable[str]) -> None:
     """Reject ids a text reader would not read back as written.
 
-    Readers split lines on whitespace and skip lines starting with '#',
-    so an id must be one non-empty whitespace-free token not starting
-    with '#'.
+    Files are UTF-8, readers split lines on whitespace and skip lines
+    starting with '#', so an id must encode as UTF-8 and be one non-empty
+    whitespace-free token not starting with '#'.
     """
     for token in tokens:
+        _utf8(path, token)
         if token.startswith("#") or token.split() != [token]:
             raise ParameterError(
                 f"{path}: id {token!r} cannot be written as text "
@@ -542,6 +552,9 @@ def write_embeddings(path, embeddings, binary: bool = False) -> None:
         _write_embeddings_binary(path, table)
         return
     _check_tokens(path, set(table.ids))
+    if table.ids and table.ids[0].startswith(BINARY_MAGIC.decode()):
+        # `read_embeddings` would take the file for a binary one
+        raise ParameterError(f"{path}: id {table.ids[0]!r} cannot start a text file: it begins with the binary magic")
     with atomic_write(path) as fh:
         for embedding_id, vector in zip(table.ids, table.matrix):
             fh.write(embedding_id + "  " + " ".join(map(repr, vector.tolist())) + "\n")
@@ -590,11 +603,11 @@ def _write_embeddings_binary(path, table: EmbeddingTable) -> None:
         raise ParameterError(
             f"{path}: embedding '{table.ids[int(np.argmax(bad))]}' has a value beyond the float32 range"
         )
+    encoded = [_utf8(path, embedding_id) for embedding_id in table.ids]
     with atomic_write(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<I", table.dim))
-        for embedding_id, vector in zip(table.ids, values):
-            id_bytes = embedding_id.encode("utf-8")
+        for id_bytes, vector in zip(encoded, values):
             fh.write(struct.pack("<I", len(id_bytes)) + id_bytes + vector.tobytes())
 
 

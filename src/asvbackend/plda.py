@@ -316,9 +316,6 @@ class PldaModel:
     def between_cov(self) -> np.ndarray:
         return self.speaker_loadings @ self.speaker_loadings.T
 
-    def marginal_cov(self) -> np.ndarray:
-        return self.between_cov() + self.residual_cov
-
 
 @dataclass(frozen=True)
 class SpeakerStats:

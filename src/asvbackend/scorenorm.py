@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, ScoreSet, embedding_table
+from .data import EmbeddingTable, ScoreSet, embedding_table
 from .exceptions import DimensionMismatchError, NormalizationError, ParameterError, prefixed
 from .fourcov import ScoringKernel, cohort_grids, referenced_rows
 
@@ -149,28 +149,6 @@ def _side_stats(kernel: ScoringKernel, cohorts: CohortSet, enrolls: EmbeddingTab
     return out
 
 
-def snorm(
-    kernel: ScoringKernel,
-    cohorts: CohortSet,
-    w_e: np.ndarray,
-    w_t: np.ndarray,
-    raw: float,
-) -> float:
-    """Normalize one raw trial score against both cohorts.
-
-    `snorm_batch` on the one-trial rows and score set of `raw`, as
-    `fourcov.score_trial` builds them: the same bits and errors. A larger
-    batch gives the same score up to rounding.
-    Slot order is preserved when scoring cohorts: the enrollment vector
-    keeps the enrollment slot against test-side entries, and the test
-    vector the test slot against enrollment-side entries, which matters
-    because the kernel is asymmetric.
-    """
-    enroll, test = [Embedding("enrollment", w_e)], [Embedding("test", w_t)]
-    scores = ScoreSet.from_columns(("enrollment",), ("test",), (float(raw),))
-    return float(snorm_batch(kernel, cohorts, enroll, test, scores).values()[0])
-
-
 def snorm_batch(
     kernel: ScoringKernel,
     cohorts: CohortSet,
@@ -185,10 +163,11 @@ def snorm_batch(
     width.
 
     Statistics for a given enrollment (or test) vector are shared by
-    every trial that uses it, so the batch matches per-trial `snorm`
-    while scoring each referenced vector, in table order, against the
-    opposite cohort exactly once. Memory is O(block x cohort) per side
-    whatever the number of trials or ids.
+    every trial that uses it: each referenced vector is scored, in table
+    order, against the opposite cohort exactly once, in its own slot (an
+    enrollment vector against the test-side cohort, a test vector against
+    the enrollment-side cohort; the kernel is asymmetric). Memory is
+    O(block x cohort) per side whatever the number of trials or ids.
     """
     enrolls, tests = embedding_table(enrolls), embedding_table(tests)
     if not len(scores):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Embedding, SpeakerGroup
+from .data import Embedding, SpeakerGroup, _check_tokens
 from .exceptions import DimensionMismatchError, NumericalError, ParameterError
 from .fourcov import FourCovModel
 from .plda import PldaModel, gaussian_logpdf
@@ -126,11 +126,11 @@ class GenConfig:
             raise ParameterError(
                 f"test_rotation needs test_rank equal to enroll_rank ({self.enroll_rank}), got {self.test_rank}"
             )
-        # an id's speaker ends at its first '-', and text files split ids on whitespace and skip '#' lines
-        if self.speaker_prefix.startswith("#") or any(c == "-" or c.isspace() for c in self.speaker_prefix):
-            raise ParameterError(
-                f"speaker_prefix {self.speaker_prefix!r} must not contain '-' or whitespace, or start with '#'"
-            )
+        # an id's speaker ends at its first '-', and every id it starts is written as text
+        if "-" in self.speaker_prefix:
+            raise ParameterError(f"speaker_prefix {self.speaker_prefix!r} must not contain '-'")
+        if self.speaker_prefix:
+            _check_tokens("speaker_prefix", [self.speaker_prefix])
         if self.truth is not None:
             truth = self.truth
             r1, r2 = truth.enroll_loadings.shape[1], truth.test_loadings.shape[1]

@@ -220,8 +220,8 @@ def test_only_fourcov_reads_the_kernel_layout():
 
 
 def test_one_trial_functions_are_batches_of_one():
-    # `score_trial` and `snorm` reach the core only through `score_batch` and
-    # `snorm_batch`, so each kind of score has one entry to keep in step
+    # `score_trial` reaches the core only through `score_batch`, so a score
+    # has one entry to keep in step
     callers = {}
     for path in sorted(pathlib.Path(asvbackend.__file__).parent.glob("*.py")):
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -229,9 +229,8 @@ def test_one_trial_functions_are_batches_of_one():
                 if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                     callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                     callers.setdefault(callee, set()).add((path.stem, getattr(statement, "name", None)))
-    one_trial = {("fourcov", "score_trial"), ("scorenorm", "snorm")}
+    one_trial = {("fourcov", "score_trial")}
     assert ("fourcov", "score_trial") in callers["score_batch"]
-    assert ("scorenorm", "snorm") in callers["snorm_batch"]
     assert sorted(name for name, where in callers.items() if name.startswith("_") and where & one_trial) == []
     assert callers["_side_terms"] == {("fourcov", "score_batch"), ("fourcov", "cohort_grids")}
     assert callers["_side_stats"] == {("scorenorm", "snorm_batch")}
@@ -257,20 +256,29 @@ def test_no_package_source_reshapes():
 
 
 def test_every_public_function_is_used():
-    # a public function that no package code calls, that the package does
-    # not export and that the acceptance suite does not use is a side
-    # entrance whose rules drift from the path every stage takes
+    # a public function or method that no package code calls and that the
+    # acceptance suite does not use is a side entrance whose rules drift from
+    # the path every stage takes; an `__all__` entry is not a use. Properties,
+    # class methods and dunders are exempt
     trees = _package_trees()
     called = {_callee(node) for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
     acceptance = ast.parse((pathlib.Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(acceptance) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
     used |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def exempt(method):
+        return any(isinstance(d, ast.Name) and d.id in ("property", "classmethod") for d in method.decorator_list)
+
     public = [(module, node.name) for module, tree in trees.items() for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    assert ("fourcov", "score_trial") in public  # proves the walk sees the functions
+    public += [(module, f"{node.name}.{method.name}") for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) for method in node.body
+               if isinstance(method, ast.FunctionDef) and not method.name.startswith("_") and not exempt(method)]
+    # proves the walk sees functions and methods
+    assert {("fourcov", "score_trial"), ("data", "EmbeddingTable.take")} <= set(public)
     assert [(module, name) for module, name in public
-            if name not in called and name not in asvbackend.__all__ and name not in used] == []
+            if name.rsplit(".", 1)[-1] not in called | used] == []
 
 
 def test_each_model_rule_is_written_once():
@@ -343,6 +351,8 @@ def test_each_bundle_layout_is_written_once_and_read_in_a_with(tmp_path):
         ("--kappa", "inf"), ("--kappa", "nan"), ("--snr", "inf"), ("--rotation", "inf"),
         ("--mean-shift", "inf"), ("--jitter", "nan"), ("--eval-jitter", "inf"),
         ("--id-prefix", "a b"), ("--id-prefix", "#a"),
+        # a command-line é decoded under a C locale: UTF-8 cannot encode it
+        ("--id-prefix", "\udce9"),
         # test loadings of another rank are drawn on their own, so the rotation of 0.3 would be ignored
         ("--test-rank", 1),
     ],
@@ -1481,10 +1491,15 @@ def test_a_warning_prints_as_one_line_naming_the_bundle(tmp_path, capsys):
     assert (tmp_path / "out").read_text() == ""
 
 
-def test_text_writers_write_utf8_whatever_the_locale(tmp_path):
-    src = os.path.dirname(os.path.dirname(asvbackend.__file__))
+def _c_locale_env():
+    """The environment of a child run under the C locale; with `-X utf8=0` its command line decodes to surrogates."""
     env = {key: value for key, value in os.environ.items() if key not in ("PYTHONUTF8", "PYTHONIOENCODING")}
-    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(asvbackend.__file__)), LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    return env
+
+
+def test_text_writers_write_utf8_whatever_the_locale(tmp_path):
+    env = _c_locale_env()
     # `ascii` passes the prefix é as an escape: the C locale would decode a command-line é to surrogates
     argv = ["synth", "--out-dir", str(tmp_path / "d"), "--dim", "2", "--rank", "1", "--train-speakers", "2",
             "--eval-speakers", "2", "--nontargets", "1", "--id-prefix", "é"]
@@ -1494,6 +1509,17 @@ def test_text_writers_write_utf8_whatever_the_locale(tmp_path):
     for name in ("train_test.embs", "eval.trials", "test_meta.txt"):
         written = (tmp_path / "d" / name).read_text(encoding="utf-8")
         assert all(line.startswith("é") for line in written.splitlines()), name
+
+
+def test_id_prefix_utf8_cannot_encode_exits_6_before_writing(tmp_path):
+    # the bytes of é become lone surrogates, which no text or binary file can hold
+    argv = [sys.executable, "-X", "utf8=0", "-m", "asvbackend.cli", "synth", "--out-dir", "out", "--id-prefix",
+            "é".encode("utf-8"), "--dim", "4", "--rank", "2", "--train-speakers", "5", "--eval-speakers", "3",
+            "--nontargets", "1"]
+    run = subprocess.run(argv, cwd=tmp_path, env=_c_locale_env(), capture_output=True)
+    assert run.returncode == 6, run.stderr
+    assert run.stderr.startswith(b"asvbackend: parameter: speaker_prefix: ") and run.stderr.count(b"\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 TRAINING_ROWS = "a-1 1.0 2.0\na-2 1.5 1.0\nb-1 -1.0 0.5\nb-2 -0.5 -1.5\nc-1 0.3 -0.2\nc-2 2.0 -1.0\n"

@@ -184,7 +184,8 @@ class TestKernel:
         collapsed = FourCovModel(plda, plda, np.eye(2), np.zeros((2, 2)))
         kernel = build_kernel(collapsed)
         same, indep = joint_covariances(collapsed)
-        between, marginal = plda.between_cov(), plda.marginal_cov()
+        between = plda.between_cov()
+        marginal = between + plda.residual_cov
         np.testing.assert_allclose(same[:4, 4:], between, atol=1e-12)
         np.testing.assert_allclose(indep[:4, :4], marginal, atol=1e-12)
         np.testing.assert_allclose(kernel.weights, kernel.weights.T, atol=1e-12)

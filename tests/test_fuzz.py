@@ -1,14 +1,25 @@
-"""The error contract under values at the edge of float64.
+"""The error contract under mutated input files.
 
-One token (a huge, subnormal or negative-zero value) replaces one
-component of one training, evaluation or cohort vector, or the score of
-one trial in a score file, and every stage that reads that file runs in
-process. Each must exit with a documented code (0, or 3 to 9). A failing
-stage prints one `asvbackend: ` line and writes no output and no temp
-file; a `domain:` line names the file that was changed. A stage that
-succeeds prints nothing on stderr. The run is derandomized with a fixed
-example count, so tier-1 runs the same cases every time, the pinned
-examples among them. A longer search sets the count:
+Three kinds of mutation, each applied to one file of a small dataset:
+- one token (a huge, subnormal, non-finite, underscored or negative-zero
+  value, or a byte that is not UTF-8) replaces one component of one
+  training, evaluation or cohort vector, or the score of one trial in a
+  score file;
+- one line of a vector, trial, score, calibration, metadata or routing
+  file is dropped, duplicated or swapped with another, or the file is
+  cut at a byte offset (its ids start with the two-byte `é`, so some
+  cuts fall inside a character);
+- one bit is flipped at fixed offsets of a side bundle, a two-sided
+  bundle and a binary embedding file.
+
+Every stage that reads the mutated file then runs in process, the files
+a routing config names included. Each must exit with a documented code
+(0, or 3 to 9). A failing stage prints one `asvbackend: ` line and
+writes no output and no temp file; a `domain:` line names the file that
+was changed. A stage that succeeds prints nothing on stderr and writes
+outputs that read back. The runs are derandomized with fixed example
+counts, so tier-1 runs the same cases every time, the pinned examples
+among them. A longer search sets the count of each search:
 
     ASVBACKEND_FUZZ_EXAMPLES=2000 PYTHONPATH=src python -m pytest tests/test_fuzz.py
 """
@@ -17,17 +28,21 @@ import contextlib
 import io
 import json
 import os
+import struct
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asvbackend import calibration, cli
+from asvbackend import calibration, cli, data, modelio
 
 EXAMPLES = int(os.environ.get("ASVBACKEND_FUZZ_EXAMPLES", "120"))
-TOKENS = ["1e308", "-1e308", "1.7e308", "1e200", "1e155", "1e154", "1e-320", "-0"]
+# "\udcff" stands for the byte 0xff, which is not UTF-8
+TOKENS = ["1e308", "-1e308", "1.7e308", "1e200", "1e155", "1e154", "1e-320", "-0",
+          "nan", "inf", "-inf", "1_0", "\udcff"]
 DIM = 16
 
 # each stage's argv over file names: a name the dataset holds is an input, one starting
@@ -50,8 +65,19 @@ STAGES = {
     "route-score": ["route-score", "--config", "routing.json", "--enroll", "eval_enroll.embs",
                     "--test", "eval_test.embs", "--trials", "eval.trials", "--out", "out.scores"],
 }
-TARGETS = ["train_enroll.embs", "train_test.embs", "eval_enroll.embs", "eval_test.embs",
-           "cohort_enroll.embs", "cohort_test.embs", "raw.scores"]
+# the files `routing.json` names, which `route-score` reads besides its argv;
+# synth's evaluation models have 3 segments and primary-language tests
+STACK = {"model": "fourcov.npz", "cohort_enroll": "cohort_enroll.embs", "cohort_test": "cohort_test.embs",
+         "calibration": "cal.txt", "top_k": 5}
+CONFIG = {"enroll_segments": "enroll_meta.txt", "test_language": "test_meta.txt",
+          "conditions": {"few-primary": STACK}}
+CONFIG_FILES = {value for value in [*STACK.values(), *CONFIG.values()] if isinstance(value, str)}
+# a binary copy of `eval_test.embs`, read in its place
+BINARY = "eval_test.bin"
+TOKEN_TARGETS = ["train_enroll.embs", "train_test.embs", "eval_enroll.embs", "eval_test.embs",
+                 "cohort_enroll.embs", "cohort_test.embs", "raw.scores"]
+LINE_TARGETS = ["train_enroll.embs", "eval_test.embs", "cohort_enroll.embs", "eval.trials", "raw.scores",
+                "cal.txt", "enroll_meta.txt", "test_meta.txt", "routing.json"]
 
 
 def run(*argv):
@@ -68,7 +94,7 @@ def dataset(tmp_path_factory):
     """A small synthetic dataset with the bundles, scores, calibration and routing config the stages load."""
     base = tmp_path_factory.mktemp("fuzz")
     assert run("synth", "--out-dir", base, "--dim", DIM, "--rank", 4, "--train-speakers", 30,
-               "--eval-speakers", 6, "--cohort-speakers", 8, "--nontargets", 3, "--seed", 3)[0] == 0
+               "--eval-speakers", 6, "--cohort-speakers", 8, "--nontargets", 3, "--seed", 3, "--id-prefix", "é")[0] == 0
     assert run("train-plda", "--embeddings", base / "train_enroll.embs", "--aggregate", 3, "--rank", 4,
                "--iters", 2, "--out", base / "side1.npz")[0] == 0
     assert run("train-plda", "--embeddings", base / "train_test.embs", "--rank", 4, "--iters", 2,
@@ -80,17 +106,64 @@ def dataset(tmp_path_factory):
                base / "eval_test.embs", "--trials", base / "eval.trials", "--out", base / "raw.scores")[0] == 0
     # a scale above 1 takes the largest finite scores beyond the float64 range
     calibration.write_calibration(base / "cal.txt", calibration.CalibrationModel(2.5, 0.1))
-    # synth's evaluation models have 3 segments and primary-language tests
-    stack = {"model": "fourcov.npz", "cohort_enroll": "cohort_enroll.embs", "cohort_test": "cohort_test.embs",
-             "calibration": "cal.txt", "top_k": 5}
-    config = {"enroll_segments": "enroll_meta.txt", "test_language": "test_meta.txt",
-              "conditions": {"few-primary": stack}}
-    (base / "routing.json").write_text(json.dumps(config))
+    # one key per line, so that line mutations edit the config
+    (base / "routing.json").write_text(json.dumps(CONFIG, indent=1))
+    data.write_embeddings(base / BINARY, data.read_embeddings(base / "eval_test.embs"), binary=True)
     return base
 
 
+def read_output(stage, path):
+    """Read back an output of a stage that succeeded; a file that does not read back raises."""
+    if path.endswith(".npz"):
+        (modelio.load_fourcov if stage == "fit-fourcov" else modelio.load_plda_side)(path)
+    elif path.endswith(".scores"):
+        data.read_scores(path)
+    elif path.endswith(".cal"):
+        calibration.read_calibration(path)
+    else:
+        det = np.loadtxt(path, ndmin=2)  # `# p_fa p_miss`, then one point per line
+        assert det.shape[1] == 2 and ((0 <= det) & (det <= 1)).all()
+
+
+def check_stages(dataset, target, content):
+    """Run every stage that reads `target`, with `content` (bytes) in its place, and check the exit contract."""
+    with tempfile.TemporaryDirectory() as work:
+        name = "eval_test.embs" if target == BINARY else target
+        for entry in os.listdir(dataset):
+            if entry != name:
+                os.symlink(dataset / entry, os.path.join(work, entry))
+        mutated = os.path.join(work, name)
+        with open(mutated, "wb") as fh:
+            fh.write(content)
+        ran = 0
+        for stage, argv in STAGES.items():
+            reads = set(map(str, argv)) | (CONFIG_FILES if "routing.json" in argv else set())
+            if name not in reads:
+                continue
+            ran += 1
+            out = os.path.join(work, stage)
+            os.mkdir(out)
+
+            def path(arg):
+                if arg.startswith("out"):
+                    return os.path.join(out, arg)
+                return os.path.join(work, arg) if os.path.isfile(os.path.join(work, arg)) else arg
+
+            code, err = run(*(path(str(a)) for a in argv))
+            assert code == 0 or 3 <= code <= 9, (stage, code, err)
+            if code:
+                assert err.startswith("asvbackend: ") and err.count("\n") == 1, (stage, err)
+                assert os.listdir(out) == [], (stage, err)
+                assert not err.startswith("asvbackend: domain:") or mutated in err, (stage, err)
+            else:
+                assert err == "", (stage, err)
+                for output in os.listdir(out):
+                    read_output(stage, os.path.join(out, output))
+        assert ran, target
+
+
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
-@given(token=st.sampled_from(TOKENS), target=st.sampled_from(TARGETS),
+@given(token=st.sampled_from(TOKENS), target=st.sampled_from(TOKEN_TARGETS),
        row=st.integers(0, 10**6), column=st.integers(0, DIM - 1))
 # the first trial is a target: -1e308 overflows the calibration fit, and each of the three
 # overflows its calibration (scale 2.5) and its S-norm over top-2 cohort statistics
@@ -100,33 +173,64 @@ def dataset(tmp_path_factory):
 # an evaluation and a cohort vector that cannot be length-normalized
 @example(token="1e308", target="eval_test.embs", row=0, column=0)
 @example(token="1e308", target="cohort_test.embs", row=2, column=0)
+# a non-UTF-8 byte in a training file, and a non-finite cohort value, which route-score reads too
+@example(token="\udcff", target="train_test.embs", row=0, column=0)
+@example(token="nan", target="cohort_enroll.embs", row=0, column=0)
 def test_edge_values_keep_the_error_contract(dataset, token, target, row, column):
-    lines = (dataset / target).read_text().splitlines()
+    lines = (dataset / target).read_text(encoding="utf-8").splitlines()
     fields = lines[row % len(lines)].split()
     fields[2 if target.endswith(".scores") else 1 + column] = token
     lines[row % len(lines)] = " ".join(fields)
-    with tempfile.TemporaryDirectory() as work:
-        mutated = os.path.join(work, target)
-        with open(mutated, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        for stage, argv in STAGES.items():
-            if target not in argv:
-                continue
-            out = os.path.join(work, stage)
-            os.mkdir(out)
+    check_stages(dataset, target, ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
-            def path(name):
-                if str(name).startswith("out"):
-                    return os.path.join(out, name)
-                if name == target:
-                    return mutated
-                return dataset / name if (dataset / str(name)).is_file() else name
 
-            code, err = run(*map(path, argv))
-            assert code == 0 or 3 <= code <= 9, (stage, code, err)
-            if code:
-                assert err.startswith("asvbackend: ") and err.count("\n") == 1, (stage, err)
-                assert os.listdir(out) == [], (stage, err)
-                assert not err.startswith("asvbackend: domain:") or mutated in err, (stage, err)
-            else:
-                assert err == "", (stage, err)
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+@given(target=st.sampled_from(LINE_TARGETS), mutation=st.sampled_from(["drop", "duplicate", "swap", "cut"]),
+       at=st.integers(0, 10**6), other=st.integers(0, 10**6))
+# a cut inside the first id's `é`, and a routing config cut inside its first key
+@example(target="eval.trials", mutation="cut", at=1, other=0)
+@example(target="routing.json", mutation="cut", at=5, other=0)
+# a repeated trial, a dropped score and a repeated calibration key
+@example(target="eval.trials", mutation="duplicate", at=0, other=0)
+@example(target="raw.scores", mutation="drop", at=0, other=0)
+@example(target="cal.txt", mutation="duplicate", at=1, other=0)
+def test_line_mutations_keep_the_error_contract(dataset, target, mutation, at, other):
+    content = (dataset / target).read_bytes()
+    lines = content.splitlines(keepends=True)
+    i, j = at % len(lines), other % len(lines)
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines = [content[: at % (len(content) + 1)]]
+    check_stages(dataset, target, b"".join(lines))
+
+
+def binary_offset(content, where):
+    """The byte offset `where` names in a binary embedding file: in the magic, the header
+    dimension, the first record's id length or id bytes, or its first float value."""
+    (id_len,) = struct.unpack("<I", content[12:16])
+    return {"magic": 3, "dimension": 8, "dimension-high": 11, "id-length": 12, "id-length-high": 15,
+            "id": 16, "id-second-byte": 17, "value": 16 + id_len, "value-exponent": 16 + id_len + 3}[where]
+
+
+# (offset, bit): offsets count from the start, or from the end if negative, over the zip
+# local header, the entry name, the .npy header and data, the central directory and the end record
+BUNDLE_FLIPS = [(0, 0), (8, 1), (14, 2), (30, 3), (40, 4), (80, 5), (200, 6), (600, 7),
+                (-120, 0), (-60, 1), (-22, 2), (-12, 3), (-2, 4)]
+BINARY_FLIPS = [("magic", 0), ("dimension", 0), ("dimension-high", 7), ("id-length", 0), ("id-length-high", 7),
+                ("id", 6), ("id-second-byte", 0), ("value", 0), ("value-exponent", 6)]
+
+
+@pytest.mark.parametrize("target, where, bit", [
+    *[(name, offset, bit) for name in ("side2.npz", "fourcov.npz") for offset, bit in BUNDLE_FLIPS],
+    *[(BINARY, where, bit) for where, bit in BINARY_FLIPS],
+])
+def test_bit_flips_keep_the_error_contract(dataset, target, where, bit):
+    content = bytearray((dataset / target).read_bytes())
+    offset = binary_offset(content, where) if target == BINARY else where % len(content)
+    content[offset] ^= 1 << bit
+    check_stages(dataset, target, bytes(content))

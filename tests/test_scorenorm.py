@@ -16,7 +16,6 @@ from asvbackend.scorenorm import (
     CohortSet,
     _top_k_stats,
     combine_normalized,
-    snorm,
     snorm_batch,
 )
 
@@ -155,16 +154,21 @@ class TestSnorm:
         cohorts = CohortSet(shared, shared, None)
         w = plda.mean + rng.standard_normal(4)
         cohort_scores = np.array([score_trial(kernel, w, c.vector) for c in shared])
-        raw = float(cohort_scores.mean())
-        assert abs(snorm(kernel, cohorts, w, w, raw)) < 1e-9
+        raw = ScoreSet.from_columns(["e"], ["t"], [cohort_scores.mean()])
+        normalized = snorm_batch(kernel, cohorts, [Embedding("e", w)], [Embedding("t", w)], raw)
+        assert abs(normalized.values()[0]) < 1e-9
 
     def test_full_top_k_equals_plain(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         full = CohortSet(cohorts.enroll_cohort, cohorts.test_cohort, len(cohorts.test_cohort))
-        w_e = rng.standard_normal(5)
-        w_t = rng.standard_normal(5)
-        raw = score_trial(kernel, w_e, w_t)
-        assert snorm(kernel, cohorts, w_e, w_t, raw) == snorm(kernel, full, w_e, w_t, raw)
+        enrolls = EmbeddingTable.from_columns(["e0", "e1"], rng.standard_normal((2, 5)))
+        tests = EmbeddingTable.from_columns(["t0", "t1", "t2"], rng.standard_normal((3, 5)))
+        trials = TrialList.from_columns(["e0", "e0", "e1", "e1"], ["t0", "t1", "t1", "t2"], [None] * 4)
+        raw = score_batch(kernel, enrolls, tests, trials)
+        np.testing.assert_array_equal(
+            snorm_batch(kernel, cohorts, enrolls, tests, raw).values(),
+            snorm_batch(kernel, full, enrolls, tests, raw).values(),
+        )
 
     def test_symmetric_reduction_to_classic_formula(self, rng):
         plda = random_plda(rng, 4, 2)
@@ -177,34 +181,39 @@ class TestSnorm:
         raw = score_trial(kernel, w, w) + 1.7
         cohort_scores = np.array([score_trial(kernel, w, c.vector) for c in shared])
         classic = (raw - cohort_scores.mean()) / cohort_scores.std()
-        np.testing.assert_allclose(snorm(kernel, cohorts, w, w, raw), classic, atol=1e-9)
+        scores = ScoreSet.from_columns(["e"], ["t"], [raw])
+        normalized = snorm_batch(kernel, cohorts, [Embedding("e", w)], [Embedding("t", w)], scores)
+        np.testing.assert_allclose(normalized.values()[0], classic, atol=1e-9)
 
     def test_affine_invariance(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         transformed = scaled_kernel(kernel, 3.0, 7.0)
-        for _ in range(25):
-            w_e = rng.standard_normal(5)
-            w_t = rng.standard_normal(5)
-            raw = score_trial(kernel, w_e, w_t)
-            raw_t = score_trial(transformed, w_e, w_t)
-            np.testing.assert_allclose(raw_t, 3.0 * raw + 7.0, atol=1e-9)
-            assert (
-                abs(snorm(kernel, cohorts, w_e, w_t, raw) - snorm(transformed, cohorts, w_e, w_t, raw_t))
-                < 1e-10
-            )
+        n = 25
+        enrolls = EmbeddingTable.from_columns([f"e{i}" for i in range(n)], rng.standard_normal((n, 5)))
+        tests = EmbeddingTable.from_columns([f"t{i}" for i in range(n)], rng.standard_normal((n, 5)))
+        trials = TrialList.from_columns(enrolls.ids, tests.ids, [None] * n)
+        raw = score_batch(kernel, enrolls, tests, trials)
+        raw_t = score_batch(transformed, enrolls, tests, trials)
+        np.testing.assert_allclose(raw_t.values(), 3.0 * raw.values() + 7.0, atol=1e-9)
+        normalized = snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
+        normalized_t = snorm_batch(transformed, cohorts, enrolls, tests, raw_t).values()
+        assert np.all(np.abs(normalized - normalized_t) < 1e-10)
 
     @pytest.mark.parametrize("side", ["enrollment", "test"])
     def test_wrong_dimension_names_side(self, kernel_and_cohorts, rng, side):
+        # a batch of one whose rows are named after their sides
         kernel, cohorts = kernel_and_cohorts
         vectors = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5)}
         vectors[side] = rng.standard_normal(4)
+        raw = ScoreSet.from_columns(["enrollment"], ["test"], [0.0])
         with pytest.raises(DimensionMismatchError, match=f"^{side} vector '{side}' has dimension 4, kernel dimension is 5$"):
-            snorm(kernel, cohorts, vectors["enrollment"], vectors["test"], 0.0)
+            snorm_batch(kernel, cohorts, [Embedding("enrollment", vectors["enrollment"])],
+                        [Embedding("test", vectors["test"])], raw)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bad", ["enrollment", "test", "raw"])
     def test_non_finite_input_raises_naming_it(self, kernel_and_cohorts, rng, bad, value):
-        # as a table would reject it, before any arithmetic could warn
+        # a batch of one's rows and score set refuse it, before any arithmetic could warn
         kernel, cohorts = kernel_and_cohorts
         inputs = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5), "raw": 1.0}
         if bad == "raw":
@@ -216,17 +225,20 @@ class TestSnorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
-                snorm(kernel, cohorts, inputs["enrollment"], inputs["test"], inputs["raw"])
+                snorm_batch(kernel, cohorts, [Embedding("enrollment", inputs["enrollment"])],
+                            [Embedding("test", inputs["test"])],
+                            ScoreSet.from_columns(["enrollment"], ["test"], [inputs["raw"]]))
 
     def test_order_preserved_for_shared_enrollment(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         w_e = rng.standard_normal(5)
-        # same test vector, so test-side stats are shared; higher raw must
-        # stay higher after normalization
+        # one test vector under two ids, so the two trials share both sides'
+        # stats; higher raw must stay higher after normalization
         w_t = rng.standard_normal(5)
         raw = score_trial(kernel, w_e, w_t)
-        lo = snorm(kernel, cohorts, w_e, w_t, raw - 0.5)
-        hi = snorm(kernel, cohorts, w_e, w_t, raw + 0.5)
+        tests = [Embedding("t0", w_t), Embedding("t1", w_t)]
+        scores = ScoreSet.from_columns(["e", "e"], ["t0", "t1"], [raw - 0.5, raw + 0.5])
+        lo, hi = snorm_batch(kernel, cohorts, [Embedding("e", w_e)], tests, scores).values()
         assert hi > lo
 
 
@@ -246,16 +258,9 @@ class TestSnormBatch:
         )
         return enrolls, tests, raw
 
-    def test_batch_of_one_equals_snorm(self, kernel_and_cohorts, rng):
-        kernel, cohorts = kernel_and_cohorts
-        enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 1, 1)
-        batch = snorm_batch(kernel, cohorts, enrolls, tests, raw)
-        single = snorm(kernel, cohorts, enrolls[0].vector, tests[0].vector, raw.entries[0].score)
-        np.testing.assert_array_equal(batch.values(), [single])
-
     def test_one_trial_paths_equal_the_batches_to_rounding(self, rng):
-        # a batch of one is bit-equal (above); in a batch of 300, BLAS may
-        # round a many-row product differently from a one-row one
+        # a batch of one is bit-equal (test_properties); in a batch of 300,
+        # BLAS may round a many-row product differently from a one-row one
         d, n = 200, 300
         truth = random_truth(rng, d, 100, 100)
         kernel = build_kernel(truth.as_fourcov())
@@ -267,34 +272,27 @@ class TestSnormBatch:
         enrolls, tests = table("e", truth.enroll_mean, n), table("t", truth.test_mean, n)
         cohorts = CohortSet(table("ce", truth.enroll_mean, 50), table("ct", truth.test_mean, 50), 20)
         raw = score_batch(kernel, enrolls, tests, TrialList.from_columns(enrolls.ids, tests.ids, [None] * n))
-        normalized = snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
-        pairs = list(zip(enrolls.matrix, tests.matrix, raw.values()))
-        for batch, single in (
-            (raw.values(), [score_trial(kernel, e, t) for e, t, _ in pairs]),
-            (normalized, [snorm(kernel, cohorts, e, t, score) for e, t, score in pairs]),
-        ):
-            assert np.all(np.abs(np.array(single) - batch) <= 1e-12 * np.maximum(1.0, np.abs(batch)))
+        batch = raw.values()
+        single = [score_trial(kernel, e, t) for e, t in zip(enrolls.matrix, tests.matrix)]
+        assert np.all(np.abs(np.array(single) - batch) <= 1e-12 * np.maximum(1.0, np.abs(batch)))
 
     def test_batch_matches_naive_loop(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 25, 40)  # 1000 trials
-        batch = snorm_batch(kernel, cohorts, enrolls, tests, raw)
-        e_map = {e.id: e.vector for e in enrolls}
-        t_map = {t.id: t.vector for t in tests}
-        for got, entry in zip(batch, raw):
-            expected = snorm(kernel, cohorts, e_map[entry.enroll_id], t_map[entry.test_id], entry.score)
-            assert abs(got.score - expected) < 1e-10
+        batch = snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
+        for i, got in enumerate(batch):
+            expected = snorm_batch(kernel, cohorts, enrolls, tests, raw.take([i])).values()[0]
+            assert abs(got - expected) < 1e-10
 
     def test_shared_enrollment_shares_stats(self, kernel_and_cohorts, rng):
         kernel, cohorts = kernel_and_cohorts
         enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 1, 2)
-        batch = snorm_batch(kernel, cohorts, enrolls, tests, raw)
+        batch = snorm_batch(kernel, cohorts, enrolls, tests, raw).values()
         # invert the combination: with equal raw input both trials' enroll-side
-        # stats must coincide; verify via the per-trial path
-        for got, entry in zip(batch, raw):
-            expected = snorm(kernel, cohorts, enrolls[0].vector,
-                             {t.id: t.vector for t in tests}[entry.test_id], entry.score)
-            assert abs(got.score - expected) < 1e-12
+        # stats must coincide; verify via each trial alone
+        for i, got in enumerate(batch):
+            expected = snorm_batch(kernel, cohorts, enrolls, tests, raw.take([i])).values()[0]
+            assert abs(got - expected) < 1e-12
 
     def test_degenerate_cohort_names_trial_side(self, rng):
         plda = random_plda(rng, 3, 2)
