@@ -190,6 +190,7 @@ def _cmd_snorm(args) -> int:
         top_k = None if args.top_k == "all" else int(args.top_k)
     except ValueError:
         raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
+    scorenorm.check_top_k(top_k)
     model, pre1, pre2 = modelio.load_fourcov(args.model)
     enrolls, tests = fourcov.read_model_space_pair(pre1, pre2, args.enroll, args.test)
     scores = data.read_scores(args.scores)

@@ -208,10 +208,10 @@ def load_routing_config(path) -> RoutingConfig:
     The document, `conditions` and each condition are JSON objects that
     hold no keys but those above, each condition is named by one of the
     CONDITIONS tags, paths are strings, `enroll_seg_threshold` is a
-    positive integer and `top_k` a positive integer or null (the whole
-    cohort); anything else raises `ConfigError` before any referenced
-    file is read. Relative paths resolve against the config file's
-    directory, and every referenced path must be a regular file. Of
+    positive integer and `top_k` an integer of at least 2 or null (the
+    whole cohort); anything else raises `ConfigError` before any
+    referenced file is read. Relative paths resolve against the config
+    file's directory, and every referenced path must be a regular file. Of
     those files only the two metadata maps are read; `load_pipelines`
     reads the rest.
     """

@@ -4,8 +4,10 @@ A raw trial score is z-normalized twice — once against the scores of the
 enrollment vector versus a test-side impostor cohort, once against an
 enrollment-side impostor cohort versus the test vector — and the two
 normalized values are averaged. Statistics can be restricted to the
-top-k highest cohort scores per side (adaptive variant); values tied at
-the k-th score are all kept so selection is order-independent.
+k highest cohort scores per side (adaptive variant): exactly k values
+per row. Those are one multiset whichever of several values equal to
+the k-th are picked, so the cohort's order changes the statistics by
+rounding at most.
 
 Cohort embeddings must live in the same preprocessed space as the trial
 vectors; enrollment-side cohort entries may themselves be aggregated
@@ -58,13 +60,17 @@ class CohortSet:
 
 
 def check_top_k(top_k) -> None:
-    """Raise unless `top_k` is None (the whole cohort) or a positive integer."""
+    """Raise unless `top_k` is None (the whole cohort) or an integer of at least 2.
+
+    One value has std 0: a `top_k` of 1 would fail every row as a
+    degenerate cohort.
+    """
     if top_k is None:
         return
     if isinstance(top_k, bool) or not isinstance(top_k, numbers.Integral):
         raise ParameterError(f"top_k must be an integer or None, got {top_k!r}")
-    if top_k < 1:
-        raise ParameterError(f"top_k must be positive, got {top_k}")
+    if top_k < 2:
+        raise ParameterError(f"top_k must be at least 2, got {top_k}")
 
 
 def _cohort_table(cohort, side: str) -> EmbeddingTable:
@@ -76,21 +82,14 @@ def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.
     """Write each grid row's (mean, std) of its selected scores into `out`.
 
     `grid` is scratch space; its values are lost. With numeric top_k
-    below the row length m, it is partitioned in place, row by row: the
-    k highest scores move to its last k columns and column m - k holds
-    each row's boundary. A row with an equal score below the boundary
-    has a tie at k, and only such a row is gathered, before the grid is
-    overwritten, to keep every score >= its boundary. A std below
-    `MIN_COHORT_STD` raises `NormalizationError` for the first such
-    row, naming it as `names`, a (side, row ids) pair, does.
+    below the row length m, it is partitioned in place, row by row, and
+    the statistics are those of each row's last k columns: its k highest
+    scores. A std below `MIN_COHORT_STD` raises `NormalizationError`
+    naming the first such row through `names`, a (side, row ids) pair.
     """
     cut = 0 if top_k is None else max(grid.shape[1] - top_k, 0)
-    tied = ()
     if cut:
         grid.partition(cut, axis=1)
-        boundary = grid[:, cut]
-        ties = np.flatnonzero(grid[:, :cut].max(axis=1) == boundary)
-        tied = [(i, grid[i][grid[i] >= boundary[i]]) for i in ties]
     top = grid[:, cut:]
     # np.mean's and np.std's arithmetic, with the deviations formed in
     # place: np.std would allocate a second `top`, a whole grid for top_k None
@@ -98,8 +97,6 @@ def _top_k_stats(grid: np.ndarray, top_k: int | None, cohort_side: str, out: np.
     top -= out[:, :1]
     top *= top
     out[:, 1] = np.sqrt(top.sum(axis=1) / top.shape[1])
-    for i, selected in tied:
-        out[i] = selected.mean(), selected.std()
     degenerate = np.flatnonzero(out[:, 1] < MIN_COHORT_STD)
     if degenerate.size:
         i = degenerate[0]

@@ -1314,6 +1314,42 @@ def test_bad_output_exits_3_before_any_input_is_read(stage_files, tmp_path, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("top_k", ["1", "0", "-1"])
+def test_snorm_top_k_below_2_exits_6_before_any_input_is_read(stage_files, tmp_path, capsys, monkeypatch, top_k):
+    # one cohort score per row has std 0, so a top-k of 1 would fail every row after all the reading
+    stage, argv = STAGE_ARGVS["snorm"]
+    args = _stage_args({**argv, "--top-k": top_k}, stage_files, tmp_path)
+    _refuse_inputs(monkeypatch)
+    assert invoke(stage, *args) == 6
+    assert capsys.readouterr().err == f"asvbackend: parameter: top_k must be at least 2, got {top_k}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_routing_top_k_1_exits_8_before_any_vector_file_is_read(stage_files, tmp_path, capsys, monkeypatch):
+    source = stage_files["routing.json"]
+    doc = json.loads(source.read_text())
+    stack = doc["conditions"]["few-primary"]
+    stack.update({key: str(source.parent / value) for key, value in stack.items() if key != "top_k"}, top_k=1)
+    for key in ("enroll_segments", "test_language"):
+        doc[key] = str(source.parent / doc[key])
+    config = tmp_path / "routing.json"
+    config.write_text(json.dumps(doc))
+    stage, argv = STAGE_ARGVS["route-score"]
+    args = _stage_args(argv, {**stage_files, "routing.json": config}, tmp_path)
+    read_config = routing.open_input
+
+    def config_only(path):
+        assert path == str(config), f"{path} was opened before the config was checked"
+        return read_config(path)
+
+    _refuse_inputs(monkeypatch)
+    monkeypatch.setattr(routing, "open_input", config_only)
+    assert invoke(stage, *args) == 8
+    assert capsys.readouterr().err == (
+        f"asvbackend: config: {config}: condition 'few-primary' top_k must be at least 2, got 1\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_interpolate_runs_the_readme_recipe(stage_files, tmp_path, capsys):
     # the in-domain side fits its preprocessor, the out-of-domain side trains in its space,
     # and their interpolation carries that preprocessor

@@ -87,6 +87,9 @@ ERRORS = {
     "table-columns-shape": (
         lambda: EmbeddingTable.from_columns(["a"], np.zeros(3)),
         DimensionMismatchError, "expected a non-empty (1, d) matrix for 1 ids, got shape (3,)"),
+    "table-columns-non-finite": (
+        lambda: EmbeddingTable.from_columns(["a", "b", "c"], [[0.0, 1.0], [np.inf, 0.0], [np.nan, np.nan]]),
+        DomainError, "embedding 'b' contains non-finite values"),
     "speaker-group-dimensions": (
         lambda: SpeakerGroup("s", (Embedding("s-1", np.zeros(2)), Embedding("s-2", np.zeros(3)))),
         DimensionMismatchError, "speaker group 's' mixes dimensions [2, 3]"),
@@ -126,3 +129,18 @@ def test_atomic_write_that_fails_leaves_the_target_and_no_temp_file(tmp_path):
             raise RuntimeError("body failed")
     assert target.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_atomic_write_whose_cleanup_fails_raises_the_first_error(tmp_path, monkeypatch):
+    # a temp file that cannot be removed is left behind; the body's error is the one raised
+    def refuse(path):
+        raise OSError(f"cannot remove {path}")
+
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+    monkeypatch.setattr(data.os, "unlink", refuse)
+    with pytest.raises(RuntimeError, match="^body failed$"):
+        with data.atomic_write(target) as fh:
+            fh.write("new\n")
+            raise RuntimeError("body failed")
+    assert target.read_text() == "old\n"

@@ -1,15 +1,21 @@
 """The error contract under mutated input files.
 
-Three kinds of mutation, each applied to one file of a small dataset:
+Five kinds of mutation, each applied to one file of a small dataset:
 - one token (a huge, subnormal, non-finite, underscored or negative-zero
   value, or a byte that is not UTF-8) replaces one component of one
   training, evaluation or cohort vector, or the score of one trial in a
   score file;
-- one line of a vector, trial, score, calibration, metadata or routing
-  file is dropped, duplicated or swapped with another, or the file is
-  cut at a byte offset (its ids start with the two-byte `é`, so some
-  cuts fall inside a character);
-- one bit is flipped at fixed offsets of a side bundle, a two-sided
+- one line of a vector, trial, score, calibration, metadata, speaker-map
+  or routing file is dropped, duplicated or swapped with another, or the
+  file is cut at a byte offset (its ids start with the two-byte `é`, so
+  some cuts fall inside a character);
+- one field of a line of those files but the routing config is blanked,
+  repeated or upper-cased, which misspells a label (`TGT`), a language,
+  a key or an id;
+- one value of the routing config is replaced by a JSON value of another
+  type or range (a `top_k` of -1, 0, 1, 10^9, 1.5 or `true` among them),
+  or an unknown key is added;
+- one bit is flipped at fixed offsets of two side bundles, a two-sided
   bundle and a binary embedding file.
 
 Every stage that reads the mutated file then runs in process, the files
@@ -19,11 +25,13 @@ writes no output and no temp file; a `domain:` line names the file that
 was changed. A stage that succeeds prints nothing on stderr and writes
 outputs that read back. The runs are derandomized with fixed example
 counts, so tier-1 runs the same cases every time, the pinned examples
-among them. A longer search sets the count of each search:
+among them. A longer search sets the count of the token and line
+searches; the field and config searches run half as many:
 
     ASVBACKEND_FUZZ_EXAMPLES=2000 PYTHONPATH=src python -m pytest tests/test_fuzz.py
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -48,12 +56,16 @@ DIM = 16
 # each stage's argv over file names: a name the dataset holds is an input, one starting
 # with `out` an output of the run
 STAGES = {
-    "train-plda": ["train-plda", "--embeddings", "train_test.embs", "--rank", 4, "--iters", 2, "--out", "out.npz"],
+    "train-plda": ["train-plda", "--embeddings", "train_test.embs", "--speaker-map", "train_test.map", "--rank", 4,
+                   "--iters", 2, "--out", "out.npz"],
     "train-plda --pre": ["train-plda", "--embeddings", "train_enroll.embs", "--aggregate", 3, "--pre", "side2.npz",
                          "--rank", 4, "--iters", 2, "--out", "out.npz"],
     "fit-fourcov": ["fit-fourcov", "--enroll-model", "side1.npz", "--test-model", "side2.npz",
                     "--enroll-embeddings", "train_enroll.embs", "--enroll-aggregate", 3,
-                    "--test-embeddings", "train_test.embs", "--out", "out.npz"],
+                    "--speaker-map-enroll", "train_enroll.map", "--test-embeddings", "train_test.embs",
+                    "--speaker-map-test", "train_test.map", "--out", "out.npz"],
+    "interpolate": ["interpolate", "--in-domain", "side2.npz", "--out-domain", "side_pre.npz", "--alpha", 0.5,
+                    "--out", "out.npz"],
     "score": ["score", "--model", "fourcov.npz", "--enroll", "eval_enroll.embs", "--test", "eval_test.embs",
               "--trials", "eval.trials", "--out", "out.scores"],
     "snorm": ["snorm", "--model", "fourcov.npz", "--scores", "raw.scores", "--enroll", "eval_enroll.embs",
@@ -76,8 +88,15 @@ CONFIG_FILES = {value for value in [*STACK.values(), *CONFIG.values()] if isinst
 BINARY = "eval_test.bin"
 TOKEN_TARGETS = ["train_enroll.embs", "train_test.embs", "eval_enroll.embs", "eval_test.embs",
                  "cohort_enroll.embs", "cohort_test.embs", "raw.scores"]
-LINE_TARGETS = ["train_enroll.embs", "eval_test.embs", "cohort_enroll.embs", "eval.trials", "raw.scores",
-                "cal.txt", "enroll_meta.txt", "test_meta.txt", "routing.json"]
+FIELD_TARGETS = ["train_enroll.embs", "eval_test.embs", "cohort_enroll.embs", "eval.trials", "raw.scores",
+                 "cal.txt", "enroll_meta.txt", "test_meta.txt", "train_enroll.map", "train_test.map"]
+LINE_TARGETS = [*FIELD_TARGETS, "routing.json"]
+# where a routing-config edit puts its value: every key the config holds, one it may hold
+# (`enroll_seg_threshold`) and three it may not
+CONFIG_PATHS = [*[(key,) for key in CONFIG], ("conditions", "few-primary"),
+                *[("conditions", "few-primary", key) for key in STACK], ("enroll_seg_threshold",),
+                ("unknown",), ("conditions", "few-tertiary"), ("conditions", "few-primary", "unknown")]
+JSON_VALUES = [None, True, False, -1, 0, 1, 2, 10**9, 1.5, "", "x", [], {}]
 
 
 def run(*argv):
@@ -104,6 +123,12 @@ def dataset(tmp_path_factory):
                "--test-embeddings", base / "train_test.embs", "--out", base / "fourcov.npz")[0] == 0
     assert run("score", "--model", base / "fourcov.npz", "--enroll", base / "eval_enroll.embs", "--test",
                base / "eval_test.embs", "--trials", base / "eval.trials", "--out", base / "raw.scores")[0] == 0
+    # a side bundle in side2's preprocessed space, which `interpolate` combines with side2
+    assert run("train-plda", "--embeddings", base / "train_enroll.embs", "--aggregate", 3, "--pre", base / "side2.npz",
+               "--rank", 4, "--iters", 2, "--out", base / "side_pre.npz")[0] == 0
+    for side in ("train_enroll", "train_test"):
+        ids = data.read_embeddings(base / f"{side}.embs").ids
+        data.write_id_map(base / f"{side}.map", {i: data.speaker_of(i) for i in ids})
     # a scale above 1 takes the largest finite scores beyond the float64 range
     calibration.write_calibration(base / "cal.txt", calibration.CalibrationModel(2.5, 0.1))
     # one key per line, so that line mutations edit the config
@@ -209,6 +234,64 @@ def test_line_mutations_keep_the_error_contract(dataset, target, mutation, at, o
     check_stages(dataset, target, b"".join(lines))
 
 
+@settings(max_examples=EXAMPLES // 2, derandomize=True, deadline=None)
+@given(target=st.sampled_from(FIELD_TARGETS), edit=st.sampled_from(["blank", "repeat", "upper"]),
+       row=st.integers(0, 10**6), field=st.integers(0, 10**6))
+# a misspelt trial label, language and calibration key
+@example(target="eval.trials", edit="upper", row=0, field=2)
+@example(target="test_meta.txt", edit="upper", row=0, field=1)
+@example(target="cal.txt", edit="upper", row=0, field=0)
+# a speaker map's line without its speaker, and a vector with one component too many
+@example(target="train_test.map", edit="blank", row=0, field=1)
+@example(target="eval_test.embs", edit="repeat", row=0, field=1)
+def test_field_edits_keep_the_error_contract(dataset, target, edit, row, field):
+    lines = (dataset / target).read_text(encoding="utf-8").splitlines()
+    fields = lines[row % len(lines)].split()
+    i = field % len(fields)
+    if edit == "blank":
+        del fields[i]
+    elif edit == "repeat":
+        fields.insert(i, fields[i])
+    else:
+        fields[i] = fields[i].upper()
+    lines[row % len(lines)] = " ".join(fields)
+    check_stages(dataset, target, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+@settings(max_examples=EXAMPLES // 2, derandomize=True, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=st.sampled_from(JSON_VALUES))
+@example(path=("conditions", "few-primary", "top_k"), value=-1)
+@example(path=("conditions", "few-primary", "top_k"), value=0)
+@example(path=("conditions", "few-primary", "top_k"), value=1)
+@example(path=("conditions", "few-primary", "top_k"), value=10**9)
+@example(path=("conditions", "few-primary", "top_k"), value=1.5)
+@example(path=("conditions", "few-primary", "top_k"), value=True)
+@example(path=("conditions", "few-primary", "unknown"), value=2)
+def test_config_value_edits_keep_the_error_contract(dataset, path, value):
+    doc = json.loads((dataset / "routing.json").read_text(encoding="utf-8"))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    check_stages(dataset, "routing.json", json.dumps(doc, indent=1).encode("utf-8"))
+
+
+def test_every_stage_that_reads_a_file_is_fuzzed():
+    # an input option that no argv of `STAGES` passes would escape every mutation
+    parser = cli.build_parser()
+    (subcommands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    passed = {}
+    for argv in STAGES.values():
+        passed.setdefault(argv[0], set()).update(arg for arg in argv if str(arg).startswith("--"))
+    for name, sub in subcommands.choices.items():
+        inputs = {
+            action.option_strings[-1] for action in sub._actions
+            if action.option_strings and action.nargs != 0 and action.type is None and action.choices is None
+        } - {"--out", "--det-out", "--top-k"}
+        if name != "synth":
+            assert inputs <= passed.get(name, set()), name
+
+
 def binary_offset(content, where):
     """The byte offset `where` names in a binary embedding file: in the magic, the header
     dimension, the first record's id length or id bytes, or its first float value."""
@@ -226,7 +309,7 @@ BINARY_FLIPS = [("magic", 0), ("dimension", 0), ("dimension-high", 7), ("id-leng
 
 
 @pytest.mark.parametrize("target, where, bit", [
-    *[(name, offset, bit) for name in ("side2.npz", "fourcov.npz") for offset, bit in BUNDLE_FLIPS],
+    *[(name, offset, bit) for name in ("side2.npz", "side_pre.npz", "fourcov.npz") for offset, bit in BUNDLE_FLIPS],
     *[(BINARY, where, bit) for where, bit in BINARY_FLIPS],
 ])
 def test_bit_flips_keep_the_error_contract(dataset, target, where, bit):

@@ -245,15 +245,17 @@ class TestConfigValidation:
             ({**DOC, "enroll_seg_threshold": 0}, "routing.json: 'enroll_seg_threshold' must be positive, got 0"),
             ({**DOC, "enroll_seg_threshold": -2}, "routing.json: 'enroll_seg_threshold' must be positive, got -2"),
             ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 0}}},
-             "routing.json: condition 'few-primary' top_k must be positive, got 0"),
+             "routing.json: condition 'few-primary' top_k must be at least 2, got 0"),
             ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": -1}}},
-             "routing.json: condition 'few-primary' top_k must be positive, got -1"),
+             "routing.json: condition 'few-primary' top_k must be at least 2, got -1"),
             ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 100000}}},
              "routing.json: condition 'few-primary': top_k 100000 exceeds the smaller cohort size 3"),
             ({k: v for k, v in DOC.items() if k != "test_language"},
              "routing.json: the routing config is missing key(s) 'test_language'"),
             ({**DOC, "conditions": {"few-primary": {"model": "m.npz", "calibration": "c.cal"}}},
              "routing.json: condition 'few-primary' is missing key(s) 'cohort_enroll', 'cohort_test'"),
+            ({**DOC, "conditions": {"few-primary": {**STACK, "top_k": 1}}},
+             "routing.json: condition 'few-primary' top_k must be at least 2, got 1"),
         ],
     )
     def test_wrongly_typed_fields_exit_8(self, rng, tmp_path, capsys, doc, message):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from asvbackend import data, scorenorm
 from asvbackend.data import Embedding, EmbeddingTable, ScoredTrial, ScoreSet, TrialList
 from asvbackend.exceptions import DimensionMismatchError, DomainError, NormalizationError, ParameterError
-from asvbackend.fourcov import ScoringKernel, build_kernel, score_batch, score_trial, symmetric_kernel
+from asvbackend.fourcov import ScoringKernel, build_kernel, cohort_grids, score_batch, score_trial, symmetric_kernel
 from asvbackend.scorenorm import (
     MIN_COHORT_STD,
     CohortSet,
@@ -75,10 +75,11 @@ class TestStats:
         top = np.array([5.0, 4.0])
         np.testing.assert_allclose([mu, sd], [top.mean(), top.std()])
 
-    def test_boundary_ties_all_kept(self):
+    def test_boundary_tie_keeps_exactly_k(self):
+        # either 4.0 completes the top 2; the statistics are those of {5, 4}
         scores = np.array([5.0, 4.0, 4.0, 1.0])
         mu, sd = one_row_stats(scores, 2, "test-side")
-        kept = np.array([5.0, 4.0, 4.0])
+        kept = np.array([5.0, 4.0])
         np.testing.assert_allclose([mu, sd], [kept.mean(), kept.std()])
 
     def test_degenerate_scores_rejected(self):
@@ -107,7 +108,7 @@ class TestBlockStats:
         top_k = source.draw(st.none() | st.integers(1, m))
         expected = []
         for scores in grid:
-            kept = scores if top_k is None else scores[scores >= np.sort(scores)[-top_k]]
+            kept = scores if top_k is None else np.sort(scores)[-top_k:]
             expected.append((kept.mean(), kept.std()))
         expected = np.array(expected)
         ids = tuple(f"r{i}" for i in range(n))
@@ -318,7 +319,7 @@ class TestSnormBatch:
 
         enrolls, tests = (table(prefix, source.draw(st.integers(1, 8))) for prefix in ("e", "t"))
         cohort_pair = [table(prefix, source.draw(st.integers(2, 10))) for prefix in ("ce", "ct")]
-        top_k = source.draw(st.none() | st.integers(1, min(map(len, cohort_pair))))
+        top_k = source.draw(st.none() | st.integers(2, min(map(len, cohort_pair))))
         cohorts = CohortSet(*cohort_pair, top_k)
         pairs = [(e, t) for e in enrolls.ids for t in tests.ids]
         order = source.draw(st.permutations(range(len(pairs))))
@@ -338,6 +339,51 @@ class TestSnormBatch:
             np.testing.assert_array_equal(outcome(block, range(len(pairs))), expected)
         permuted = expected if isinstance(expected, str) else expected[list(order)]
         np.testing.assert_array_equal(outcome(256, order), permuted)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cohort_order_does_not_change_scores(self, source):
+        # integer vectors give integer scores, so rows often hold several values equal to
+        # their k-th: whichever of them the partition keeps, the k values are one multiset
+        d = 2
+        kernel = cross_kernel(d)
+
+        def table(prefix, rows):
+            matrix = source.draw(arrays(np.float64, (rows, d), elements=st.integers(-3, 3).map(float)))
+            return EmbeddingTable.from_columns([f"{prefix}{i}" for i in range(rows)], matrix)
+
+        enrolls, tests = (table(prefix, source.draw(st.integers(1, 6))) for prefix in ("e", "t"))
+        cohort_pair = [table(prefix, source.draw(st.integers(2, 12))) for prefix in ("ce", "ct")]
+        top_k = source.draw(st.none() | st.integers(2, min(map(len, cohort_pair))))
+        permuted = [cohort.take(source.draw(st.permutations(range(len(cohort))))) for cohort in cohort_pair]
+        raw = ScoreSet.from_columns([e for e in enrolls.ids for _ in tests.ids], tests.ids * len(enrolls),
+                                    np.arange(len(enrolls) * len(tests), dtype=np.float64))
+
+        def outcome(enroll_cohort, test_cohort):
+            try:
+                return snorm_batch(kernel, CohortSet(enroll_cohort, test_cohort, top_k), enrolls, tests, raw).values()
+            except NormalizationError as exc:
+                return str(exc)
+
+        expected = outcome(*cohort_pair)
+        for cohorts in ((permuted[0], cohort_pair[1]), (cohort_pair[0], permuted[1])):
+            got = outcome(*cohorts)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        for rows, side, other in ((enrolls, "enrollment", 1), (tests, "test", 0)):
+            for members in (cohort_pair[other], permuted[other]):
+                (grid,) = cohort_grids(kernel, rows.matrix, side, members)
+                kept = np.sort(grid, axis=1)[:, -(top_k or grid.shape[1]):]
+                oracle = np.stack([kept.mean(axis=1), kept.std(axis=1)], axis=1)
+                out = np.empty((len(rows), 2))
+                try:
+                    _top_k_stats(grid, top_k, "side", out, (side, rows.ids))
+                except NormalizationError:
+                    assert (oracle[:, 1] < MIN_COHORT_STD).any()
+                    continue
+                assert np.all(np.abs(out - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
 
     @pytest.mark.parametrize("block", [2, 256])
     def test_first_degenerate_row_is_named_after_tie_rows(self, monkeypatch, block):
