@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ScoreSet, TrialList, _check_tokens, atomic_write, read_id_map, score_rows
+from .data import ScoreSet, TrialList, _check_tokens, atomic_write, parse_float, read_id_map, score_rows
 from .exceptions import CalibrationFitError, FileFormatError, NumericalError, ParameterError
 
 SCALE_PENALTY = 1e-4
@@ -182,7 +182,7 @@ def read_calibration(path) -> tuple[CalibrationModel, str | None]:
     if unknown:
         raise FileFormatError(f"{path}: unknown key '{unknown[0]}'")
     try:
-        scale, offset = float(fields["scale"]), float(fields["offset"])
+        scale, offset = parse_float(fields["scale"]), parse_float(fields["offset"])
     except (KeyError, ValueError):
         raise FileFormatError(f"{path}: expected 'scale <a>' and 'offset <b>' lines") from None
     if not (math.isfinite(scale) and math.isfinite(offset)):

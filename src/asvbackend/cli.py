@@ -55,6 +55,20 @@ def _shared_speaker_stats(side, shared):
     return plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0])
 
 
+def _option_type(parse, name):
+    """An argparse type reading a number under the `data` number grammar; a value it refuses
+    exits 2 with argparse's 'invalid <name> value' error."""
+
+    def convert(text):
+        return parse(text)
+
+    convert.__name__ = name
+    return convert
+
+
+_INT, _FLOAT = _option_type(data.parse_int, "int"), _option_type(data.parse_float, "float")
+
+
 def _cmd_synth(args) -> int:
     existing = os.path.abspath(args.out_dir)
     while not os.path.lexists(existing):  # the nearest existing path must be a directory
@@ -187,7 +201,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_snorm(args) -> int:
     try:
-        top_k = None if args.top_k == "all" else int(args.top_k)
+        top_k = None if args.top_k == "all" else data.parse_int(args.top_k)
     except ValueError:
         raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
     scorenorm.check_top_k(top_k)
@@ -270,44 +284,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic two-sided dataset")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--test-rank", type=int, default=None)
-    p.add_argument("--train-speakers", type=int, default=500)
-    p.add_argument("--eval-speakers", type=int, default=200)
-    p.add_argument("--cohort-speakers", type=int, default=0)
-    p.add_argument("--enroll-segs", type=int, default=3, help="segments per enrollment sample")
+    p.add_argument("--dim", type=_INT, default=16)
+    p.add_argument("--rank", type=_INT, default=4)
+    p.add_argument("--test-rank", type=_INT, default=None)
+    p.add_argument("--train-speakers", type=_INT, default=500)
+    p.add_argument("--eval-speakers", type=_INT, default=200)
+    p.add_argument("--cohort-speakers", type=_INT, default=0)
+    p.add_argument("--enroll-segs", type=_INT, default=3, help="segments per enrollment sample")
     p.add_argument(
         "--train-enroll-samples",
-        type=int,
+        type=_INT,
         default=2,
         help="enrollment-style samples per training speaker",
     )
-    p.add_argument("--train-test-segs", type=int, default=3)
-    p.add_argument("--eval-test-segs", type=int, default=2)
-    p.add_argument("--snr", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=0.9)
-    p.add_argument("--kappa", type=float, default=1.0, help="test-side residual inflation")
-    p.add_argument("--rotation", type=float, default=0.0, help="test loading rotation (radians)")
-    p.add_argument("--mean-shift", type=float, default=0.0)
-    p.add_argument("--jitter", type=float, default=0.0, help="per-segment test noise jitter")
+    p.add_argument("--train-test-segs", type=_INT, default=3)
+    p.add_argument("--eval-test-segs", type=_INT, default=2)
+    p.add_argument("--snr", type=_FLOAT, default=1.0)
+    p.add_argument("--coupling", type=_FLOAT, default=0.9)
+    p.add_argument("--kappa", type=_FLOAT, default=1.0, help="test-side residual inflation")
+    p.add_argument("--rotation", type=_FLOAT, default=0.0, help="test loading rotation (radians)")
+    p.add_argument("--mean-shift", type=_FLOAT, default=0.0)
+    p.add_argument("--jitter", type=_FLOAT, default=0.0, help="per-segment test noise jitter")
     p.add_argument(
-        "--eval-jitter", type=float, default=None,
+        "--eval-jitter", type=_FLOAT, default=None,
         help="jitter for eval and cohort sets (defaults to --jitter)",
     )
-    p.add_argument("--augment-copies", type=int, default=0)
-    p.add_argument("--nontargets", type=int, default=50, help="impostor tests per enrollment")
+    p.add_argument("--augment-copies", type=_INT, default=0)
+    p.add_argument("--nontargets", type=_INT, default=50, help="impostor tests per enrollment")
     p.add_argument("--language", choices=routing.TEST_LANGUAGES, default="primary")
     p.add_argument("--id-prefix", default="")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_INT, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train-plda", help="fit preprocessing and PLDA for one side")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--speaker-map", default=None, help="two-column id->speaker file")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--aggregate", type=int, default=0, help="average consecutive chunks of N segments")
+    p.add_argument("--rank", type=_INT, default=None)
+    p.add_argument("--iters", type=_INT, default=10)
+    p.add_argument("--aggregate", type=_INT, default=0, help="average consecutive chunks of N segments")
     p.add_argument("--pre", default=None, help="train in the preprocessed space of this side bundle")
     p.add_argument("--out", required=True, help="side model bundle (.npz) to write")
     p.set_defaults(func=_cmd_train_plda)
@@ -317,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-model", required=True)
     p.add_argument("--enroll-embeddings", required=True)
     p.add_argument("--test-embeddings", required=True)
-    p.add_argument("--enroll-aggregate", type=int, default=0)
+    p.add_argument("--enroll-aggregate", type=_INT, default=0)
     p.add_argument("--speaker-map-enroll", default=None)
     p.add_argument("--speaker-map-test", default=None)
     p.add_argument("--out", required=True, help="two-sided model bundle (.npz) to write")
@@ -326,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interpolate", help="convex-combine two PLDA side models")
     p.add_argument("--in-domain", required=True)
     p.add_argument("--out-domain", required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_FLOAT, required=True)
     p.add_argument("--out", required=True, help="interpolated side model bundle to write")
     p.set_defaults(func=_cmd_interpolate)
 
@@ -368,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="EER / minDCF (and optional DET points)")
     p.add_argument("--scores", required=True)
     p.add_argument("--trials", required=True)
-    p.add_argument("--p-target", type=float, default=0.01)
-    p.add_argument("--c-miss", type=float, default=10.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
+    p.add_argument("--p-target", type=_FLOAT, default=0.01)
+    p.add_argument("--c-miss", type=_FLOAT, default=10.0)
+    p.add_argument("--c-fa", type=_FLOAT, default=1.0)
     p.add_argument("--det-out", default=None, help="optional DET-point file to write")
     p.set_defaults(func=_cmd_evaluate)
 

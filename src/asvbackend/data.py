@@ -27,6 +27,17 @@ string, the dimension as a little-endian u32, then one record per vector
 readers fill the matrix `_BLOCK_ROWS` rows at a time and check each
 block for finiteness as a whole.
 
+Every number the program reads, from a file or an option, follows one
+grammar: a token is ASCII only, holds no ``_``, and is otherwise a
+decimal, exponent, ``inf`` or ``nan`` form that ``float()`` takes (an
+integer is ASCII ``[+-]?[0-9]+``). So ``1_0``, ``٣`` and ``１`` are not
+numbers. The text readers take a block of up to `_BLOCK_ROWS` data
+lines, split each line's id (or ids) off its own, and convert all the
+block's numbers with one ``np.loadtxt`` call, which parses exactly this
+grammar to the bits ``float()`` gives. When that call fails, the same
+call on each line of the block in turn names the first bad line, so
+errors and their order are those of a line-by-line reader.
+
 All writers are atomic (temp file in the target directory, then rename).
 Score values are written with ``repr`` so text round-trips are exact for
 float64. The binary format stores float32, so its round-trip is bit-exact
@@ -36,6 +47,7 @@ for vectors that are float32-representable.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import tempfile
 from array import array
@@ -453,9 +465,49 @@ def _check_tokens(path, tokens: Iterable[str]) -> None:
             )
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _plain(text: str) -> bool:
+    """The number grammar's character rule: ASCII only, no '_'."""
+    return text.isascii() and "_" not in text
+
+
+def _number_rows(texts: Sequence[str]) -> np.ndarray:
+    """The numbers in each of `texts`, one row per text, converted by one `np.loadtxt` call.
+
+    Numbers are separated by whatever `str.split` splits on. A token
+    that breaks the number grammar, or rows of different lengths,
+    raise `ValueError`.
+    """
+    # `np.loadtxt` refuses a '\r' inside a line; the other separators it splits on already
+    rows = [text if text.isascii() and "\r" not in text else " ".join(text.split()) for text in texts]
+    if not all(map(_plain, rows)):
+        raise ValueError("a token breaks the number grammar")
+    return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+
+
+def parse_float(text: str) -> float:
+    """`text` as one number under the number grammar, surrounding whitespace ignored as `float()`
+    ignores it; anything else raises `ValueError`."""
+    token = text.strip()
+    if not token:
+        raise ValueError("no number")
+    return _number_rows([token]).item()
+
+
+def parse_int(text: str) -> int:
+    """`text` as an integer, ASCII `[+-]?[0-9]+`, surrounding whitespace ignored as `int()` ignores
+    it; anything else raises `ValueError`."""
+    token = text.strip()
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(token)
+
+
 def _data_lines(path, fh=None):
-    """(line number, fields) of each data line of `path`, read from `fh` if it is open already;
-    a line that is not UTF-8 raises `FileFormatError`."""
+    """(line number, stripped line) of each data line of `path`, read from `fh` if it is open
+    already; a line that is not UTF-8 raises `FileFormatError`."""
     with fh or open_input(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
@@ -464,54 +516,62 @@ def _data_lines(path, fh=None):
                 raise FileFormatError(f"{path}:{lineno}: line is not valid UTF-8") from None
             if not line or line.startswith("#"):
                 continue
-            yield lineno, line.split()
+            yield lineno, line
+
+
+def _read_blocks(rows, convert, store) -> None:
+    """`store(convert(block))` for each block of up to `_BLOCK_ROWS` of `rows`.
+
+    An error that `rows` raises comes after `convert` has checked the
+    rows before it, so errors come in line order, as a line-by-line
+    reader raises them. No block is held while the next is read.
+    """
+    block = []
+    try:
+        for row in rows:
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                store(convert(block))
+                block = []
+    except FileFormatError:
+        if block:
+            convert(block)
+        raise
+    if block:
+        store(convert(block))
 
 
 class _Rows:
-    """An embedding table filled by a reader, `_BLOCK_ROWS` rows at a time.
+    """An embedding table filled by a reader, a checked block of rows at a time.
 
-    The reader writes a row's values into `block[filled]`, a buffer of
-    the dtype it parses to, then calls `add(id)`. Each full block is
-    checked for finiteness as a whole, converted to float64 and copied
-    into the matrix. The matrix starts with room for `capacity` rows,
-    grows if needed and is cut to the rows read at the end. The block
-    has no more rows than that. `locate(i)` names row i of the file in
-    an error.
+    `store` checks each block for finiteness as a whole and copies it
+    into the float64 matrix. The matrix starts with room for `capacity`
+    rows, grows if needed and is cut to the rows read at the end.
     """
 
-    def __init__(self, dim: int, capacity: int, dtype, locate):
-        self.block = np.empty((min(_BLOCK_ROWS, capacity), dim), dtype=dtype)
+    def __init__(self, dim: int, capacity: int):
         self.matrix = np.empty((capacity, dim))
         self.ids: list[str] = []
-        self.filled = 0
-        self.locate = locate
 
-    def add(self, embedding_id: str) -> None:
-        self.ids.append(embedding_id)
-        self.filled += 1
-        if self.filled == len(self.block):
-            self._store()
-
-    def _store(self) -> None:
-        block = self.block[: self.filled]
-        start = len(self.ids) - self.filled
+    def store(self, ids: Sequence[str], block: np.ndarray, locate) -> None:
+        """Append rows `ids` with values `block`; `locate(i)` names row i of the block in an error."""
         bad = ~np.isfinite(block).all(axis=1)
         if bad.any():
-            row = start + int(np.argmax(bad))
-            raise FileFormatError(
-                f"{self.locate(row)}: embedding '{self.ids[row]}' contains non-finite values"
-            )
+            row = int(np.argmax(bad))
+            raise FileFormatError(f"{locate(row)}: embedding '{ids[row]}' contains non-finite values")
+        start = len(self.ids)
+        self.ids.extend(ids)
         if len(self.ids) > len(self.matrix):
-            self._resize(max(len(self.ids), 2 * len(self.matrix)))
+            # a text file's rows are not counted ahead: grow by a block, or by a sixteenth
+            # once that is more, so that the room beyond the last row stays small
+            self._resize(max(len(self.ids), len(self.matrix) + max(len(self.matrix) // 16, _BLOCK_ROWS)))
         self.matrix[start : len(self.ids)] = block
-        self.filled = 0
 
     def _resize(self, rows: int) -> None:
         # in place (realloc): no view of the matrix exists while it is filled
         self.matrix.resize((rows, self.matrix.shape[1]), refcheck=False)
 
     def table(self) -> EmbeddingTable:
-        self._store()
         self._resize(len(self.ids))
         return EmbeddingTable._make(tuple(self.ids), self.matrix)
 
@@ -522,27 +582,58 @@ def read_embeddings(path) -> EmbeddingTable:
         if fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC:
             return _read_embeddings_binary(path, fh)
         fh.seek(0)
-        rows = None
-        lines: list[int] = []
-        for lineno, parts in _data_lines(path, fh):
-            if len(parts) < 2:
-                raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got {len(parts)} fields")
-            try:
-                values = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
-            if rows is None:
-                dim, first_line = len(values), lineno
-                rows = _Rows(dim, _BLOCK_ROWS, np.float64, lambda row: f"{path}:{lines[row]}")
-            elif len(values) != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: dimension {len(values)} does not match "
-                    f"dimension {dim} established at line {first_line}"
-                )
-            rows.block[rows.filled] = values
-            lines.append(lineno)
-            rows.add(parts[0])
+        return _read_embeddings_text(path, fh)
+
+
+def _vector_lines(path, fh):
+    """(line number, id, vector text) of each data line of text embedding file `path`."""
+    for lineno, line in _data_lines(path, fh):
+        fields = line.split(None, 1)
+        if len(fields) < 2:
+            raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got 1 fields")
+        yield lineno, *fields
+
+
+def _read_embeddings_text(path, fh) -> EmbeddingTable:
+    """The rows of text embedding file `path`, read from `fh`, a block of lines at a time."""
+    rows = first_line = None  # set by the first line, which sets the dimension
+
+    def convert(block):
+        nonlocal rows, first_line
+        linenos, ids, texts = zip(*block)
+        if rows is None:
+            rows, first_line = _Rows(len(_vector(path, linenos[0], texts[0])), _BLOCK_ROWS), linenos[0]
+        values = _vectors(path, linenos, texts, rows.matrix.shape[1], first_line)
+        return ids, values, lambda i: f"{path}:{linenos[i]}"
+
+    _read_blocks(_vector_lines(path, fh), convert, lambda block: rows.store(*block))
     return rows.table() if rows is not None else EmbeddingTable()
+
+
+def _vectors(path, linenos, texts, dim, first_line) -> np.ndarray:
+    """The (len(texts), dim) values of a block's vector texts, the dimension set at `first_line`."""
+    try:
+        values = _number_rows(texts)
+        if values.shape[1] == dim:
+            return values
+    except ValueError:
+        pass
+    # the first bad line of the block raises
+    return np.array([_vector(path, lineno, text, dim, first_line) for lineno, text in zip(linenos, texts)])
+
+
+def _vector(path, lineno, text, dim=None, first_line=None) -> np.ndarray:
+    """The values of one line's vector `text`, of dimension `dim` (set at `first_line`) if given."""
+    try:
+        (values,) = _number_rows([text])
+    except ValueError:
+        raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
+    if dim is not None and len(values) != dim:
+        raise DimensionMismatchError(
+            f"{path}:{lineno}: dimension {len(values)} does not match "
+            f"dimension {dim} established at line {first_line}"
+        )
+    return values
 
 
 def write_embeddings(path, embeddings, binary: bool = False) -> None:
@@ -570,28 +661,39 @@ def _read_embeddings_binary(path, fh) -> EmbeddingTable:
     # every record holds a 4-byte id length and its vector, so the
     # file size bounds the number of records
     capacity = (os.fstat(fh.fileno()).st_size - fh.tell()) // (4 + width) if dim else 0
-    rows = _Rows(dim, capacity, "<f4", lambda row: f"{path}: record {row + 1}")
+    rows = _Rows(dim, capacity)
     # each record's vector bytes are read straight into its row of the
     # block; an empty block cannot be cast, so its slots are one empty buffer
-    slots = memoryview(rows.block).cast("B") if rows.block.size else memoryview(bytearray())
+    block = np.empty((min(_BLOCK_ROWS, capacity), dim), dtype="<f4")
+    slots = memoryview(block).cast("B") if block.size else memoryview(bytearray())
+    ids: list[str] = []
+
+    def store():
+        start = len(rows.ids)
+        rows.store(ids, block[: len(ids)], lambda i: f"{path}: record {start + i + 1}")
+        ids.clear()
+
     while True:
         lenbytes = fh.read(4)
         if not lenbytes:
             break
-        record = len(rows.ids) + 1
+        record = len(rows.ids) + len(ids) + 1
         if len(lenbytes) != 4:
             raise FileFormatError(f"{path}: truncated record {record}")
         if dim == 0:
             raise FileFormatError(f"{path}: record {record} under a header of dimension 0")
         (id_len,) = struct.unpack("<I", lenbytes)
         id_bytes = fh.read(id_len)
-        slot = slots[rows.filled * width : (rows.filled + 1) * width]
+        slot = slots[len(ids) * width : (len(ids) + 1) * width]
         if len(id_bytes) != id_len or fh.readinto(slot) != width:
             raise FileFormatError(f"{path}: truncated record {record}")
         try:
-            rows.add(id_bytes.decode("utf-8"))
+            ids.append(id_bytes.decode("utf-8"))
         except UnicodeDecodeError:
             raise FileFormatError(f"{path}: record {record}: id is not valid UTF-8") from None
+        if len(ids) == len(block):
+            store()
+    store()
     return rows.table()
 
 
@@ -614,16 +716,32 @@ def _write_embeddings_binary(path, table: EmbeddingTable) -> None:
 _LABELS = {"tgt": True, "non": False}
 
 
-def _read_pairs(path, table, parse):
-    """A trial or score file as `table`, read in one pass that encodes each side's ids.
+def _read_pairs(path, table, field, convert=None):
+    """A trial or score file as `table`, read a block of lines at a time, encoding each side's ids.
 
-    `parse(path, lineno, fields)` checks a data line and gives its value.
+    `field(path, lineno, fields)` checks a data line's fields and gives
+    its value field; `convert(path, linenos, values)`, if given,
+    converts a block's value fields at once.
     """
     index, codes, values = ({}, {}), (array("q"), array("q")), []
-    for lineno, parts in _data_lines(path):
-        values.append(parse(path, lineno, parts))
-        for ids, side_codes, part in zip(index, codes, parts):
-            side_codes.append(ids.setdefault(part, len(ids)))
+
+    def rows():
+        for lineno, line in _data_lines(path):
+            parts = line.split()
+            value = field(path, lineno, parts)
+            yield lineno, parts[0], parts[1], value
+
+    def convert_block(block):
+        linenos, enrolls, tests, fields = zip(*block)
+        return enrolls, tests, convert(path, linenos, fields) if convert else fields
+
+    def store(block):
+        *sides, block_values = block
+        values.extend(block_values)
+        for ids, side_codes, side in zip(index, codes, sides):
+            side_codes.extend(ids.setdefault(i, len(ids)) for i in side)
+
+    _read_blocks(rows(), convert_block, store)
     sides = [(tuple(ids), np.array(side_codes, dtype=np.intp)) for ids, side_codes in zip(index, codes)]
     try:
         return table._make(*sides, table._column(values))
@@ -639,13 +757,26 @@ def _trial_label(path, lineno, parts):
     return _LABELS[parts[2]] if len(parts) == 3 else None
 
 
-def _score_value(path, lineno, parts):
+def _score_field(path, lineno, parts):
     if len(parts) != 3:
         raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id score'")
+    return parts[2]
+
+
+def _score_values(path, linenos, tokens) -> list[float]:
+    """The scores of a block's score tokens; the first bad token raises, naming its line."""
     try:
-        return float(parts[2])
+        (scores,) = _number_rows(tokens).T  # one column, as a token holds no separator
+        return scores.tolist()
     except ValueError:
-        raise FileFormatError(f"{path}:{lineno}: non-numeric score '{parts[2]}'") from None
+        return [_score(path, lineno, token) for lineno, token in zip(linenos, tokens)]
+
+
+def _score(path, lineno, token) -> float:
+    try:
+        return parse_float(token)
+    except ValueError:
+        raise FileFormatError(f"{path}:{lineno}: non-numeric score '{token}'") from None
 
 
 def read_trials(path) -> TrialList:
@@ -665,7 +796,7 @@ def write_trials(path, trials: TrialList) -> None:
 
 
 def read_scores(path) -> ScoreSet:
-    return _read_pairs(path, ScoreSet, _score_value)
+    return _read_pairs(path, ScoreSet, _score_field, _score_values)
 
 
 def write_scores(scores: ScoreSet, path) -> None:
@@ -675,7 +806,8 @@ def write_scores(scores: ScoreSet, path) -> None:
 def read_id_map(path) -> dict[str, str]:
     """Read a two-column key/value file (speaker maps, routing metadata)."""
     out: dict[str, str] = {}
-    for lineno, parts in _data_lines(path):
+    for lineno, line in _data_lines(path):
+        parts = line.split()
         if len(parts) != 2:
             raise FileFormatError(f"{path}:{lineno}: expected 'key value'")
         if parts[0] in out:

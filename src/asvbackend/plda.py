@@ -584,7 +584,10 @@ def interpolate_plda(in_domain: PldaModel, out_domain: PldaModel, alpha: float) 
 
     The combined between-speaker covariance is refactorized to the shared
     rank; eigen-mass beyond that rank is folded into the residual
-    covariance as a scaled identity so total covariance is preserved.
+    covariance as a scaled identity. That preserves the trace of the
+    total covariance, not the covariance itself: on two side models of
+    the README's seed-7 data at alpha 0.5 it moves by 2.9% (relative
+    Frobenius norm).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationModel, apply_calibration, read_calibration
-from .data import ScoreSet, TrialList, embedding_table, open_input, read_id_map
+from .data import ScoreSet, TrialList, embedding_table, open_input, parse_int, read_id_map
 from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError, prefixed
 from .fourcov import FourCovModel, build_kernel, in_model_space, read_model_space_pair, score_batch
 from .modelio import load_fourcov
@@ -166,7 +166,7 @@ def read_segment_counts(path) -> dict[str, int]:
     out = {}
     for key, value in raw.items():
         try:
-            count = int(value)
+            count = parse_int(value)
         except ValueError:
             raise FileFormatError(f"{path}: segment count for '{key}' is not an integer") from None
         if count < 1:

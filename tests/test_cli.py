@@ -15,6 +15,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import asvbackend
 from asvbackend import calibration, cli, data, exceptions, fourcov, modelio, plda, routing, synth
@@ -492,6 +494,57 @@ def test_every_stage_reads_every_option_it_defines():
     assert unread == []
 
 
+def test_every_numeric_option_reads_through_the_number_grammar():
+    types = {(name, action.option_strings[-1]): action.type
+             for name, stage in _stages().items() for action in stage._actions if action.type is not None}
+    assert len(types) == 28 and set(types.values()) == {cli._INT, cli._FLOAT}
+
+
+def _number(text, convert):
+    """`convert(text)` for text whose stripped token is ASCII without '_', as the number grammar has it."""
+    token = text.strip()
+    if not (token.isascii() and "_" not in token):
+        raise ValueError(text)
+    return convert(token)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError:
+        return "refused"
+    return "nan" if value != value else (type(value), np.float64(value).tobytes())
+
+
+NUMBER_EDGES = ["1_0", "\u0663", "\uff11", "inf", "-Infinity", "nan", "1e400", "-0", "1e-320", " 3 ", "+3",
+                "3.0", "", " ", "0x10", "1e5", "\r2\n", "1 2", "\xa07", "010"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=st.one_of(st.sampled_from(NUMBER_EDGES), st.text(), st.from_regex(r"\s*[+-]?[0-9_.eE]{1,6}\s*", fullmatch=True)))
+@example(text="1_0")
+@example(text="\u0663")
+def test_numeric_options_accept_exactly_the_number_grammar(text):
+    # `int()` and `float()` under the grammar's character rule are the oracle, value for value
+    assert _outcome(cli._INT, text) == _outcome(lambda t: _number(t, int), text)
+    assert _outcome(cli._FLOAT, text) == _outcome(lambda t: _number(t, float), text)
+
+
+@pytest.mark.parametrize("argv, option, kind", [
+    (["synth", "--out-dir", "d", "--dim", "1_0"], "--dim", "int"),
+    (["train-plda", "--embeddings", "e", "--out", "o", "--rank", "\u0663"], "--rank", "int"),
+    (["interpolate", "--in-domain", "a", "--out-domain", "b", "--out", "o", "--alpha", "0_5"], "--alpha", "float"),
+    (["evaluate", "--scores", "s", "--trials", "t", "--p-target", "\uff10.1"], "--p-target", "float"),
+])
+def test_refused_number_option_exits_2(tmp_path, monkeypatch, capsys, argv, option, kind):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert f"argument {option}: invalid {kind} value: {argv[-1]!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _bundles(tmp_path):
     """One valid bundle of each kind, with the stage argv that loads it (`{}` is the bundle)."""
     pre = plda.Preprocessor(np.zeros(2), np.eye(2))
@@ -817,10 +870,17 @@ class TestErrorPaths:
             ["snorm", "--model", "m.npz", "--scores", "s.scores", "--enroll", "e.embs",
              "--test", "t.embs", "--cohort-enroll", "ce.embs", "--cohort-test", "ct.embs",
              "--top-k", "abc", "--out", "o.scores"],
+            ["snorm", "--model", "m.npz", "--scores", "s.scores", "--enroll", "e.embs",
+             "--test", "t.embs", "--cohort-enroll", "ce.embs", "--cohort-test", "ct.embs",
+             "--top-k", "1_0", "--out", "o.scores"],
+            ["snorm", "--model", "m.npz", "--scores", "s.scores", "--enroll", "e.embs",
+             "--test", "t.embs", "--cohort-enroll", "ce.embs", "--cohort-test", "ct.embs",
+             "--top-k", "\u0663", "--out", "o.scores"],
             ["calibrate", "--scores", "s.scores", "--model", "c.cal", "--condition", "few-primary",
              "--out", "o.scores"],
         ],
-        ids=["snorm-top-k-not-integer", "calibrate-apply-with-condition"],
+        ids=["snorm-top-k-not-integer", "snorm-top-k-underscore", "snorm-top-k-arabic-indic-digit",
+             "calibrate-apply-with-condition"],
     )
     def test_bad_flag_combination_exits_6_before_reading(self, tmp_path, monkeypatch, capsys, argv):
         # none of the input files exist, so reading any of them would exit 3
@@ -1613,6 +1673,22 @@ EXIT_PATHS = {
          "cal": "scale 1.0\noffset 0.0\nconditon few-secondary\n", "x": ""},
         ["route-score", "--config", "cfg", "--enroll", "x", "--test", "x", "--trials", "x", "--out", "out"],
         4, "file-format: {cal}: unknown key 'conditon'"),
+    # a number with '_' or a non-ASCII digit breaks the number grammar, though `float()` and `int()` take it
+    "embedding-underscore-component": (
+        {"e": "a-1 1_0 2.0\n"}, ["train-plda", "--embeddings", "e", "--out", "out"],
+        4, "file-format: {e}:1: non-numeric vector component"),
+    "score-arabic-indic-digit": (
+        {"s": "e t \u0663\n", "t": "e t tgt\n"}, ["evaluate", "--scores", "s", "--trials", "t"],
+        4, "file-format: {s}:1: non-numeric score '\u0663'"),
+    "segment-count-underscore": (
+        {"cfg": json.dumps({"enroll_segments": "meta", "test_language": "lang", "conditions": {}}),
+         "meta": "m 1_0\n", "lang": "", "x": ""},
+        ["route-score", "--config", "cfg", "--enroll", "x", "--test", "x", "--trials", "x", "--out", "out"],
+        4, "file-format: {meta}: segment count for 'm' is not an integer"),
+    "calibration-fullwidth-digit": (
+        {"s": "e t 1.0\n", "cal": "scale \uff11\noffset 0.0\n"},
+        ["calibrate", "--scores", "s", "--model", "cal", "--out", "out"],
+        4, "file-format: {cal}: expected 'scale <a>' and 'offset <b>' lines"),
     "aggregate-negative": (
         {"e": TRAINING_ROWS}, ["train-plda", "--embeddings", "e", "--aggregate", -1, "--out", "out"],
         6, "parameter: chunk size must be positive, got -1"),

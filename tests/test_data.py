@@ -1,8 +1,11 @@
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from asvbackend import data
 from asvbackend.data import (
@@ -26,6 +29,7 @@ from asvbackend.data import (
     write_trials,
 )
 from asvbackend.exceptions import (
+    BackendError,
     DimensionMismatchError,
     DomainError,
     FileFormatError,
@@ -280,6 +284,23 @@ class TestTrialAndScoreFiles:
         with pytest.raises(FileFormatError, match="non-numeric score"):
             read_scores(path)
 
+    def test_reading_embeddings_holds_one_block_of_lines(self, tmp_path, rng):
+        # 3000 rows of dimension 200: the matrix is 4.8 MB, one block of 256
+        # lines about 1 MB of text and 0.4 MB of values
+        n, d = 3000, 200
+        path = tmp_path / "f.embs"
+        write_embeddings(path, EmbeddingTable.from_columns([f"spk{i // 3:05d}-u{i}" for i in range(n)],
+                                                           rng.standard_normal((n, d))))
+        tracemalloc.start()
+        try:
+            table = read_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.matrix.shape == (n, d)
+        extra = peak - table.matrix.nbytes
+        assert extra < 2e6, f"peak {extra / 1e6:.2f} MB above the matrix"
+
     @pytest.mark.parametrize("kind", ["trials", "scores"])
     def test_reading_holds_no_per_line_copies(self, tmp_path, kind):
         # 200 models x 100 tests; a reader that keeps every line's fields
@@ -426,3 +447,167 @@ class TestInvariants:
         with pytest.raises(OSError) as err:
             write_scores(scores, target)
         assert "missing-dir" in str(err.value)
+
+
+def _grammar(token: str) -> float:
+    """`float(token)` under the number grammar's character rule: ASCII only, no '_'."""
+    if not (token.isascii() and "_" not in token):
+        raise ValueError(token)
+    return float(token)
+
+
+def _oracle_lines(path):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise FileFormatError(f"{path}:{lineno}: line is not valid UTF-8") from None
+            if line and not line.startswith("#"):
+                yield lineno, line.split()
+
+
+def oracle_read_embeddings(path):
+    """The line-by-line text reader that the block reader replaced, under the number grammar.
+
+    Rows are checked for finiteness 256 at a time, in the blocks of the
+    file's data rows, as that reader checked them.
+    """
+    ids, rows, lines = [], [], []
+
+    def check(start):
+        for i in range(start, len(rows)):
+            if not all(map(math.isfinite, rows[i])):
+                raise FileFormatError(f"{path}:{lines[i]}: embedding '{ids[i]}' contains non-finite values")
+
+    for lineno, parts in _oracle_lines(path):
+        if len(parts) < 2:
+            raise FileFormatError(f"{path}:{lineno}: expected 'id v1 ... vd', got {len(parts)} fields")
+        try:
+            values = [_grammar(p) for p in parts[1:]]
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not rows:
+            dim, first_line = len(values), lineno
+        elif len(values) != dim:
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: dimension {len(values)} does not match "
+                f"dimension {dim} established at line {first_line}"
+            )
+        ids.append(parts[0])
+        rows.append(values)
+        lines.append(lineno)
+        if len(rows) % 256 == 0:
+            check(len(rows) - 256)
+    check(len(rows) // 256 * 256)
+    return EmbeddingTable.from_columns(ids, rows) if rows else EmbeddingTable()
+
+
+def oracle_read_scores(path):
+    """The line-by-line score reader that the block reader replaced, under the number grammar."""
+    enrolls, tests, values = [], [], []
+    for lineno, parts in _oracle_lines(path):
+        if len(parts) != 3:
+            raise FileFormatError(f"{path}:{lineno}: expected 'enroll_id test_id score'")
+        try:
+            values.append(_grammar(parts[2]))
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: non-numeric score '{parts[2]}'") from None
+        enrolls.append(parts[0])
+        tests.append(parts[1])
+    try:
+        return ScoreSet.from_columns(enrolls, tests, values)
+    except (ParameterError, DomainError) as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _outcome(read, path):
+    """What `read` makes of `path`: the table's ids and value bits, or the error's class and message."""
+    try:
+        table = read(path)
+    except BackendError as exc:
+        return type(exc), str(exc)
+    if isinstance(table, EmbeddingTable):
+        return table.ids, table.matrix.shape, table.matrix.tobytes()
+    return (table.enroll_ids, table.test_ids, table.enroll_codes.tobytes(), table.test_codes.tobytes(),
+            table.values().tobytes())
+
+
+EDGE_TOKENS = ["1_0", "\u0663", "\uff11", "inf", "-Infinity", "nan", "1e400", "-0", "1e-320"]
+SEPARATORS = [" ", "\t", "\r", "\x0b", "\xa0", "  "]
+TOKENS = st.one_of(st.sampled_from(EDGE_TOKENS), st.floats().map(repr), st.text(max_size=6))
+
+
+@st.composite
+def drawn_line(draw, fields):
+    """A data line of `fields` tokens after its id (or of a drawn count, a ragged row), a
+    comment, a blank line, a lone id or a line that is not UTF-8, as bytes."""
+    kind = draw(st.sampled_from(["row", "row", "ragged", "comment", "blank", "id-only", "not-utf8"]))
+    if kind == "comment":
+        return ("#" + draw(st.text(max_size=4))).encode()
+    if kind in ("blank", "id-only", "not-utf8"):
+        return {"blank": draw(st.sampled_from([b"", b"  ", b"\t"])), "id-only": b"x", "not-utf8": b"x \xff"}[kind]
+    count = fields if kind == "row" else draw(st.integers(1, fields + 2))
+    tokens = draw(st.lists(TOKENS, min_size=count, max_size=count))
+    separators = draw(st.lists(st.sampled_from(SEPARATORS), min_size=count, max_size=count))
+    return "".join(s + t for s, t in zip(separators, tokens)).encode()
+
+
+@st.composite
+def text_files(draw, kind):
+    """An embedding or score file of 1, 255, 256 or 257 good lines, some replaced by drawn
+    lines and some drawn lines inserted, which moves the later rows across block boundaries."""
+    n = draw(st.sampled_from([1, 255, 256, 257]))
+    if kind == "embeddings":
+        dim = draw(st.integers(1, 3))
+        lines = [f"r{i} " + " ".join(repr(i + j / 7) for j in range(dim)) for i in range(n)]
+        prefix, fields = (lambda i: f"x{i}".encode()), dim
+    else:
+        lines = [f"e{i % 16} t{i} {repr(i / 7)}" for i in range(n)]
+        prefix, fields = (lambda i: f"e{i % 16} y{i}".encode()), 1
+    lines = [line.encode() for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        line = draw(drawn_line(fields))
+        if line.startswith(b"#") or line.strip() in (b"", b"x") or line == b"x \xff":
+            new = line
+        else:
+            new = prefix(at) + line
+        if draw(st.booleans()) and at < len(lines):
+            lines[at] = new
+        else:
+            lines.insert(at, new)
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(content=text_files("embeddings"))
+def test_block_reader_reads_embeddings_as_the_line_reader(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("oracle") / "x.embs"
+    path.write_bytes(content)
+    assert _outcome(read_embeddings, path) == _outcome(oracle_read_embeddings, path)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(content=text_files("scores"))
+def test_block_reader_reads_scores_as_the_line_reader(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("oracle") / "x.scores"
+    path.write_bytes(content)
+    assert _outcome(read_scores, path) == _outcome(oracle_read_scores, path)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+def test_tokens_that_float_reads_but_the_grammar_refuses(tmp_path, token):
+    path = tmp_path / "x.embs"
+    path.write_text(f"a 1.0 2.0\nb 1.0 {token}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=":2: non-numeric vector component"):
+        read_embeddings(path)
+    path.write_text(f"e t {token}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match=f":1: non-numeric score '{token}'"):
+        read_scores(path)
+
+
+def test_any_str_split_separator_separates_components(tmp_path):
+    path = tmp_path / "x.embs"
+    path.write_text("a 1.0\r2.0\x0b3.0\n b\xa01.0\u30002.0\x1c3.0 \n", encoding="utf-8")
+    assert read_embeddings(path) == [Embedding("a", [1.0, 2.0, 3.0]), Embedding("b", [1.0, 2.0, 3.0])]

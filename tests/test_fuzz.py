@@ -1,10 +1,10 @@
 """The error contract under mutated input files.
 
 Five kinds of mutation, each applied to one file of a small dataset:
-- one token (a huge, subnormal, non-finite, underscored or negative-zero
-  value, or a byte that is not UTF-8) replaces one component of one
-  training, evaluation or cohort vector, or the score of one trial in a
-  score file;
+- one token (a huge, subnormal, non-finite or negative-zero value, a
+  `1_0`, which the number grammar refuses, or a byte that is not UTF-8)
+  replaces one component of one training, evaluation or cohort vector,
+  or the score of one trial in a score file;
 - one line of a vector, trial, score, calibration, metadata, speaker-map
   or routing file is dropped, duplicated or swapped with another, or the
   file is cut at a byte offset (its ids start with the two-byte `é`, so
