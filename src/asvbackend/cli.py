@@ -32,19 +32,17 @@ def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     """Training vectors in model space, each row's speaker code and the speaker ids.
 
     Rows, which `label` names in a width or length-normalization error,
-    pass through `pre`. With `aggregate` = N, consecutive chunks of N
-    segments per speaker each become one unit-norm average (a pseudo
-    enrollment model).
+    are checked against `pre` before the speaker map is read, then pass
+    through `plda.in_model_space`. With `aggregate` = N, consecutive
+    chunks of N segments per speaker each become one unit-norm average
+    (a pseudo enrollment model).
     """
     plda.check_raw_width(rows, pre, label)
     speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
     speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
-    with prefixed(label, DomainError):
-        if aggregate:
-            table, codes = plda.chunk_averages(rows, speaker_ids, codes, pre, aggregate)
-        else:
-            table = plda.to_model_space(rows, pre)
-    return table, speaker_ids, codes
+    if aggregate:
+        rows, codes = plda.chunk_rows(rows, speaker_ids, codes, aggregate)
+    return plda.in_model_space(rows, pre, label, average=bool(aggregate)), speaker_ids, codes
 
 
 def _shared_speaker_stats(side, shared):
@@ -190,7 +188,7 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_score(args) -> int:
     model, pre1, pre2 = modelio.load_fourcov(args.model)
-    enrolls, tests = fourcov.read_model_space_pair(pre1, pre2, args.enroll, args.test)
+    enrolls, tests = plda.read_model_space_pair(pre1, pre2, args.enroll, args.test)
     trials = data.read_trials(args.trials)
     kernel = fourcov.build_kernel(model)
     scores = fourcov.score_batch(kernel, enrolls, tests, trials)
@@ -206,9 +204,9 @@ def _cmd_snorm(args) -> int:
         raise ParameterError(f"--top-k must be an integer or 'all', got '{args.top_k}'") from None
     scorenorm.check_top_k(top_k)
     model, pre1, pre2 = modelio.load_fourcov(args.model)
-    enrolls, tests = fourcov.read_model_space_pair(pre1, pre2, args.enroll, args.test)
+    enrolls, tests = plda.read_model_space_pair(pre1, pre2, args.enroll, args.test)
     scores = data.read_scores(args.scores)
-    cohort_pair = fourcov.read_model_space_pair(pre1, pre2, args.cohort_enroll, args.cohort_test, cohort=True)
+    cohort_pair = plda.read_model_space_pair(pre1, pre2, args.cohort_enroll, args.cohort_test, cohort=True)
     cohorts = scorenorm.CohortSet(*cohort_pair, top_k)
     kernel = fourcov.build_kernel(model)
     with prefixed(f"normalizing {args.scores}", DomainError):

@@ -19,19 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, embedding_table, read_embeddings, row_blocks
-from .exceptions import (
-    DimensionMismatchError,
-    DomainError,
-    NumericalError,
-    ParameterError,
-    UnknownIdError,
-    prefixed,
-)
-from .plda import (
-    PldaModel, Preprocessor, SpeakerStats, _as_stats, _cholesky, _logdet, check_raw_width, finite,
-    speaker_factors, symmetric, to_model_space,
-)
+from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, embedding_table, row_blocks
+from .exceptions import DimensionMismatchError, NumericalError, ParameterError, UnknownIdError
+from .plda import PldaModel, SpeakerStats, _as_stats, _cholesky, _logdet, finite, speaker_factors, symmetric
 
 
 @dataclass(frozen=True)
@@ -143,37 +133,6 @@ def build_kernel(model: FourCovModel) -> ScoringKernel:
     return ScoringKernel(model.enroll_plda.mean, model.test_plda.mean, weights, offset)
 
 
-def in_model_space(rows, pre: Preprocessor, label: str, average: bool = False) -> EmbeddingTable:
-    """One side's raw vectors in model space, after the width check that `label` names.
-
-    `rows` is a table or `Embedding` rows. With `average` (the enrollment
-    side) rows sharing an id become one unit-norm vector per id; without
-    it (the test side) every row stays. A row or average that cannot be
-    length-normalized raises `DomainError` naming `label`, then the row.
-    """
-    table = embedding_table(rows)
-    check_raw_width(table, pre, label)
-    with prefixed(label, DomainError):
-        return to_model_space(table, pre, average=average)
-
-
-def read_model_space_pair(
-    pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False
-) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """An enrollment and a test vector file in model space, enrollment rows averaged by id.
-
-    The one reader of a stack's vector files (`score`, `snorm` and
-    `routing.load_pipelines`). Each file is read, checked and mapped
-    before the next is read, so one raw table is held at a time and a bad
-    first file decides. Errors name the files `enrollment (<path>)` and
-    `test (<path>)`, or with `cohort` `enrollment-side cohort (<path>)`
-    and `test-side cohort (<path>)`.
-    """
-    sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
-    enrolls = in_model_space(read_embeddings(enroll_path), pre_enroll, f"{sides[0]} ({enroll_path})", average=True)
-    return enrolls, in_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
-
-
 def symmetric_kernel(model: PldaModel) -> ScoringKernel:
     """Scoring kernel of the symmetric-PLDA collapse (identity coupling)."""
     collapsed = FourCovModel(model, model, np.eye(model.rank), np.zeros((model.rank, model.rank)))
@@ -238,24 +197,33 @@ def score_trial(kernel: ScoringKernel, w_e: np.ndarray, w_t: np.ndarray) -> floa
     return float(score_batch(kernel, enroll, test, trial).values()[0])
 
 
-def referenced_rows(kernel: ScoringKernel, ids, vectors: EmbeddingTable, side: str):
-    """The rows of `vectors` that `ids` reference, each once, in table order.
+def referenced_rows(kernel: ScoringKernel, table, enrolls, tests):
+    """The one entry of the scoring core: (enrollment rows, index, test rows, index).
 
-    Returns them as a table and, for each id, its row in that table.
-    Where ids repeat in `vectors`, the last row with that id is used. A
-    table whose vectors are not as wide as the kernel raises, naming
-    side and the first referenced id.
+    `enrolls` and `tests` are tables of model-space vectors; a sequence
+    of `Embedding` rows is converted once, here, and must have one width.
+    Per side, enrollment first, the rows that the trial or score `table`
+    references are kept once each, in table order, with each table row's
+    index into them. Where ids repeat, the last row with that id is used.
+    An unknown id, then a width other than the kernel's, raises.
     """
-    index = dict(zip(vectors.ids, range(len(vectors))))
-    try:
-        positions = np.array([index[i] for i in ids], dtype=np.intp)
-    except KeyError as exc:
-        raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
-    used, at = np.unique(positions, return_inverse=True)
-    # `used` is sorted, so a table whose every row is used is kept as it is
-    rows = vectors if len(used) == len(vectors) else vectors.take(used)
-    _check_width(rows.matrix, side, kernel.dim, rows.ids)
-    return rows, at
+    sides = (
+        ("enrollment", embedding_table(enrolls), table.enroll_ids, table.enroll_codes),
+        ("test", embedding_table(tests), table.test_ids, table.test_codes),
+    )
+    out = []
+    for side, vectors, ids, codes in sides:
+        index = dict(zip(vectors.ids, range(len(vectors))))
+        try:
+            positions = np.array([index[i] for i in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownIdError(f"trial references unknown {side} id '{exc.args[0]}'") from None
+        used, at = np.unique(positions, return_inverse=True)
+        # `used` is sorted, so a table whose every row is used is kept as it is
+        rows = vectors if len(used) == len(vectors) else vectors.take(used)
+        _check_width(rows.matrix, side, kernel.dim, rows.ids)
+        out += [rows, at[codes]]
+    return tuple(out)
 
 
 def score_batch(
@@ -266,9 +234,9 @@ def score_batch(
 ) -> ScoreSet:
     """Score a trial list; one aggregated enrollment vector per enroll_id.
 
-    `enrolls` and `tests` are tables of model-space vectors; a sequence
-    of `Embedding` rows is converted once, on entry, and must have one
-    width. Output order matches the trial list.
+    `enrolls` and `tests` are tables of model-space vectors, or sequences
+    of `Embedding` rows, taken through `referenced_rows`. Output order
+    matches the trial list.
     Each vector that a trial references gets its side terms once, in
     table order. A trial's score is a gather of its rows' terms by id
     code and one row-wise dot product, taken `data.row_blocks` trials at
@@ -276,12 +244,9 @@ def score_batch(
     references are ignored. Where ids repeat, the last vector with that
     id is used.
     """
-    enrolls, tests = embedding_table(enrolls), embedding_table(tests)
+    used_e, at_e, used_t, at_t = referenced_rows(kernel, trials, enrolls, tests)
     if not len(trials):
         return trials.with_scores(())
-    used_e, at_e = referenced_rows(kernel, trials.enroll_ids, enrolls, "enrollment")
-    used_t, at_t = referenced_rows(kernel, trials.test_ids, tests, "test")
-    at_e, at_t = at_e[trials.enroll_codes], at_t[trials.test_codes]
     quad_e, proj_e = _side_terms(kernel, used_e.matrix, "enrollment")
     quad_t, z_t = _side_terms(kernel, used_t.matrix, "test")
     values = np.empty(len(trials))
@@ -296,7 +261,8 @@ def cohort_grids(kernel: ScoringKernel, rows: np.ndarray, side: str, cohort: Emb
     """Scores of `side` rows against a cohort of the other side, one row block at a time.
 
     Each side keeps its slot, so every score is the one `score_trial`
-    gives that pair. Widths are checked at the call. The iterator forms
+    gives that pair, to rounding: BLAS may round a product of another
+    shape differently. Widths are checked at the call. The iterator forms
     the side terms when the first grid is asked for and drops them
     after the last, and yields one (rows, cohort) grid per
     `data.row_blocks` block of rows, in row order. Dropping each grid

@@ -29,13 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, SpeakerGroup, embedding_table, row_blocks
-from .exceptions import (
-    DimensionMismatchError,
-    DomainError,
-    NumericalError,
-    ParameterError,
-)
+from .data import Embedding, EmbeddingTable, SpeakerGroup, embedding_table, read_embeddings, row_blocks
+from .exceptions import DimensionMismatchError, DomainError, NumericalError, ParameterError, prefixed
 
 logger = logging.getLogger(__name__)
 
@@ -222,16 +217,49 @@ def enroll_average(sample: SpeakerGroup, pre: Preprocessor) -> Embedding:
     return to_model_space(members, pre, average=True)[0]
 
 
-def chunk_averages(
-    table: EmbeddingTable, speaker_ids: Sequence[str], codes: np.ndarray, pre: Preprocessor, chunk: int
+def in_model_space(rows, pre: Preprocessor, label: str, average: bool = False) -> EmbeddingTable:
+    """One side's raw vectors in model space, after the width check that `label` names.
+
+    The one mapping step of every stage, training and scoring alike.
+    `rows` is a table or `Embedding` rows. With `average` (the enrollment
+    side, or training chunks) rows sharing an id become one unit-norm
+    vector per id; without it every row stays. A row or average that
+    cannot be length-normalized raises `DomainError` naming `label`, then the row.
+    """
+    table = embedding_table(rows)
+    check_raw_width(table, pre, label)
+    with prefixed(label, DomainError):
+        return to_model_space(table, pre, average=average)
+
+
+def read_model_space_pair(
+    pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False
+) -> tuple[EmbeddingTable, EmbeddingTable]:
+    """An enrollment and a test vector file in model space, enrollment rows averaged by id.
+
+    The one reader of a stack's vector files (`score`, `snorm` and
+    `routing.load_pipelines`). Each file is read, checked and mapped
+    before the next is read, so one raw table is held at a time and a bad
+    first file decides. Errors name the files `enrollment (<path>)` and
+    `test (<path>)`, or with `cohort` `enrollment-side cohort (<path>)`
+    and `test-side cohort (<path>)`.
+    """
+    sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
+    enrolls = in_model_space(read_embeddings(enroll_path), pre_enroll, f"{sides[0]} ({enroll_path})", average=True)
+    return enrolls, in_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
+
+
+def chunk_rows(
+    table: EmbeddingTable, speaker_ids: Sequence[str], codes: np.ndarray, chunk: int
 ) -> tuple[EmbeddingTable, np.ndarray]:
-    """Pseudo enrollment models: each speaker's rows averaged in consecutive chunks.
+    """Each speaker's rows relabelled in consecutive chunks (pseudo enrollment models).
 
     Row i belongs to speaker `speaker_ids[codes[i]]`. A speaker's j-th
-    row, in table order, joins chunk `<speaker>-agg<j - j % chunk>`, and
-    one `to_model_space(average=True)` call over these ids averages every
-    chunk. Returns the averages, in order of first appearance, and each
-    chunk's speaker code.
+    row, in table order, is relabelled `<speaker>-agg<j - j % chunk>`;
+    the vectors are kept as they are, so averaging by id (`in_model_space`
+    or `to_model_space` with `average`) gives one model per chunk. Returns
+    the relabelled table and each chunk's speaker code, chunks in order
+    of first appearance.
     """
     if chunk < 1:
         raise ParameterError(f"chunk size must be positive, got {chunk}")
@@ -243,16 +271,16 @@ def chunk_averages(
         f"{speaker_ids[c]}-agg{j}" for c, j in zip(codes.tolist(), (segment - segment % chunk).tolist())
     )
     rows = EmbeddingTable._make(chunk_ids, table.matrix)
-    # chunk codes run 0, 1, ... in order of first appearance, as the averages do
+    # chunk codes run 0, 1, ... in order of first appearance, as averages by id do
     first_rows = np.unique(rows.id_codes()[1], return_index=True)[1]
-    return to_model_space(rows, pre, average=True), codes[first_rows]
+    return rows, codes[first_rows]
 
 
 def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) -> SpeakerGroup:
-    """A speaker's segments averaged in consecutive chunks: the one-speaker case of `chunk_averages`."""
+    """A speaker's segments averaged in consecutive chunks: `chunk_rows` on one speaker, then averaged by id."""
     codes = np.zeros(len(group.members), dtype=np.intp)
-    averages, _ = chunk_averages(EmbeddingTable(group.members), (group.speaker_id,), codes, pre, chunk)
-    return SpeakerGroup(group.speaker_id, tuple(averages))
+    rows, _ = chunk_rows(EmbeddingTable(group.members), (group.speaker_id,), codes, chunk)
+    return SpeakerGroup(group.speaker_id, tuple(to_model_space(rows, pre, average=True)))
 
 
 def finite(values, what: str) -> np.ndarray:
@@ -587,7 +615,9 @@ def interpolate_plda(in_domain: PldaModel, out_domain: PldaModel, alpha: float) 
     covariance as a scaled identity. That preserves the trace of the
     total covariance, not the covariance itself: on two side models of
     the README's seed-7 data at alpha 0.5 it moves by 2.9% (relative
-    Frobenius norm).
+    Frobenius norm). Folding the tail matrix exactly keeps it, but scored
+    worse in 39 of 40 metric comparisons on the ROADMAP's secondary-language
+    runs (raw EER at 60 in-domain speakers: 22.05% here, 22.87% exact).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha}")

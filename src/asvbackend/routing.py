@@ -10,8 +10,9 @@ calibrated by its own stack, and the streams merged back in input order.
 A routing config loads in two steps: `load_routing_config` checks the
 document and reads the metadata, and `load_pipelines` reads each
 condition's stack from what it returns. A stack's cohorts come through
-`fourcov.read_model_space_pair`, the reader `score` and `snorm` use, so
-a routed trial gets the score those stages give it with the same stack.
+`plda.read_model_space_pair`, the reader `score` and `snorm` use, so
+a routed trial gets the score those stages give it with the same stack,
+to rounding: a condition's subset changes the shapes of BLAS products.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 from .calibration import CalibrationModel, apply_calibration, read_calibration
 from .data import ScoreSet, TrialList, embedding_table, open_input, parse_int, read_id_map
 from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError, prefixed
-from .fourcov import FourCovModel, build_kernel, in_model_space, read_model_space_pair, score_batch
+from .fourcov import FourCovModel, build_kernel, score_batch
 from .modelio import load_fourcov
-from .plda import Preprocessor
+from .plda import Preprocessor, in_model_space, read_model_space_pair
 from .scorenorm import DEFAULT_TOP_K, CohortSet, check_top_k, snorm_batch
 
 ENROLL_BUCKETS = ("few", "many")
@@ -144,9 +145,9 @@ def route_and_score(
     condition's trials are scored by `condition_pipeline_scores` against
     the whole tables, so a routed trial gets the score that `score`,
     `snorm` and `calibrate` give it with the same stack, repeated ids
-    included. A condition's error keeps its class, so its exit code,
-    and gains the prefix `condition '<tag>': `; `labels` name the two
-    tables in it.
+    included, to rounding (ROADMAP direction 6). A condition's error
+    keeps its class, so its exit code, and gains the prefix
+    `condition '<tag>': `; `labels` name the two tables in it.
     """
     conditions = classify_trials(config, trials)
     needed = used_conditions(conditions, pipelines)

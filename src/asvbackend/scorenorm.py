@@ -155,9 +155,8 @@ def snorm_batch(
 ) -> ScoreSet:
     """Normalize a score set, computing each side's cohort statistics once.
 
-    `enrolls` and `tests` are tables of model-space vectors; a sequence
-    of `Embedding` rows is converted once, on entry, and must have one
-    width.
+    `enrolls` and `tests` are tables of model-space vectors, or sequences
+    of `Embedding` rows, taken through `referenced_rows`.
 
     Statistics for a given enrollment (or test) vector are shared by
     every trial that uses it: each referenced vector is scored, in table
@@ -166,15 +165,9 @@ def snorm_batch(
     the enrollment-side cohort; the kernel is asymmetric). Memory is
     O(block x cohort) per side whatever the number of trials or ids.
     """
-    enrolls, tests = embedding_table(enrolls), embedding_table(tests)
+    used_e, at_e, used_t, at_t = referenced_rows(kernel, scores, enrolls, tests)
     if not len(scores):
         return scores.with_scores(())
-    used_e, at_e = referenced_rows(kernel, scores.enroll_ids, enrolls, "enrollment")
-    used_t, at_t = referenced_rows(kernel, scores.test_ids, tests, "test")
     enroll_stats, test_stats = _side_stats(kernel, cohorts, used_e, used_t)
-    normalized = combine_normalized(
-        scores.values(),
-        enroll_stats[at_e[scores.enroll_codes]].T,
-        test_stats[at_t[scores.test_codes]].T,
-    )
+    normalized = combine_normalized(scores.values(), enroll_stats[at_e].T, test_stats[at_t].T)
     return scores.with_scores(normalized)

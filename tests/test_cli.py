@@ -475,6 +475,34 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: asvbackend {shlex.join(argv)}")
 
 
+def test_readme_runs_and_prints_what_it_says(tmp_path, monkeypatch, capsys):
+    # the README's blocks run in order in one directory: each `asvbackend` command of an `sh` block
+    # through `cli.main`, each `python` block through `exec`; a `# EER% ...` or `# minDCF ...` line
+    # right after a command is a line that command prints
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for language, block in re.findall(r"^```(\w*)\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+        if language == "python":
+            exec(compile(block, "README.md", "exec"), {})
+        if language != "sh":
+            continue
+        printed = []
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith(("# EER% ", "# minDCF ")):
+                assert line[2:] == printed.pop(0)
+                checked += 1
+            elif line.startswith("asvbackend "):
+                assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+                printed = capsys.readouterr().out.splitlines()
+            else:
+                # comments, and the install and test instructions, which this suite does not run
+                printed = []
+                skipped = ("#", "pip install ", "pytest ", "ASVBACKEND_FUZZ_EXAMPLES=")
+                assert not line or line.startswith(skipped), line
+    assert checked == 2
+
+
 def test_every_stage_reads_every_option_it_defines():
     # an option that a stage's parser defines and its `_cmd_*` function never
     # reads is accepted and then ignored
@@ -1140,6 +1168,40 @@ class TestRouteScore:
         assert first_id in routed.test_ids
         np.testing.assert_array_equal(routed.values(), manual.values())
 
+    def test_route_matches_chain_to_rounding_on_the_whole_list(self, tmp_path):
+        # two conditions share one stack, so every trial has the chain's score up to rounding:
+        # a condition's subset changes the shapes of the products BLAS forms, which at
+        # d = 200 may round a score differently in its last bits (ROADMAP direction 6)
+        out = tmp_path / "data"
+        assert invoke("synth", "--out-dir", out, "--dim", 200, "--rank", 50, "--train-speakers", 300,
+                      "--eval-speakers", 120, "--cohort-speakers", 300, "--nontargets", 40, "--seed", 5) == 0
+        paths = {name: out / name for name in os.listdir(out)}
+        paths.update(side1=out / "side1.npz", side2=out / "side2.npz", fourcov=out / "fourcov.npz")
+        assert invoke("train-plda", "--embeddings", paths["train_enroll.embs"], "--aggregate", 3, "--rank", 50,
+                      "--out", paths["side1"]) == 0
+        assert invoke("train-plda", "--embeddings", paths["train_test.embs"], "--rank", 50,
+                      "--out", paths["side2"]) == 0
+        assert invoke("fit-fourcov", "--enroll-model", paths["side1"], "--test-model", paths["side2"],
+                      "--enroll-embeddings", paths["train_enroll.embs"], "--enroll-aggregate", 3,
+                      "--test-embeddings", paths["train_test.embs"], "--out", paths["fourcov"]) == 0
+        _, _, calfile, final = score_pipeline(paths, tmp_path, top_k=100)
+        # the first half of the models has 6 segments (many), the rest 3 (few)
+        models = list(data.read_id_map(paths["enroll_meta.txt"]))
+        paths["enroll_meta.txt"] = tmp_path / "segments.txt"
+        data.write_id_map(paths["enroll_meta.txt"], {m: "6" if i < 60 else "3" for i, m in enumerate(models)})
+        config = json.loads(pathlib.Path(one_condition_config(paths, calfile, tmp_path)).read_text())
+        stack = {**config["conditions"]["few-primary"], "top_k": 100}
+        config["conditions"] = {"few-primary": stack, "many-primary": stack}
+        (tmp_path / "routing.json").write_text(json.dumps(config))
+        assert invoke("route-score", "--config", tmp_path / "routing.json", "--enroll", paths["eval_enroll.embs"],
+                      "--test", paths["eval_test.embs"], "--trials", paths["eval.trials"],
+                      "--out", tmp_path / "routed.scores") == 0
+        routed, chain = read_scores(tmp_path / "routed.scores"), read_scores(final)
+        assert len(routed) == len(chain) == 5040
+        want = chain.values()
+        got = routed.values()[join(chain, routed)]
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
     def test_route_missing_condition_exits_8(self, tmp_path, capsys):
         paths = build_bundle(tmp_path, seed=25)
         _, _, calfile, _ = score_pipeline(paths, tmp_path)
@@ -1499,14 +1561,29 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
         "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
     ]
     # and only `read_model_space_pair` hands a vector file straight to the per-side step
-    steps = _call_nodes("in_model_space") + _call_nodes("fourcov.in_model_space")
+    steps = _call_nodes("in_model_space") + _call_nodes("plda.in_model_space")
     handed = [
         (module, where) for module, where, call in steps
         if any(isinstance(inner, ast.Call) and _callee(inner) == "read_embeddings"
                for argument in [*call.args, *(keyword.value for keyword in call.keywords)]
                for inner in ast.walk(argument))
     ]
-    assert handed == [("fourcov", "read_model_space_pair")] * 2
+    assert handed == [("plda", "read_model_space_pair")] * 2
+
+
+def test_model_space_has_one_home():
+    # every stage brings a side's vectors into model space through `plda`: the mapping itself is
+    # called nowhere else, and the per-side step and the stack reader are defined there
+    trees = _package_trees()
+    mapped = [module for module, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _callee(node) == "to_model_space"]
+    assert set(mapped) == {"plda"}
+    defined = {node.name: module for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert defined["in_model_space"] == defined["read_model_space_pair"] == "plda"
+    # and the scoring core has one entry, which each batch calls once
+    entries = [(module, where) for module, where, call in _call_nodes("referenced_rows")]
+    assert sorted(entries) == [("fourcov", "score_batch"), ("scorenorm", "snorm_batch")]
 
 
 # route-score names its bundle in a routing config, which checks that the file exists (exit 8)

@@ -22,13 +22,12 @@ from asvbackend.fourcov import (
     cohort_grids,
     coupling_from_factors,
     fit_coupling,
-    in_model_space,
     joint_covariances,
     score_batch,
     score_trial,
     symmetric_kernel,
 )
-from asvbackend.plda import PldaModel, fit_preprocessor, to_model_space
+from asvbackend.plda import PldaModel, fit_preprocessor, in_model_space, to_model_space
 
 from conftest import make_group, random_plda, random_truth, trial_list
 

@@ -11,7 +11,7 @@ from asvbackend.plda import (
     PldaModel,
     Preprocessor,
     _as_stats,
-    chunk_averages,
+    chunk_rows,
     chunked_enroll_averages,
     enroll_average,
     fit_preprocessor,
@@ -257,7 +257,8 @@ class TestSpeakerStats:
     def test_chunk_averages_match_per_speaker_averaging(self, rng):
         table, speaker_ids, codes, groups = interleaved_speakers(rng)
         pre = fit_preprocessor(rng.standard_normal((40, 5)))
-        averages, chunk_speakers = chunk_averages(table, speaker_ids, codes, pre, 2)
+        rows, chunk_speakers = chunk_rows(table, speaker_ids, codes, 2)
+        averages = to_model_space(rows, pre, average=True)
         expected = {}
         for group in groups:
             for row in chunked_enroll_averages(group, pre, 2).members:

@@ -1,4 +1,5 @@
-"""Property tests for the embedding, trial and score tables, the stages built on them, and the model rules."""
+"""Property tests for the embedding, trial and score tables, the stages built on them, the model rules
+and the whole recipe."""
 
 import os
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asvbackend import calibration, data, fourcov, scorenorm, synth
+from asvbackend import calibration, cli, data, fourcov, plda, scorenorm, synth
 from asvbackend.data import (
     Embedding,
     EmbeddingTable,
@@ -357,3 +358,174 @@ class TestGroundTruthRule:
 
         model_error = error(lambda: fourcov.FourCovModel(PldaModel(*p[0:3]), PldaModel(*p[3:6]), *p[6:8]))
         assert error(lambda: synth.GroundTruth(*p)) == model_error
+
+
+RECIPE_FILES = ("train_enroll", "train_test", "eval_enroll", "eval_test", "cohort_enroll", "cohort_test")
+
+
+def run_cli(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def recipe_scores(files, trials, top_k=10):
+    """Raw and S-norm scores of the README recipe, through the calls its stages make on these tables.
+
+    As `train-plda` (the enrollment side on 3-segment chunks), `fit-fourcov`,
+    `score` and `snorm` do, each side's preprocessor is fitted on its
+    training file and every file of that side is mapped through it.
+    """
+    sides = []
+    for name, aggregate in (("train_enroll", 3), ("train_test", 0)):
+        pre = plda.fit_preprocessor(files[name])
+        side = cli._training_rows(files[name], name, None, pre, aggregate)
+        model = plda.train_plda(plda.speaker_stats(side[0].matrix, *side[1:]), rank=2, iterations=10)
+        sides.append((side, model, pre))
+    (side1, model1, pre1), (side2, model2, pre2) = sides
+    shared = sorted(set(side1[1]) & set(side2[1]))
+    paired = (cli._shared_speaker_stats(side1, shared), cli._shared_speaker_stats(side2, shared))
+    kernel = fourcov.build_kernel(fourcov.fit_coupling(model1, model2, paired))
+
+    def model_space(prefix):
+        return (plda.in_model_space(files[f"{prefix}_enroll"], pre1, "enrollment", average=True),
+                plda.in_model_space(files[f"{prefix}_test"], pre2, "test"))
+
+    enrolls, tests = model_space("eval")
+    raw = fourcov.score_batch(kernel, enrolls, tests, trials)
+    normalized = scorenorm.snorm_batch(kernel, scorenorm.CohortSet(*model_space("cohort"), top_k), enrolls, tests, raw)
+    return raw.values(), normalized.values()
+
+
+@pytest.fixture(scope="module")
+def recipe(tmp_path_factory):
+    """A small dataset of the README recipe's kind: its directory, its vector files as tables, its
+    trials and their raw and S-norm scores."""
+    base = tmp_path_factory.mktemp("recipe")
+    run_cli("synth", "--out-dir", base, "--dim", 6, "--rank", 2, "--train-speakers", 60, "--eval-speakers", 20,
+            "--cohort-speakers", 30, "--nontargets", 10, "--kappa", 4.0, "--rotation", 1.0, "--eval-jitter", 0.9,
+            "--seed", 7)
+    files = {name: read_embeddings(base / f"{name}.embs") for name in RECIPE_FILES}
+    trials = read_trials(base / "eval.trials")
+    return base, files, trials, recipe_scores(files, trials)
+
+
+def affine_map(rng, dim, condition):
+    """An invertible (dim, dim) matrix with the given condition number, and a shift."""
+    left, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    right, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    singular = condition ** rng.permutation(np.linspace(0.0, 1.0, dim))
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    return scale * (left * singular) @ right.T, 3.0 * rng.standard_normal(dim)
+
+
+def affine_tolerance(condition):
+    """How far an affine map of condition number `condition` may move a score, relative to max(1, |s|).
+
+    The whitener comes from the training covariance, whose condition
+    number is the map's squared: on the recipe's data, 1000 maps with
+    condition numbers up to 1e3 moved scores by at most 0.29 of this.
+    """
+    return max(1e-12, 2e-14 * condition**2)
+
+
+def assert_close(got, want, rtol):
+    """Each of `got` within rtol * max(1, |want|) of `want`."""
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))) <= rtol
+
+
+class TestRecipeInvariance:
+    """What the recipe's raw and S-norm scores do not depend on.
+
+    Each side's preprocessor whitens its own training data, so an
+    invertible affine map of the vectors rotates every model-space vector
+    and model alike; speakers are coded in order of first appearance and
+    the coupling fit pairs them in sorted order; and a vector that no
+    trial references is never scored.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_affine_map_of_every_file(self, recipe, seed, log_condition):
+        _, files, trials, scores = recipe
+        matrix, shift = affine_map(np.random.default_rng(seed), 6, 10.0 ** log_condition)
+        mapped = {name: EmbeddingTable.from_columns(t.ids, t.matrix @ matrix.T + shift) for name, t in files.items()}
+        assert_close(recipe_scores(mapped, trials), scores, affine_tolerance(10.0 ** log_condition))
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_interleaved_speakers(self, recipe, seed):
+        # each file's speakers interleaved at random, each speaker's rows kept in order,
+        # so every chunk and every enrollment average holds the same rows in the same order
+        _, files, trials, scores = recipe
+        rng = np.random.default_rng(seed)
+
+        def interleaved(table):
+            _, codes = data.speaker_codes(table.ids)
+            slots = codes[rng.permutation(len(codes))]
+            order = np.empty(len(codes), dtype=np.intp)
+            for c in np.unique(codes):
+                order[slots == c] = np.flatnonzero(codes == c)
+            return table.take(order)
+
+        assert_close(recipe_scores({name: interleaved(t) for name, t in files.items()}, trials), scores, 1e-11)
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.data())
+    def test_renamed_ids_give_the_same_bits(self, recipe, draws):
+        # speakers renamed in their sort order, which orders the coupling fit; the part
+        # of an id after the speaker renamed to any other token
+        _, files, trials, scores = recipe
+        old = [i.split("-", 1) for t in files.values() for i in t.ids]
+        speakers, suffixes = sorted({s for s, _ in old}), sorted({x for _, x in old})
+        token = st.text(st.characters(exclude_categories=("Cs", "Cc", "Z")), min_size=1, max_size=3)
+        new_speakers = draws.draw(st.lists(token.filter(lambda s: "-" not in s), min_size=len(speakers),
+                                           max_size=len(speakers), unique=True))
+        new_suffixes = draws.draw(st.lists(token, min_size=len(suffixes), max_size=len(suffixes), unique=True))
+        speaker_map = dict(zip(speakers, sorted(new_speakers)))
+        suffix_map = dict(zip(suffixes, new_suffixes))
+
+        def rename(i):
+            speaker, suffix = i.split("-", 1)
+            return f"{speaker_map[speaker]}-{suffix_map[suffix]}"
+
+        renamed = {name: EmbeddingTable.from_columns([rename(i) for i in t.ids], t.matrix) for name, t in files.items()}
+        renamed_trials = TrialList.from_columns(
+            *zip(*((rename(t.enroll_id), rename(t.test_id), t.is_target) for t in trials))
+        )
+        for got, want in zip(recipe_scores(renamed, renamed_trials), scores):
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["eval_enroll", "eval_test"]), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+    def test_unreferenced_vector_changes_scores_by_rounding_only(self, recipe, name, at, seed):
+        _, files, trials, scores = recipe
+        table = files[name]
+        at %= len(table) + 1
+        vector = 3.0 * np.random.default_rng(seed).standard_normal(table.dim)
+        extra = EmbeddingTable.from_columns(table.ids[:at] + ("unreferenced",) + table.ids[at:],
+                                            np.insert(table.matrix, at, vector, axis=0))
+        assert_close(recipe_scores({**files, name: extra}, trials), scores, 1e-12)
+
+    def test_affine_map_through_the_cli(self, recipe, tmp_path):
+        base, files, _, _ = recipe
+        matrix, shift = affine_map(np.random.default_rng(3), 6, 1e3)
+        for name, table in files.items():
+            mapped = EmbeddingTable.from_columns(table.ids, table.matrix @ matrix.T + shift)
+            write_embeddings(tmp_path / f"{name}.embs", mapped)
+
+        def scores(d):
+            run_cli("train-plda", "--embeddings", d / "train_enroll.embs", "--aggregate", 3, "--rank", 2,
+                    "--out", tmp_path / "side1.npz")
+            run_cli("train-plda", "--embeddings", d / "train_test.embs", "--rank", 2, "--out", tmp_path / "side2.npz")
+            run_cli("fit-fourcov", "--enroll-model", tmp_path / "side1.npz", "--test-model", tmp_path / "side2.npz",
+                    "--enroll-embeddings", d / "train_enroll.embs", "--enroll-aggregate", 3,
+                    "--test-embeddings", d / "train_test.embs", "--out", tmp_path / "fourcov.npz")
+            run_cli("score", "--model", tmp_path / "fourcov.npz", "--enroll", d / "eval_enroll.embs",
+                    "--test", d / "eval_test.embs", "--trials", base / "eval.trials", "--out", tmp_path / "raw.scores")
+            run_cli("snorm", "--model", tmp_path / "fourcov.npz", "--scores", tmp_path / "raw.scores",
+                    "--enroll", d / "eval_enroll.embs", "--test", d / "eval_test.embs",
+                    "--cohort-enroll", d / "cohort_enroll.embs", "--cohort-test", d / "cohort_test.embs",
+                    "--top-k", 10, "--out", tmp_path / "sn.scores")
+            return [read_scores(tmp_path / name).values() for name in ("raw.scores", "sn.scores")]
+
+        assert_close(scores(tmp_path), scores(base), affine_tolerance(1e3))
