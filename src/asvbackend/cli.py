@@ -29,20 +29,22 @@ from .exceptions import BackendError, DomainError, NumericalError, ParameterErro
 
 
 def _training_rows(rows, label, speaker_map_path, pre, aggregate):
-    """Training vectors in model space, each row's speaker code and the speaker ids.
+    """Training vectors in model space, each vector's speaker code and the speaker ids.
 
     Rows, which `label` names in a width or length-normalization error,
     are checked against `pre` before the speaker map is read, then pass
-    through `plda.in_model_space`. With `aggregate` = N, consecutive
-    chunks of N segments per speaker each become one unit-norm average
-    (a pseudo enrollment model).
+    through `plda.to_model_space`. With `aggregate` = N, each speaker's
+    rows, in file order, form consecutive chunks of N (`plda.chunk_models`),
+    and each chunk becomes one unit-norm average (a pseudo enrollment
+    model); a row that cannot be mapped is still named by its own id.
     """
     plda.check_raw_width(rows, pre, label)
     speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
     speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
+    models = None
     if aggregate:
-        rows, codes = plda.chunk_rows(rows, speaker_ids, codes, aggregate)
-    return plda.in_model_space(rows, pre, label, average=bool(aggregate)), speaker_ids, codes
+        models, codes = plda.chunk_models(speaker_ids, codes, aggregate)
+    return plda.to_model_space(rows, pre, label, models), speaker_ids, codes
 
 
 def _shared_speaker_stats(side, shared):

@@ -2,9 +2,10 @@
 
 Embeddings, trials and scores are column tables. An `EmbeddingTable`
 holds each row's id, in file order (ids may repeat: the rows of one
-multi-segment enrollment model share its id), and one read-only (n, d)
-float64 matrix of the vectors. `Embedding` is its row view, and a
-sequence of `Embedding` rows converts to a table once, with
+multi-segment enrollment model share its id, and `plda.to_model_space`
+averages them when given the ids as its `models` column), and one
+read-only (n, d) float64 matrix of the vectors. `Embedding` is its row
+view, and a sequence of `Embedding` rows converts to a table once, with
 `embedding_table`, wherever a table is expected. `TrialList` and
 `ScoreSet` hold each side's unique ids and one integer code per row.
 Training labels are id-coded the same way: `speaker_codes` gives a
@@ -208,10 +209,6 @@ class EmbeddingTable:
         """The rows at these positions, in this order, as a new table."""
         rows = np.asarray(rows, dtype=np.intp)
         return self._make(tuple(self.ids[i] for i in rows.tolist()), self.matrix[rows])
-
-    def id_codes(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The unique ids in order of first appearance, and each row's code into them."""
-        return _encode(self.ids)
 
 
 def _row_view(embedding_id: str, vector: np.ndarray) -> Embedding:

@@ -5,6 +5,14 @@ normalization), EM parameter estimation, posterior speaker factors,
 enrollment averaging, a symmetric log-likelihood-ratio baseline and
 covariance-level interpolation between two models.
 
+Every stage brings a side's raw vectors into model space with one call,
+`to_model_space(rows, pre, label, models)`: a width check naming
+`label`, the preprocessing chain a block of rows at a time, and, given
+one model id per row, one unit-norm average per model. The enrollment
+side passes its ids as the models; training under `--aggregate` passes
+the per-row chunk ids of `chunk_models`. `read_model_space_pair` reads
+a stack's two vector files through it.
+
 The generative model for a vector w of this type is
 
     w = mean + speaker_loadings @ y + residual,    y ~ N(0, I_r),
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, SpeakerGroup, embedding_table, read_embeddings, row_blocks
+from .data import Embedding, EmbeddingTable, SpeakerGroup, _encode, embedding_table, read_embeddings, row_blocks
 from .exceptions import DimensionMismatchError, DomainError, NumericalError, ParameterError, prefixed
 
 logger = logging.getLogger(__name__)
@@ -167,42 +175,50 @@ def check_raw_width(table: EmbeddingTable, pre: Preprocessor, label: str) -> Non
         )
 
 
-def to_model_space(embeddings, pre: Preprocessor, average: bool = False) -> EmbeddingTable:
-    """Bring a table of embeddings into model space, one block of rows at a time.
+def to_model_space(rows, pre: Preprocessor, label: str, models: Sequence[str] | None = None) -> EmbeddingTable:
+    """One side's raw vectors in model space: the one mapping step of every stage.
 
-    Every row goes through `pre.apply` (centering, whitening and length
-    normalization) one `data.row_blocks` block at a time. A row that
-    cannot be length-normalized raises `DomainError` naming it as
-    `vector '<id>' (row <n>)`, counted from 1, and an average as
-    `model '<id>'`.
-    Without `average` the result keeps every row and id in table order.
-    With `average`, rows sharing an id (the segments of a multi-segment
-    enrollment model) are summed by id code as each block passes; each
-    sum is divided by its row count and length-normalized again, giving
-    one unit-norm vector per id in order of first appearance.
-    `embeddings` may also be a sequence of `Embedding` rows. Blocks bound
-    the memory used beyond the input and output tables.
+    `rows` is a table or a sequence of `Embedding` rows, and `label`
+    names them (side and file) in every error. Their width is checked
+    first (`check_raw_width`). Every row then goes through `pre.apply`
+    (centering, whitening and length normalization) one
+    `data.row_blocks` block at a time. Without `models` the result keeps
+    every row and id in table order. `models` holds one model id per row
+    (`table.ids` on the enrollment side, `chunk_models` ids for training
+    chunks): the rows of a model are summed by model code as each block
+    passes, and each sum is divided by its row count and length-normalized
+    again, giving one unit-norm vector per model id in order of first
+    appearance. A `models` column of another length raises
+    `ParameterError` before any row is mapped. A row that cannot be
+    length-normalized raises `DomainError` naming `label`, then the row
+    by its own id, `vector '<id>' (row <n>)` counted from 1, and an
+    average as `model '<id>'`. Blocks bound the memory used beyond the
+    input and output tables.
     """
-    table = embedding_table(embeddings)
-    if average:
-        ids, codes = table.id_codes()
-        out = np.zeros((len(ids), pre.dim))
-    else:
+    table = embedding_table(rows)
+    check_raw_width(table, pre, label)
+    if models is None:
         ids, codes = table.ids, None
         out = np.empty((len(ids), pre.dim))
-    for block in row_blocks(len(table)):
-        rows = pre.apply(
-            table.matrix[block], lambda i, at=block.start: f"vector '{table.ids[at + i]}' (row {at + i + 1})"
-        )
-        if codes is None:
-            out[block] = rows
-        else:
-            np.add.at(out, codes[block], rows)
-    if codes is not None:
-        counts = np.bincount(codes)[:, None]
-        for block in row_blocks(len(out)):
-            means = out[block] / counts[block]
-            out[block] = length_normalize(means, lambda i, at=block.start: f"model '{ids[at + i]}'")
+    elif len(models) != len(table):
+        raise ParameterError(f"{label}: {len(models)} model ids for {len(table)} rows")
+    else:
+        ids, codes = _encode(models)
+        out = np.zeros((len(ids), pre.dim))
+    with prefixed(label, DomainError):
+        for block in row_blocks(len(table)):
+            mapped = pre.apply(
+                table.matrix[block], lambda i, at=block.start: f"vector '{table.ids[at + i]}' (row {at + i + 1})"
+            )
+            if codes is None:
+                out[block] = mapped
+            else:
+                np.add.at(out, codes[block], mapped)
+        if codes is not None:
+            counts = np.bincount(codes)[:, None]
+            for block in row_blocks(len(out)):
+                means = out[block] / counts[block]
+                out[block] = length_normalize(means, lambda i, at=block.start: f"model '{ids[at + i]}'")
     return EmbeddingTable._make(ids, out)
 
 
@@ -210,26 +226,10 @@ def enroll_average(sample: SpeakerGroup, pre: Preprocessor) -> Embedding:
     """Reduce a multi-segment enrollment sample to one unit-norm vector.
 
     Members are preprocessed, each length-normalized, averaged, and the
-    average is length-normalized again: the one-sample case of
-    `to_model_space`.
+    average is length-normalized again: `to_model_space` with every
+    member in one model.
     """
-    members = EmbeddingTable.from_columns([sample.speaker_id] * len(sample.members), sample.matrix())
-    return to_model_space(members, pre, average=True)[0]
-
-
-def in_model_space(rows, pre: Preprocessor, label: str, average: bool = False) -> EmbeddingTable:
-    """One side's raw vectors in model space, after the width check that `label` names.
-
-    The one mapping step of every stage, training and scoring alike.
-    `rows` is a table or `Embedding` rows. With `average` (the enrollment
-    side, or training chunks) rows sharing an id become one unit-norm
-    vector per id; without it every row stays. A row or average that
-    cannot be length-normalized raises `DomainError` naming `label`, then the row.
-    """
-    table = embedding_table(rows)
-    check_raw_width(table, pre, label)
-    with prefixed(label, DomainError):
-        return to_model_space(table, pre, average=average)
+    return to_model_space(sample.members, pre, "enrollment", [sample.speaker_id] * len(sample.members))[0]
 
 
 def read_model_space_pair(
@@ -245,21 +245,19 @@ def read_model_space_pair(
     and `test-side cohort (<path>)`.
     """
     sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
-    enrolls = in_model_space(read_embeddings(enroll_path), pre_enroll, f"{sides[0]} ({enroll_path})", average=True)
-    return enrolls, in_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
+    enrolls = read_embeddings(enroll_path)
+    enrolls = to_model_space(enrolls, pre_enroll, f"{sides[0]} ({enroll_path})", enrolls.ids)
+    return enrolls, to_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
 
 
-def chunk_rows(
-    table: EmbeddingTable, speaker_ids: Sequence[str], codes: np.ndarray, chunk: int
-) -> tuple[EmbeddingTable, np.ndarray]:
-    """Each speaker's rows relabelled in consecutive chunks (pseudo enrollment models).
+def chunk_models(speaker_ids: Sequence[str], codes: np.ndarray, chunk: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Each row's pseudo enrollment model when each speaker's rows are taken in consecutive chunks.
 
     Row i belongs to speaker `speaker_ids[codes[i]]`. A speaker's j-th
-    row, in table order, is relabelled `<speaker>-agg<j - j % chunk>`;
-    the vectors are kept as they are, so averaging by id (`in_model_space`
-    or `to_model_space` with `average`) gives one model per chunk. Returns
-    the relabelled table and each chunk's speaker code, chunks in order
-    of first appearance.
+    row, in row order, belongs to model `<speaker>-agg<j - j % chunk>`.
+    Returns each row's model id, the `models` column that makes
+    `to_model_space` give one average per chunk, and each model's speaker
+    code, models in order of first appearance as their averages come.
     """
     if chunk < 1:
         raise ParameterError(f"chunk size must be positive, got {chunk}")
@@ -267,20 +265,16 @@ def chunk_rows(
     order = np.argsort(codes, kind="stable")
     segment = np.empty(len(codes), dtype=np.intp)
     segment[order] = np.arange(len(codes)) - np.repeat(np.cumsum(counts) - counts, counts)
-    chunk_ids = tuple(
-        f"{speaker_ids[c]}-agg{j}" for c, j in zip(codes.tolist(), (segment - segment % chunk).tolist())
-    )
-    rows = EmbeddingTable._make(chunk_ids, table.matrix)
-    # chunk codes run 0, 1, ... in order of first appearance, as averages by id do
-    first_rows = np.unique(rows.id_codes()[1], return_index=True)[1]
-    return rows, codes[first_rows]
+    models = tuple(f"{speaker_ids[c]}-agg{j}" for c, j in zip(codes.tolist(), (segment - segment % chunk).tolist()))
+    # a model's rows are all one speaker's, and a dict keeps its keys in order of first appearance
+    speakers = dict(zip(models, codes.tolist()))
+    return models, np.fromiter(speakers.values(), dtype=np.intp, count=len(speakers))
 
 
 def chunked_enroll_averages(group: SpeakerGroup, pre: Preprocessor, chunk: int) -> SpeakerGroup:
-    """A speaker's segments averaged in consecutive chunks: `chunk_rows` on one speaker, then averaged by id."""
-    codes = np.zeros(len(group.members), dtype=np.intp)
-    rows, _ = chunk_rows(EmbeddingTable(group.members), (group.speaker_id,), codes, chunk)
-    return SpeakerGroup(group.speaker_id, tuple(to_model_space(rows, pre, average=True)))
+    """A speaker's segments averaged in consecutive chunks: `chunk_models` on one speaker, then `to_model_space`."""
+    models, _ = chunk_models((group.speaker_id,), np.zeros(len(group.members), dtype=np.intp), chunk)
+    return SpeakerGroup(group.speaker_id, tuple(to_model_space(group.members, pre, "enrollment", models)))
 
 
 def finite(values, what: str) -> np.ndarray:

@@ -10,9 +10,11 @@ calibrated by its own stack, and the streams merged back in input order.
 A routing config loads in two steps: `load_routing_config` checks the
 document and reads the metadata, and `load_pipelines` reads each
 condition's stack from what it returns. A stack's cohorts come through
-`plda.read_model_space_pair`, the reader `score` and `snorm` use, so
-a routed trial gets the score those stages give it with the same stack,
-to rounding: a condition's subset changes the shapes of BLAS products.
+`plda.read_model_space_pair`, the reader `score` and `snorm` use, and
+the evaluation tables through `plda.to_model_space`, the call that
+reader makes, so a routed trial gets the score those stages give it
+with the same stack, to rounding: a condition's subset changes the
+shapes of BLAS products.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .data import ScoreSet, TrialList, embedding_table, open_input, parse_int, r
 from .exceptions import BackendError, ConfigError, FileFormatError, ParameterError, RoutingError, prefixed
 from .fourcov import FourCovModel, build_kernel, score_batch
 from .modelio import load_fourcov
-from .plda import Preprocessor, in_model_space, read_model_space_pair
+from .plda import Preprocessor, read_model_space_pair, to_model_space
 from .scorenorm import DEFAULT_TOP_K, CohortSet, check_top_k, snorm_batch
 
 ENROLL_BUCKETS = ("few", "many")
@@ -107,14 +109,15 @@ def condition_pipeline_scores(
     """Score raw embeddings through one condition's full stack.
 
     `enrolls` and `tests` are tables, or sequences of `Embedding` rows,
-    brought into the condition's model space by `in_model_space`, whose
-    errors name them by `labels`.
-    Vectors that no trial references are ignored; where ids repeat, the
-    last vector with that id is used, as in `score_batch`.
+    brought into the condition's model space by `to_model_space`, whose
+    errors name them by `labels`: enrollment rows averaged by id, test
+    rows kept. Vectors that no trial references are ignored; where test
+    ids repeat, the last vector with that id is used, as in `score_batch`.
     """
     kernel = build_kernel(pipeline.model)
-    enroll_vectors = in_model_space(enrolls, pipeline.pre_enroll, labels[0], average=True)
-    test_vectors = in_model_space(tests, pipeline.pre_test, labels[1])
+    enrolls = embedding_table(enrolls)
+    enroll_vectors = to_model_space(enrolls, pipeline.pre_enroll, labels[0], enrolls.ids)
+    test_vectors = to_model_space(tests, pipeline.pre_test, labels[1])
     raw = score_batch(kernel, enroll_vectors, test_vectors, trials)
     normalized = snorm_batch(kernel, pipeline.cohorts, enroll_vectors, test_vectors, raw)
     return apply_calibration(pipeline.calibration, normalized)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -503,6 +504,33 @@ def test_readme_runs_and_prints_what_it_says(tmp_path, monkeypatch, capsys):
     assert checked == 2
 
 
+def test_readme_names_resolve():
+    # a name the README gives in backticks is one the package has, so prose left naming a
+    # deleted or renamed function, method or attribute fails here
+    spans = re.findall(r"`([^`\n]+)`", (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"))
+    modules = {name: getattr(asvbackend, name) for name in _package_trees() if name != "__init__"}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    functions = [f for scope in [*modules.values(), *classes.values()] for f in vars(scope).values()
+                 if inspect.isfunction(f) and f.__module__.startswith("asvbackend.")]
+    members = {name for cls in classes.values() for name in [*dir(cls), *getattr(cls, "__dataclass_fields__", ())]}
+    names = set(dir(asvbackend)).union(*map(vars, modules.values()))
+    parameters = {name for f in functions for name in inspect.signature(f).parameters}
+    dotted = [(owner, name) for span in spans
+              for owner, name in re.findall(r"(?<![\w.])(?:asvbackend\.)?([A-Za-z_]\w*)\.([A-Za-z_]\w*)", span)
+              if owner in modules or owner in classes]
+    # proves the scan sees module and class references
+    assert {("plda", "read_model_space_pair"), ("EmbeddingTable", "from_columns")} <= set(dotted)
+    assert [f"{owner}.{name}" for owner, name in dotted
+            if not hasattr(modules.get(owner) or classes[owner], name)] == []
+    # a bare call is to a package name or a method of a package class; `float` is the one builtin
+    called = {name for span in spans for name in re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", span)}
+    assert sorted(called - names - members - {"float"}) == []
+    # a bare snake_case name is a package name, a class member or a parameter
+    snake = {span for span in spans if re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", span)}
+    assert sorted(snake - names - members - parameters) == []
+
+
 def test_every_stage_reads_every_option_it_defines():
     # an option that a stage's parser defines and its `_cmd_*` function never
     # reads is accepted and then ignored
@@ -995,6 +1023,26 @@ def test_training_stages_build_no_row_or_group_objects(tmp_path, monkeypatch):
         "--enroll-embeddings", out / "train_enroll.embs", "--test-embeddings", out / "train_test.embs",
         "--enroll-aggregate", 3, "--out", out / "fourcov.npz",
     ) == 0
+
+
+@pytest.mark.parametrize("aggregate", [[], ["--aggregate", 3]])
+def test_training_row_that_cannot_be_mapped_is_named_by_its_own_id(tmp_path, capsys, aggregate):
+    # under --aggregate the rows of a chunk are averaged, but a row that cannot be
+    # length-normalized on its own is still named by the id it has in the file
+    out = tmp_path / "d"
+    assert invoke(*synth_args(out, seed=3, **{"--train-speakers": 30})) == 0
+    assert invoke("train-plda", "--embeddings", out / "train_enroll.embs", "--rank", 2, "--iters", 2,
+                  "--out", out / "side.npz") == 0
+    rows = data.read_embeddings(out / "train_enroll.embs")
+    matrix = rows.matrix.copy()
+    matrix[4] = modelio.load_plda_side(out / "side.npz")[1].mean  # maps to a zero vector
+    data.write_embeddings(out / "bad.embs", data.EmbeddingTable.from_columns(rows.ids, matrix))
+    capsys.readouterr()
+    assert invoke("train-plda", "--embeddings", out / "bad.embs", *aggregate, "--pre", out / "side.npz",
+                  "--rank", 2, "--out", out / "out.npz") == 6
+    assert capsys.readouterr().err == (f"asvbackend: domain: training ({out / 'bad.embs'}): vector '{rows.ids[4]}' "
+                                       "(row 5): cannot length-normalize a zero vector\n")
+    assert rows.ids[4] == "tr00000-e4" and not (out / "out.npz").exists()
 
 
 def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
@@ -1519,14 +1567,15 @@ def test_every_stage_loads_no_scipy(stage_files, tmp_path):
     assert (tmp_path / "synth" / "train_enroll.embs").exists()
 
 
-def _call_nodes(name):
-    """(module, innermost enclosing function, call) of each call of `name` in the package's source."""
+def _call_nodes(name, by_callee=False):
+    """(module, innermost enclosing function, call) of each call of `name` in the package's source;
+    with `by_callee`, of `name` plain or as an attribute (`f(...)` and `m.f(...)`)."""
     found = []
 
     def visit(node, module, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == name:
+        if isinstance(node, ast.Call) and (_callee(node) if by_callee else ast.unparse(node.func)) == name:
             found.append((module, where, node))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
@@ -1560,27 +1609,36 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
         "_cmd_fit_fourcov", "_cmd_fit_fourcov",
         "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
     ]
-    # and only `read_model_space_pair` hands a vector file straight to the per-side step
-    steps = _call_nodes("in_model_space") + _call_nodes("plda.in_model_space")
-    handed = [
-        (module, where) for module, where, call in steps
-        if any(isinstance(inner, ast.Call) and _callee(inner) == "read_embeddings"
-               for argument in [*call.args, *(keyword.value for keyword in call.keywords)]
-               for inner in ast.walk(argument))
-    ]
-    assert handed == [("plda", "read_model_space_pair")] * 2
+    # and only `read_model_space_pair` reads a vector file straight into model space
+    assert [where for module, where in reads if module == "plda"] == ["read_model_space_pair"] * 2
 
 
 def test_model_space_has_one_home():
-    # every stage brings a side's vectors into model space through `plda`: the mapping itself is
-    # called nowhere else, and the per-side step and the stack reader are defined there
+    # every stage brings a side's vectors into model space through one call, `plda.to_model_space`,
+    # which names the side in its errors and averages the rows of a model; no wrapper,
+    # relabelled table or second mapping exists beside it
     trees = _package_trees()
-    mapped = [module for module, tree in trees.items() for node in ast.walk(tree)
-              if isinstance(node, ast.Call) and _callee(node) == "to_model_space"]
-    assert set(mapped) == {"plda"}
-    defined = {node.name: module for module, tree in trees.items() for node in tree.body
+    defined = {node.name: module for module, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
-    assert defined["in_model_space"] == defined["read_model_space_pair"] == "plda"
+    assert defined["to_model_space"] == defined["read_model_space_pair"] == defined["chunk_models"] == "plda"
+    assert not {"in_model_space", "chunk_rows", "id_codes"} & set(defined)
+    # the preprocessing chain runs only inside the one call
+    applied = [(module, where) for module, where, _ in _call_nodes("apply", by_callee=True)]
+    assert applied == [("plda", "to_model_space")]
+    mapped = _call_nodes("to_model_space", by_callee=True)
+    assert sorted((module, where) for module, where, _ in mapped) == [
+        ("cli", "_training_rows"), ("plda", "chunked_enroll_averages"), ("plda", "enroll_average"),
+        ("plda", "read_model_space_pair"), ("plda", "read_model_space_pair"),
+        ("routing", "condition_pipeline_scores"), ("routing", "condition_pipeline_scores"),
+    ]
+    # every call names its side: the label is the third argument
+    assert all(len(call.args) >= 3 or "label" in {k.arg for k in call.keywords} for _, _, call in mapped)
+    # chunks are model ids passed to the one call, never a table of chunk ids
+    chunking = {(module, where) for module, where, _ in _call_nodes("chunk_models", by_callee=True)}
+    assert chunking == {("cli", "_training_rows"), ("plda", "chunked_enroll_averages")}
+    built = [(module, where) for builder in ("EmbeddingTable", "from_columns", "_make")
+             for module, where, _ in _call_nodes(builder, by_callee=True)]
+    assert not chunking & set(built)
     # and the scoring core has one entry, which each batch calls once
     entries = [(module, where) for module, where, call in _call_nodes("referenced_rows")]
     assert sorted(entries) == [("fourcov", "score_batch"), ("scorenorm", "snorm_batch")]

@@ -218,8 +218,8 @@ class TestBlockMemory:
         tracemalloc.start()
         try:
             table, reading = transient(lambda: read_embeddings(path))
-            averages, averaging = transient(lambda: to_model_space(table, pre, average=True))
-            rows, preprocessing = transient(lambda: to_model_space(table, pre))
+            averages, averaging = transient(lambda: to_model_space(table, pre, "enrollment", table.ids))
+            rows, preprocessing = transient(lambda: to_model_space(table, pre, "test"))
         finally:
             tracemalloc.stop()
         assert (len(table), len(averages), len(rows)) == (n, n // 3, n)

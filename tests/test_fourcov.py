@@ -27,7 +27,7 @@ from asvbackend.fourcov import (
     score_trial,
     symmetric_kernel,
 )
-from asvbackend.plda import PldaModel, fit_preprocessor, in_model_space, to_model_space
+from asvbackend.plda import PldaModel, enroll_average, fit_preprocessor, to_model_space
 
 from conftest import make_group, random_plda, random_truth, trial_list
 
@@ -405,11 +405,14 @@ class TestInModelSpace:
 
     def test_enrollment_averaged_test_rows_kept(self, rng):
         pre_enroll, pre_test, enrolls, tests = self._sides(rng)
-        got_e = in_model_space(enrolls, pre_enroll, "enrollment", average=True)
-        got_t = in_model_space(tests, pre_test, "test")
-        assert got_e == to_model_space(enrolls, pre_enroll, average=True)
+        got_e = to_model_space(enrolls, pre_enroll, "enrollment", enrolls.ids)
+        got_t = to_model_space(tests, pre_test, "test")
         assert got_e.ids == ("a", "b", "c")
-        assert got_t == to_model_space(tests, pre_test)
+        for model_id, vector in zip(got_e.ids, got_e.matrix):
+            members = SpeakerGroup(model_id, tuple(row for row in enrolls if row.id == model_id))
+            np.testing.assert_allclose(vector, enroll_average(members, pre_enroll).vector, rtol=0, atol=1e-15)
+        assert got_t.ids == tests.ids
+        np.testing.assert_allclose(got_t.matrix, pre_test.apply(tests.matrix), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("side", ["enrollment", "test"])
     def test_wrong_width_names_the_side(self, rng, side):
@@ -417,7 +420,7 @@ class TestInModelSpace:
         pre = pre_enroll if side == "enrollment" else pre_test
         wide = EmbeddingTable.from_columns(["x"], rng.standard_normal((1, 5)))
         with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 5, the model expects 4$"):
-            in_model_space(wide, pre, side, average=side == "enrollment")
+            to_model_space(wide, pre, side, wide.ids if side == "enrollment" else None)
 
 
 class TestScoreBatchMemory:

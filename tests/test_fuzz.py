@@ -16,17 +16,20 @@ Five kinds of mutation, each applied to one file of a small dataset:
   type or range (a `top_k` of -1, 0, 1, 10^9, 1.5 or `true` among them),
   or an unknown key is added;
 - one bit is flipped at fixed offsets of two side bundles, a two-sided
-  bundle and a binary embedding file.
+  bundle and a binary embedding file, and at searched offsets of a side
+  bundle, the two-sided bundle and the binary file.
 
-Every stage that reads the mutated file then runs in process, the files
-a routing config names included. Each must exit with a documented code
-(0, or 3 to 9). A failing stage prints one `asvbackend: ` line and
-writes no output and no temp file; a `domain:` line names the file that
-was changed. A stage that succeeds prints nothing on stderr and writes
+A sixth search edits two text files that one stage reads, a line or
+field edit in each. Every stage that reads a mutated file then runs in
+process, the files a routing config names included. Each must exit
+with a documented code (0, or 3 to 9). A failing stage prints one
+`asvbackend: ` line and writes no output and no temp file; a `domain:`
+line names a file that was changed. A stage that succeeds prints nothing on stderr and writes
 outputs that read back. The runs are derandomized with fixed example
 counts, so tier-1 runs the same cases every time, the pinned examples
 among them. A longer search sets the count of the token and line
-searches; the field and config searches run half as many:
+searches; the field and config searches run half as many, and the
+searched bit flips and the two-file edits a sixth:
 
     ASVBACKEND_FUZZ_EXAMPLES=2000 PYTHONPATH=src python -m pytest tests/test_fuzz.py
 """
@@ -150,20 +153,61 @@ def read_output(stage, path):
         assert det.shape[1] == 2 and ((0 <= det) & (det <= 1)).all()
 
 
-def check_stages(dataset, target, content):
-    """Run every stage that reads `target`, with `content` (bytes) in its place, and check the exit contract."""
+LINE_EDITS, FIELD_EDITS = ("drop", "duplicate", "swap", "cut"), ("blank", "repeat", "upper")
+FILE_SUFFIXES = (".embs", ".bin", ".map", ".npz", ".trials", ".scores", ".txt", ".json")
+
+
+def mutate_lines(content, mutation, at, other):
+    """`content` with line `at` dropped, duplicated or swapped with line `other`, or cut at byte `at`."""
+    lines = content.splitlines(keepends=True)
+    i, j = at % len(lines), other % len(lines)
+    if mutation == "drop":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines = [content[: at % (len(content) + 1)]]
+    return b"".join(lines)
+
+
+def edit_field(content, edit, row, field):
+    """`content` with one field of line `row` blanked, repeated or upper-cased."""
+    lines = content.decode("utf-8").splitlines()
+    fields = lines[row % len(lines)].split()
+    i = field % len(fields)
+    if edit == "blank":
+        del fields[i]
+    elif edit == "repeat":
+        fields.insert(i, fields[i])
+    else:
+        fields[i] = fields[i].upper()
+    lines[row % len(lines)] = " ".join(fields)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def stage_inputs(argv):
+    """The dataset files a stage with this argv reads, the files its routing config names included."""
+    files = {str(a) for a in argv if str(a).endswith(FILE_SUFFIXES) and not str(a).startswith("out")}
+    return files | (CONFIG_FILES if "routing.json" in argv else set())
+
+
+def check_stages(dataset, contents):
+    """Run every stage that reads a file of `contents` (name: bytes), with those bytes in its place,
+    and check the exit contract."""
     with tempfile.TemporaryDirectory() as work:
-        name = "eval_test.embs" if target == BINARY else target
+        names = {"eval_test.embs" if target == BINARY else target: content for target, content in contents.items()}
         for entry in os.listdir(dataset):
-            if entry != name:
+            if entry not in names:
                 os.symlink(dataset / entry, os.path.join(work, entry))
-        mutated = os.path.join(work, name)
-        with open(mutated, "wb") as fh:
-            fh.write(content)
+        mutated = [os.path.join(work, name) for name in names]
+        for path, content in zip(mutated, names.values()):
+            with open(path, "wb") as fh:
+                fh.write(content)
         ran = 0
         for stage, argv in STAGES.items():
-            reads = set(map(str, argv)) | (CONFIG_FILES if "routing.json" in argv else set())
-            if name not in reads:
+            if not names.keys() & stage_inputs(argv):
                 continue
             ran += 1
             out = os.path.join(work, stage)
@@ -179,12 +223,12 @@ def check_stages(dataset, target, content):
             if code:
                 assert err.startswith("asvbackend: ") and err.count("\n") == 1, (stage, err)
                 assert os.listdir(out) == [], (stage, err)
-                assert not err.startswith("asvbackend: domain:") or mutated in err, (stage, err)
+                assert not err.startswith("asvbackend: domain:") or any(path in err for path in mutated), (stage, err)
             else:
                 assert err == "", (stage, err)
                 for output in os.listdir(out):
                     read_output(stage, os.path.join(out, output))
-        assert ran, target
+        assert ran, contents.keys()
 
 
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
@@ -206,7 +250,7 @@ def test_edge_values_keep_the_error_contract(dataset, token, target, row, column
     fields = lines[row % len(lines)].split()
     fields[2 if target.endswith(".scores") else 1 + column] = token
     lines[row % len(lines)] = " ".join(fields)
-    check_stages(dataset, target, ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    check_stages(dataset, {target: ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")})
 
 
 @settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
@@ -220,18 +264,7 @@ def test_edge_values_keep_the_error_contract(dataset, token, target, row, column
 @example(target="raw.scores", mutation="drop", at=0, other=0)
 @example(target="cal.txt", mutation="duplicate", at=1, other=0)
 def test_line_mutations_keep_the_error_contract(dataset, target, mutation, at, other):
-    content = (dataset / target).read_bytes()
-    lines = content.splitlines(keepends=True)
-    i, j = at % len(lines), other % len(lines)
-    if mutation == "drop":
-        del lines[i]
-    elif mutation == "duplicate":
-        lines.insert(i, lines[i])
-    elif mutation == "swap":
-        lines[i], lines[j] = lines[j], lines[i]
-    else:
-        lines = [content[: at % (len(content) + 1)]]
-    check_stages(dataset, target, b"".join(lines))
+    check_stages(dataset, {target: mutate_lines((dataset / target).read_bytes(), mutation, at, other)})
 
 
 @settings(max_examples=EXAMPLES // 2, derandomize=True, deadline=None)
@@ -245,17 +278,25 @@ def test_line_mutations_keep_the_error_contract(dataset, target, mutation, at, o
 @example(target="train_test.map", edit="blank", row=0, field=1)
 @example(target="eval_test.embs", edit="repeat", row=0, field=1)
 def test_field_edits_keep_the_error_contract(dataset, target, edit, row, field):
-    lines = (dataset / target).read_text(encoding="utf-8").splitlines()
-    fields = lines[row % len(lines)].split()
-    i = field % len(fields)
-    if edit == "blank":
-        del fields[i]
-    elif edit == "repeat":
-        fields.insert(i, fields[i])
-    else:
-        fields[i] = fields[i].upper()
-    lines[row % len(lines)] = " ".join(fields)
-    check_stages(dataset, target, ("\n".join(lines) + "\n").encode("utf-8"))
+    check_stages(dataset, {target: edit_field((dataset / target).read_bytes(), edit, row, field)})
+
+
+# each stage's text inputs, which line and field edits change
+TEXT_INPUTS = {stage: sorted(f for f in stage_inputs(argv) if not f.endswith(".npz")) for stage, argv in STAGES.items()}
+
+
+@settings(max_examples=EXAMPLES // 6, derandomize=True, deadline=None)
+@given(st.data())
+def test_edits_of_two_files_of_a_stage_keep_the_error_contract(dataset, draws):
+    # one line or field edit in each of two text files that one stage reads
+    stage = draws.draw(st.sampled_from([s for s in STAGES if len(TEXT_INPUTS[s]) >= 2]))
+    contents = {}
+    for target in draws.draw(st.lists(st.sampled_from(TEXT_INPUTS[stage]), min_size=2, max_size=2, unique=True)):
+        edit = draws.draw(st.sampled_from([*LINE_EDITS, *FIELD_EDITS] if target != "routing.json" else LINE_EDITS))
+        at, other = draws.draw(st.integers(0, 10**6)), draws.draw(st.integers(0, 10**6))
+        mutate = mutate_lines if edit in LINE_EDITS else edit_field
+        contents[target] = mutate((dataset / target).read_bytes(), edit, at, other)
+    check_stages(dataset, contents)
 
 
 @settings(max_examples=EXAMPLES // 2, derandomize=True, deadline=None)
@@ -273,7 +314,7 @@ def test_config_value_edits_keep_the_error_contract(dataset, path, value):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
-    check_stages(dataset, "routing.json", json.dumps(doc, indent=1).encode("utf-8"))
+    check_stages(dataset, {"routing.json": json.dumps(doc, indent=1).encode("utf-8")})
 
 
 def test_every_stage_that_reads_a_file_is_fuzzed():
@@ -316,4 +357,13 @@ def test_bit_flips_keep_the_error_contract(dataset, target, where, bit):
     content = bytearray((dataset / target).read_bytes())
     offset = binary_offset(content, where) if target == BINARY else where % len(content)
     content[offset] ^= 1 << bit
-    check_stages(dataset, target, bytes(content))
+    check_stages(dataset, {target: bytes(content)})
+
+
+@settings(max_examples=EXAMPLES // 6, derandomize=True, deadline=None)
+@given(target=st.sampled_from(["side2.npz", "fourcov.npz", BINARY]), at=st.integers(0, 10**6), bit=st.integers(0, 7))
+def test_searched_bit_flips_keep_the_error_contract(dataset, target, at, bit):
+    # a side bundle, a two-sided bundle and a binary embedding file, flipped anywhere
+    content = bytearray((dataset / target).read_bytes())
+    content[at % len(content)] ^= 1 << bit
+    check_stages(dataset, {target: bytes(content)})

@@ -11,7 +11,7 @@ from asvbackend.plda import (
     PldaModel,
     Preprocessor,
     _as_stats,
-    chunk_rows,
+    chunk_models,
     chunked_enroll_averages,
     enroll_average,
     fit_preprocessor,
@@ -125,12 +125,12 @@ class TestToModelSpace:
         pre = fit_preprocessor(rng.standard_normal((40, 5)))
         table = EmbeddingTable.from_columns(self.IDS, matrix)
 
-        rows = to_model_space(table, pre)
+        rows = to_model_space(table, pre, "test")
         assert rows.ids == tuple(self.IDS)
         expected_rows = [pre.apply(v) for v in matrix]
         np.testing.assert_allclose(rows.matrix, expected_rows, rtol=0, atol=1e-12)
 
-        averages = to_model_space(table, pre, average=True)
+        averages = to_model_space(table, pre, "enrollment", table.ids)
         assert averages.ids == ("m2", "m1", "m3", "m4")
         for model_id, vector in zip(averages.ids, averages.matrix):
             members = [pre.apply(v) for v, i in zip(matrix, self.IDS) if i == model_id]
@@ -142,17 +142,34 @@ class TestToModelSpace:
         monkeypatch.setattr(data, "_BLOCK_ROWS", block)
         pre = identity_preprocessor(2)
         huge = EmbeddingTable.from_columns(["a", "b", "c"], [[1.0, 0.0], [1e155, 1.0], [0.0, 1.0]])
-        with pytest.raises(DomainError, match=r"^vector 'b' \(row 2\): cannot length-normalize a vector whose norm"):
-            to_model_space(huge, pre)
+        with pytest.raises(DomainError, match=r"^test: vector 'b' \(row 2\): cannot length-normalize a vector whose"):
+            to_model_space(huge, pre, "test")
         # the two rows of model 'b' cancel
         cancelling = EmbeddingTable.from_columns(["a", "b", "b"], [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        with pytest.raises(DomainError, match=r"^model 'b': cannot length-normalize a zero vector$"):
-            to_model_space(cancelling, pre, average=True)
+        with pytest.raises(DomainError, match=r"^enrollment: model 'b': cannot length-normalize a zero vector$"):
+            to_model_space(cancelling, pre, "enrollment", cancelling.ids)
+
+    def test_a_chunk_whose_average_is_zero_is_named_by_its_model(self):
+        # the first chunk of two rows cancels; each row on its own maps
+        models, speakers = chunk_models(("s",), np.zeros(3, dtype=np.intp), 2)
+        assert models == ("s-agg0", "s-agg0", "s-agg2") and speakers.tolist() == [0, 0]
+        rows = EmbeddingTable.from_columns(["s-e0", "s-e1", "s-e2"], [[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match=r"^training \(t\.embs\): model 's-agg0': cannot length-normalize a zero"):
+            to_model_space(rows, identity_preprocessor(2), "training (t.embs)", models)
+
+    @pytest.mark.parametrize("count", [0, 7, 9])
+    def test_models_of_another_length_are_refused_before_any_row_is_mapped(self, count):
+        # row 1 cannot be length-normalized, so a mapped row would raise DomainError
+        table = EmbeddingTable.from_columns(self.IDS, np.zeros((len(self.IDS), 2)))
+        with pytest.raises(ParameterError, match=f"^enrollment \\(e\\.embs\\): {count} model ids for 8 rows$"):
+            to_model_space(table, identity_preprocessor(2), "enrollment (e.embs)", (self.IDS * 2)[:count])
 
     def test_rows_and_tables_give_the_same_result(self, rng):
         pre = fit_preprocessor(rng.standard_normal((40, 4)))
         rows = [Embedding(i, rng.standard_normal(4)) for i in self.IDS]
-        assert to_model_space(rows, pre, average=True) == to_model_space(EmbeddingTable(rows), pre, average=True)
+        assert to_model_space(rows, pre, "enrollment", self.IDS) == to_model_space(
+            EmbeddingTable(rows), pre, "enrollment", self.IDS
+        )
 
 
 def interleaved_speakers(rng, dim=5, speakers=12):
@@ -257,8 +274,8 @@ class TestSpeakerStats:
     def test_chunk_averages_match_per_speaker_averaging(self, rng):
         table, speaker_ids, codes, groups = interleaved_speakers(rng)
         pre = fit_preprocessor(rng.standard_normal((40, 5)))
-        rows, chunk_speakers = chunk_rows(table, speaker_ids, codes, 2)
-        averages = to_model_space(rows, pre, average=True)
+        models, chunk_speakers = chunk_models(speaker_ids, codes, 2)
+        averages = to_model_space(table, pre, "training", models)
         expected = {}
         for group in groups:
             for row in chunked_enroll_averages(group, pre, 2).members:
@@ -269,6 +286,7 @@ class TestSpeakerStats:
             j = seen[speaker] = seen.get(speaker, -1) + 1
             row_chunks.append(f"{speaker}-agg{j - j % 2}")
         # one average per chunk, in order of first appearance in the table
+        assert models == tuple(row_chunks)
         assert averages.ids == tuple(dict.fromkeys(row_chunks))
         assert sorted(averages.ids) == sorted(expected)
         for chunk_id, vector, c in zip(averages.ids, averages.matrix, chunk_speakers):

@@ -224,6 +224,39 @@ class TestScoreBatchBlocks:
         np.testing.assert_array_equal(got, expected)
 
 
+@st.composite
+def model_columns(draw):
+    """A column of 1-40 model ids: interleaved, each model's rows together (repeated), or all distinct."""
+    kind = draw(st.sampled_from(["interleaved", "repeated", "distinct"]))
+    n = draw(st.integers(1, 40))
+    codes = list(range(n)) if kind == "distinct" else draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return [f"m{c}" for c in (sorted(codes) if kind == "repeated" else codes)]
+
+
+class TestModelSpaceAveraging:
+    """`plda.to_model_space` averages the rows of each model in row order, whatever the block size."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(model_columns(), st.sampled_from([1, 2, 3, 256]), st.integers(2, 6), st.integers(0, 2**32 - 1))
+    def test_average_is_the_row_order_sum_of_mapped_rows(self, models, block, dim, seed):
+        rng = np.random.default_rng(seed)
+        pre = plda.fit_preprocessor(rng.standard_normal((3 * dim, dim)))
+        ids = [f"r{i}" for i in range(len(models))]
+        table = EmbeddingTable.from_columns(ids, rng.standard_normal((len(models), dim)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_BLOCK_ROWS", block)
+            averages = plda.to_model_space(table, pre, "enrollment", models)
+            rows = plda.to_model_space(table, pre, "enrollment")
+        assert averages.ids == tuple(dict.fromkeys(models))
+        for model_id, got in zip(averages.ids, averages.matrix):
+            total = np.zeros(dim)
+            for row, owner in zip(rows.matrix, models):
+                if owner == model_id:
+                    total += row
+            want = plda.length_normalize(total / models.count(model_id))
+            assert got.tobytes() == want.tobytes()
+
+
 COHORTS = scorenorm.CohortSet(
     tuple(Embedding(f"ce{i}", _rng.standard_normal(5)) for i in range(40)),
     tuple(Embedding(f"ct{i}", _rng.standard_normal(5)) for i in range(40)),
@@ -367,18 +400,19 @@ def run_cli(*argv):
     assert cli.main([str(a) for a in argv]) == 0
 
 
-def recipe_scores(files, trials, top_k=10):
+def recipe_scores(files, trials, rank=2, aggregate=3, top_k=10):
     """Raw and S-norm scores of the README recipe, through the calls its stages make on these tables.
 
-    As `train-plda` (the enrollment side on 3-segment chunks), `fit-fourcov`,
-    `score` and `snorm` do, each side's preprocessor is fitted on its
-    training file and every file of that side is mapped through it.
+    As `train-plda` (the enrollment side on chunks of `aggregate`
+    segments), `fit-fourcov`, `score` and `snorm` do, each side's
+    preprocessor is fitted on its training file and every file of that
+    side is mapped through it.
     """
     sides = []
-    for name, aggregate in (("train_enroll", 3), ("train_test", 0)):
+    for name, chunk in (("train_enroll", aggregate), ("train_test", 0)):
         pre = plda.fit_preprocessor(files[name])
-        side = cli._training_rows(files[name], name, None, pre, aggregate)
-        model = plda.train_plda(plda.speaker_stats(side[0].matrix, *side[1:]), rank=2, iterations=10)
+        side = cli._training_rows(files[name], name, None, pre, chunk)
+        model = plda.train_plda(plda.speaker_stats(side[0].matrix, *side[1:]), rank=rank, iterations=10)
         sides.append((side, model, pre))
     (side1, model1, pre1), (side2, model2, pre2) = sides
     shared = sorted(set(side1[1]) & set(side2[1]))
@@ -386,8 +420,9 @@ def recipe_scores(files, trials, top_k=10):
     kernel = fourcov.build_kernel(fourcov.fit_coupling(model1, model2, paired))
 
     def model_space(prefix):
-        return (plda.in_model_space(files[f"{prefix}_enroll"], pre1, "enrollment", average=True),
-                plda.in_model_space(files[f"{prefix}_test"], pre2, "test"))
+        enrolls = files[f"{prefix}_enroll"]
+        return (plda.to_model_space(enrolls, pre1, "enrollment", enrolls.ids),
+                plda.to_model_space(files[f"{prefix}_test"], pre2, "test"))
 
     enrolls, tests = model_space("eval")
     raw = fourcov.score_batch(kernel, enrolls, tests, trials)
@@ -395,17 +430,34 @@ def recipe_scores(files, trials, top_k=10):
     return raw.values(), normalized.values()
 
 
+def synth_recipe(directory, dim=6, rank=2, speakers=60, seed=7):
+    """The vector files, as tables, and the trials of a `synth` run of the README recipe's kind in `directory`."""
+    run_cli("synth", "--out-dir", directory, "--dim", dim, "--rank", rank, "--train-speakers", speakers,
+            "--eval-speakers", 20, "--cohort-speakers", 30, "--nontargets", 10, "--kappa", 4.0, "--rotation", 1.0,
+            "--eval-jitter", 0.9, "--seed", seed)
+    return ({name: read_embeddings(os.path.join(directory, f"{name}.embs")) for name in RECIPE_FILES},
+            read_trials(os.path.join(directory, "eval.trials")))
+
+
 @pytest.fixture(scope="module")
 def recipe(tmp_path_factory):
     """A small dataset of the README recipe's kind: its directory, its vector files as tables, its
     trials and their raw and S-norm scores."""
     base = tmp_path_factory.mktemp("recipe")
-    run_cli("synth", "--out-dir", base, "--dim", 6, "--rank", 2, "--train-speakers", 60, "--eval-speakers", 20,
-            "--cohort-speakers", 30, "--nontargets", 10, "--kappa", 4.0, "--rotation", 1.0, "--eval-jitter", 0.9,
-            "--seed", 7)
-    files = {name: read_embeddings(base / f"{name}.embs") for name in RECIPE_FILES}
-    trials = read_trials(base / "eval.trials")
+    files, trials = synth_recipe(base)
     return base, files, trials, recipe_scores(files, trials)
+
+
+@st.composite
+def recipes(draw):
+    """A dataset of the README recipe's kind under a drawn `synth` config (dimension 4-8, rank 2-3,
+    30-60 training speakers) and `--aggregate` (1-3): its vector files as tables, its trials, the
+    config that trains it, `(rank, aggregate)`, and its raw and S-norm scores."""
+    dim, rank, speakers = draw(st.integers(4, 8)), draw(st.integers(2, 3)), draw(st.integers(30, 60))
+    config = (rank, draw(st.integers(1, 3)))
+    with tempfile.TemporaryDirectory() as directory:
+        files, trials = synth_recipe(directory, dim, rank, speakers, draw(st.integers(0, 2**16)))
+    return files, trials, config, recipe_scores(files, trials, *config)
 
 
 def affine_map(rng, dim, condition):
@@ -443,20 +495,21 @@ class TestRecipeInvariance:
     trial references is never scored.
     """
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
-    def test_affine_map_of_every_file(self, recipe, seed, log_condition):
-        _, files, trials, scores = recipe
-        matrix, shift = affine_map(np.random.default_rng(seed), 6, 10.0 ** log_condition)
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(recipes(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    def test_affine_map_of_every_file(self, drawn, seed, log_condition):
+        files, trials, config, scores = drawn
+        dim = files["train_enroll"].dim
+        matrix, shift = affine_map(np.random.default_rng(seed), dim, 10.0 ** log_condition)
         mapped = {name: EmbeddingTable.from_columns(t.ids, t.matrix @ matrix.T + shift) for name, t in files.items()}
-        assert_close(recipe_scores(mapped, trials), scores, affine_tolerance(10.0 ** log_condition))
+        assert_close(recipe_scores(mapped, trials, *config), scores, affine_tolerance(10.0 ** log_condition))
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_interleaved_speakers(self, recipe, seed):
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(recipes(), st.integers(0, 2**32 - 1))
+    def test_interleaved_speakers(self, drawn, seed):
         # each file's speakers interleaved at random, each speaker's rows kept in order,
         # so every chunk and every enrollment average holds the same rows in the same order
-        _, files, trials, scores = recipe
+        files, trials, config, scores = drawn
         rng = np.random.default_rng(seed)
 
         def interleaved(table):
@@ -467,14 +520,14 @@ class TestRecipeInvariance:
                 order[slots == c] = np.flatnonzero(codes == c)
             return table.take(order)
 
-        assert_close(recipe_scores({name: interleaved(t) for name, t in files.items()}, trials), scores, 1e-11)
+        assert_close(recipe_scores({name: interleaved(t) for name, t in files.items()}, trials, *config), scores, 1e-11)
 
-    @settings(max_examples=8, deadline=None)
-    @given(st.data())
-    def test_renamed_ids_give_the_same_bits(self, recipe, draws):
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(recipes(), st.data())
+    def test_renamed_ids_give_the_same_bits(self, drawn, draws):
         # speakers renamed in their sort order, which orders the coupling fit; the part
         # of an id after the speaker renamed to any other token
-        _, files, trials, scores = recipe
+        files, trials, config, scores = drawn
         old = [i.split("-", 1) for t in files.values() for i in t.ids]
         speakers, suffixes = sorted({s for s, _ in old}), sorted({x for _, x in old})
         token = st.text(st.characters(exclude_categories=("Cs", "Cc", "Z")), min_size=1, max_size=3)
@@ -492,19 +545,19 @@ class TestRecipeInvariance:
         renamed_trials = TrialList.from_columns(
             *zip(*((rename(t.enroll_id), rename(t.test_id), t.is_target) for t in trials))
         )
-        for got, want in zip(recipe_scores(renamed, renamed_trials), scores):
+        for got, want in zip(recipe_scores(renamed, renamed_trials, *config), scores):
             assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.sampled_from(["eval_enroll", "eval_test"]), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
-    def test_unreferenced_vector_changes_scores_by_rounding_only(self, recipe, name, at, seed):
-        _, files, trials, scores = recipe
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(recipes(), st.sampled_from(["eval_enroll", "eval_test"]), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+    def test_unreferenced_vector_changes_scores_by_rounding_only(self, drawn, name, at, seed):
+        files, trials, config, scores = drawn
         table = files[name]
         at %= len(table) + 1
         vector = 3.0 * np.random.default_rng(seed).standard_normal(table.dim)
         extra = EmbeddingTable.from_columns(table.ids[:at] + ("unreferenced",) + table.ids[at:],
                                             np.insert(table.matrix, at, vector, axis=0))
-        assert_close(recipe_scores({**files, name: extra}, trials), scores, 1e-12)
+        assert_close(recipe_scores({**files, name: extra}, trials, *config), scores, 1e-12)
 
     def test_affine_map_through_the_cli(self, recipe, tmp_path):
         base, files, _, _ = recipe
