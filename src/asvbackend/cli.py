@@ -38,7 +38,7 @@ def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     and each chunk becomes one unit-norm average (a pseudo enrollment
     model); a row that cannot be mapped is still named by its own id.
     """
-    plda.check_raw_width(rows, pre, label)
+    data.check_width(rows, pre.dim, label)
     speaker_map = data.read_id_map(speaker_map_path) if speaker_map_path else None
     speaker_ids, codes = data.speaker_codes(rows.ids, speaker_map)
     models = None
@@ -249,10 +249,10 @@ def _cmd_route_score(args) -> int:
     labels = (f"enrollment ({args.enroll})", f"test ({args.test})")
     enrolls = data.read_embeddings(args.enroll)
     for pipeline in pipelines.values():
-        plda.check_raw_width(enrolls, pipeline.pre_enroll, labels[0])
+        data.check_width(enrolls, pipeline.pre_enroll.dim, labels[0])
     tests = data.read_embeddings(args.test)
     for pipeline in pipelines.values():
-        plda.check_raw_width(tests, pipeline.pre_test, labels[1])
+        data.check_width(tests, pipeline.pre_test.dim, labels[1])
     scores = routing.route_and_score(config, pipelines, enrolls, tests, trials, labels)
     data.write_scores(scores, args.out)
     print(f"wrote {len(scores)} routed scores to {args.out}")

@@ -229,6 +229,22 @@ def embedding_table(embeddings) -> EmbeddingTable:
     return embeddings if isinstance(embeddings, EmbeddingTable) else EmbeddingTable(embeddings)
 
 
+def check_width(rows, dim: int, label: str) -> None:
+    """The one width rule of vectors entering a model: `rows` must be `dim` wide.
+
+    A table with no rows passes: an empty file has no width. An array,
+    a matrix or one vector, is checked by its last axis whatever its row
+    count. Any other width raises `DimensionMismatchError("<label>
+    vectors have dimension <w>, the model expects <dim>")`.
+    """
+    if isinstance(rows, EmbeddingTable):
+        if not len(rows):
+            return
+        rows = rows.matrix
+    if rows.shape[-1] != dim:
+        raise DimensionMismatchError(f"{label} vectors have dimension {rows.shape[-1]}, the model expects {dim}")
+
+
 @dataclass(frozen=True)
 class SpeakerGroup:
     """All embeddings of one speaker (or one enrollment sample): an input

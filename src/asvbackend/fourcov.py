@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, embedding_table, row_blocks
+from .data import Embedding, EmbeddingTable, ScoreSet, TrialList, check_width, embedding_table, row_blocks
 from .exceptions import DimensionMismatchError, NumericalError, ParameterError, UnknownIdError
 from .plda import PldaModel, SpeakerStats, _as_stats, _cholesky, _logdet, finite, speaker_factors, symmetric
 
@@ -139,15 +139,6 @@ def symmetric_kernel(model: PldaModel) -> ScoringKernel:
     return build_kernel(collapsed)
 
 
-def _check_width(matrix: np.ndarray, side: str, dim: int, ids=()) -> None:
-    """Raise unless a non-empty matrix's rows are `dim` wide, naming `side` and the first of `ids`."""
-    if len(matrix) and matrix.shape[1] != dim:
-        vector = f"vector '{ids[0]}'" if len(ids) else "vector"
-        raise DimensionMismatchError(
-            f"{side} {vector} has dimension {matrix.shape[1]}, kernel dimension is {dim}"
-        )
-
-
 def _side_terms(kernel: ScoringKernel, rows: np.ndarray, side: str):
     """Per-vector parts of the quadratic form on one side, each row centred once.
 
@@ -205,7 +196,8 @@ def referenced_rows(kernel: ScoringKernel, table, enrolls, tests):
     Per side, enrollment first, the rows that the trial or score `table`
     references are kept once each, in table order, with each table row's
     index into them. Where ids repeat, the last row with that id is used.
-    An unknown id, then a width other than the kernel's, raises.
+    An unknown id, then a width other than the kernel's, raises; the
+    width rule is `data.check_width`, naming the side.
     """
     sides = (
         ("enrollment", embedding_table(enrolls), table.enroll_ids, table.enroll_codes),
@@ -221,7 +213,7 @@ def referenced_rows(kernel: ScoringKernel, table, enrolls, tests):
         used, at = np.unique(positions, return_inverse=True)
         # `used` is sorted, so a table whose every row is used is kept as it is
         rows = vectors if len(used) == len(vectors) else vectors.take(used)
-        _check_width(rows.matrix, side, kernel.dim, rows.ids)
+        check_width(rows, kernel.dim, side)
         out += [rows, at[codes]]
     return tuple(out)
 
@@ -262,15 +254,16 @@ def cohort_grids(kernel: ScoringKernel, rows: np.ndarray, side: str, cohort: Emb
 
     Each side keeps its slot, so every score is the one `score_trial`
     gives that pair, to rounding: BLAS may round a product of another
-    shape differently. Widths are checked at the call. The iterator forms
+    shape differently. Widths are checked at the call (`data.check_width`),
+    the cohort's first, an empty array of rows too. The iterator forms
     the side terms when the first grid is asked for and drops them
     after the last, and yields one (rows, cohort) grid per
     `data.row_blocks` block of rows, in row order. Dropping each grid
     before the next bounds memory to one.
     """
     other = "test" if side == "enrollment" else "enrollment"
-    _check_width(cohort.matrix, f"{other}-side cohort", kernel.dim, cohort.ids)
-    _check_width(rows, side, kernel.dim)
+    check_width(cohort, kernel.dim, f"{other}-side cohort")
+    check_width(rows, kernel.dim, side)
 
     def grids():
         quad, proj = _side_terms(kernel, rows, side)

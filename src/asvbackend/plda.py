@@ -6,12 +6,12 @@ enrollment averaging, a symmetric log-likelihood-ratio baseline and
 covariance-level interpolation between two models.
 
 Every stage brings a side's raw vectors into model space with one call,
-`to_model_space(rows, pre, label, models)`: a width check naming
-`label`, the preprocessing chain a block of rows at a time, and, given
-one model id per row, one unit-norm average per model. The enrollment
-side passes its ids as the models; training under `--aggregate` passes
-the per-row chunk ids of `chunk_models`. `read_model_space_pair` reads
-a stack's two vector files through it.
+`to_model_space(rows, pre, label, models)`: the width rule
+`data.check_width` naming `label`, the preprocessing chain a block of
+rows at a time, and, given one model id per row, one unit-norm average
+per model. The enrollment side passes its ids as the models; training
+under `--aggregate` passes the per-row chunk ids of `chunk_models`.
+`read_model_space_pair` reads a stack's two vector files through it.
 
 The generative model for a vector w of this type is
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, SpeakerGroup, _encode, embedding_table, read_embeddings, row_blocks
+from .data import Embedding, EmbeddingTable, SpeakerGroup, _encode, check_width, embedding_table, read_embeddings, row_blocks
 from .exceptions import DimensionMismatchError, DomainError, NumericalError, ParameterError, prefixed
 
 logger = logging.getLogger(__name__)
@@ -88,9 +88,9 @@ def length_normalize(w: np.ndarray, name: Callable[[int], str] | None = None) ->
 class Preprocessor:
     """Centering + whitening transform fitted on one side's training data.
 
-    `whiten` maps training data to identity sample covariance; `apply`
-    additionally length-normalizes, which is the full chain every vector
-    passes through before PLDA training or scoring.
+    The whitening maps training data to identity sample covariance.
+    `apply` centres, whitens and length-normalizes: the full chain every
+    vector passes through before PLDA training or scoring.
     """
 
     mean: np.ndarray
@@ -110,18 +110,12 @@ class Preprocessor:
     def dim(self) -> int:
         return self.mean.size
 
-    def whiten(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"vector dimension {vectors.shape[-1]} does not match preprocessor dimension {self.dim}"
-            )
-        return (vectors - self.mean) @ self.whitener
-
     def apply(self, vectors: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
+        vectors = np.asarray(vectors, dtype=np.float64)
+        check_width(vectors, self.dim, "preprocessor input")
         # a whitened value beyond the float64 range fails the length normalization, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            whitened = self.whiten(vectors)
+            whitened = (vectors - self.mean) @ self.whitener
         return length_normalize(whitened, name)
 
 
@@ -167,20 +161,12 @@ def fit_preprocessor(data) -> Preprocessor:
     return Preprocessor(stats.mean, whitener)
 
 
-def check_raw_width(table: EmbeddingTable, pre: Preprocessor, label: str) -> None:
-    """The one width check of raw vectors bound for model space; `label` names side and file."""
-    if len(table) and table.dim != pre.dim:
-        raise DimensionMismatchError(
-            f"{label} vectors have dimension {table.dim}, the model expects {pre.dim}"
-        )
-
-
 def to_model_space(rows, pre: Preprocessor, label: str, models: Sequence[str] | None = None) -> EmbeddingTable:
     """One side's raw vectors in model space: the one mapping step of every stage.
 
     `rows` is a table or a sequence of `Embedding` rows, and `label`
     names them (side and file) in every error. Their width is checked
-    first (`check_raw_width`). Every row then goes through `pre.apply`
+    first (`data.check_width`). Every row then goes through `pre.apply`
     (centering, whitening and length normalization) one
     `data.row_blocks` block at a time. Without `models` the result keeps
     every row and id in table order. `models` holds one model id per row
@@ -196,7 +182,7 @@ def to_model_space(rows, pre: Preprocessor, label: str, models: Sequence[str] | 
     input and output tables.
     """
     table = embedding_table(rows)
-    check_raw_width(table, pre, label)
+    check_width(table, pre.dim, label)
     if models is None:
         ids, codes = table.ids, None
         out = np.empty((len(ids), pre.dim))
@@ -558,10 +544,7 @@ def speaker_factors(model: PldaModel, samples) -> np.ndarray:
     onto the speaker subspace; more vectors sharpen the posterior.
     """
     stats = _as_stats(samples)
-    if stats.mean.size != model.dim:
-        raise DimensionMismatchError(
-            f"sample dimension {stats.mean.size} does not match model dimension {model.dim}"
-        )
+    check_width(stats.mean, model.dim, "speaker")
     sums = stats.sums - stats.counts[:, None] * model.mean
     return _posterior(model.speaker_loadings, model.residual_cov, sums, stats.counts)[0]
 

@@ -318,6 +318,20 @@ def test_each_model_rule_is_written_once():
     assert "eigvalsh" not in attributes(trees["synth.py"], ast.ClassDef, "GroundTruth")
     assert not attributes(trees["plda.py"], ast.FunctionDef, "train_plda") & {"matrix_rank", "catch_warnings"}
 
+    # one width rule, `data.check_width`, for every vector entering a model, with one message
+    defined = [(module, node.name) for module, tree in _package_trees().items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in ("check_width", "check_raw_width", "_check_width")]
+    assert defined == [("data", "check_width")]
+    assert not hasattr(plda.Preprocessor, "whiten")
+    assert sorted((module, where) for module, where, _ in _call_nodes("check_width", by_callee=True)) == [
+        ("cli", "_cmd_route_score"), ("cli", "_cmd_route_score"), ("cli", "_training_rows"),
+        ("fourcov", "cohort_grids"), ("fourcov", "cohort_grids"), ("fourcov", "referenced_rows"),
+        ("plda", "apply"), ("plda", "speaker_factors"), ("plda", "to_model_space"),
+    ]
+    texts = [(module, where) for module, where, call in _call_nodes("DimensionMismatchError")
+             if "vectors have dimension" in ast.unparse(call)]
+    assert texts == [("data", "check_width")]
+
 
 def test_each_bundle_layout_is_written_once_and_read_in_a_with(tmp_path):
     # a `save_*` or `load_*` function that spells an entry name keeps a second
@@ -528,7 +542,10 @@ def test_readme_names_resolve():
     assert sorted(called - names - members - {"float"}) == []
     # a bare snake_case name is a package name, a class member or a parameter
     snake = {span for span in spans if re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", span)}
-    assert sorted(snake - names - members - parameters) == []
+    # or a test of this suite, which the tests section names
+    tests = {node.name for path in pathlib.Path(__file__).parent.glob("test_*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert sorted(snake - names - members - parameters - tests) == []
 
 
 def test_every_stage_reads_every_option_it_defines():

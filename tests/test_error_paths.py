@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from asvbackend import calibration, data, synth
-from asvbackend.data import Embedding, EmbeddingTable, ScoreSet, SpeakerGroup
+from asvbackend.data import Embedding, EmbeddingTable, ScoreSet, SpeakerGroup, TrialList
 from asvbackend.exceptions import DimensionMismatchError, DomainError, NumericalError, ParameterError
-from asvbackend.fourcov import FourCovModel, ScoringKernel, coupling_from_factors
+from asvbackend.fourcov import FourCovModel, ScoringKernel, coupling_from_factors, score_batch, symmetric_kernel
 from asvbackend.metrics import compute_eer
 from asvbackend.plda import (
-    PldaModel, fit_preprocessor, identity_preprocessor, interpolate_plda, plda_llr, speaker_factors,
+    PldaModel, fit_preprocessor, identity_preprocessor, interpolate_plda, plda_llr, speaker_factors, to_model_space,
 )
 
 # rank-1 side models of dimension 2 and 3, and a rank-2 one of dimension 2
@@ -49,9 +49,24 @@ ERRORS = {
     "plda-shapes": (
         lambda: PldaModel(np.zeros(2), np.ones((3, 1)), np.eye(2)),
         DimensionMismatchError, "inconsistent PLDA shapes: mean (2,), loadings (3, 1), cov (2, 2)"),
-    "whiten-width": (
-        lambda: identity_preprocessor(2).whiten(np.zeros(3)),
-        DimensionMismatchError, "vector dimension 3 does not match preprocessor dimension 2"),
+    # the one width rule, `data.check_width`, at the entries that have no width test of their own
+    "apply-width": (
+        lambda: identity_preprocessor(2).apply(np.ones(3)),
+        DimensionMismatchError, "preprocessor input vectors have dimension 3, the model expects 2"),
+    "apply-matrix-width": (
+        lambda: identity_preprocessor(2).apply(np.ones((0, 3))),
+        DimensionMismatchError, "preprocessor input vectors have dimension 3, the model expects 2"),
+    "to-model-space-width": (
+        lambda: to_model_space([Embedding("a", np.ones(3))], identity_preprocessor(2), "enrollment (e.txt)"),
+        DimensionMismatchError, "enrollment (e.txt) vectors have dimension 3, the model expects 2"),
+    "score-batch-enrollment-width": (
+        lambda: score_batch(symmetric_kernel(SIDE), [Embedding("e", np.ones(3))], [Embedding("t", np.ones(2))],
+                            TrialList.from_columns(["e"], ["t"], [None])),
+        DimensionMismatchError, "enrollment vectors have dimension 3, the model expects 2"),
+    "score-batch-test-width": (
+        lambda: score_batch(symmetric_kernel(SIDE), [Embedding("e", np.ones(2))], [Embedding("t", np.ones(3))],
+                            TrialList.from_columns(["e"], ["t"], [None])),
+        DimensionMismatchError, "test vectors have dimension 3, the model expects 2"),
     "data-matrix-not-2d": (
         lambda: fit_preprocessor(np.zeros(3)),
         DimensionMismatchError, "expected a 2-D data matrix, got shape (3,)"),
@@ -62,7 +77,7 @@ ERRORS = {
         lambda: fit_preprocessor([]), ParameterError, "no embeddings to stack"),
     "speaker-factors-dimension": (
         lambda: speaker_factors(SIDE, [SpeakerGroup("s", (Embedding("s-1", np.zeros(3)),))]),
-        DimensionMismatchError, "sample dimension 3 does not match model dimension 2"),
+        DimensionMismatchError, "speaker vectors have dimension 3, the model expects 2"),
     "plda-llr-dimension": (
         lambda: plda_llr(SIDE, np.zeros(2), np.zeros(3)),
         DimensionMismatchError, "expected two vectors of dimension 2, got (2,) and (3,)"),

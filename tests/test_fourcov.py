@@ -285,7 +285,7 @@ class TestScoreTrial:
     def test_dimension_mismatch(self, rng):
         model = random_fourcov(rng, 4, 2, 2)
         kernel = build_kernel(model)
-        with pytest.raises(DimensionMismatchError, match="^enrollment vector 'enrollment' has dimension 3, kernel dimension is 4$"):
+        with pytest.raises(DimensionMismatchError, match="^enrollment vectors have dimension 3, the model expects 4$"):
             score_trial(kernel, np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -387,11 +387,13 @@ class TestCohortGrids:
     @pytest.mark.parametrize("side", ["enrollment", "test"])
     def test_wrong_dimension_names_side(self, rng, side):
         kernel, rows, cohort = self._setup(rng)
-        with pytest.raises(DimensionMismatchError, match=f"^{side} vector has dimension 3, kernel dimension is 4$"):
-            cohort_grids(kernel, rows[:, :3], side, cohort)
+        # an array is checked by its last axis, an empty one too
+        for narrow_rows in (rows[:, :3], np.zeros((0, 3))):
+            with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 3, the model expects 4$"):
+                cohort_grids(kernel, narrow_rows, side, cohort)
         other = "test" if side == "enrollment" else "enrollment"
         narrow = EmbeddingTable.from_columns(cohort.ids, cohort.matrix[:, :3])
-        with pytest.raises(DimensionMismatchError, match=f"^{other}-side cohort vector 'c0' has dimension 3"):
+        with pytest.raises(DimensionMismatchError, match=f"^{other}-side cohort vectors have dimension 3, the model expects 4$"):
             cohort_grids(kernel, rows, side, narrow)
 
 

@@ -57,7 +57,7 @@ class TestPreprocessor:
         )
         data = mean + rng.standard_normal((10000, 4)) @ chol.T
         pre = fit_preprocessor(data)
-        white = pre.whiten(data)
+        white = (data - pre.mean) @ pre.whitener
         np.testing.assert_allclose(np.cov(white, rowvar=False), np.eye(4), atol=5e-2)
         # exact identity when measured with the same divisor as the fit
         centered = white - white.mean(axis=0)

@@ -207,7 +207,7 @@ class TestSnorm:
         vectors = {"enrollment": rng.standard_normal(5), "test": rng.standard_normal(5)}
         vectors[side] = rng.standard_normal(4)
         raw = ScoreSet.from_columns(["enrollment"], ["test"], [0.0])
-        with pytest.raises(DimensionMismatchError, match=f"^{side} vector '{side}' has dimension 4, kernel dimension is 5$"):
+        with pytest.raises(DimensionMismatchError, match=f"^{side} vectors have dimension 4, the model expects 5$"):
             snorm_batch(kernel, cohorts, [Embedding("enrollment", vectors["enrollment"])],
                         [Embedding("test", vectors["test"])], raw)
 
@@ -426,16 +426,10 @@ class TestSnormBatch:
         snorm_batch(kernel, CohortSet(table("ce", 50), table("ct", 50), 20), enrolls, tests, raw)
         assert calls == ["test-side"] * 3 + ["enrollment-side"] * 3
 
-    @pytest.mark.parametrize(
-        "wrong, message",
-        [
-            ("enroll", "enrollment vector 'e0' has dimension 6"),
-            ("test", "test vector 't0' has dimension 6"),
-            ("enroll_cohort", "enrollment-side cohort vector 'ce0' has dimension 6"),
-            ("test_cohort", "test-side cohort vector 'ct0' has dimension 6"),
-        ],
-    )
-    def test_wrong_dimension_names_side_and_id(self, kernel_and_cohorts, rng, wrong, message):
+    @pytest.mark.parametrize("wrong", ["enroll", "test", "enroll_cohort", "test_cohort"])
+    def test_wrong_dimension_names_side(self, kernel_and_cohorts, rng, wrong):
+        label = {"enroll": "enrollment", "test": "test",
+                 "enroll_cohort": "enrollment-side cohort", "test_cohort": "test-side cohort"}[wrong]
         kernel, cohorts = kernel_and_cohorts
         enrolls, tests, raw = self._trials_and_vectors(rng, kernel, 2, 2)
 
@@ -450,7 +444,7 @@ class TestSnormBatch:
             cohorts = CohortSet(wide("ce"), cohorts.test_cohort, cohorts.top_k)
         else:
             cohorts = CohortSet(cohorts.enroll_cohort, wide("ct"), cohorts.top_k)
-        with pytest.raises(DimensionMismatchError, match=message):
+        with pytest.raises(DimensionMismatchError, match=f"^{label} vectors have dimension 6, the model expects 5$"):
             snorm_batch(kernel, cohorts, enrolls, tests, raw)
 
     @pytest.mark.parametrize("side", ["enroll", "test"])
