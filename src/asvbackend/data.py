@@ -40,6 +40,7 @@ call on each line of the block in turn names the first bad line, so
 errors and their order are those of a line-by-line reader.
 
 All writers are atomic (temp file in the target directory, then rename).
+Text writers join `_BLOCK_ROWS` lines per write.
 Score values are written with ``repr`` so text round-trips are exact for
 float64. The binary format stores float32, so its round-trip is bit-exact
 for vectors that are float32-representable.
@@ -55,6 +56,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -79,6 +81,18 @@ def open_input(path):
     if not os.path.isfile(path):
         raise FileNotFoundError(f"{path} (not a regular file)" if os.path.exists(path) else path)
     return open(path, "rb")
+
+
+def content_digest(path) -> str:
+    """The SHA-256 of input `path`'s bytes, read through `open_input` a megabyte at a time."""
+    # imported here: hashlib loads OpenSSL, 3.5 MB of resident memory that a stage hashing nothing would carry
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open_input(path) as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def check_output(path) -> str:
@@ -235,12 +249,16 @@ def check_width(rows, dim: int, label: str) -> None:
     A table with no rows passes: an empty file has no width. An array,
     a matrix or one vector, is checked by its last axis whatever its row
     count. Any other width raises `DimensionMismatchError("<label>
-    vectors have dimension <w>, the model expects <dim>")`.
+    vectors have dimension <w>, the model expects <dim>")`, and a 0-d
+    array, which has no axis, `DimensionMismatchError("<label> is a
+    scalar, the model expects vectors of dimension <dim>")`.
     """
     if isinstance(rows, EmbeddingTable):
         if not len(rows):
             return
         rows = rows.matrix
+    if rows.ndim == 0:
+        raise DimensionMismatchError(f"{label} is a scalar, the model expects vectors of dimension {dim}")
     if rows.shape[-1] != dim:
         raise DimensionMismatchError(f"{label} vectors have dimension {rows.shape[-1]}, the model expects {dim}")
 
@@ -660,8 +678,14 @@ def write_embeddings(path, embeddings, binary: bool = False) -> None:
         # `read_embeddings` would take the file for a binary one
         raise ParameterError(f"{path}: id {table.ids[0]!r} cannot start a text file: it begins with the binary magic")
     with atomic_write(path) as fh:
-        for embedding_id, vector in zip(table.ids, table.matrix):
-            fh.write(embedding_id + "  " + " ".join(map(repr, vector.tolist())) + "\n")
+        _write_lines(fh, (i + "  " + " ".join(map(repr, v.tolist())) + "\n" for i, v in zip(table.ids, table.matrix)))
+
+
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    """Write `lines`, each ending in LF, joined `_BLOCK_ROWS` at a time: one `write` per block."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK_ROWS)):
+        fh.write(block)
 
 
 def _read_embeddings_binary(path, fh) -> EmbeddingTable:
@@ -800,7 +824,7 @@ def _write_table(path, table: TrialList | ScoreSet, suffix) -> None:
     """One 'enroll_id test_id<suffix(value)>' line per row."""
     _check_tokens(path, table.enroll_ids + table.test_ids)
     with atomic_write(path) as fh:
-        fh.writelines(f"{e} {t}{suffix(v)}\n" for e, t, v in table._rows())
+        _write_lines(fh, (f"{e} {t}{suffix(v)}\n" for e, t, v in table._rows()))
 
 
 def write_trials(path, trials: TrialList) -> None:

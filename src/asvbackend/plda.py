@@ -31,13 +31,17 @@ group, is converted to them once on entry.
 from __future__ import annotations
 
 import logging
+import os
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Embedding, EmbeddingTable, SpeakerGroup, _encode, check_width, embedding_table, read_embeddings, row_blocks
+from .data import (
+    Embedding, EmbeddingTable, SpeakerGroup, _encode, check_width, content_digest, embedding_table, read_embeddings,
+    row_blocks,
+)
 from .exceptions import DimensionMismatchError, DomainError, NumericalError, ParameterError, prefixed
 
 logger = logging.getLogger(__name__)
@@ -219,21 +223,45 @@ def enroll_average(sample: SpeakerGroup, pre: Preprocessor) -> Embedding:
 
 
 def read_model_space_pair(
-    pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False
+    pre_enroll: Preprocessor, pre_test: Preprocessor, enroll_path, test_path, cohort: bool = False,
+    tables: dict[int, dict[str, EmbeddingTable]] | None = None,
 ) -> tuple[EmbeddingTable, EmbeddingTable]:
     """An enrollment and a test vector file in model space, enrollment rows averaged by id.
 
     The one reader of a stack's vector files (`score`, `snorm` and
     `routing.load_pipelines`). Each file is read, checked and mapped
-    before the next is read, so one raw table is held at a time and a bad
-    first file decides. Errors name the files `enrollment (<path>)` and
+    before the next is read, so a bad first file decides and, without
+    `tables`, one raw table is held at a time. Errors name the files `enrollment (<path>)` and
     `test (<path>)`, or with `cohort` `enrollment-side cohort (<path>)`
     and `test-side cohort (<path>)`.
+
+    `tables`, a dict the caller keeps across calls, lets files with the
+    same bytes be parsed once. It maps each byte size that more than one
+    of the caller's files has to the raw tables of that size read so
+    far, by SHA-256 (`data.content_digest`). A file of such a size is
+    hashed and its raw table taken from there, or parsed and kept there;
+    a file of any other size is parsed as without `tables`, unhashed and
+    unkept. Either way each call maps the raw table through its own
+    preprocessors and names its own paths in errors, so the result is
+    the one a call without `tables` gives. The caller drops a size once
+    no file it will still read has it.
     """
     sides = ("enrollment-side cohort", "test-side cohort") if cohort else ("enrollment", "test")
-    enrolls = read_embeddings(enroll_path)
+    enrolls = _shared(tables, enroll_path, lambda: read_embeddings(enroll_path))
     enrolls = to_model_space(enrolls, pre_enroll, f"{sides[0]} ({enroll_path})", enrolls.ids)
-    return enrolls, to_model_space(read_embeddings(test_path), pre_test, f"{sides[1]} ({test_path})")
+    tests = _shared(tables, test_path, lambda: read_embeddings(test_path))
+    return enrolls, to_model_space(tests, pre_test, f"{sides[1]} ({test_path})")
+
+
+def _shared(tables, path, read: Callable[[], EmbeddingTable]) -> EmbeddingTable:
+    """`read()`, the raw table of `path`, or the one kept in `tables` for a file with its bytes."""
+    same_size = tables.get(os.stat(path).st_size) if tables else None
+    if same_size is None:
+        return read()
+    digest = content_digest(path)
+    if digest not in same_size:
+        same_size[digest] = read()
+    return same_size[digest]
 
 
 def chunk_models(speaker_ids: Sequence[str], codes: np.ndarray, chunk: int) -> tuple[tuple[str, ...], np.ndarray]:

@@ -10,17 +10,19 @@ calibrated by its own stack, and the streams merged back in input order.
 A routing config loads in two steps: `load_routing_config` checks the
 document and reads the metadata, and `load_pipelines` reads each
 condition's stack from what it returns. A stack's cohorts come through
-`plda.read_model_space_pair`, the reader `score` and `snorm` use, and
-the evaluation tables through `plda.to_model_space`, the call that
-reader makes, so a routed trial gets the score those stages give it
-with the same stack, to rounding: a condition's subset changes the
-shapes of BLAS products.
+`plda.read_model_space_pair`, the reader `score` and `snorm` use (given
+a table dict that parses cohort files with the same bytes once per
+config), and the evaluation tables through `plda.to_model_space`, the
+call that reader makes, so a routed trial gets the score those stages
+give it with the same stack, to rounding: a condition's subset changes
+the shapes of BLAS products.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,14 +287,25 @@ def load_pipelines(config: RoutingConfig) -> dict[str, ConditionPipeline]:
     """Each configured condition's stack, read from the files the config names.
 
     The cohorts are read by `read_model_space_pair`, as `snorm` reads
-    them. A calibration file tagged with a condition (`calibrate
-    --condition`) must be configured under that condition. A stack that
-    cannot be built, such as one whose `top_k` exceeds a cohort's size
-    or whose calibration scale is not positive, raises `ConfigError`
-    naming the config file and the condition.
+    them, and cohort files with the same bytes are parsed once per call:
+    they are found by byte size (`os.stat`), then by SHA-256, and a file
+    is hashed only if another cohort file of the config has its size. A
+    raw table is kept only while a later condition names a file of its
+    size. Each condition still maps the raw tables through its own
+    preprocessors, and its errors name its own files, so errors and
+    their order are those of reading every condition's files anew. A
+    calibration file tagged with a condition (`calibrate --condition`)
+    must be configured under that condition. A stack that cannot be
+    built, such as one whose `top_k` exceeds a cohort's size or whose
+    calibration scale is not positive, raises `ConfigError` naming the
+    config file and the condition.
     """
+    specs = list(config.conditions.items())
+    sizes = [[os.stat(spec[side]).st_size for side in ("cohort_enroll", "cohort_test")] for _, spec in specs]
+    # raw cohort tables by byte size, then by SHA-256, for the sizes that more than one file has
+    tables = {size: {} for size, n in Counter(s for pair in sizes for s in pair).items() if n > 1}
     pipelines = {}
-    for tag, spec in config.conditions.items():
+    for i, (tag, spec) in enumerate(specs):
         cal_model, cal_tag = read_calibration(spec["calibration"])
         if cal_tag not in (None, tag):
             raise ConfigError(
@@ -301,8 +314,10 @@ def load_pipelines(config: RoutingConfig) -> dict[str, ConditionPipeline]:
             )
         model, pre_enroll, pre_test = load_fourcov(spec["model"])
         cohort_pair = read_model_space_pair(
-            pre_enroll, pre_test, spec["cohort_enroll"], spec["cohort_test"], cohort=True
+            pre_enroll, pre_test, spec["cohort_enroll"], spec["cohort_test"], cohort=True, tables=tables
         )
+        for size in set(tables).difference(*sizes[i + 1:]):
+            del tables[size]
         try:
             cohorts = CohortSet(*cohort_pair, spec["top_k"])
             pipelines[tag] = ConditionPipeline(model, pre_enroll, pre_test, cohorts, cal_model)

@@ -611,3 +611,37 @@ def test_any_str_split_separator_separates_components(tmp_path):
     path = tmp_path / "x.embs"
     path.write_text("a 1.0\r2.0\x0b3.0\n b\xa01.0\u30002.0\x1c3.0 \n", encoding="utf-8")
     assert read_embeddings(path) == [Embedding("a", [1.0, 2.0, 3.0]), Embedding("b", [1.0, 2.0, 3.0])]
+
+
+# -0.0, subnormals and the ends of the float64 range, whose `repr`s differ most in length
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308])
+
+
+@st.composite
+def written_rows(draw):
+    """(enrollment id, test id, value) rows, as many as cross 0 to 2 block boundaries, from drawn
+    ids of mixed lengths and drawn values; the test id's row number keeps every pair unique."""
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 513]))
+    ids = draw(st.lists(st.text(st.characters(categories=("L", "N")), min_size=1, max_size=12), min_size=1, max_size=6))
+    values = draw(st.lists(st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+                           min_size=1, max_size=6))
+    return [(ids[i % len(ids)], f"{ids[-1 - i % len(ids)]}-{i}", values[i % len(values)]) for i in range(n)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=written_rows(), dim=st.integers(1, 3))
+def test_block_writers_write_the_bytes_of_line_by_line_formatting(tmp_path_factory, rows, dim):
+    # the text writers join a block of lines per write; the reference formats and writes one line at a time
+    path = tmp_path_factory.mktemp("writers")
+    enrolls, tests, values = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    labels = [(True, False, None)[i % 3] for i in range(len(rows))]
+    matrix = np.array([[values[(i + j) % len(values)] for j in range(dim)] for i in range(len(rows))]).reshape(-1, dim)
+    write_scores(ScoreSet.from_columns(enrolls, tests, values), path / "x.scores")
+    write_trials(path / "x.trials", TrialList.from_columns(enrolls, tests, labels))
+    write_embeddings(path / "x.embs", EmbeddingTable.from_columns(tests, matrix))
+    suffix = {True: " tgt", False: " non", None: ""}
+    assert (path / "x.scores").read_bytes() == "".join(f"{e} {t} {v!r}\n" for e, t, v in rows).encode()
+    assert (path / "x.trials").read_bytes() == "".join(
+        f"{e} {t}{suffix[label]}\n" for e, t, label in zip(enrolls, tests, labels)).encode()
+    assert (path / "x.embs").read_bytes() == "".join(
+        i + "  " + " ".join(map(repr, row)) + "\n" for i, row in zip(tests, matrix.tolist())).encode()

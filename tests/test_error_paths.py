@@ -53,6 +53,9 @@ ERRORS = {
     "apply-width": (
         lambda: identity_preprocessor(2).apply(np.ones(3)),
         DimensionMismatchError, "preprocessor input vectors have dimension 3, the model expects 2"),
+    "apply-scalar": (
+        lambda: identity_preprocessor(2).apply(np.float64(1.0)),
+        DimensionMismatchError, "preprocessor input is a scalar, the model expects vectors of dimension 2"),
     "apply-matrix-width": (
         lambda: identity_preprocessor(2).apply(np.ones((0, 3))),
         DimensionMismatchError, "preprocessor input vectors have dimension 3, the model expects 2"),

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -360,4 +361,135 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert code == 8, err
         assert err == f"asvbackend: {message}\n"
+        assert not (tmp_path / "o.scores").exists()
+
+
+class TestCohortReuse:
+    """`load_pipelines` parses each distinct cohort content once, and each condition maps it itself."""
+
+    @staticmethod
+    def _write_config(rng, tmp_path, cohorts):
+        """A routing config whose conditions, in CONDITIONS order, name the (enroll, test) cohort
+        files in `cohorts`; each condition has its own model, so its own preprocessors."""
+        from asvbackend.calibration import write_calibration
+        from asvbackend.data import write_id_map
+        from asvbackend.modelio import save_fourcov
+
+        write_id_map(tmp_path / "segs.txt", {"e1": "3"})
+        write_id_map(tmp_path / "lang.txt", {"t1": "primary"})
+        conditions = {}
+        for tag, (enroll, test) in zip(CONDITIONS, cohorts):
+            pipe = tiny_pipeline(rng)
+            save_fourcov(tmp_path / f"{tag}.npz", pipe.model, pipe.pre_enroll, pipe.pre_test)
+            write_calibration(tmp_path / f"{tag}.cal", pipe.calibration)
+            conditions[tag] = {"model": f"{tag}.npz", "cohort_enroll": enroll, "cohort_test": test,
+                               "calibration": f"{tag}.cal", "top_k": 2}
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps({"enroll_segments": "segs.txt", "test_language": "lang.txt",
+                                    "conditions": conditions}))
+        return path
+
+    @staticmethod
+    def _write_cohort(rng, path, rows=4):
+        from asvbackend.data import write_embeddings
+
+        write_embeddings(path, [Embedding(f"c{i // 2}", rng.standard_normal(5)) for i in range(rows)])
+        return path.read_bytes()
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        """The names of the files `plda`'s reader parses from now on, in order."""
+        from asvbackend.data import read_embeddings
+
+        parsed = []
+
+        def counted(path):
+            parsed.append(os.path.basename(path))
+            return read_embeddings(path)
+
+        monkeypatch.setattr(plda, "read_embeddings", counted)
+        return parsed
+
+    @staticmethod
+    def _unshared(config, tag):
+        from asvbackend.modelio import load_fourcov
+
+        spec = config.conditions[tag]
+        _, pre_enroll, pre_test = load_fourcov(spec["model"])
+        return plda.read_model_space_pair(pre_enroll, pre_test, spec["cohort_enroll"], spec["cohort_test"], cohort=True)
+
+    def test_identical_copies_are_parsed_once_and_mapped_per_condition(self, rng, tmp_path, monkeypatch):
+        # four byte-identical copies under four names, used on both sides, across three
+        # conditions; the fourth condition has two cohorts of its own
+        shared = self._write_cohort(rng, tmp_path / "copy1.embs")
+        for n in (2, 3, 4):
+            (tmp_path / f"copy{n}.embs").write_bytes(shared)
+        self._write_cohort(rng, tmp_path / "own_e.embs", rows=6)
+        self._write_cohort(rng, tmp_path / "own_t.embs", rows=8)
+        path = self._write_config(rng, tmp_path, [
+            ("copy1.embs", "copy2.embs"), ("copy3.embs", "copy4.embs"), ("copy4.embs", "copy1.embs"),
+            ("own_e.embs", "own_t.embs"),
+        ])
+        config = load_routing_config(path)
+        parsed = self._count_parses(monkeypatch)
+        pipelines = load_pipelines(config)
+        assert parsed == ["copy1.embs", "own_e.embs", "own_t.embs"]
+        monkeypatch.undo()
+        for tag, pipeline in pipelines.items():
+            enrolls, tests = self._unshared(config, tag)
+            for got, want in ((pipeline.cohorts.enroll_cohort, enrolls), (pipeline.cohorts.test_cohort, tests)):
+                assert got.ids == want.ids and np.array_equal(got.matrix, want.matrix)
+        # each condition maps the one raw table through its own preprocessors
+        first, second = pipelines["few-primary"].cohorts, pipelines["few-secondary"].cohorts
+        assert not np.array_equal(first.enroll_cohort.matrix, second.enroll_cohort.matrix)
+
+    def test_equal_sizes_with_other_digits_are_both_parsed(self, rng, tmp_path, monkeypatch):
+        shared = self._write_cohort(rng, tmp_path / "a.embs")
+        digit = next(i for i in range(len(shared) - 1, 0, -1) if shared[i:i + 1].isdigit() and shared[i] != ord("9"))
+        other = shared[:digit] + bytes([shared[digit] + 1]) + shared[digit + 1:]
+        (tmp_path / "b.embs").write_bytes(other)
+        assert len(other) == len(shared) and other != shared
+        config = load_routing_config(self._write_config(rng, tmp_path, [("a.embs", "b.embs"), ("b.embs", "a.embs")]))
+        parsed = self._count_parses(monkeypatch)
+        pipelines = load_pipelines(config)
+        assert parsed == ["a.embs", "b.embs"]
+        monkeypatch.undo()
+        for tag, pipeline in pipelines.items():
+            enrolls, tests = self._unshared(config, tag)
+            assert np.array_equal(pipeline.cohorts.enroll_cohort.matrix, enrolls.matrix)
+            assert np.array_equal(pipeline.cohorts.test_cohort.matrix, tests.matrix)
+
+    def test_all_sizes_distinct_hashes_no_file(self, rng, tmp_path, monkeypatch):
+        for n in range(4):
+            self._write_cohort(rng, tmp_path / f"e{n}.embs", rows=4 + 2 * n)
+            self._write_cohort(rng, tmp_path / f"t{n}.embs", rows=12 + 2 * n)
+        assert len({p.stat().st_size for p in tmp_path.glob("*.embs")}) == 8
+        path = self._write_config(rng, tmp_path, [(f"e{n}.embs", f"t{n}.embs") for n in range(4)])
+        config = load_routing_config(path)
+
+        def refuse(path):
+            raise AssertionError(f"{path} was hashed")
+
+        monkeypatch.setattr(plda, "content_digest", refuse)
+        parsed = self._count_parses(monkeypatch)
+        assert len(load_pipelines(config)) == 4
+        assert len(parsed) == 8
+
+    def test_bad_shared_copy_exits_4_naming_the_first_condition(self, rng, tmp_path, capsys):
+        self._write_cohort(rng, tmp_path / "copy1.embs")
+        bad = (tmp_path / "copy1.embs").read_text().replace(" ", " x", 1).encode()
+        for n in range(1, 5):
+            (tmp_path / f"copy{n}.embs").write_bytes(bad)
+        path = self._write_config(rng, tmp_path, [("copy1.embs", "copy2.embs"), ("copy3.embs", "copy4.embs")])
+        for name in ("e.embs", "t.embs"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "x.trials").write_text("e1 t1\n")
+        code = cli.main([
+            "route-score", "--config", str(path), "--enroll", str(tmp_path / "e.embs"),
+            "--test", str(tmp_path / "t.embs"), "--trials", str(tmp_path / "x.trials"),
+            "--out", str(tmp_path / "o.scores"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err == f"asvbackend: file-format: {tmp_path / 'copy1.embs'}:1: non-numeric vector component\n"
         assert not (tmp_path / "o.scores").exists()
