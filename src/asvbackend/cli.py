@@ -47,12 +47,29 @@ def _training_rows(rows, label, speaker_map_path, pre, aggregate):
     return plda.to_model_space(rows, pre, label, models), speaker_ids, codes
 
 
-def _shared_speaker_stats(side, shared):
-    """Statistics of one side's rows of the `shared` speakers, coded in `shared` order."""
-    table, speaker_ids, codes = side
-    position = {s: i for i, s in enumerate(shared)}
-    codes = np.array([position.get(s, -1) for s in speaker_ids], dtype=np.intp)[codes]
-    return plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0])
+def _map_digest(speaker_map_path) -> str:
+    """The SHA-256 of a speaker map, or "" for none: the second part of a side's training key."""
+    return data.content_digest(speaker_map_path) if speaker_map_path else ""
+
+
+def _training_stats(bundle, pre, stats, key, embeddings, label, speaker_map_path, aggregate):
+    """One side's training statistics for `fit-fourcov`: `stats`, which side bundle `bundle` stores
+    under `key`, if these training inputs gave them, else those of its file.
+
+    The vector file is hashed first and the map only if the file
+    matches, so a missing file fails as reading it would. When both
+    match but `aggregate` is not the stored chunk size, a warning names
+    the bundle and both values, and the file is read after all.
+    """
+    digest, map_digest, chunk = key
+    if data.content_digest(embeddings) == digest and _map_digest(speaker_map_path) == map_digest:
+        if aggregate == chunk:
+            return stats
+        warnings.warn(f"{bundle} was trained with --aggregate {chunk}; the coupling is fitted with --aggregate "
+                      f"{aggregate}", stacklevel=2)
+    table, speaker_ids, codes = _training_rows(data.read_embeddings(embeddings), f"{label} ({embeddings})",
+                                               speaker_map_path, pre, aggregate)
+    return plda.speaker_stats(table.matrix, speaker_ids, codes)
 
 
 def _option_type(parse, name):
@@ -153,37 +170,38 @@ def _cmd_train_plda(args) -> int:
     table, speaker_ids, codes = _training_rows(rows, label, args.speaker_map, pre, args.aggregate)
     stats = plda.speaker_stats(table.matrix, speaker_ids, codes)
     model = plda.train_plda(stats, rank=args.rank, iterations=args.iters)
-    modelio.save_plda_side(args.out, model, pre)
+    key = (data.content_digest(args.embeddings), _map_digest(args.speaker_map), args.aggregate)
+    modelio.save_plda_side(args.out, model, pre, stats, key)
     print(f"wrote PLDA side model to {args.out} (dim {model.dim}, rank {model.rank})")
     return 0
 
 
 def _cmd_fit_fourcov(args) -> int:
-    model1, pre1 = modelio.load_plda_side(args.enroll_model)
-    model2, pre2 = modelio.load_plda_side(args.test_model)
-    # one raw table at a time: each file is read, checked and mapped before the next is opened
-    side1 = _training_rows(data.read_embeddings(args.enroll_embeddings), f"enrollment ({args.enroll_embeddings})",
-                           args.speaker_map_enroll, pre1, args.enroll_aggregate)
-    side2 = _training_rows(data.read_embeddings(args.test_embeddings), f"test ({args.test_embeddings})",
-                           args.speaker_map_test, pre2, 0)
-    shared = sorted(set(side1[1]) & set(side2[1]))
+    model1, pre1, *stored1 = modelio.load_plda_side(args.enroll_model)
+    model2, pre2, *stored2 = modelio.load_plda_side(args.test_model)
+    # one side before the next: each file is hashed, and read, checked and mapped if need be, in turn
+    stats1 = _training_stats(args.enroll_model, pre1, *stored1, args.enroll_embeddings, "enrollment",
+                             args.speaker_map_enroll, args.enroll_aggregate)
+    stats2 = _training_stats(args.test_model, pre2, *stored2, args.test_embeddings, "test",
+                             args.speaker_map_test, 0)
+    shared = sorted(set(stats1.speaker_ids) & set(stats2.speaker_ids))
     if not shared:
         raise ParameterError("no speakers shared between the two training sets")
-    paired = (_shared_speaker_stats(side1, shared), _shared_speaker_stats(side2, shared))
-    model = fourcov.fit_coupling(model1, model2, paired)
+    model = fourcov.fit_coupling(model1, model2, (stats1.subset(shared), stats2.subset(shared)))
     modelio.save_fourcov(args.out, model, pre1, pre2)
     print(f"wrote two-sided model to {args.out} ({len(shared)} shared speakers)")
     return 0
 
 
 def _cmd_interpolate(args) -> int:
-    model_in, pre = modelio.load_plda_side(args.in_domain)
-    model_out, pre_out = modelio.load_plda_side(args.out_domain)
+    # the two sides share one preprocessor, so the in-domain statistics are what its training file gives
+    model_in, pre, *training = modelio.load_plda_side(args.in_domain)
+    model_out, pre_out, *_ = modelio.load_plda_side(args.out_domain)
     combined = plda.interpolate_plda(model_in, model_out, args.alpha)
     if not (np.array_equal(pre.mean, pre_out.mean) and np.array_equal(pre.whitener, pre_out.whitener)):
         raise ParameterError(f"{args.in_domain} and {args.out_domain} hold different preprocessors "
                              "(train the out-of-domain side with train-plda --pre <in-domain bundle>)")
-    modelio.save_plda_side(args.out, combined, pre)
+    modelio.save_plda_side(args.out, combined, pre, *training)
     print(f"wrote interpolated model to {args.out} (alpha {args.alpha})")
     return 0
 

@@ -24,7 +24,8 @@ Training works from sufficient statistics: `speaker_stats` reduces a
 table's matrix and one speaker code per row, block by block, to
 per-speaker counts and sums, the data mean and the scatter about it.
 EM, the posterior factors behind the coupling fit and the preprocessor
-fit all work from these. A sequence of `SpeakerGroup`s, one speaker per
+fit all work from these; a side bundle stores the counts and sums its
+model was trained on. A sequence of `SpeakerGroup`s, one speaker per
 group, is converted to them once on entry.
 """
 
@@ -359,16 +360,18 @@ class SpeakerStats:
 
     Per speaker, in code order: its id (ids repeat where speakers are
     counted by position), its vector count and its raw vector sum. Over
-    all vectors: the mean and the scatter, the summed outer products of
-    the deviations from that mean. Every speaker has at least one
-    vector: a count of 0 raises `ParameterError` naming the speaker.
+    all vectors: the mean, which the sums give, and the scatter, the
+    summed outer products of the deviations from that mean. The
+    statistics of chosen speakers (`subset`, or those a side bundle
+    stores) hold no scatter: they give posterior factors but train no
+    model. Every speaker has at least one vector: a count of 0 raises
+    `ParameterError` naming the speaker.
     """
 
     speaker_ids: tuple[str, ...]
     counts: np.ndarray   # (speakers,)
     sums: np.ndarray     # (speakers, d)
-    mean: np.ndarray     # (d,)
-    scatter: np.ndarray  # (d, d)
+    scatter: np.ndarray | None = None  # (d, d)
 
     def __post_init__(self):
         # with no vectors a speaker's factor is its prior: EM fails inside
@@ -376,6 +379,16 @@ class SpeakerStats:
         empty = np.flatnonzero(self.counts == 0)
         if empty.size:
             raise ParameterError(f"speaker '{self.speaker_ids[empty[0]]}' has no vectors")
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.sums.sum(axis=0) / max(int(self.counts.sum()), 1)  # no vectors: zero mean, no 0/0 warning
+
+    def subset(self, speaker_ids: Sequence[str]) -> SpeakerStats:
+        """The counts and sums of `speaker_ids`, each one of these speakers, in that order."""
+        position = {s: i for i, s in enumerate(self.speaker_ids)}
+        rows = np.fromiter((position[s] for s in speaker_ids), dtype=np.intp, count=len(speaker_ids))
+        return SpeakerStats(tuple(speaker_ids), self.counts[rows], self.sums[rows])
 
 
 def speaker_stats(matrix: np.ndarray, speaker_ids: Sequence[str], codes: np.ndarray) -> SpeakerStats:
@@ -386,6 +399,8 @@ def speaker_stats(matrix: np.ndarray, speaker_ids: Sequence[str], codes: np.ndar
     rows in row order, which gives the mean; a second pass adds up the
     scatter about that mean, one GEMM per block. Centring first avoids
     the cancellation of XᵀX − n·μμᵀ. Memory beyond the result is a block.
+    Each speaker's sum is the same, bit for bit, over any rows that hold
+    all of that speaker's rows in the same order.
     """
     n, d = matrix.shape
     sums = np.zeros((len(speaker_ids), d))
@@ -397,7 +412,7 @@ def speaker_stats(matrix: np.ndarray, speaker_ids: Sequence[str], codes: np.ndar
         centred = matrix[block] - mean
         scatter += centred.T @ centred
     counts = np.bincount(codes, minlength=len(speaker_ids))
-    return SpeakerStats(tuple(speaker_ids), counts, sums, mean, scatter)
+    return SpeakerStats(tuple(speaker_ids), counts, sums, scatter)
 
 
 def _as_stats(samples) -> SpeakerStats:
@@ -526,6 +541,8 @@ def train_plda(
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     stats = _as_stats(stats)
+    if stats.scatter is None:
+        raise ParameterError("PLDA training needs the scatter of all vectors; these are chosen speakers' statistics")
     mean, counts, scatter = stats.mean, stats.counts, stats.scatter
     if len(counts) < 2:
         raise ParameterError(f"PLDA training needs at least 2 speakers, got {len(counts)}")
@@ -572,7 +589,7 @@ def speaker_factors(model: PldaModel, samples) -> np.ndarray:
     onto the speaker subspace; more vectors sharpen the posterior.
     """
     stats = _as_stats(samples)
-    check_width(stats.mean, model.dim, "speaker")
+    check_width(stats.sums, model.dim, "speaker")
     sums = stats.sums - stats.counts[:, None] * model.mean
     return _posterior(model.speaker_loadings, model.residual_cov, sums, stats.counts)[0]
 

@@ -652,7 +652,7 @@ def test_a_preprocessor_bundle_is_no_side_bundle(tmp_path, capsys):
     old = tmp_path / "preprocessor.npz"
     np.savez(old, magic="asvbackend/preprocessor/1", mean=np.zeros(2), whitener=np.eye(2))
     assert invoke("train-plda", "--embeddings", tmp_path / "e.embs", "--pre", old, "--out", tmp_path / "out") == 4
-    assert capsys.readouterr().err == (f"asvbackend: file-format: {old}: expected bundle 'asvbackend/plda-side/1', "
+    assert capsys.readouterr().err == (f"asvbackend: file-format: {old}: expected bundle 'asvbackend/plda-side/2', "
                                        "found 'asvbackend/preprocessor/1'\n")
     assert not (tmp_path / "out").exists()
 
@@ -1008,8 +1008,8 @@ class TestPipeline:
         ) == 0
         from asvbackend.modelio import load_plda_side
 
-        original, _ = load_plda_side(paths["side2"])
-        combined, _ = load_plda_side(mixed)
+        original, *_ = load_plda_side(paths["side2"])
+        combined, *_ = load_plda_side(mixed)
         np.testing.assert_allclose(combined.between_cov(), original.between_cov(), atol=1e-10)
 
 
@@ -1085,8 +1085,8 @@ def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
     assert fit(out / "subset.embs") == 0
     got, _, _ = modelio.load_fourcov(out / "fourcov.npz")
 
-    model1, pre1 = modelio.load_plda_side(out / "side1.npz")
-    model2, pre2 = modelio.load_plda_side(out / "side2.npz")
+    model1, pre1, *_ = modelio.load_plda_side(out / "side1.npz")
+    model2, pre2, *_ = modelio.load_plda_side(out / "side2.npz")
 
     def groups(path):
         rows = data.read_embeddings(path)
@@ -1112,6 +1112,220 @@ def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
     capsys.readouterr()
     assert fit(out / "disjoint.embs") == 6
     assert "no speakers shared" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def training_files(tmp_path_factory):
+    """A small synth set's two training files and a speaker map of each, which renames every speaker."""
+    out = tmp_path_factory.mktemp("training")
+    assert invoke(*synth_args(out, **{"--train-speakers": 30})) == 0
+    files = {name: out / f"{name}.embs" for name in ("train_enroll", "train_test")}
+    for name in ("train_enroll", "train_test"):
+        ids = data.read_embeddings(files[name]).ids
+        data.write_id_map(out / f"{name}.map", {i: "s" + data.speaker_of(i) for i in ids})
+        files[f"{name}.map"] = out / f"{name}.map"
+    return files
+
+
+def _train_sides(files, out, maps=False, aggregate=3, pre=False):
+    """Train the enrollment side (on chunks of `aggregate`) and the test side, the test side in the
+    enrollment side's space under `pre`; return the fit-fourcov argv over `out`/side1.npz and side2.npz."""
+    enroll_map = ["--speaker-map", files["train_enroll.map"]] if maps else []
+    test_map = ["--speaker-map", files["train_test.map"]] if maps else []
+    chunks = ["--aggregate", aggregate] if aggregate else []
+    assert invoke("train-plda", "--embeddings", files["train_enroll"], *enroll_map, *chunks, "--rank", 2,
+                  "--iters", 3, "--out", out / "side1.npz") == 0
+    assert invoke("train-plda", "--embeddings", files["train_test"], *test_map, *(["--pre", out / "side1.npz"] * pre),
+                  "--rank", 2, "--iters", 3, "--out", out / "side2.npz") == 0
+    return ["fit-fourcov", "--enroll-model", out / "side1.npz", "--test-model", out / "side2.npz",
+            "--enroll-embeddings", files["train_enroll"], "--test-embeddings", files["train_test"],
+            *(["--speaker-map-enroll", files["train_enroll.map"], "--speaker-map-test", files["train_test.map"]]
+              if maps else []),
+            *(["--enroll-aggregate", aggregate] if aggregate else [])]
+
+
+def _fit(monkeypatch, argv, out):
+    """Run fit-fourcov to `out`; return the bytes it writes and the vector files it reads."""
+    read, reader = [], data.read_embeddings
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "read_embeddings", lambda path: read.append(pathlib.Path(path)) or reader(path))
+        assert invoke(*argv, "--out", out) == 0
+    return out.read_bytes(), read
+
+
+def _rekeyed(bundle, target):
+    """Side bundle `bundle` written to `target` under another training-file digest, which no file matches."""
+    with np.load(bundle) as stored:
+        arrays = {name: stored[name] for name in stored.files}
+    np.savez(target, **{**arrays, "train_digest": np.array("0" * 64)})
+    return target
+
+
+@pytest.mark.parametrize("maps, aggregate, pre", [
+    (False, 0, False), (False, 3, False), (True, 0, False), (True, 3, False), (False, 3, True), (True, 3, True),
+])
+def test_fit_fourcov_takes_the_statistics_its_bundles_store(training_files, tmp_path, monkeypatch, maps, aggregate,
+                                                            pre):
+    # with the inputs that trained both sides, fit-fourcov reads neither training file, and writes
+    # the bytes it writes when both bundles' keys are rewritten so that it has to read them
+    argv = _train_sides(training_files, tmp_path, maps, aggregate, pre)
+    hit, read = _fit(monkeypatch, argv, tmp_path / "hit.npz")
+    assert read == []
+    for side in ("side1", "side2"):
+        _rekeyed(tmp_path / f"{side}.npz", tmp_path / f"{side}.npz")
+    miss, read = _fit(monkeypatch, argv, tmp_path / "miss.npz")
+    assert read == [training_files["train_enroll"], training_files["train_test"]]
+    assert hit == miss
+
+
+def _copied(files, directory):
+    """Copies of the training inputs in `directory`."""
+    copies = {name: directory / path.name for name, path in files.items()}
+    for name, path in files.items():
+        copies[name].write_bytes(path.read_bytes())
+    return copies
+
+
+@pytest.mark.parametrize("change", ["file", "map", "aggregate"])
+def test_fit_fourcov_reads_a_side_whose_inputs_changed(training_files, tmp_path, monkeypatch, capsys, change):
+    # each change sends the enrollment side, and only that side, to its file, with the result a
+    # bundle that stores no matching key gives
+    files = _copied(training_files, tmp_path)
+    argv = _train_sides(files, tmp_path, maps=True)
+    if change == "file":  # the last vector dropped
+        lines = files["train_enroll"].read_text().splitlines(keepends=True)
+        files["train_enroll"].write_text("".join(lines[:-1]))
+    elif change == "map":  # one speaker renamed, so that it is no longer shared
+        mapping = data.read_id_map(files["train_enroll.map"])
+        first = next(iter(mapping.values()))
+        data.write_id_map(files["train_enroll.map"], {i: s + "x" * (s == first) for i, s in mapping.items()})
+    else:
+        argv[argv.index("--enroll-aggregate") + 1] = 2
+    capsys.readouterr()
+    got, read = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert read == [files["train_enroll"]]
+    warned = (f"asvbackend: warning: {tmp_path / 'side1.npz'} was trained with --aggregate 3; the coupling is "
+              "fitted with --aggregate 2\n")
+    assert capsys.readouterr().err == (warned if change == "aggregate" else "")
+    _rekeyed(tmp_path / "side1.npz", tmp_path / "side1.npz")
+    want, _ = _fit(monkeypatch, argv, tmp_path / "want.npz")
+    assert got == want
+
+
+def test_fit_fourcov_subsets_stored_sums_to_the_bits_of_the_shared_rows(training_files, tmp_path, monkeypatch):
+    # the test side trains on 20 of the 30 speakers, so the enrollment side's stored sums are cut
+    # to the shared speakers; the result is that of statistics summed over the shared rows alone
+    rows = data.read_embeddings(training_files["train_test"])
+    kept = [i for i, row_id in enumerate(rows.ids) if int(data.speaker_of(row_id)[2:]) % 3]
+    files = {**training_files, "train_test": tmp_path / "subset.embs"}
+    data.write_embeddings(files["train_test"], rows.take(kept))
+    argv = _train_sides(files, tmp_path)
+    got, read = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert read == []
+
+    model1, pre1, stored1, _ = modelio.load_plda_side(tmp_path / "side1.npz")
+    model2, pre2, stored2, _ = modelio.load_plda_side(tmp_path / "side2.npz")
+    shared = sorted(set(stored1.speaker_ids) & set(stored2.speaker_ids))
+    assert len(shared) == 20 < len(stored1.speaker_ids)
+    paired = []
+    for name, pre, chunk in (("train_enroll", pre1, 3), ("train_test", pre2, 0)):
+        table, speaker_ids, codes = cli._training_rows(data.read_embeddings(files[name]), name, None, pre, chunk)
+        position = {s: i for i, s in enumerate(shared)}
+        codes = np.array([position.get(s, -1) for s in speaker_ids], dtype=np.intp)[codes]
+        paired.append(plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0]))
+    modelio.save_fourcov(tmp_path / "want.npz", fourcov.fit_coupling(model1, model2, tuple(paired)), pre1, pre2)
+    assert got == (tmp_path / "want.npz").read_bytes()
+
+
+def test_fit_fourcov_on_an_interpolated_side_takes_its_in_domain_statistics(training_files, tmp_path, monkeypatch):
+    argv = _train_sides(training_files, tmp_path)
+    assert invoke("train-plda", "--embeddings", training_files["train_enroll"], "--pre", tmp_path / "side2.npz",
+                  "--rank", 2, "--iters", 3, "--out", tmp_path / "out-domain.npz") == 0
+    assert invoke("interpolate", "--in-domain", tmp_path / "side2.npz", "--out-domain", tmp_path / "out-domain.npz",
+                  "--alpha", 0.5, "--out", tmp_path / "mixed.npz") == 0
+    argv[argv.index(tmp_path / "side2.npz")] = tmp_path / "mixed.npz"
+    hit, read = _fit(monkeypatch, argv, tmp_path / "hit.npz")
+    assert read == []
+    _rekeyed(tmp_path / "mixed.npz", tmp_path / "mixed.npz")
+    miss, read = _fit(monkeypatch, argv, tmp_path / "miss.npz")
+    assert read == [training_files["train_test"]]
+    assert hit == miss
+
+
+def _with_statistics(tmp_path):
+    """`_loading_stages`' argv by stage, with `_bundles`' side bundle given two speakers' statistics."""
+    stages = _loading_stages(tmp_path)
+    model, pre, *_ = modelio.load_plda_side(tmp_path / "side.npz")
+    stats = plda.SpeakerStats(("a", "b"), np.array([1, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    modelio.save_plda_side(tmp_path / "side.npz", model, pre, stats, ("0" * 64, "", 3))
+    return stages
+
+
+# (entry, replacement, what the message says) for each rule that stored statistics keep
+STATISTICS_DEFECTS = {
+    "duplicate-id": ("speaker_ids", np.array(["a", "a"]), "name speaker 'a' twice"),
+    "length": ("speaker_counts", np.array([1]), "hold 2 speaker ids, counts of shape (1,)"),
+    "width": ("speaker_sums", np.ones((2, 3)), "have dimension 3, the model has 2"),
+    "zero-count": ("speaker_counts", np.array([2, 0]), "speaker 'b' has a vector count that is not a positive"),
+    "fractional-count": ("speaker_counts", np.array([1.5, 2.0]), "speaker 'a' has a vector count that is not"),
+    "non-finite-sum": ("speaker_sums", np.array([[1.0, 2.0], [np.inf, 4.0]]), "speaker 'b' has a non-finite"),
+    "ids-not-text": ("speaker_ids", np.arange(2.0), "entry 'speaker_ids' is not text"),
+    "digest-not-text": ("train_digest", np.array(1.0), "entry 'train_digest' is not text"),
+    "negative-aggregate": ("aggregate", np.array(-3), "aggregate must be a non-negative integer, got -3.0"),
+}
+
+
+@pytest.mark.parametrize("defect", STATISTICS_DEFECTS)
+@pytest.mark.parametrize("stage", BUNDLE_STAGES["side"])
+def test_bad_stored_statistics_exit_4_naming_the_bundle(tmp_path, capsys, stage, defect):
+    argv = _with_statistics(tmp_path)[stage]
+    entry, value, message = STATISTICS_DEFECTS[defect]
+    with np.load(tmp_path / "side.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **{**arrays, entry: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert invoke(*(bad if a == "{}" else a for a in argv)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"asvbackend: file-format: {bad}: ") and message in err and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stored_statistics_read_back_as_written(tmp_path):
+    _with_statistics(tmp_path)
+    model, pre, stats, key = modelio.load_plda_side(tmp_path / "side.npz")
+    assert (stats.speaker_ids, stats.counts.tolist(), stats.sums.tolist(), key) == (
+        ("a", "b"), [1, 2], [[1.0, 2.0], [3.0, 4.0]], ("0" * 64, "", 3))
+    modelio.save_plda_side(tmp_path / "again.npz", model, pre, stats, key)
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "side.npz").read_bytes()
+
+
+def test_side_bundle_writer_refuses_what_it_cannot_read_back(tmp_path):
+    _bundles(tmp_path)
+    model, pre, *_ = modelio.load_plda_side(tmp_path / "side.npz")
+    sums = np.zeros((2, 2))
+    with pytest.raises(exceptions.ParameterError, match=r"speaker id 'b\\x00' ends in a NUL character"):
+        modelio.save_plda_side(tmp_path / "out.npz", model, pre, plda.SpeakerStats(("a", "b\0"), np.ones(2), sums))
+    with pytest.raises(exceptions.ParameterError, match="name speaker 'a' twice"):
+        modelio.save_plda_side(tmp_path / "out.npz", model, pre, plda.SpeakerStats(("a", "a"), np.ones(2), sums))
+    with pytest.raises(exceptions.DimensionMismatchError, match="have dimension 3, the model has 2"):
+        modelio.save_plda_side(tmp_path / "out.npz", model, pre, plda.SpeakerStats(("a",), np.ones(1), np.ones((1, 3))))
+    assert not (tmp_path / "out.npz").exists()
+
+
+@pytest.mark.parametrize("stage", BUNDLE_STAGES["side"])
+def test_a_version_1_side_bundle_exits_4_saying_to_retrain_it(tmp_path, capsys, stage):
+    argv = _loading_stages(tmp_path)[stage]
+    with np.load(tmp_path / "side.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files if name in modelio.SIDE_LAYOUT[:5]}
+    old = tmp_path / "old.npz"
+    np.savez(old, magic="asvbackend/plda-side/1", **arrays)
+    assert invoke(*(old if a == "{}" else a for a in argv)) == 4
+    assert capsys.readouterr().err == (
+        f"asvbackend: file-format: {old}: expected bundle 'asvbackend/plda-side/2', found 'asvbackend/plda-side/1' "
+        "(a side bundle without training statistics: retrain it with train-plda)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def one_condition_config(paths, calfile, base, tag="few-primary"):
@@ -1547,8 +1761,10 @@ def test_interpolate_runs_the_readme_recipe(stage_files, tmp_path, capsys):
     assert invoke("interpolate", "--in-domain", side_in, "--out-domain", side_out, "--alpha", 0.3,
                   "--out", mixed) == 0
     assert capsys.readouterr().err == ""
-    (model_in, pre_in), (model_out, _) = modelio.load_plda_side(side_in), modelio.load_plda_side(side_out)
-    modelio.save_plda_side(tmp_path / "expected.npz", plda.interpolate_plda(model_in, model_out, 0.3), pre_in)
+    # and the in-domain side's training statistics and their key
+    (model_in, pre_in, *training), (model_out, *_) = modelio.load_plda_side(side_in), modelio.load_plda_side(side_out)
+    modelio.save_plda_side(tmp_path / "expected.npz", plda.interpolate_plda(model_in, model_out, 0.3), pre_in,
+                           *training)
     assert mixed.read_bytes() == (tmp_path / "expected.npz").read_bytes()
 
 
@@ -1623,8 +1839,8 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
     reads = _calls("read_embeddings") + _calls("data.read_embeddings")
     assert [where for module, where in reads if module == "routing"] == []
     assert sorted(where for module, where in reads if module == "cli") == [
-        "_cmd_fit_fourcov", "_cmd_fit_fourcov",
-        "_cmd_route_score", "_cmd_route_score", "_cmd_train_plda",  # route-score: its evaluation files
+        "_cmd_route_score", "_cmd_route_score",  # route-score: its evaluation files
+        "_cmd_train_plda", "_training_stats",  # fit-fourcov: a side's file, when its bundle's statistics are not its
     ]
     # and only `read_model_space_pair` reads a vector file straight into model space
     assert [where for module, where in reads if module == "plda"] == ["read_model_space_pair"] * 2

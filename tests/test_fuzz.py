@@ -16,8 +16,10 @@ Five kinds of mutation, each applied to one file of a small dataset:
   type or range (a `top_k` of -1, 0, 1, 10^9, 1.5 or `true` among them),
   or an unknown key is added;
 - one bit is flipped at fixed offsets of two side bundles, a two-sided
-  bundle and a binary embedding file, and at searched offsets of a side
-  bundle, the two-sided bundle and the binary file.
+  bundle and a binary embedding file, in the first value of each entry
+  that holds a side bundle's training statistics or their key, and at
+  searched offsets of a side bundle, the two-sided bundle and the binary
+  file.
 
 A sixth search edits two text files that one stage reads, a line or
 field edit in each. Every stage that reads a mutated file then runs in
@@ -42,6 +44,7 @@ import os
 import struct
 import tempfile
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -345,17 +348,33 @@ def binary_offset(content, where):
 # local header, the entry name, the .npy header and data, the central directory and the end record
 BUNDLE_FLIPS = [(0, 0), (8, 1), (14, 2), (30, 3), (40, 4), (80, 5), (200, 6), (600, 7),
                 (-120, 0), (-60, 1), (-22, 2), (-12, 3), (-2, 4)]
+# (entry, bit): the first value of each entry of a side bundle's training statistics and their key
+STATISTICS_FLIPS = [("speaker_ids", 0), ("speaker_counts", 1), ("speaker_sums", 6), ("train_digest", 2),
+                    ("map_digest", 3), ("aggregate", 4)]
 BINARY_FLIPS = [("magic", 0), ("dimension", 0), ("dimension-high", 7), ("id-length", 0), ("id-length-high", 7),
                 ("id", 6), ("id-second-byte", 0), ("value", 0), ("value-exponent", 6)]
 
 
+def entry_offset(content, entry):
+    """The byte offset of the first value of bundle entry `entry`: past its zip local header (30 bytes,
+    its name and extra field) and its .npy header (10 bytes and the header text, in format 1.0)."""
+    with zipfile.ZipFile(io.BytesIO(content)) as archive:
+        at = archive.getinfo(f"{entry}.npy").header_offset
+    start = at + 30 + sum(struct.unpack("<HH", content[at + 26: at + 30]))
+    return start + 10 + struct.unpack("<H", content[start + 8: start + 10])[0]
+
+
 @pytest.mark.parametrize("target, where, bit", [
     *[(name, offset, bit) for name in ("side2.npz", "side_pre.npz", "fourcov.npz") for offset, bit in BUNDLE_FLIPS],
+    *[("side2.npz", entry, bit) for entry, bit in STATISTICS_FLIPS],
     *[(BINARY, where, bit) for where, bit in BINARY_FLIPS],
 ])
 def test_bit_flips_keep_the_error_contract(dataset, target, where, bit):
     content = bytearray((dataset / target).read_bytes())
-    offset = binary_offset(content, where) if target == BINARY else where % len(content)
+    if target == BINARY:
+        offset = binary_offset(content, where)
+    else:
+        offset = entry_offset(bytes(content), where) if isinstance(where, str) else where % len(content)
     content[offset] ^= 1 << bit
     check_stages(dataset, {target: bytes(content)})
 

@@ -354,7 +354,7 @@ class TestTrainPlda:
         pre = fit_preprocessor(rng.standard_normal((40, 5)))
         path = tmp_path / "side.npz"
         save_plda_side(path, model, pre)
-        back, pre_back = load_plda_side(path)
+        back, pre_back, *_ = load_plda_side(path)
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.speaker_loadings, model.speaker_loadings)
         np.testing.assert_array_equal(back.residual_cov, model.residual_cov)

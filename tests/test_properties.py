@@ -412,11 +412,11 @@ def recipe_scores(files, trials, rank=2, aggregate=3, top_k=10):
     for name, chunk in (("train_enroll", aggregate), ("train_test", 0)):
         pre = plda.fit_preprocessor(files[name])
         side = cli._training_rows(files[name], name, None, pre, chunk)
-        model = plda.train_plda(plda.speaker_stats(side[0].matrix, *side[1:]), rank=rank, iterations=10)
-        sides.append((side, model, pre))
-    (side1, model1, pre1), (side2, model2, pre2) = sides
-    shared = sorted(set(side1[1]) & set(side2[1]))
-    paired = (cli._shared_speaker_stats(side1, shared), cli._shared_speaker_stats(side2, shared))
+        stats = plda.speaker_stats(side[0].matrix, *side[1:])
+        sides.append((stats, plda.train_plda(stats, rank=rank, iterations=10), pre))
+    (stats1, model1, pre1), (stats2, model2, pre2) = sides
+    shared = sorted(set(stats1.speaker_ids) & set(stats2.speaker_ids))
+    paired = (stats1.subset(shared), stats2.subset(shared))
     kernel = fourcov.build_kernel(fourcov.fit_coupling(model1, model2, paired))
 
     def model_space(prefix):
