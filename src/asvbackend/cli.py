@@ -52,24 +52,21 @@ def _map_digest(speaker_map_path) -> str:
     return data.content_digest(speaker_map_path) if speaker_map_path else ""
 
 
-def _training_stats(bundle, pre, stats, key, embeddings, label, speaker_map_path, aggregate):
-    """One side's training statistics for `fit-fourcov`: `stats`, which side bundle `bundle` stores
-    under `key`, if these training inputs gave them, else those of its file.
-
-    The vector file is hashed first and the map only if the file
-    matches, so a missing file fails as reading it would. When both
-    match but `aggregate` is not the stored chunk size, a warning names
-    the bundle and both values, and the file is read after all.
-    """
+def _stored_stats(bundle, stats, key, embeddings, speaker_map_path, aggregate=None):
+    """`stats`, which side bundle `bundle` stores under `key`, if these training inputs gave them, else a
+    `ParameterError` naming the bundle and what differs. The vector file is hashed first and the map only
+    if the file matches, so a missing file fails as reading it would; then `aggregate`, if given, is compared."""
     digest, map_digest, chunk = key
-    if data.content_digest(embeddings) == digest and _map_digest(speaker_map_path) == map_digest:
-        if aggregate == chunk:
-            return stats
-        warnings.warn(f"{bundle} was trained with --aggregate {chunk}; the coupling is fitted with --aggregate "
-                      f"{aggregate}", stacklevel=2)
-    table, speaker_ids, codes = _training_rows(data.read_embeddings(embeddings), f"{label} ({embeddings})",
-                                               speaker_map_path, pre, aggregate)
-    return plda.speaker_stats(table.matrix, speaker_ids, codes)
+    if data.content_digest(embeddings) != digest:
+        problem = "stores no training statistics" if key == modelio.NO_KEY else f"was not trained on {embeddings}"
+    elif _map_digest(speaker_map_path) != map_digest:
+        problem = (f"was not trained with speaker map {speaker_map_path}" if speaker_map_path
+                   else "was trained with a speaker map, and none is given")
+    elif aggregate is not None and aggregate != chunk:
+        problem = f"was trained with --aggregate {chunk}, not --enroll-aggregate {aggregate}"
+    else:
+        return stats
+    raise ParameterError(f"{bundle} {problem}")
 
 
 def _option_type(parse, name):
@@ -179,11 +176,10 @@ def _cmd_train_plda(args) -> int:
 def _cmd_fit_fourcov(args) -> int:
     model1, pre1, *stored1 = modelio.load_plda_side(args.enroll_model)
     model2, pre2, *stored2 = modelio.load_plda_side(args.test_model)
-    # one side before the next: each file is hashed, and read, checked and mapped if need be, in turn
-    stats1 = _training_stats(args.enroll_model, pre1, *stored1, args.enroll_embeddings, "enrollment",
-                             args.speaker_map_enroll, args.enroll_aggregate)
-    stats2 = _training_stats(args.test_model, pre2, *stored2, args.test_embeddings, "test",
-                             args.speaker_map_test, 0)
+    # one side before the next: each side's files are hashed in turn
+    stats1 = _stored_stats(args.enroll_model, *stored1, args.enroll_embeddings, args.speaker_map_enroll,
+                           args.enroll_aggregate)
+    stats2 = _stored_stats(args.test_model, *stored2, args.test_embeddings, args.speaker_map_test)
     shared = sorted(set(stats1.speaker_ids) & set(stats2.speaker_ids))
     if not shared:
         raise ParameterError("no speakers shared between the two training sets")

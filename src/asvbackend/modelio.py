@@ -6,8 +6,8 @@ arrays' shapes. A side bundle carries one PLDA model together with the
 preprocessor it was trained in, the one home of a preprocessor
 (`train-plda --pre` trains in a side bundle's space), and the speaker
 statistics the model was trained on with the key that produced them
-(`SIDE_KEY`), so that `fit-fourcov` need not read the training file
-again; a two-sided bundle carries both sides plus the factor coupling;
+(`SIDE_KEY`), the one source of a side's statistics in `fit-fourcov`;
+a two-sided bundle carries both sides plus the factor coupling;
 a ground-truth file, which no loader reads, the eight `GroundTruth`
 fields. Each kind's entry names are one layout that its writer and
 reader share; text entries (`TEXT_ENTRIES`) are strings and the others

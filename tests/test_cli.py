@@ -56,8 +56,9 @@ def synth_args(out_dir, seed=5, language="primary", prefix="", **overrides):
     return argv
 
 
-def build_bundle(base, tag="m", seed=5, language="primary", prefix="", **synth_overrides):
-    """synth + train both sides + fit-fourcov; returns paths dict."""
+def build_bundle(base, tag="m", seed=5, language="primary", prefix="", maps=False, **synth_overrides):
+    """synth + train both sides + fit-fourcov; returns paths dict. With `maps`, each training file
+    also has a speaker map, `<name>.map`, naming each vector's id prefix, and both stages pass it."""
     out = os.path.join(base, tag)
     assert invoke(*synth_args(out, seed=seed, language=language, prefix=prefix, **synth_overrides)) == 0
     paths = {
@@ -71,18 +72,26 @@ def build_bundle(base, tag="m", seed=5, language="primary", prefix="", **synth_o
     paths["side1"] = os.path.join(out, "side1.npz")
     paths["side2"] = os.path.join(out, "side2.npz")
     paths["fourcov"] = os.path.join(out, "fourcov.npz")
+    enroll_map, test_map, pair_maps = [], [], []
+    if maps:
+        for side in ("train_enroll", "train_test"):
+            paths[f"{side}.map"] = os.path.join(out, f"{side}.map")
+            ids = data.read_embeddings(paths[f"{side}.embs"]).ids
+            data.write_id_map(paths[f"{side}.map"], {i: data.speaker_of(i) for i in ids})
+        enroll_map, test_map = ["--speaker-map", paths["train_enroll.map"]], ["--speaker-map", paths["train_test.map"]]
+        pair_maps = ["--speaker-map-enroll", paths["train_enroll.map"], "--speaker-map-test", paths["train_test.map"]]
     assert invoke(
-        "train-plda", "--embeddings", paths["train_enroll.embs"],
+        "train-plda", "--embeddings", paths["train_enroll.embs"], *enroll_map,
         "--rank", 2, "--iters", 5, "--aggregate", 3, "--out", paths["side1"],
     ) == 0
     assert invoke(
-        "train-plda", "--embeddings", paths["train_test.embs"],
+        "train-plda", "--embeddings", paths["train_test.embs"], *test_map,
         "--rank", 2, "--iters", 5, "--out", paths["side2"],
     ) == 0
     assert invoke(
         "fit-fourcov", "--enroll-model", paths["side1"], "--test-model", paths["side2"],
         "--enroll-embeddings", paths["train_enroll.embs"],
-        "--test-embeddings", paths["train_test.embs"],
+        "--test-embeddings", paths["train_test.embs"], *pair_maps,
         "--enroll-aggregate", 3, "--out", paths["fourcov"],
     ) == 0
     return paths
@@ -1068,21 +1077,23 @@ def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
 
     out = tmp_path / "d"
     assert invoke(*synth_args(out, **{"--train-speakers": 30})) == 0
-    for side, extra in (("1", ["--aggregate", 3]), ("2", [])):
-        embeddings = out / ("train_enroll.embs" if side == "1" else "train_test.embs")
-        assert invoke("train-plda", "--embeddings", embeddings, "--rank", 2, "--iters", 3,
-                      *extra, "--out", out / f"side{side}.npz") == 0
-    # the test side keeps 20 of the 30 speakers, its rows in reverse order
+    # the test side keeps 20 of the 30 speakers, its rows in reverse order; a third file renames them all
     test_rows = data.read_embeddings(out / "train_test.embs")
     kept = [i for i, row_id in reversed(list(enumerate(test_rows.ids))) if int(row_id.split("-")[0][2:]) % 3]
     data.write_embeddings(out / "subset.embs", test_rows.take(kept))
+    renamed = data.EmbeddingTable.from_columns(["x" + i for i in test_rows.ids], test_rows.matrix)
+    data.write_embeddings(out / "disjoint.embs", renamed)
+    for side, embeddings, extra in (("1", "train_enroll.embs", ["--aggregate", 3]), ("2", "subset.embs", []),
+                                    ("3", "disjoint.embs", [])):
+        assert invoke("train-plda", "--embeddings", out / embeddings, "--rank", 2, "--iters", 3,
+                      *extra, "--out", out / f"side{side}.npz") == 0
 
-    def fit(test_embeddings):
-        return invoke("fit-fourcov", "--enroll-model", out / "side1.npz", "--test-model", out / "side2.npz",
+    def fit(side, test_embeddings):
+        return invoke("fit-fourcov", "--enroll-model", out / "side1.npz", "--test-model", out / f"side{side}.npz",
                       "--enroll-embeddings", out / "train_enroll.embs", "--test-embeddings", test_embeddings,
                       "--enroll-aggregate", 3, "--out", out / "fourcov.npz")
 
-    assert fit(out / "subset.embs") == 0
+    assert fit(2, out / "subset.embs") == 0
     got, _, _ = modelio.load_fourcov(out / "fourcov.npz")
 
     model1, pre1, *_ = modelio.load_plda_side(out / "side1.npz")
@@ -1107,10 +1118,8 @@ def test_fit_fourcov_pairs_shared_speakers_in_sorted_order(tmp_path, capsys):
     np.testing.assert_allclose(got.coupling, want.coupling, rtol=0, atol=1e-10)
     np.testing.assert_allclose(got.coupling_noise_cov, want.coupling_noise_cov, rtol=0, atol=1e-10)
 
-    renamed = data.EmbeddingTable.from_columns(["x" + i for i in test_rows.ids], test_rows.matrix)
-    data.write_embeddings(out / "disjoint.embs", renamed)
     capsys.readouterr()
-    assert fit(out / "disjoint.embs") == 6
+    assert fit(3, out / "disjoint.embs") == 6
     assert "no speakers shared" in capsys.readouterr().err
 
 
@@ -1145,20 +1154,35 @@ def _train_sides(files, out, maps=False, aggregate=3, pre=False):
 
 
 def _fit(monkeypatch, argv, out):
-    """Run fit-fourcov to `out`; return the bytes it writes and the vector files it reads."""
-    read, reader = [], data.read_embeddings
+    """Run fit-fourcov to `out`; return the bytes it writes and each call it makes that reads a vector
+    file, maps vectors into model space or sums speaker statistics."""
+    calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(data, "read_embeddings", lambda path: read.append(pathlib.Path(path)) or reader(path))
+        for module, name in ((data, "read_embeddings"), (plda, "to_model_space"), (plda, "speaker_stats")):
+            def spy(*args, name=name, real=getattr(module, name)):
+                calls.append(name)
+                return real(*args)
+
+            patch.setattr(module, name, spy)
         assert invoke(*argv, "--out", out) == 0
-    return out.read_bytes(), read
+    return out.read_bytes(), calls
 
 
-def _rekeyed(bundle, target):
-    """Side bundle `bundle` written to `target` under another training-file digest, which no file matches."""
-    with np.load(bundle) as stored:
-        arrays = {name: stored[name] for name in stored.files}
-    np.savez(target, **{**arrays, "train_digest": np.array("0" * 64)})
-    return target
+def _refitted(sides, inputs, out):
+    """The bytes of two-sided bundle `out` as the library fits it on side bundles `sides` from their training
+    inputs, each (vector file, speaker map or None, chunk size), not from the statistics they store: over
+    the rows of the speakers both files share, mapped through each side's preprocessor."""
+    (model1, pre1, *_), (model2, pre2, *_) = (modelio.load_plda_side(side) for side in sides)
+    mapped = [cli._training_rows(data.read_embeddings(path), str(path), speaker_map, pre, chunk)
+              for (path, speaker_map, chunk), pre in zip(inputs, (pre1, pre2))]
+    shared = sorted(set(mapped[0][1]) & set(mapped[1][1]))
+    position = {s: i for i, s in enumerate(shared)}
+    paired = []
+    for table, speaker_ids, codes in mapped:
+        codes = np.array([position.get(s, -1) for s in speaker_ids], dtype=np.intp)[codes]
+        paired.append(plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0]))
+    modelio.save_fourcov(out, fourcov.fit_coupling(model1, model2, tuple(paired)), pre1, pre2)
+    return out.read_bytes()
 
 
 @pytest.mark.parametrize("maps, aggregate, pre", [
@@ -1167,15 +1191,31 @@ def _rekeyed(bundle, target):
 def test_fit_fourcov_takes_the_statistics_its_bundles_store(training_files, tmp_path, monkeypatch, maps, aggregate,
                                                             pre):
     # with the inputs that trained both sides, fit-fourcov reads neither training file, and writes
-    # the bytes it writes when both bundles' keys are rewritten so that it has to read them
-    argv = _train_sides(training_files, tmp_path, maps, aggregate, pre)
-    hit, read = _fit(monkeypatch, argv, tmp_path / "hit.npz")
-    assert read == []
-    for side in ("side1", "side2"):
-        _rekeyed(tmp_path / f"{side}.npz", tmp_path / f"{side}.npz")
-    miss, read = _fit(monkeypatch, argv, tmp_path / "miss.npz")
-    assert read == [training_files["train_enroll"], training_files["train_test"]]
-    assert hit == miss
+    # the bytes the library fits from those files
+    files = training_files
+    argv = _train_sides(files, tmp_path, maps, aggregate, pre)
+    got, calls = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert calls == []
+    inputs = [(files[name], files[f"{name}.map"] if maps else None, chunk)
+              for name, chunk in (("train_enroll", aggregate), ("train_test", 0))]
+    assert got == _refitted((tmp_path / "side1.npz", tmp_path / "side2.npz"), inputs, tmp_path / "want.npz")
+
+
+def test_fit_fourcov_pairs_a_test_side_on_the_chunks_it_stores(training_files, tmp_path, monkeypatch, capsys):
+    # the test side has no aggregate option: a side trained on chunks is paired on its stored chunks
+    argv = _train_sides(training_files, tmp_path)
+    assert invoke("train-plda", "--embeddings", training_files["train_test"], "--aggregate", 2, "--rank", 2,
+                  "--iters", 3, "--out", tmp_path / "side2.npz") == 0
+    capsys.readouterr()
+    got, calls = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert calls == [] and capsys.readouterr().err == ""
+    (model1, pre1, stats1, _), (model2, pre2, stats2, key2) = (
+        modelio.load_plda_side(tmp_path / f"{side}.npz") for side in ("side1", "side2"))
+    assert key2[2] == 2
+    shared = sorted(set(stats1.speaker_ids) & set(stats2.speaker_ids))
+    coupled = fourcov.fit_coupling(model1, model2, (stats1.subset(shared), stats2.subset(shared)))
+    modelio.save_fourcov(tmp_path / "want.npz", coupled, pre1, pre2)
+    assert got == (tmp_path / "want.npz").read_bytes()
 
 
 def _copied(files, directory):
@@ -1186,30 +1226,47 @@ def _copied(files, directory):
     return copies
 
 
-@pytest.mark.parametrize("change", ["file", "map", "aggregate"])
-def test_fit_fourcov_reads_a_side_whose_inputs_changed(training_files, tmp_path, monkeypatch, capsys, change):
-    # each change sends the enrollment side, and only that side, to its file, with the result a
-    # bundle that stores no matching key gives
+@pytest.mark.parametrize("change", [
+    "file", "map", "aggregate", "swapped", "no-map", "no-aggregate", "test-map", "no-statistics",
+])
+def test_fit_fourcov_refuses_a_side_whose_inputs_differ(training_files, tmp_path, capsys, change):
+    # a side's statistics come only from its bundle, so inputs other than those that trained it
+    # exit 6 naming the bundle and what differs, and nothing is written
     files = _copied(training_files, tmp_path)
     argv = _train_sides(files, tmp_path, maps=True)
+    side1, side2 = tmp_path / "side1.npz", tmp_path / "side2.npz"
+    left_out = {"no-map": "--speaker-map-enroll", "no-aggregate": "--enroll-aggregate"}
     if change == "file":  # the last vector dropped
         lines = files["train_enroll"].read_text().splitlines(keepends=True)
         files["train_enroll"].write_text("".join(lines[:-1]))
-    elif change == "map":  # one speaker renamed, so that it is no longer shared
-        mapping = data.read_id_map(files["train_enroll.map"])
+        problem = f"{side1} was not trained on {files['train_enroll']}"
+    elif change in ("map", "test-map"):  # one speaker renamed
+        name, side = ("train_enroll.map", side1) if change == "map" else ("train_test.map", side2)
+        mapping = data.read_id_map(files[name])
         first = next(iter(mapping.values()))
-        data.write_id_map(files["train_enroll.map"], {i: s + "x" * (s == first) for i, s in mapping.items()})
-    else:
+        data.write_id_map(files[name], {i: s + "x" * (s == first) for i, s in mapping.items()})
+        problem = f"{side} was not trained with speaker map {files[name]}"
+    elif change == "aggregate":
         argv[argv.index("--enroll-aggregate") + 1] = 2
+        problem = f"{side1} was trained with --aggregate 3, not --enroll-aggregate 2"
+    elif change == "swapped":
+        enroll, test = argv.index("--enroll-embeddings") + 1, argv.index("--test-embeddings") + 1
+        argv[enroll], argv[test] = argv[test], argv[enroll]
+        problem = f"{side1} was not trained on {files['train_test']}"
+    elif change in left_out:
+        at = argv.index(left_out[change])
+        del argv[at: at + 2]
+        problem = (f"{side1} was trained with a speaker map, and none is given" if change == "no-map"
+                   else f"{side1} was trained with --aggregate 3, not --enroll-aggregate 0")
+    else:  # a bundle the library wrote without statistics
+        model, pre, *_ = modelio.load_plda_side(side1)
+        modelio.save_plda_side(side1, model, pre)
+        problem = f"{side1} stores no training statistics"
     capsys.readouterr()
-    got, read = _fit(monkeypatch, argv, tmp_path / "got.npz")
-    assert read == [files["train_enroll"]]
-    warned = (f"asvbackend: warning: {tmp_path / 'side1.npz'} was trained with --aggregate 3; the coupling is "
-              "fitted with --aggregate 2\n")
-    assert capsys.readouterr().err == (warned if change == "aggregate" else "")
-    _rekeyed(tmp_path / "side1.npz", tmp_path / "side1.npz")
-    want, _ = _fit(monkeypatch, argv, tmp_path / "want.npz")
-    assert got == want
+    before = sorted(tmp_path.iterdir())
+    assert invoke(*argv, "--out", tmp_path / "out.npz") == 6
+    assert capsys.readouterr().err == f"asvbackend: parameter: {problem}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_fit_fourcov_subsets_stored_sums_to_the_bits_of_the_shared_rows(training_files, tmp_path, monkeypatch):
@@ -1220,21 +1277,12 @@ def test_fit_fourcov_subsets_stored_sums_to_the_bits_of_the_shared_rows(training
     files = {**training_files, "train_test": tmp_path / "subset.embs"}
     data.write_embeddings(files["train_test"], rows.take(kept))
     argv = _train_sides(files, tmp_path)
-    got, read = _fit(monkeypatch, argv, tmp_path / "got.npz")
-    assert read == []
-
-    model1, pre1, stored1, _ = modelio.load_plda_side(tmp_path / "side1.npz")
-    model2, pre2, stored2, _ = modelio.load_plda_side(tmp_path / "side2.npz")
-    shared = sorted(set(stored1.speaker_ids) & set(stored2.speaker_ids))
-    assert len(shared) == 20 < len(stored1.speaker_ids)
-    paired = []
-    for name, pre, chunk in (("train_enroll", pre1, 3), ("train_test", pre2, 0)):
-        table, speaker_ids, codes = cli._training_rows(data.read_embeddings(files[name]), name, None, pre, chunk)
-        position = {s: i for i, s in enumerate(shared)}
-        codes = np.array([position.get(s, -1) for s in speaker_ids], dtype=np.intp)[codes]
-        paired.append(plda.speaker_stats(table.matrix[codes >= 0], shared, codes[codes >= 0]))
-    modelio.save_fourcov(tmp_path / "want.npz", fourcov.fit_coupling(model1, model2, tuple(paired)), pre1, pre2)
-    assert got == (tmp_path / "want.npz").read_bytes()
+    got, calls = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert calls == []
+    stored1, stored2 = (modelio.load_plda_side(tmp_path / f"{side}.npz")[2] for side in ("side1", "side2"))
+    assert len(set(stored1.speaker_ids) & set(stored2.speaker_ids)) == 20 < len(stored1.speaker_ids)
+    inputs = [(files["train_enroll"], None, 3), (files["train_test"], None, 0)]
+    assert got == _refitted((tmp_path / "side1.npz", tmp_path / "side2.npz"), inputs, tmp_path / "want.npz")
 
 
 def test_fit_fourcov_on_an_interpolated_side_takes_its_in_domain_statistics(training_files, tmp_path, monkeypatch):
@@ -1244,12 +1292,10 @@ def test_fit_fourcov_on_an_interpolated_side_takes_its_in_domain_statistics(trai
     assert invoke("interpolate", "--in-domain", tmp_path / "side2.npz", "--out-domain", tmp_path / "out-domain.npz",
                   "--alpha", 0.5, "--out", tmp_path / "mixed.npz") == 0
     argv[argv.index(tmp_path / "side2.npz")] = tmp_path / "mixed.npz"
-    hit, read = _fit(monkeypatch, argv, tmp_path / "hit.npz")
-    assert read == []
-    _rekeyed(tmp_path / "mixed.npz", tmp_path / "mixed.npz")
-    miss, read = _fit(monkeypatch, argv, tmp_path / "miss.npz")
-    assert read == [training_files["train_test"]]
-    assert hit == miss
+    got, calls = _fit(monkeypatch, argv, tmp_path / "got.npz")
+    assert calls == []
+    inputs = [(training_files["train_enroll"], None, 3), (training_files["train_test"], None, 0)]
+    assert got == _refitted((tmp_path / "side1.npz", tmp_path / "mixed.npz"), inputs, tmp_path / "want.npz")
 
 
 def _with_statistics(tmp_path):
@@ -1534,7 +1580,7 @@ class TestSideWidth:
 
     @pytest.mark.parametrize(
         "stage, pair",
-        [("score", "eval"), ("snorm", "eval"), ("snorm", "cohort"), ("fit-fourcov", "train"), ("route-score", "eval")],
+        [("score", "eval"), ("snorm", "eval"), ("snorm", "cohort"), ("route-score", "eval")],
     )
     def test_first_file_of_a_pair_decides(self, stack, tmp_path, capsys, stage, pair):
         # each file of a pair is read and checked before the next is opened, so a
@@ -1542,18 +1588,14 @@ class TestSideWidth:
         paths, raw, config, narrow = stack
         missing = tmp_path / "missing.embs"
         files = {"eval": [paths["eval_enroll.embs"], paths["eval_test.embs"]],
-                 "cohort": [paths["cohort_enroll.embs"], paths["cohort_test.embs"]],
-                 "train": [paths["train_enroll.embs"], paths["train_test.embs"]]}
-        bad = narrow["training" if pair == "train" else "enrollment"]
+                 "cohort": [paths["cohort_enroll.embs"], paths["cohort_test.embs"]]}
+        bad = narrow["enrollment"]
         files[pair] = [bad, missing]
         vectors = ["--enroll", files["eval"][0], "--test", files["eval"][1]]
         argv = {
             "score": ["--model", paths["fourcov"], *vectors, "--trials", paths["eval.trials"]],
             "snorm": ["--model", paths["fourcov"], "--scores", raw, *vectors, "--cohort-enroll", files["cohort"][0],
                       "--cohort-test", files["cohort"][1], "--top-k", 20],
-            "fit-fourcov": ["--enroll-model", paths["side1"], "--test-model", paths["side2"],
-                            "--enroll-embeddings", files["train"][0], "--test-embeddings", files["train"][1],
-                            "--enroll-aggregate", 3],
             "route-score": ["--config", config, *vectors, "--trials", paths["eval.trials"]],
         }[stage]
         out = tmp_path / "out.scores"
@@ -1563,26 +1605,12 @@ class TestSideWidth:
                                            "dimension 5, the model expects 6\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "stage, label",
-        [("train-plda", "training"), ("fit-fourcov", "enrollment"), ("fit-fourcov", "test")],
-    )
+    @pytest.mark.parametrize("stage, label", [("train-plda", "training")])
     def test_training_stage_wrong_width_exits_5_naming_the_file(self, stack, tmp_path, capsys, stage, label):
-        # every stage that maps a file through a stored preprocessor checks
+        # a stage that maps a training file through a stored preprocessor checks
         # its width the way score and snorm do
-        paths = stack[0]
-        source = paths["train_enroll.embs" if label == "enrollment" else "train_test.embs"]
-        narrow = tmp_path / "narrow.embs"
-        narrow.write_text("".join(" ".join(line.split()[:-1]) + "\n" for line in open(source)))
-        out = tmp_path / "out"
-        train = {"enrollment": paths["train_enroll.embs"], "test": paths["train_test.embs"], label: narrow}
-        argv = {
-            "train-plda": ["--embeddings", narrow, "--pre", paths["side2"], "--rank", 2],
-            "fit-fourcov": ["--enroll-model", paths["side1"], "--test-model", paths["side2"],
-                            "--enroll-embeddings", train["enrollment"], "--test-embeddings", train["test"],
-                            "--enroll-aggregate", 3],
-        }[stage]
-        assert invoke(stage, *argv, "--out", out) == 5
+        paths, narrow, out = stack[0], stack[3]["training"], tmp_path / "out"
+        assert invoke(stage, "--embeddings", narrow, "--pre", paths["side2"], "--rank", 2, "--out", out) == 5
         err = capsys.readouterr().err
         assert err == (f"asvbackend: dimension: {label} ({narrow}) vectors have dimension 5, "
                        "the model expects 6\n"), err
@@ -1645,7 +1673,7 @@ def test_stage_argvs_cover_every_path_option():
 def stage_files(tmp_path_factory):
     """Valid inputs for every argv of `STAGE_ARGVS`, by name."""
     base = tmp_path_factory.mktemp("inputs")
-    paths = {name: pathlib.Path(path) for name, path in build_bundle(base).items()}
+    paths = {name: pathlib.Path(path) for name, path in build_bundle(base, maps=True).items()}
     raw, _, calfile, _ = score_pipeline(paths, base)
     paths.update({"raw.scores": pathlib.Path(raw), "cal.txt": pathlib.Path(calfile)})
     paths["routing.json"] = pathlib.Path(one_condition_config(paths, calfile, base))
@@ -1653,10 +1681,6 @@ def stage_files(tmp_path_factory):
     paths["pre_side"] = base / "pre_side.npz"
     assert invoke("train-plda", "--embeddings", paths["train_enroll.embs"], "--pre", paths["side2"], "--rank", 2,
                   "--iters", 2, "--out", paths["pre_side"]) == 0
-    for side in ("train_enroll", "train_test"):
-        paths[f"{side}.map"] = base / f"{side}.map"
-        ids = [line.split()[0] for line in paths[f"{side}.embs"].read_text().splitlines()]
-        paths[f"{side}.map"].write_text("".join(f"{i} {i.split('-')[0]}\n" for i in ids))
     return paths
 
 
@@ -1840,10 +1864,31 @@ def test_stack_vector_files_are_read_only_through_the_one_reader():
     assert [where for module, where in reads if module == "routing"] == []
     assert sorted(where for module, where in reads if module == "cli") == [
         "_cmd_route_score", "_cmd_route_score",  # route-score: its evaluation files
-        "_cmd_train_plda", "_training_stats",  # fit-fourcov: a side's file, when its bundle's statistics are not its
+        "_cmd_train_plda",  # train-plda: its training file
     ]
     # and only `read_model_space_pair` reads a vector file straight into model space
     assert [where for module, where in reads if module == "plda"] == ["read_model_space_pair"] * 2
+
+
+def test_fit_fourcov_reaches_no_vector_reader():
+    # fit-fourcov takes each side's statistics from its bundle: no function or class it may call,
+    # matched by name through the whole package, reads, maps or summarizes a vector file. The one
+    # exception, `_as_stats`, sums the (group, group) pairs `fit_coupling` also takes, a branch that
+    # the stage's pair of `SpeakerStats` skips (`_fit` checks the calls it makes)
+    defined = {}
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, []).append(node)
+    skipped, reached, pending = {"_as_stats"}, set(), ["_cmd_fit_fourcov"]
+    while pending:
+        name = pending.pop()
+        if name not in reached | skipped:
+            reached.add(name)
+            pending += [_callee(call) for node in defined[name] for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and _callee(call) in defined]
+    assert {"load_plda_side", "content_digest", "subset", "fit_coupling", "save_fourcov"} <= reached
+    assert not {"read_embeddings", "speaker_stats", "to_model_space"} & reached
 
 
 def test_model_space_has_one_home():

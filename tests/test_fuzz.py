@@ -120,27 +120,39 @@ def dataset(tmp_path_factory):
     base = tmp_path_factory.mktemp("fuzz")
     assert run("synth", "--out-dir", base, "--dim", DIM, "--rank", 4, "--train-speakers", 30,
                "--eval-speakers", 6, "--cohort-speakers", 8, "--nontargets", 3, "--seed", 3, "--id-prefix", "é")[0] == 0
-    assert run("train-plda", "--embeddings", base / "train_enroll.embs", "--aggregate", 3, "--rank", 4,
-               "--iters", 2, "--out", base / "side1.npz")[0] == 0
-    assert run("train-plda", "--embeddings", base / "train_test.embs", "--rank", 4, "--iters", 2,
-               "--out", base / "side2.npz")[0] == 0
+    # the sides are trained with the speaker maps that `STAGES["fit-fourcov"]` passes
+    for side in ("train_enroll", "train_test"):
+        ids = data.read_embeddings(base / f"{side}.embs").ids
+        data.write_id_map(base / f"{side}.map", {i: data.speaker_of(i) for i in ids})
+    assert run("train-plda", "--embeddings", base / "train_enroll.embs", "--speaker-map", base / "train_enroll.map",
+               "--aggregate", 3, "--rank", 4, "--iters", 2, "--out", base / "side1.npz")[0] == 0
+    assert run("train-plda", "--embeddings", base / "train_test.embs", "--speaker-map", base / "train_test.map",
+               "--rank", 4, "--iters", 2, "--out", base / "side2.npz")[0] == 0
     assert run("fit-fourcov", "--enroll-model", base / "side1.npz", "--test-model", base / "side2.npz",
                "--enroll-embeddings", base / "train_enroll.embs", "--enroll-aggregate", 3,
-               "--test-embeddings", base / "train_test.embs", "--out", base / "fourcov.npz")[0] == 0
+               "--speaker-map-enroll", base / "train_enroll.map", "--test-embeddings", base / "train_test.embs",
+               "--speaker-map-test", base / "train_test.map", "--out", base / "fourcov.npz")[0] == 0
     assert run("score", "--model", base / "fourcov.npz", "--enroll", base / "eval_enroll.embs", "--test",
                base / "eval_test.embs", "--trials", base / "eval.trials", "--out", base / "raw.scores")[0] == 0
     # a side bundle in side2's preprocessed space, which `interpolate` combines with side2
     assert run("train-plda", "--embeddings", base / "train_enroll.embs", "--aggregate", 3, "--pre", base / "side2.npz",
                "--rank", 4, "--iters", 2, "--out", base / "side_pre.npz")[0] == 0
-    for side in ("train_enroll", "train_test"):
-        ids = data.read_embeddings(base / f"{side}.embs").ids
-        data.write_id_map(base / f"{side}.map", {i: data.speaker_of(i) for i in ids})
     # a scale above 1 takes the largest finite scores beyond the float64 range
     calibration.write_calibration(base / "cal.txt", calibration.CalibrationModel(2.5, 0.1))
     # one key per line, so that line mutations edit the config
     (base / "routing.json").write_text(json.dumps(CONFIG, indent=1))
     data.write_embeddings(base / BINARY, data.read_embeddings(base / "eval_test.embs"), binary=True)
     return base
+
+
+def test_every_stage_succeeds_on_the_unmutated_dataset(dataset, tmp_path):
+    # so that a mutation can reach each stage's success path, fit-fourcov's among them
+    for stage, argv in STAGES.items():
+        out = tmp_path / stage
+        out.mkdir()
+        code, err = run(*(out / a if str(a).startswith("out") else dataset / a if (dataset / str(a)).is_file() else a
+                          for a in argv))
+        assert (code, err) == (0, ""), stage
 
 
 def read_output(stage, path):
