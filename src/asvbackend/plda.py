@@ -426,9 +426,31 @@ def _as_stats(samples) -> SpeakerStats:
 
 
 def _floor_cov(cov: np.ndarray, context: str) -> np.ndarray:
-    evals, evecs = np.linalg.eigh((cov + cov.T) / 2.0)
-    floor = RESIDUAL_EIG_FLOOR * float(np.trace(cov)) / cov.shape[0]
-    floor = max(floor, RESIDUAL_EIG_FLOOR_ABS)
+    """The symmetrized `cov`, every eigenvalue below the residual floor raised to it.
+
+    The floor is RESIDUAL_EIG_FLOOR times the mean eigenvalue, trace / d,
+    and at least RESIDUAL_EIG_FLOOR_ABS. `eigh` decides every flooring:
+    each eigenvalue it returns below the floor is raised to it, with a
+    warning that counts them. A Cholesky factor of sym - (floor + margin)·I
+    spares that decomposition for the common matrix that floors nothing:
+    when the factor exists no eigenvalue of sym lies below floor + margin,
+    and margin = 16·d·eps·|trace| bounds the rounding error of both
+    factorizations, so `eigh` would floor nothing and sym is returned as
+    it is. Any other matrix goes to `eigh`: one within the margin of the
+    floor, one below it, or one that is not finite.
+    """
+    sym = (cov + cov.T) / 2.0
+    d = cov.shape[0]
+    trace = float(np.trace(cov))
+    floor = max(RESIDUAL_EIG_FLOOR * trace / d, RESIDUAL_EIG_FLOOR_ABS)
+    margin = 16 * d * np.finfo(np.float64).eps * abs(trace)
+    try:
+        _cholesky(sym - (floor + margin) * np.eye(d), "")
+    except NumericalError:
+        pass
+    else:
+        return sym
+    evals, evecs = np.linalg.eigh(sym)
     if evals[0] < floor:
         warnings.warn(
             f"{context}: flooring {int(np.sum(evals < floor))} residual eigenvalue(s) to {floor:.3e}",
@@ -437,7 +459,7 @@ def _floor_cov(cov: np.ndarray, context: str) -> np.ndarray:
         )
         evals = np.maximum(evals, floor)
         return (evecs * evals) @ evecs.T
-    return (cov + cov.T) / 2.0
+    return sym
 
 
 def _cholesky(matrix: np.ndarray, error: str) -> np.ndarray:
@@ -467,12 +489,13 @@ def _posterior(loadings, residual_cov, sums, counts):
     vectors; its posterior mean solves (I + n_s ΦᵀΓ⁻¹Φ) y = ΦᵀΓ⁻¹f_s.
     One solve against Γ serves every row and one solve against the
     precision every distinct count. Returns (factors, projected,
-    residual_logdet, precisions) with projected rows ΦᵀΓ⁻¹f_s and
-    precisions mapping each count to (number of rows, precision matrix,
-    its log-determinant).
+    residual_factor, precisions) with projected rows ΦᵀΓ⁻¹f_s, the
+    Cholesky factor of Γ, and precisions mapping each count to (number
+    of rows, precision matrix, its Cholesky factor). A Γ or precision
+    that is not positive definite raises `NumericalError`.
     """
     r = loadings.shape[1]
-    residual_logdet = _logdet(_cholesky(residual_cov, "residual covariance is not positive definite"))
+    residual_factor = _cholesky(residual_cov, "residual covariance is not positive definite")
     solved_loadings = np.linalg.solve(residual_cov, loadings)    # Γ⁻¹Φ, (d, r)
     base = loadings.T @ solved_loadings                          # ΦᵀΓ⁻¹Φ, (r, r)
     projected = sums @ solved_loadings                           # rows: ΦᵀΓ⁻¹f_s
@@ -482,36 +505,39 @@ def _posterior(loadings, residual_cov, sums, counts):
     for count in np.unique(counts):
         idx = np.flatnonzero(counts == count)
         precision = np.eye(r) + count * base
-        logdet = _logdet(_cholesky(precision, "posterior precision is not positive definite"))
+        factor = _cholesky(precision, "posterior precision is not positive definite")
         factors[idx] = np.linalg.solve(precision, projected[idx].T).T
-        precisions[int(count)] = (len(idx), precision, logdet)
-    return factors, projected, residual_logdet, precisions
+        precisions[int(count)] = (len(idx), precision, factor)
+    return factors, projected, residual_factor, precisions
 
 
-def _e_step(loadings, residual_cov, sums, counts, scatter, total):
-    """Posterior speaker-factor statistics and the marginal log-likelihood.
+def _e_step(loadings, residual_cov, sums, counts, scatter, total, loglik):
+    """Posterior speaker-factor statistics and, if `loglik`, the marginal log-likelihood.
 
-    Returns (factors, weighted_second_moment, cross_stat, loglik) where
-    factors[s] is the posterior mean of speaker s's factor,
-    weighted_second_moment = sum_s n_s E[y yᵀ] and
-    cross_stat = sum_s E[y] fᵀ_s.
+    Returns (weighted_second_moment, cross_stat, loglik) where
+    weighted_second_moment = sum_s n_s E[y yᵀ],
+    cross_stat = sum_s E[y] fᵀ_s, and loglik is None unless asked for:
+    its trace term alone is a solve against Γ with d right-hand sides.
     """
-    d = residual_cov.shape[0]
     r = loadings.shape[1]
-    factors, projected, logdet_res, precisions = _posterior(loadings, residual_cov, sums, counts)
+    factors, projected, residual_factor, precisions = _posterior(loadings, residual_cov, sums, counts)
     second_moment = np.zeros((r, r))
-    logdet_sum = 0.0
-    for count, (n_rows, precision, logdet) in precisions.items():
+    for count, (n_rows, precision, _) in precisions.items():
         second_moment += count * n_rows * np.linalg.inv(precision)
-        logdet_sum += n_rows * logdet
     second_moment += factors.T @ (factors * counts[:, None])
     cross_stat = factors.T @ sums                                # (r, d)
+    if not loglik:
+        return second_moment, cross_stat, None
 
+    d = residual_cov.shape[0]
+    logdet_sum = 0.0
+    for n_rows, _, factor in precisions.values():
+        logdet_sum += n_rows * _logdet(factor)
     trace_term = float(np.trace(np.linalg.solve(residual_cov, scatter)))
     quad_term = float(np.sum(factors * projected))
-    loglik = -0.5 * (total * d * np.log(2.0 * np.pi) + total * logdet_res + trace_term)
-    loglik += -0.5 * logdet_sum + 0.5 * quad_term
-    return factors, second_moment, cross_stat, loglik
+    value = -0.5 * (total * d * np.log(2.0 * np.pi) + total * _logdet(residual_factor) + trace_term)
+    value += -0.5 * logdet_sum + 0.5 * quad_term
+    return second_moment, cross_stat, value
 
 
 def _top_loadings(between: np.ndarray, rank: int):
@@ -536,7 +562,9 @@ def train_plda(
     covariance are updated from accumulated posterior factor statistics
     each iteration. `callback(iteration, loglik)` receives the marginal
     log-likelihood of the parameters entering each iteration; the
-    sequence is non-decreasing.
+    sequence is non-decreasing. The log-likelihood is computed only for
+    a callback or when this module's logger is enabled for DEBUG, where
+    each iteration logs it; the model is the same either way.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -566,13 +594,15 @@ def train_plda(
     loadings, _ = _top_loadings(between, rank)
     residual_cov = _floor_cov(within, "PLDA initialization")
 
+    wants_loglik = callback is not None or logger.isEnabledFor(logging.DEBUG)
     for iteration in range(iterations):
-        _, second_moment, cross_stat, loglik = _e_step(
-            loadings, residual_cov, sums, counts, scatter, total
+        second_moment, cross_stat, loglik = _e_step(
+            loadings, residual_cov, sums, counts, scatter, total, wants_loglik
         )
-        if callback is not None:
-            callback(iteration, loglik)
-        logger.debug("EM iteration %d: loglik %.6f", iteration, loglik)
+        if wants_loglik:
+            if callback is not None:
+                callback(iteration, loglik)
+            logger.debug("EM iteration %d: loglik %.6f", iteration, loglik)
         loadings = np.linalg.solve(second_moment, cross_stat).T
         residual_cov = _floor_cov((scatter - loadings @ cross_stat) / total, "PLDA M-step")
 

@@ -1,16 +1,22 @@
+import logging
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asvbackend import data, fourcov, synth
+from asvbackend import data, fourcov, plda, synth
 from asvbackend.data import Embedding, EmbeddingTable, SpeakerGroup
 from asvbackend.exceptions import DomainError, NumericalError, ParameterError
 from asvbackend.plda import (
+    RESIDUAL_EIG_FLOOR,
+    RESIDUAL_EIG_FLOOR_ABS,
     PldaModel,
     Preprocessor,
     _as_stats,
+    _floor_cov,
     chunk_models,
     chunked_enroll_averages,
     enroll_average,
@@ -312,15 +318,58 @@ class TestTrainPlda:
         assert rel_g < 0.10
 
     def test_loglik_monotone(self, rng):
-        cfg = synth.GenConfig(
-            dim=6, enroll_rank=2, test_rank=2, n_speakers=80,
-            enroll_segments=5, test_segments=1, seed=7,
-        )
-        groups, _, _ = synth.sample_dataset(cfg)
         lls = []
-        train_plda(groups, rank=2, iterations=10, callback=lambda i, ll: lls.append(ll))
+        train_plda(loglik_groups(), rank=2, iterations=10, callback=lambda i, ll: lls.append(ll))
         assert len(lls) == 10
         assert all(b - a >= -1e-8 for a, b in zip(lls, lls[1:]))
+
+    def test_loglik_sequence_is_pinned_to_the_bit(self):
+        lls = []
+        train_plda(loglik_groups(), rank=2, iterations=10, callback=lambda i, ll: lls.append(ll))
+        assert [float(ll).hex() for ll in lls] == PINNED_LOGLIK
+
+    def test_callback_changes_no_model_bit(self):
+        plain = train_plda(loglik_groups(), rank=2, iterations=10)
+        watched = train_plda(loglik_groups(), rank=2, iterations=10, callback=lambda i, ll: None)
+        for field in ("mean", "speaker_loadings", "residual_cov"):
+            assert getattr(plain, field).tobytes() == getattr(watched, field).tobytes(), field
+
+    def test_debug_logging_alone_logs_each_iterations_loglik(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="asvbackend.plda")
+        train_plda(loglik_groups(), rank=2, iterations=10)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"EM iteration {i}: loglik {float.fromhex(ll):.6f}" for i, ll in enumerate(PINNED_LOGLIK)
+        ]
+
+    def test_em_without_a_reader_does_only_the_model_linear_algebra(self, monkeypatch, caplog):
+        # one eigh, for the top loadings; no residual-floor decomposition on
+        # well-conditioned data and no solve against the d x d scatter, which
+        # only the log-likelihood needs
+        cfg = synth.GenConfig(
+            dim=8, enroll_rank=2, test_rank=2, n_speakers=200,
+            enroll_segments=5, test_segments=1, seed=17,
+        )
+        groups, _, _ = synth.sample_dataset(cfg)
+        stats = _as_stats(groups)
+        caplog.set_level(logging.INFO, logger="asvbackend.plda")
+        eigh_calls, solve_rhs = [], []
+        eigh, solve = np.linalg.eigh, np.linalg.solve
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def counting_solve(a, b, *args, **kwargs):
+            solve_rhs.append(np.shape(b))
+            return solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_plda(stats, rank=3, iterations=10)
+        assert eigh_calls == [(8, 8)]
+        assert solve_rhs and (8, 8) not in solve_rhs
 
     def test_mean_is_data_mean(self, rng):
         cfg = synth.GenConfig(
@@ -367,6 +416,105 @@ class TestTrainPlda:
             model = train_plda(groups, rank=1, iterations=2)
         assert np.all(np.isfinite(model.residual_cov))
         np.testing.assert_array_less(0.0, np.linalg.eigvalsh(model.residual_cov))
+
+
+# the log-likelihood of loglik_groups() entering each of 10 EM iterations at
+# rank 2, as computed every iteration before it became on-demand
+PINNED_LOGLIK = [
+    "-0x1.8690715dec4a1p+11", "-0x1.81a28a1ed774ep+11", "-0x1.8197ea7c4b13ep+11",
+    "-0x1.81973f02ee80cp+11", "-0x1.819723f29bc77p+11", "-0x1.819716d6e8e20p+11",
+    "-0x1.81970d3aa1b2cp+11", "-0x1.8197059ec435ep+11", "-0x1.8196ff7bee634p+11",
+    "-0x1.8196fa7c4d4b2p+11",
+]
+
+
+def loglik_groups():
+    cfg = synth.GenConfig(
+        dim=6, enroll_rank=2, test_rank=2, n_speakers=80,
+        enroll_segments=5, test_segments=1, seed=7,
+    )
+    return synth.sample_dataset(cfg)[0]
+
+
+def floor_cov_by_eigh(cov, context):
+    """The residual floor as one eigendecomposition of every matrix: the
+    reference that `plda._floor_cov` must match bit for bit."""
+    evals, evecs = np.linalg.eigh((cov + cov.T) / 2.0)
+    floor = RESIDUAL_EIG_FLOOR * float(np.trace(cov)) / cov.shape[0]
+    floor = max(floor, RESIDUAL_EIG_FLOOR_ABS)
+    if evals[0] < floor:
+        warnings.warn(
+            f"{context}: flooring {int(np.sum(evals < floor))} residual eigenvalue(s) to {floor:.3e}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        evals = np.maximum(evals, floor)
+        return (evecs * evals) @ evecs.T
+    return (cov + cov.T) / 2.0
+
+
+def floored_with_warnings(floor_cov, cov):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = floor_cov(cov, "ctx")
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def near_floor_matrix(dim, seed, ratio, small, scale):
+    """A rotated spectrum whose `small` lowest eigenvalues are `ratio`
+    times the residual floor of the matrix's own trace; `scale` 1e-8
+    puts that floor at RESIDUAL_EIG_FLOOR_ABS."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    evals = scale * rng.uniform(0.1, 10.0, dim)
+    rest = float(evals[small:].sum())
+    # floor = RESIDUAL_EIG_FLOOR * (rest + small * ratio * floor) / dim, solved for floor
+    floor = RESIDUAL_EIG_FLOOR * rest / (dim - RESIDUAL_EIG_FLOOR * small * ratio)
+    evals[:small] = ratio * max(floor, RESIDUAL_EIG_FLOOR_ABS)
+    return (rotation * evals) @ rotation.T
+
+
+class TestResidualFloor:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        dim=st.sampled_from([5, 200]),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+        small=st.integers(1, 3),
+        scale=st.sampled_from([1.0, 1e-8]),
+    )
+    def test_matches_the_eigh_rule_near_the_floor(self, dim, seed, ratio, small, scale):
+        cov = near_floor_matrix(dim, seed, ratio, small, scale)
+        got, got_warnings = floored_with_warnings(_floor_cov, cov)
+        want, want_warnings = floored_with_warnings(floor_cov_by_eigh, cov)
+        assert got_warnings == want_warnings
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cov", [np.zeros((3, 3)), -np.eye(3), np.diag([1.0, 1.0, np.nan])],
+                             ids=["zero", "negative", "nan"])
+    def test_matches_the_eigh_rule_off_the_fast_path(self, cov):
+        got, got_warnings = floored_with_warnings(_floor_cov, cov)
+        want, want_warnings = floored_with_warnings(floor_cov_by_eigh, cov)
+        assert got_warnings == want_warnings
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_vector_per_speaker_floors_the_zero_within_scatter(self, monkeypatch):
+        matrix = np.random.default_rng(5).standard_normal((12, 4))
+        stats = speaker_stats(matrix, tuple(f"s{i}" for i in range(12)), np.arange(12))
+        model, caught = floored_with_warnings(lambda s, _: train_plda(s, rank=2, iterations=3), stats)
+        assert caught == [
+            (RuntimeWarning, "PLDA initialization: flooring 4 residual eigenvalue(s) to 1.000e-10"),
+            (RuntimeWarning, "PLDA M-step: flooring 2 residual eigenvalue(s) to 1.023e-07"),
+            (RuntimeWarning, "PLDA M-step: flooring 2 residual eigenvalue(s) to 1.023e-07"),
+            (RuntimeWarning, "PLDA M-step: flooring 1 residual eigenvalue(s) to 1.023e-07"),
+        ]
+        monkeypatch.setattr(plda, "_floor_cov", floor_cov_by_eigh)
+        reference, reference_caught = floored_with_warnings(
+            lambda s, _: train_plda(s, rank=2, iterations=3), stats
+        )
+        assert reference_caught == caught
+        for field in ("mean", "speaker_loadings", "residual_cov"):
+            assert getattr(model, field).tobytes() == getattr(reference, field).tobytes(), field
 
 
 class TestSpeakerFactor:
